@@ -1,14 +1,23 @@
-"""Reference implementations of the axiom-scan kernels.
+"""Pure-Python axiom-scan kernels over unbounded integers.
 
-Pure Python over unbounded integers: always correct, never fast.  The
-compiled twin in _fastscan.pyx mirrors these loops statement for
-statement; both must visit candidates in the same order and return the
-same first hit, and the parity tests hold them to that.
+Every scan has one pinned candidate order, spelled out by its loops,
+and returns the first hit in that order.  The compiled twin in
+_fastscan.pyx must return the same first hit, not run the same
+statements: the parity tests hold the two backends to each other, and
+tests/test_scan_reference.py holds this module to a brute-force
+Fraction-level reference written from the docstrings.
+
+Comparisons between two grid points go through ``_SignTable``, a lazily
+built table of comparison signs stored as Python-int bitsets, so the
+triple scans become walks over set bits instead of cubic loops that
+repeat the same comparison once per third point.  Comparisons with
+points off the grid (mixtures, translates, dyadic probes, line points)
+are made directly.
 
 Conventions shared by every scan:
 
 * ``nums`` is the grid as integer weight tuples over one common ``den``;
-* comparisons return the sign of "first minus second";
+* comparisons return the sign of "first minus second", one of -1, 0, 1;
 * weights a/b arrive as integer pairs, already in the caller's order;
 * a return of None means the scan exhausted its budget without a hit.
 """
@@ -93,6 +102,60 @@ def make_compare(spec):
     raise ValueError(f"unknown oracle encoding {kind!r}")
 
 
+class _SignTable:
+    """Signs of cmp between grid points, as bitsets built on demand.
+
+    ``row(i)`` is ``(gt, eq, lt)``: bit k is set in the one matching the
+    sign of ``cmp(nums[i], den, nums[k], den)``.  ``col(i)`` holds the
+    same for ``cmp(nums[k], den, nums[i], den)``, from calls of its own,
+    since a callback oracle need not be antisymmetric.  A row or column
+    costs g comparisons the first time a scan asks for it and none
+    after, so a scan makes at most g extra comparisons for each row or
+    column its walk stops inside; only bitsets are stored.
+    """
+
+    __slots__ = ("_cmp", "_nums", "_den", "_rows", "_cols")
+
+    def __init__(self, cmp, nums, den):
+        self._cmp = cmp
+        self._nums = nums
+        self._den = den
+        self._rows = [None] * len(nums)
+        self._cols = [None] * len(nums)
+
+    def row(self, i):
+        signs = self._rows[i]
+        if signs is None:
+            cmp, den, p = self._cmp, self._den, self._nums[i]
+            signs = _masks([cmp(p, den, q, den) for q in self._nums])
+            self._rows[i] = signs
+        return signs
+
+    def col(self, i):
+        signs = self._cols[i]
+        if signs is None:
+            cmp, den, p = self._cmp, self._den, self._nums[i]
+            signs = _masks([cmp(q, den, p, den) for q in self._nums])
+            self._cols[i] = signs
+        return signs
+
+
+def _masks(signs):
+    """(gt, eq, lt) bitsets of a sign list: bit k follows signs[k]."""
+    gt = int("0" + "".join("1" if s > 0 else "0" for s in reversed(signs)), 2)
+    eq = int("0" + "".join("0" if s else "1" for s in reversed(signs)), 2)
+    return gt, eq, ((1 << len(signs)) - 1) ^ gt ^ eq
+
+
+def _bits(mask):
+    """Indices of the set bits of mask, ascending."""
+    text = bin(mask)[:1:-1]
+    k = text.find("1")
+    while k >= 0:
+        yield k
+        k = text.find("1", k + 1)
+
+
 def _mix(pn, qn, a, b):
     """Numerators of (a/b)p + (1 - a/b)q; denominator becomes b*den."""
     c = b - a
@@ -101,17 +164,14 @@ def _mix(pn, qn, a, b):
 
 def scan_transitivity(spec, nums, den):
     """First (i, j, k) with i >= j >= k but i < k."""
-    cmp = make_compare(spec)
-    g = len(nums)
-    for i in range(g):
-        for j in range(g):
-            if cmp(nums[i], den, nums[j], den) < 0:
-                continue
-            for k in range(g):
-                if cmp(nums[j], den, nums[k], den) < 0:
-                    continue
-                if cmp(nums[i], den, nums[k], den) < 0:
-                    return (i, j, k)
+    signs = _SignTable(make_compare(spec), nums, den)
+    for i in range(len(nums)):
+        gt_i, eq_i, lt_i = signs.row(i)
+        for j in _bits(gt_i | eq_i):
+            gt_j, eq_j, _ = signs.row(j)
+            bad = (gt_j | eq_j) & lt_i
+            if bad:
+                return (i, j, (bad & -bad).bit_length() - 1)
     return None
 
 
@@ -135,11 +195,10 @@ def scan_betweenness(spec, nums, den, alphas):
     """First (i, j, alpha index) where i >= j but the mixture escapes
     the closed preference interval [j, i]."""
     cmp = make_compare(spec)
-    g = len(nums)
-    for i in range(g):
-        for j in range(g):
-            if cmp(nums[i], den, nums[j], den) < 0:
-                continue
+    signs = _SignTable(cmp, nums, den)
+    for i in range(len(nums)):
+        gt_i, eq_i, _ = signs.row(i)
+        for j in _bits(gt_i | eq_i):
             for ai, (a, b) in enumerate(alphas):
                 m = _mix(nums[i], nums[j], a, b)
                 if cmp(nums[i], den, m, b * den) < 0:
@@ -153,14 +212,11 @@ def scan_convexity(spec, nums, den, alphas):
     """First (i, j, k, alpha index) where j ~ i and k ~ i but their
     mixture is not indifferent to i."""
     cmp = make_compare(spec)
-    g = len(nums)
-    for i in range(g):
-        for j in range(g):
-            if cmp(nums[j], den, nums[i], den) != 0:
-                continue
-            for k in range(g):
-                if cmp(nums[k], den, nums[i], den) != 0:
-                    continue
+    signs = _SignTable(cmp, nums, den)
+    for i in range(len(nums)):
+        members = list(_bits(signs.col(i)[1]))
+        for j in members:
+            for k in members:
                 for ai, (a, b) in enumerate(alphas):
                     m = _mix(nums[j], nums[k], a, b)
                     if cmp(m, b * den, nums[i], den) != 0:
@@ -172,13 +228,13 @@ def scan_translation(spec, nums, den):
     """First (i, j, k) where k ~ i but the translate k + (j - i), when
     it stays a lottery, is not indifferent to j."""
     cmp = make_compare(spec)
+    signs = _SignTable(cmp, nums, den)
     g = len(nums)
     size = len(nums[0]) if nums else 0
     for i in range(g):
+        members = list(_bits(signs.col(i)[1]))
         for j in range(g):
-            for k in range(g):
-                if cmp(nums[k], den, nums[i], den) != 0:
-                    continue
+            for k in members:
                 w = tuple(nums[k][c] + nums[j][c] - nums[i][c] for c in range(size))
                 if any(x < 0 for x in w):
                     continue
@@ -203,12 +259,10 @@ def scan_line_order(spec, nums, den, max_t_den):
     skipping t = 0 and t = 1 (the endpoints themselves).
     """
     cmp = make_compare(spec)
-    g = len(nums)
+    signs = _SignTable(cmp, nums, den)
     size = len(nums[0]) if nums else 0
-    for i in range(g):
-        for j in range(g):
-            if cmp(nums[i], den, nums[j], den) <= 0:
-                continue
+    for i in range(len(nums)):
+        for j in _bits(signs.row(i)[0]):
             p, q = nums[i], nums[j]
             d = tuple(p[c] - q[c] for c in range(size))
             for b in range(1, max_t_den + 1):
@@ -289,14 +343,10 @@ def scan_archimedean(spec, nums, den, depth):
     """First (i, j, k, side) with p > q > r where one side of the
     interior-weight requirement fails at every dyadic probe."""
     cmp = make_compare(spec)
-    g = len(nums)
-    for i in range(g):
-        for j in range(g):
-            if cmp(nums[i], den, nums[j], den) <= 0:
-                continue
-            for k in range(g):
-                if cmp(nums[j], den, nums[k], den) <= 0:
-                    continue
+    signs = _SignTable(cmp, nums, den)
+    for i in range(len(nums)):
+        for j in _bits(signs.row(i)[0]):
+            for k in _bits(signs.row(j)[0]):
                 p, q, r = nums[i], nums[j], nums[k]
                 beta_ok = False
                 power = 1
@@ -324,14 +374,12 @@ def scan_archimedean(spec, nums, den, depth):
 def scan_solvability_scan(spec, nums, den, alphas):
     """First (i, j, k) with p >= q >= r that no candidate weight solves."""
     cmp = make_compare(spec)
-    g = len(nums)
-    for i in range(g):
-        for j in range(g):
-            if cmp(nums[i], den, nums[j], den) < 0:
-                continue
-            for k in range(g):
-                if cmp(nums[j], den, nums[k], den) < 0:
-                    continue
+    signs = _SignTable(cmp, nums, den)
+    for i in range(len(nums)):
+        gt_i, eq_i, _ = signs.row(i)
+        for j in _bits(gt_i | eq_i):
+            gt_j, eq_j, _ = signs.row(j)
+            for k in _bits(gt_j | eq_j):
                 p, q, r = nums[i], nums[j], nums[k]
                 solved = False
                 for a, b in alphas:
@@ -344,7 +392,7 @@ def scan_solvability_scan(spec, nums, den, alphas):
     return None
 
 
-def scan_solvability_solve(utility, nums, den, depth_unused=None):
+def scan_solvability_solve(utility, nums, den):
     """Contract check for linear oracles: the closed-form weight must
     land exactly on q.  Returns (i, j, k, a, b) on the first failure."""
     g = len(nums)
@@ -377,15 +425,12 @@ def scan_openness(spec, nums, den, depth):
     other side, and every dyadic step from q toward w stays strictly on
     w's side, so q's side fails to be open at q along that segment."""
     cmp = make_compare(spec)
-    g = len(nums)
-    for i in range(g):
-        for j in range(g):
-            side = cmp(nums[j], den, nums[i], den)
-            if side == 0:
-                continue
-            for k in range(g):
-                if cmp(nums[k], den, nums[i], den) != -side:
-                    continue
+    signs = _SignTable(cmp, nums, den)
+    for i in range(len(nums)):
+        gt_i, _, lt_i = signs.col(i)
+        for j in _bits(gt_i | lt_i):
+            side, opposite = (1, lt_i) if gt_i >> j & 1 else (-1, gt_i)
+            for k in _bits(opposite):
                 q, w = nums[j], nums[k]
                 all_opposite = True
                 power = 1

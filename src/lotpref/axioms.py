@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from . import _kernels as kernels
 from .geometry import affine_rank
@@ -278,6 +279,8 @@ class ArchimedeanWitness:
     depth: int
 
     def replay(self, oracle: PreferenceOracle) -> bool:
+        if self.depth < 1:
+            return False
         if oracle.compare(self.p, self.q) is not BETTER:
             return False
         if oracle.compare(self.q, self.r) is not BETTER:
@@ -347,6 +350,8 @@ class OpennessWitness:
     depth: int
 
     def replay(self, oracle: PreferenceOracle) -> bool:
+        if self.depth < 1:
+            return False
         if oracle.compare(self.q, self.p).sign != self.side or self.side == 0:
             return False
         if oracle.compare(self.w, self.p).sign != -self.side:
@@ -384,9 +389,17 @@ class IPExhausted:
 # ---- shared plumbing --------------------------------------------------------
 
 
-def _encoded(oracle: PreferenceOracle, grid: GridSpec):
+@lru_cache(maxsize=8)
+def _grid(grid: GridSpec):
+    """(lots, nums, den) of a grid: enumerated and encoded once, since a
+    caller typically checks several axioms on the same grid."""
     lots = enumerate_grid(grid)
     nums, den = kernels.encode_lotteries(lots)
+    return lots, tuple(nums), den
+
+
+def _encoded(oracle: PreferenceOracle, grid: GridSpec):
+    lots, nums, den = _grid(grid)
     spec = kernels.encode_oracle(oracle)
     if spec is None:
         space = oracle.space
@@ -485,7 +498,7 @@ def check_ip(oracle: PreferenceOracle, grid: GridSpec) -> AxiomVerdict:
     greedily in enumeration order; a found set is re-verified pairwise
     against the oracle, independently of the greedy bookkeeping.
     """
-    lots = enumerate_grid(grid)
+    lots = _grid(grid)[0]
     n = grid.space.n
     budget = Budget(grid=grid)
     if n == 0:
@@ -536,8 +549,11 @@ def check_continuity(oracle: PreferenceOracle, kind: str, grid: GridSpec,
     interior weight.  solvability: a weak sandwich nothing solves; for
     oracles with the solve capability this verifies the capability's
     answers instead of scanning (an exact weight need not sit on the
-    candidate grid).
+    candidate grid).  depth is the number of dyadic probes and must be
+    at least 1: with none, an empty probe loop vouches for anything.
     """
+    if depth < 1:
+        raise ValueError(f"probe depth must be at least 1, got {depth}")
     lots, nums, den, spec = _encoded(oracle, grid)
     d = grid.denominator_bound
 

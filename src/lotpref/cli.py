@@ -218,6 +218,12 @@ def _oracle(args, scenario: Scenario | None, space: OutcomeSpace):
                      "block)")
 
 
+def _given(*values):
+    """The first value that was given at all; 0 counts as given, so a
+    bad bound reaches the checker and fails there."""
+    return next(v for v in values if v is not None)
+
+
 def _tuple_str(values) -> str:
     return "(" + ", ".join(format_rational(v) for v in values) + ")"
 
@@ -384,8 +390,8 @@ def _cmd_check(args) -> tuple[str, int]:
     if axiom not in AXIOM_NAMES:
         raise ValueError(f"unknown axiom {axiom!r}")
     variant = args.variant or block.get("variant")
-    bound = args.grid or block.get("grid") or 4
-    depth = args.depth or block.get("depth") or DEFAULT_DEPTH
+    bound = _given(args.grid, block.get("grid"), 4)
+    depth = _given(args.depth, block.get("depth"), DEFAULT_DEPTH)
     grid = GridSpec(space, int(bound))
 
     if axiom == "weak-order":

@@ -37,7 +37,6 @@ from .axioms import (
 )
 from .errors import EmptyInput, LengthMismatch
 from .geometry import Hyperplane
-from .grids import GridSpec
 from .lotteries import Lottery, OutcomeSpace, uniform
 from .oracles import (
     ComparisonResult,
@@ -625,8 +624,3 @@ def dump_document(doc: dict) -> str:
     """Canonical textual form: two-space indent, keys in insertion
     order, trailing newline.  Byte-identical for identical inputs."""
     return json.dumps(doc, indent=2) + "\n"
-
-
-def grid_from_check(space: OutcomeSpace, check: dict) -> GridSpec:
-    bound = int(check.get("grid", 4))
-    return GridSpec(space, bound)

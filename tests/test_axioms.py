@@ -201,6 +201,25 @@ def test_bad_variant_and_kind_rejected():
         check_continuity(EU, "uniform-continuity", GRID4)
 
 
+@pytest.mark.parametrize("depth", [0, -1])
+def test_probe_depth_below_one_rejected(depth):
+    # With no probes an expected-utility oracle used to "violate"
+    # grid-openness and archimedean, and a negative depth ran silently.
+    for kind in ("grid-openness", "mixture", "archimedean", "solvability"):
+        with pytest.raises(ValueError, match="depth must be at least 1"):
+            check_continuity(EU, kind, GRID4, depth=depth)
+
+
+def test_probe_witnesses_do_not_replay_without_probes():
+    # An empty probe loop must not vouch for a witness.
+    p, q, r = lot(0, 0, 1), lot(0, 1, 0), lot(1, 0, 0)
+    for depth in (0, -1):
+        assert not OpennessWitness(p=q, q=p, w=r, side=1, depth=depth).replay(EU)
+        for side in ("beta", "alpha"):
+            assert not ArchimedeanWitness(p=p, q=q, r=r, side=side,
+                                          depth=depth).replay(EU)
+
+
 def test_two_outcome_space():
     two = OutcomeSpace.of_size(2)
     eu2 = ExpectedUtilityOracle(UtilityFunction.of(two, [0, 1]))

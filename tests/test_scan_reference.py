@@ -1,0 +1,283 @@
+"""Pure scan kernels against a brute-force Fraction-level reference.
+
+Each reference below is written from its scan's docstring: nested loops
+over the grid in the pinned order (grid index, then candidate weight in
+the order grids.py pins), asking ``oracle.compare`` about Fraction
+lotteries built with ``lotteries.mix``.  It shares no code with the
+kernels beyond the grid and weight enumerations, so the first hit the
+two agree on (None included) is computed twice, independently.
+
+The pure kernels run whether or not the compiled extension is built,
+so this suite checks the scan algorithms wherever the tests run.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from lotpref import _kernels as kernels
+from lotpref._kernels import pure
+from lotpref.axioms import _encoded
+from lotpref.grids import GridSpec, dyadic_alphas, enumerate_grid, rationals_between
+from lotpref.lotteries import Lottery, OutcomeSpace, mix
+from lotpref.oracles import (
+    ComparisonResult,
+    ExpectedUtilityOracle,
+    HybridExampleOracle,
+    LexicographicOracle,
+    MajorityOracle,
+    PreferenceOracle,
+    UtilityFunction,
+)
+
+F = Fraction
+DEPTH = 4  # dyadic probes; small enough that some probe scans do hit
+
+
+class SkewedOracle(PreferenceOracle):
+    """Scores the first lottery and the second with different weights:
+    reflexive, but neither antisymmetric nor transitive.  The encoder
+    refuses it, so the scans see it through the callback path."""
+
+    kind = "skewed"
+
+    def compare(self, p, q):
+        if p == q:
+            return ComparisonResult.INDIFFERENT
+        n = self.space.size
+        left = sum((c + 1) * w for c, w in enumerate(p.weights))
+        right = sum((2 * c % n + 1) * w for c, w in enumerate(q.weights))
+        return ComparisonResult.from_sign((left > right) - (left < right))
+
+
+ORACLES = {
+    3: {
+        "eu": lambda s: ExpectedUtilityOracle(UtilityFunction.of(s, [-2, 1, 1])),
+        "lex": lambda s: LexicographicOracle(s, (2, 0, 1)),
+        "hybrid": HybridExampleOracle,
+        "majority": MajorityOracle,
+        "skewed": SkewedOracle,
+    },
+    4: {
+        "eu": lambda s: ExpectedUtilityOracle(UtilityFunction.of(s, [1, -3, 0, -1])),
+        "lex": lambda s: LexicographicOracle(s, (1, 3, 0, 2)),
+        "hybrid": HybridExampleOracle,
+        "majority": MajorityOracle,
+        "skewed": SkewedOracle,
+    },
+}
+
+GRIDS = [(3, 2), (3, 3), (3, 4), (4, 2), (4, 3)]
+
+
+class Reference:
+    """One oracle on one grid.  ``grid[i][j]`` is the sign of
+    compare(lots[i], lots[j]), asked once per ordered pair; ``sign``
+    asks the oracle about any other pair."""
+
+    def __init__(self, oracle, lots):
+        self.oracle = oracle
+        self.lots = lots
+        self.grid = [[oracle.compare(p, q).sign for q in lots] for p in lots]
+
+    def sign(self, p, q):
+        return self.oracle.compare(p, q).sign
+
+    def triples(self):
+        lots = self.lots
+        for i, p in enumerate(lots):
+            for j, q in enumerate(lots):
+                for k, r in enumerate(lots):
+                    yield i, j, k, p, q, r
+
+
+def ref_transitivity(ref, bound):
+    """First (i, j, k) with i >= j >= k but i < k."""
+    g = ref.grid
+    for i, j, k, _, _, _ in ref.triples():
+        if g[i][j] >= 0 and g[j][k] >= 0 and g[i][k] < 0:
+            return (i, j, k)
+    return None
+
+
+def ref_betweenness(ref, bound):
+    """First (i, j, alpha index) where i >= j but the mixture escapes
+    the closed preference interval [j, i]."""
+    s, g = ref.sign, ref.grid
+    alphas = dyadic_alphas(bound, interior_only=True)
+    for i, p in enumerate(ref.lots):
+        for j, q in enumerate(ref.lots):
+            if g[i][j] < 0:
+                continue
+            for ai, alpha in enumerate(alphas):
+                m = mix(p, q, alpha)
+                if s(p, m) < 0 or s(m, q) < 0:
+                    return (i, j, ai)
+    return None
+
+
+def ref_convexity(ref, bound):
+    """First (i, j, k, alpha index) where j ~ i and k ~ i but their
+    mixture is not indifferent to i."""
+    s, g = ref.sign, ref.grid
+    alphas = rationals_between(F(0), F(1), bound)
+    for i, j, k, p, q1, q2 in ref.triples():
+        if g[j][i] != 0 or g[k][i] != 0:
+            continue
+        for ai, alpha in enumerate(alphas):
+            if s(mix(q1, q2, alpha), p) != 0:
+                return (i, j, k, ai)
+    return None
+
+
+def ref_translation(ref, bound):
+    """First (i, j, k) where k ~ i but the translate k + (j - i), when
+    it stays a lottery, is not indifferent to j."""
+    s, g = ref.sign, ref.grid
+    for i, j, k, p, q, r in ref.triples():
+        if g[k][i] != 0:
+            continue
+        shifted = tuple(rw + qw - pw for rw, qw, pw in
+                        zip(r.weights, q.weights, p.weights))
+        if min(shifted) < 0:
+            continue
+        if s(Lottery(p.space, shifted), q) != 0:
+            return (i, j, k)
+    return None
+
+
+def ref_line_order(ref, bound):
+    """First (i, j, t numerator, t denominator, relation) along the line
+    q + t(p - q) through p > q, t over reduced rationals with
+    denominator <= bound that keep the point a lottery, t not 0 or 1."""
+    s, g = ref.sign, ref.grid
+    for i, p in enumerate(ref.lots):
+        for j, q in enumerate(ref.lots):
+            if g[i][j] <= 0:
+                continue
+            d = [pw - qw for pw, qw in zip(p.weights, q.weights)]
+            lo = max(-qw / dw for qw, dw in zip(q.weights, d) if dw > 0)
+            hi = min(-qw / dw for qw, dw in zip(q.weights, d) if dw < 0)
+            by_den = sorted(rationals_between(lo, hi, bound),
+                            key=lambda t: (t.denominator, t.numerator))
+            for t in by_den:
+                if t in (0, 1):
+                    continue
+                point = Lottery(p.space, tuple(
+                    qw + t * dw for qw, dw in zip(q.weights, d)))
+                if t < 0:
+                    checks = [(q, point, kernels.LINE_Q_BEATS_POINT)]
+                elif t < 1:
+                    checks = [(p, point, kernels.LINE_P_BEATS_POINT),
+                              (point, q, kernels.LINE_POINT_BEATS_Q)]
+                else:
+                    checks = [(point, p, kernels.LINE_POINT_BEATS_P)]
+                for first, second, code in checks:
+                    if s(first, second) != 1:
+                        return (i, j, t.numerator, t.denominator, code)
+    return None
+
+
+def ref_archimedean(ref, bound):
+    """First (i, j, k, side) with p > q > r where one side of the
+    interior-weight requirement fails at every dyadic probe."""
+    s, g = ref.sign, ref.grid
+    steps = [F(1, 2 ** h) for h in range(1, DEPTH + 1)]
+    for i, j, k, p, q, r in ref.triples():
+        if g[i][j] <= 0 or g[j][k] <= 0:
+            continue
+        if not any(s(q, mix(p, r, step)) > 0 for step in steps):
+            return (i, j, k, kernels.ARCH_SIDE_BETA)
+        if not any(s(mix(p, r, 1 - step), q) > 0 for step in steps):
+            return (i, j, k, kernels.ARCH_SIDE_ALPHA)
+    return None
+
+
+def ref_solvability_scan(ref, bound):
+    """First (i, j, k) with p >= q >= r that no candidate weight solves."""
+    s, g = ref.sign, ref.grid
+    alphas = rationals_between(F(0), F(1), bound)
+    for i, j, k, p, q, r in ref.triples():
+        if g[i][j] < 0 or g[j][k] < 0:
+            continue
+        if not any(s(mix(p, r, alpha), q) == 0 for alpha in alphas):
+            return (i, j, k)
+    return None
+
+
+def ref_openness(ref, bound):
+    """First (i, j, k): q strictly compares to p, w sits strictly on the
+    other side, and every dyadic step from q toward w stays there."""
+    s, g = ref.sign, ref.grid
+    steps = [F(1, 2 ** h) for h in range(1, DEPTH + 1)]
+    for i, j, k, p, q, w in ref.triples():
+        side = g[j][i]
+        if side == 0 or g[k][i] != -side:
+            continue
+        if all(s(mix(w, q, step), p) == -side for step in steps):
+            return (i, j, k)
+    return None
+
+
+def pairs(fracs):
+    return [(a.numerator, a.denominator) for a in fracs]
+
+
+def kernel_args(name, bound):
+    """The trailing arguments the checkers pass each pure scan."""
+    candidates = pairs(rationals_between(F(0), F(1), bound))
+    return {
+        "transitivity": (),
+        "betweenness": (pairs(dyadic_alphas(bound, interior_only=True)),),
+        "convexity": (candidates,),
+        "translation": (),
+        "line_order": (bound,),
+        "archimedean": (DEPTH,),
+        "solvability_scan": (candidates,),
+        "openness": (DEPTH,),
+    }[name]
+
+
+REFERENCES = {
+    "transitivity": ref_transitivity,
+    "betweenness": ref_betweenness,
+    "convexity": ref_convexity,
+    "translation": ref_translation,
+    "line_order": ref_line_order,
+    "archimedean": ref_archimedean,
+    "solvability_scan": ref_solvability_scan,
+    "openness": ref_openness,
+}
+
+CASES = [(size, bound, oracle)
+         for size, bound in GRIDS for oracle in ORACLES[size]]
+
+
+@pytest.mark.parametrize(
+    "size,bound,oracle_name", CASES,
+    ids=[f"{oracle}-{size}x{bound}" for size, bound, oracle in CASES])
+def test_pure_scans_match_reference(size, bound, oracle_name):
+    space = OutcomeSpace.of_size(size)
+    oracle = ORACLES[size][oracle_name](space)
+    grid = GridSpec(space, bound)
+    lots, nums, den, spec = _encoded(oracle, grid)
+    assert lots == enumerate_grid(grid)
+    assert (spec[0] == "callback") == (oracle_name == "skewed")
+    ref = Reference(oracle, lots)
+    for name, reference in REFERENCES.items():
+        hit = getattr(pure, f"scan_{name}")(spec, nums, den, *kernel_args(name, bound))
+        assert hit == reference(ref, bound), f"{name} diverged"
+
+
+def test_reference_cases_cover_hits_and_misses():
+    # Equal first hits only mean something if both outcomes occur:
+    # every scan must find a hit in some case and none in another.
+    seen = {name: set() for name in REFERENCES}
+    for size, bound in ((3, 2), (3, 3), (4, 2)):
+        space = OutcomeSpace.of_size(size)
+        for make in ORACLES[size].values():
+            oracle = make(space)
+            ref = Reference(oracle, enumerate_grid(GridSpec(space, bound)))
+            for name, reference in REFERENCES.items():
+                seen[name].add(reference(ref, bound) is None)
+    assert all(outcomes == {True, False} for outcomes in seen.values()), seen

@@ -369,6 +369,24 @@ def test_cli_input_errors_exit_two(tmp_path):
     assert proc.stderr.startswith("error: UnorientedRepresentation")
 
 
+def test_cli_zero_grid_or_depth_exits_two(tmp_path):
+    # 0 is a given value, not a missing one: it must reach the checker
+    # and fail there rather than run with the default.
+    for flags in (("--axiom", "weak-order", "--grid", "0"),
+                  ("--axiom", "grid-openness", "--depth", "0")):
+        proc = run_cli("check", "--oracle", "eu", "--utility", "0,1,2", *flags)
+        assert proc.returncode == 2, flags
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ValueError")
+    scenario = tmp_path / "zero.json"
+    scenario.write_text(json.dumps({
+        "version": 1, "outcomes": 3, "utility": ["0", "1", "2"],
+        "check": {"axiom": "weak-order", "grid": 0}}))
+    proc = run_cli("check", "--scenario", str(scenario))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ValueError")
+
+
 def test_cli_rejects_unknown_axiom():
     proc = run_cli("check", "--oracle", "hybrid", "--axiom", "continuity")
     assert proc.returncode == 2
