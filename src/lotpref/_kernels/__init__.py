@@ -1,10 +1,14 @@
 """Scan kernel dispatch: compiled extension when safe, pure otherwise.
 
-Each wrapper here has the same signature and semantics as its twin in
-``pure``; the only decision made is which backend runs.  The compiled
-path is taken when the extension imported, the oracle encoding is one
-the C code knows, and the integer envelope fits 128-bit intermediates.
-Set LOTPREF_PURE=1 (or call set_force_pure) to pin the pure backend.
+Each ``scan_<name>`` here is built by ``_dispatcher`` from one row of
+a table: the scan's name and the envelope limits its trailing
+arguments imply.  It has the same signature and semantics as its twin
+in ``pure``; the only decision made is which backend runs.  The
+compiled path is taken when the extension imported, the oracle
+encoding is one the C code knows, and the integer envelope fits
+128-bit intermediates.  Set LOTPREF_PURE=1 (or call set_force_pure) to
+pin the pure backend.  ``scan_solvability_solve`` takes a utility
+instead of an oracle encoding and keeps a wrapper of its own.
 """
 
 from __future__ import annotations
@@ -81,86 +85,41 @@ def _flat(nums) -> list[int]:
     return [x for row in nums for x in row]
 
 
-def _flat_pairs(pairs) -> list[int]:
-    return [x for pair in pairs for x in pair]
+def _dispatcher(scan: str, limits):
+    """scan_<scan>(spec, nums, den, *rest): the compiled twin when
+    ``_can_compile`` allows it under ``limits(*rest)``, else the pure
+    one.  The compiled twin takes weight-pair lists flattened."""
+    pure_scan = getattr(pure, f"scan_{scan}")
+
+    def dispatch(spec, nums, den, *rest):
+        if _can_compile(spec, scan, den, **limits(*rest)):
+            flat_rest = [_flat(x) if isinstance(x, (list, tuple)) else x
+                         for x in rest]
+            return getattr(_fast, f"scan_{scan}")(
+                _KIND_CODES[spec[0]], list(spec[1]), _flat(nums), len(nums),
+                len(nums[0]) if nums else 0, den, *flat_rest)
+        return pure_scan(spec, nums, den, *rest)
+
+    dispatch.__name__ = dispatch.__qualname__ = f"scan_{scan}"
+    dispatch.__doc__ = pure_scan.__doc__
+    return dispatch
 
 
-def _fast_args(spec, nums):
-    return (_KIND_CODES[spec[0]], list(spec[1]), _flat(nums),
-            len(nums), len(nums[0]) if nums else 0)
+def _alpha_limits(alphas):
+    return {"max_alpha_den": max((b for _, b in alphas), default=1)}
 
 
-def _max_den(alphas) -> int:
-    return max((b for _, b in alphas), default=1)
-
-
-def scan_transitivity(spec, nums, den):
-    if _can_compile(spec, "transitivity", den):
-        kind, params, flat, g, size = _fast_args(spec, nums)
-        return _fast.scan_transitivity(kind, params, flat, g, size, den)
-    return pure.scan_transitivity(spec, nums, den)
-
-
-def scan_independence(spec, nums, den, alphas):
-    if _can_compile(spec, "independence", den, max_alpha_den=_max_den(alphas)):
-        kind, params, flat, g, size = _fast_args(spec, nums)
-        return _fast.scan_independence(
-            kind, params, flat, g, size, den, _flat_pairs(alphas))
-    return pure.scan_independence(spec, nums, den, alphas)
-
-
-def scan_betweenness(spec, nums, den, alphas):
-    if _can_compile(spec, "betweenness", den, max_alpha_den=_max_den(alphas)):
-        kind, params, flat, g, size = _fast_args(spec, nums)
-        return _fast.scan_betweenness(
-            kind, params, flat, g, size, den, _flat_pairs(alphas))
-    return pure.scan_betweenness(spec, nums, den, alphas)
-
-
-def scan_convexity(spec, nums, den, alphas):
-    if _can_compile(spec, "convexity", den, max_alpha_den=_max_den(alphas)):
-        kind, params, flat, g, size = _fast_args(spec, nums)
-        return _fast.scan_convexity(
-            kind, params, flat, g, size, den, _flat_pairs(alphas))
-    return pure.scan_convexity(spec, nums, den, alphas)
-
-
-def scan_translation(spec, nums, den):
-    if _can_compile(spec, "translation", den):
-        kind, params, flat, g, size = _fast_args(spec, nums)
-        return _fast.scan_translation(kind, params, flat, g, size, den)
-    return pure.scan_translation(spec, nums, den)
-
-
-def scan_line_order(spec, nums, den, max_t_den):
-    if _can_compile(spec, "line_order", den, max_t_den=max_t_den):
-        kind, params, flat, g, size = _fast_args(spec, nums)
-        return _fast.scan_line_order(kind, params, flat, g, size, den, max_t_den)
-    return pure.scan_line_order(spec, nums, den, max_t_den)
-
-
-def scan_mixture(spec, nums, den, alpha_stars, depth):
-    if _can_compile(spec, "mixture", den,
-                    max_alpha_den=_max_den(alpha_stars), depth=depth):
-        kind, params, flat, g, size = _fast_args(spec, nums)
-        return _fast.scan_mixture(
-            kind, params, flat, g, size, den, _flat_pairs(alpha_stars), depth)
-    return pure.scan_mixture(spec, nums, den, alpha_stars, depth)
-
-
-def scan_archimedean(spec, nums, den, depth):
-    if _can_compile(spec, "archimedean", den, depth=depth):
-        kind, params, flat, g, size = _fast_args(spec, nums)
-        return _fast.scan_archimedean(kind, params, flat, g, size, den, depth)
-    return pure.scan_archimedean(spec, nums, den, depth)
-
-
-def scan_solvability_scan(spec, nums, den, alphas):
-    if _can_compile(spec, "solvability_scan", den, max_alpha_den=_max_den(alphas)):
-        kind, params, flat, g, size = _fast_args(spec, nums)
-        return _fast.scan_solvability_scan(
-            kind, params, flat, g, size, den, _flat_pairs(alphas))
-    return pure.scan_solvability_scan(spec, nums, den, alphas)
+scan_transitivity = _dispatcher("transitivity", lambda: {})
+scan_independence = _dispatcher("independence", _alpha_limits)
+scan_betweenness = _dispatcher("betweenness", _alpha_limits)
+scan_convexity = _dispatcher("convexity", _alpha_limits)
+scan_translation = _dispatcher("translation", lambda: {})
+scan_line_order = _dispatcher("line_order", lambda t_den: {"max_t_den": t_den})
+scan_mixture = _dispatcher("mixture", lambda stars, depth: dict(
+    _alpha_limits(stars), depth=depth))
+scan_archimedean = _dispatcher("archimedean", lambda depth: {"depth": depth})
+scan_solvability_scan = _dispatcher("solvability_scan", _alpha_limits)
+scan_openness = _dispatcher("openness", lambda depth: {"depth": depth})
 
 
 def scan_solvability_solve(utility, nums, den):
@@ -170,10 +129,3 @@ def scan_solvability_solve(utility, nums, den):
             list(utility), _flat(nums), len(nums),
             len(nums[0]) if nums else 0, den)
     return pure.scan_solvability_solve(utility, nums, den)
-
-
-def scan_openness(spec, nums, den, depth):
-    if _can_compile(spec, "openness", den, depth=depth):
-        kind, params, flat, g, size = _fast_args(spec, nums)
-        return _fast.scan_openness(kind, params, flat, g, size, den, depth)
-    return pure.scan_openness(spec, nums, den, depth)

@@ -180,11 +180,13 @@ def scan_independence(spec, nums, den, alphas):
     cmp = make_compare(spec)
     g = len(nums)
     for i in range(g):
+        # mixes[k][ai] is i mixed with k at alphas[ai], shared by every j.
+        mixes = [[_mix(nums[i], nums[k], a, b) for a, b in alphas]
+                 for k in range(g)]
         for j in range(g):
             before = cmp(nums[i], den, nums[j], den)
             for k in range(g):
-                for ai, (a, b) in enumerate(alphas):
-                    mp = _mix(nums[i], nums[k], a, b)
+                for ai, ((a, b), mp) in enumerate(zip(alphas, mixes[k])):
                     mq = _mix(nums[j], nums[k], a, b)
                     if cmp(mp, b * den, mq, b * den) != before:
                         return (i, j, k, ai)
@@ -265,6 +267,10 @@ def scan_line_order(spec, nums, den, max_t_den):
         for j in _bits(signs.row(i)[0]):
             p, q = nums[i], nums[j]
             d = tuple(p[c] - q[c] for c in range(size))
+            if not any(d):
+                # p == q (an oracle with p > p): no line, and every
+                # expected comparison would be p > p, which holds.
+                continue
             for b in range(1, max_t_den + 1):
                 # q + t*d >= 0 per coordinate bounds a = t*b between:
                 a_lo, a_hi = None, None

@@ -41,6 +41,7 @@ __all__ = [
     "OpennessWitness",
     "IPFound",
     "IPExhausted",
+    "WITNESS_TYPES",
     "check_weak_order",
     "check_independence",
     "check_ip",
@@ -199,6 +200,13 @@ _LINE_RELATIONS = {
 }
 
 
+def _line_pair(relation, p, q, point):
+    """(first, second) of the strict comparison a line-order relation
+    names; "point-vs-p" is the remaining case."""
+    return {"q-vs-point": (q, point), "p-vs-point": (p, point),
+            "point-vs-q": (point, q)}.get(relation, (point, p))
+
+
 @dataclass(frozen=True)
 class LineOrderWitness:
     """A point on the line through p > q compares the wrong way.
@@ -216,20 +224,11 @@ class LineOrderWitness:
     relation: str
     observed: ComparisonResult
 
-    def _pair(self):
-        if self.relation == "q-vs-point":
-            return (self.q, self.point)
-        if self.relation == "p-vs-point":
-            return (self.p, self.point)
-        if self.relation == "point-vs-q":
-            return (self.point, self.q)
-        return (self.point, self.p)
-
     def replay(self, oracle: PreferenceOracle) -> bool:
         along = tuple(
             qw + self.t * (pw - qw)
             for pw, qw in zip(self.p.weights, self.q.weights))
-        first, second = self._pair()
+        first, second = _line_pair(self.relation, self.p, self.q, self.point)
         return (oracle.compare(self.p, self.q) is BETTER
                 and along == self.point.weights
                 and oracle.compare(first, second) is self.observed
@@ -302,6 +301,7 @@ class SolvabilityScanWitness:
     """p >= q >= r, and no candidate weight up to the bound solves."""
 
     kind = "solvability"
+    route = "alpha-scan"
     p: Lottery
     q: Lottery
     r: Lottery
@@ -323,6 +323,7 @@ class SolveContractWitness:
     """The oracle's own solve() returned a weight that does not solve."""
 
     kind = "solvability"
+    route = "solve-contract"
     p: Lottery
     q: Lottery
     r: Lottery
@@ -386,6 +387,17 @@ class IPExhausted:
         return True  # nothing recorded beyond the exhausted search
 
 
+# Every witness class, in declaration order.  Each carries its JSON
+# "kind" (and "route" where one kind has two) as class attributes; its
+# fields and their declared types are its whole JSON form.
+WITNESS_TYPES = (
+    CycleWitness, IndependenceWitness, BetweennessWitness, ConvexityWitness,
+    TranslationWitness, LineOrderWitness, MixtureWitness, ArchimedeanWitness,
+    SolvabilityScanWitness, SolveContractWitness, OpennessWitness,
+    IPExhausted,
+)
+
+
 # ---- shared plumbing --------------------------------------------------------
 
 
@@ -421,6 +433,15 @@ def _confirm(witness, oracle) -> object:
     return witness
 
 
+def _verdict(axiom, oracle, budget, hit, witness_of, route=None) -> AxiomVerdict:
+    """NoViolationFound when the scan found no hit; otherwise Violated
+    with the witness built from the hit and replayed against the oracle."""
+    if hit is None:
+        return AxiomVerdict(axiom, False, budget, route=route)
+    return AxiomVerdict(axiom, True, budget, route=route,
+                        witness=_confirm(witness_of(*hit), oracle))
+
+
 def _pairs(alphas) -> list[tuple[int, int]]:
     return [(a.numerator, a.denominator) for a in alphas]
 
@@ -434,18 +455,14 @@ def check_weak_order(oracle: PreferenceOracle, grid: GridSpec) -> AxiomVerdict:
     Completeness needs no scan: compare is total by contract.
     """
     lots, nums, den, spec = _encoded(oracle, grid)
-    hit = kernels.scan_transitivity(spec, nums, den)
-    budget = Budget(grid=grid)
-    if hit is None:
-        return AxiomVerdict("weak-order", False, budget)
-    i, j, k = hit
-    p, q, r = lots[i], lots[j], lots[k]
-    witness = CycleWitness(
-        p=p, q=q, r=r,
-        pq=oracle.compare(p, q),
-        qr=oracle.compare(q, r),
-        pr=oracle.compare(p, r))
-    return AxiomVerdict("weak-order", True, budget, witness=_confirm(witness, oracle))
+
+    def witness(i, j, k):
+        p, q, r = lots[i], lots[j], lots[k]
+        return CycleWitness(p=p, q=q, r=r, pq=oracle.compare(p, q),
+                            qr=oracle.compare(q, r), pr=oracle.compare(p, r))
+
+    return _verdict("weak-order", oracle, Budget(grid=grid),
+                    kernels.scan_transitivity(spec, nums, den), witness)
 
 
 def check_independence(oracle: PreferenceOracle, grid: GridSpec,
@@ -460,32 +477,27 @@ def check_independence(oracle: PreferenceOracle, grid: GridSpec,
     budget = Budget(grid=grid, candidate_bound=grid.denominator_bound)
     if variant == "independence":
         alphas = dyadic_alphas(grid.denominator_bound)
+
+        def witness(i, j, k, ai):
+            p, q, r, alpha = lots[i], lots[j], lots[k], alphas[ai]
+            return IndependenceWitness(
+                p=p, q=q, r=r, alpha=alpha, before=oracle.compare(p, q),
+                after=oracle.compare(mix(p, r, alpha), mix(q, r, alpha)))
+
         hit = kernels.scan_independence(spec, nums, den, _pairs(alphas))
-        if hit is None:
-            return AxiomVerdict("independence", False, budget)
-        i, j, k, ai = hit
-        p, q, r, alpha = lots[i], lots[j], lots[k], alphas[ai]
-        witness = IndependenceWitness(
-            p=p, q=q, r=r, alpha=alpha,
-            before=oracle.compare(p, q),
-            after=oracle.compare(mix(p, r, alpha), mix(q, r, alpha)))
-        return AxiomVerdict("independence", True, budget,
-                            witness=_confirm(witness, oracle))
+        return _verdict("independence", oracle, budget, hit, witness)
     if variant == "betweenness":
         alphas = dyadic_alphas(grid.denominator_bound, interior_only=True)
+
+        def witness(i, j, ai):
+            p, q, alpha = lots[i], lots[j], alphas[ai]
+            m = mix(p, q, alpha)
+            return BetweennessWitness(
+                p=p, q=q, alpha=alpha, pq=oracle.compare(p, q),
+                upper=oracle.compare(p, m), lower=oracle.compare(m, q))
+
         hit = kernels.scan_betweenness(spec, nums, den, _pairs(alphas))
-        if hit is None:
-            return AxiomVerdict("betweenness", False, budget)
-        i, j, ai = hit
-        p, q, alpha = lots[i], lots[j], alphas[ai]
-        m = mix(p, q, alpha)
-        witness = BetweennessWitness(
-            p=p, q=q, alpha=alpha,
-            pq=oracle.compare(p, q),
-            upper=oracle.compare(p, m),
-            lower=oracle.compare(m, q))
-        return AxiomVerdict("betweenness", True, budget,
-                            witness=_confirm(witness, oracle))
+        return _verdict("betweenness", oracle, budget, hit, witness)
     raise ValueError(f"unknown independence variant {variant!r}")
 
 
@@ -558,52 +570,45 @@ def check_continuity(oracle: PreferenceOracle, kind: str, grid: GridSpec,
     d = grid.denominator_bound
 
     if kind == "grid-openness":
-        budget = Budget(grid=grid, depth=depth)
-        hit = kernels.scan_openness(spec, nums, den, depth)
-        if hit is None:
-            return AxiomVerdict(kind, False, budget)
-        i, j, k = hit
-        p, q, w = lots[i], lots[j], lots[k]
-        witness = OpennessWitness(
-            p=p, q=q, w=w, side=oracle.compare(q, p).sign, depth=depth)
-        return AxiomVerdict(kind, True, budget, witness=_confirm(witness, oracle))
+        def witness(i, j, k):
+            p, q, w = lots[i], lots[j], lots[k]
+            return OpennessWitness(p=p, q=q, w=w, side=oracle.compare(q, p).sign,
+                                   depth=depth)
+
+        return _verdict(kind, oracle, Budget(grid=grid, depth=depth),
+                        kernels.scan_openness(spec, nums, den, depth), witness)
 
     if kind == "mixture":
         stars = rationals_between(Fraction(0), Fraction(1), 2 * d)
-        budget = Budget(grid=grid, candidate_bound=2 * d, depth=depth)
+
+        def witness(i, j, k, si, side):
+            p, q, r, alpha_star = lots[i], lots[j], lots[k], stars[si]
+            return MixtureWitness(
+                p=p, q=q, r=r, alpha_star=alpha_star, side=side,
+                boundary=oracle.compare(mix(p, r, alpha_star), q), depth=depth)
+
         hit = kernels.scan_mixture(spec, nums, den, _pairs(stars), depth)
-        if hit is None:
-            return AxiomVerdict(kind, False, budget)
-        i, j, k, si, side = hit
-        p, q, r = lots[i], lots[j], lots[k]
-        alpha_star = stars[si]
-        witness = MixtureWitness(
-            p=p, q=q, r=r, alpha_star=alpha_star, side=side,
-            boundary=oracle.compare(mix(p, r, alpha_star), q), depth=depth)
-        return AxiomVerdict(kind, True, budget, witness=_confirm(witness, oracle))
+        return _verdict(kind, oracle,
+                        Budget(grid=grid, candidate_bound=2 * d, depth=depth),
+                        hit, witness)
 
     if kind == "archimedean":
-        budget = Budget(grid=grid, depth=depth)
-        hit = kernels.scan_archimedean(spec, nums, den, depth)
-        if hit is None:
-            return AxiomVerdict(kind, False, budget)
-        i, j, k, side_code = hit
-        side = "beta" if side_code == kernels.ARCH_SIDE_BETA else "alpha"
-        witness = ArchimedeanWitness(
-            p=lots[i], q=lots[j], r=lots[k], side=side, depth=depth)
-        return AxiomVerdict(kind, True, budget, witness=_confirm(witness, oracle))
+        def witness(i, j, k, side_code):
+            side = "beta" if side_code == kernels.ARCH_SIDE_BETA else "alpha"
+            return ArchimedeanWitness(p=lots[i], q=lots[j], r=lots[k],
+                                      side=side, depth=depth)
+
+        return _verdict(kind, oracle, Budget(grid=grid, depth=depth),
+                        kernels.scan_archimedean(spec, nums, den, depth), witness)
 
     if kind == "solvability":
         if oracle.has_solve:
-            budget = Budget(grid=grid)
             enc = kernels.encode_oracle(oracle)
             if enc is not None and enc[0] == "eu":
                 hit = kernels.scan_solvability_solve(list(enc[1]), nums, den)
-                if hit is None:
-                    return AxiomVerdict(kind, False, budget, route="solve-contract")
-                i, j, k, a, b = hit
-                p, q, r = lots[i], lots[j], lots[k]
-                alpha = Fraction(a, b)
+                if hit is not None:
+                    i, j, k, a, b = hit
+                    hit = (lots[i], lots[j], lots[k], Fraction(a, b))
             else:
                 hit = None
                 for i, p in enumerate(lots):
@@ -621,24 +626,24 @@ def check_continuity(oracle: PreferenceOracle, kind: str, grid: GridSpec,
                             break
                     if hit:
                         break
-                if hit is None:
-                    return AxiomVerdict(kind, False, budget, route="solve-contract")
-                p, q, r, alpha = hit
-            witness = SolveContractWitness(
-                p=p, q=q, r=r, alpha=alpha,
-                observed=oracle.compare(mix(p, r, alpha), q))
-            return AxiomVerdict(kind, True, budget, route="solve-contract",
-                                witness=_confirm(witness, oracle))
+
+            def contract_witness(p, q, r, alpha):
+                return SolveContractWitness(
+                    p=p, q=q, r=r, alpha=alpha,
+                    observed=oracle.compare(mix(p, r, alpha), q))
+
+            return _verdict(kind, oracle, Budget(grid=grid), hit,
+                            contract_witness, route=SolveContractWitness.route)
+
         alphas = rationals_between(Fraction(0), Fraction(1), d)
-        budget = Budget(grid=grid, candidate_bound=d)
+
+        def witness(i, j, k):
+            return SolvabilityScanWitness(p=lots[i], q=lots[j], r=lots[k],
+                                          candidate_bound=d)
+
         hit = kernels.scan_solvability_scan(spec, nums, den, _pairs(alphas))
-        if hit is None:
-            return AxiomVerdict(kind, False, budget, route="alpha-scan")
-        i, j, k = hit
-        witness = SolvabilityScanWitness(
-            p=lots[i], q=lots[j], r=lots[k], candidate_bound=d)
-        return AxiomVerdict(kind, True, budget, route="alpha-scan",
-                            witness=_confirm(witness, oracle))
+        return _verdict(kind, oracle, Budget(grid=grid, candidate_bound=d), hit,
+                        witness, route=SolvabilityScanWitness.route)
 
     raise ValueError(f"unknown continuity kind {kind!r}; "
                      f"expected one of {CONTINUITY_KINDS}")
@@ -649,36 +654,31 @@ def check_convexity(oracle: PreferenceOracle, grid: GridSpec) -> AxiomVerdict:
     lots, nums, den, spec = _encoded(oracle, grid)
     d = grid.denominator_bound
     alphas = rationals_between(Fraction(0), Fraction(1), d)
-    budget = Budget(grid=grid, candidate_bound=d)
+
+    def witness(i, j, k, ai):
+        p, q1, q2, alpha = lots[i], lots[j], lots[k], alphas[ai]
+        return ConvexityWitness(p=p, q1=q1, q2=q2, alpha=alpha,
+                                observed=oracle.compare(mix(q1, q2, alpha), p))
+
     hit = kernels.scan_convexity(spec, nums, den, _pairs(alphas))
-    if hit is None:
-        return AxiomVerdict("convexity", False, budget)
-    i, j, k, ai = hit
-    p, q1, q2, alpha = lots[i], lots[j], lots[k], alphas[ai]
-    witness = ConvexityWitness(
-        p=p, q1=q1, q2=q2, alpha=alpha,
-        observed=oracle.compare(mix(q1, q2, alpha), p))
-    return AxiomVerdict("convexity", True, budget,
-                        witness=_confirm(witness, oracle))
+    return _verdict("convexity", oracle, Budget(grid=grid, candidate_bound=d),
+                    hit, witness)
 
 
 def check_translation(oracle: PreferenceOracle, grid: GridSpec) -> AxiomVerdict:
     """Indifference must survive translation: r ~ p implies
     r + (q - p) ~ q whenever the shift stays inside the simplex."""
     lots, nums, den, spec = _encoded(oracle, grid)
-    budget = Budget(grid=grid)
-    hit = kernels.scan_translation(spec, nums, den)
-    if hit is None:
-        return AxiomVerdict("translation", False, budget)
-    i, j, k = hit
-    p, q, r = lots[i], lots[j], lots[k]
-    translated = Lottery(p.space, tuple(
-        rw + qw - pw for rw, qw, pw in zip(r.weights, q.weights, p.weights)))
-    witness = TranslationWitness(
-        p=p, q=q, r=r, translated=translated,
-        observed=oracle.compare(translated, q))
-    return AxiomVerdict("translation", True, budget,
-                        witness=_confirm(witness, oracle))
+
+    def witness(i, j, k):
+        p, q, r = lots[i], lots[j], lots[k]
+        translated = Lottery(p.space, tuple(
+            rw + qw - pw for rw, qw, pw in zip(r.weights, q.weights, p.weights)))
+        return TranslationWitness(p=p, q=q, r=r, translated=translated,
+                                  observed=oracle.compare(translated, q))
+
+    return _verdict("translation", oracle, Budget(grid=grid),
+                    kernels.scan_translation(spec, nums, den), witness)
 
 
 def check_line_order(oracle: PreferenceOracle, grid: GridSpec) -> AxiomVerdict:
@@ -687,27 +687,15 @@ def check_line_order(oracle: PreferenceOracle, grid: GridSpec) -> AxiomVerdict:
     beyond p they beat p."""
     lots, nums, den, spec = _encoded(oracle, grid)
     d = grid.denominator_bound
-    budget = Budget(grid=grid, candidate_bound=d)
-    hit = kernels.scan_line_order(spec, nums, den, d)
-    if hit is None:
-        return AxiomVerdict("line-order", False, budget)
-    i, j, a, b, rel_code = hit
-    p, q = lots[i], lots[j]
-    t = Fraction(a, b)
-    point = Lottery(p.space, tuple(
-        qw + t * (pw - qw) for pw, qw in zip(p.weights, q.weights)))
-    relation = _LINE_RELATIONS[rel_code]
-    witness = LineOrderWitness(p=p, q=q, t=t, point=point, relation=relation,
-                               observed=_observe_line(oracle, p, q, point, relation))
-    return AxiomVerdict("line-order", True, budget,
-                        witness=_confirm(witness, oracle))
 
+    def witness(i, j, a, b, rel_code):
+        p, q, t = lots[i], lots[j], Fraction(a, b)
+        point = Lottery(p.space, tuple(
+            qw + t * (pw - qw) for pw, qw in zip(p.weights, q.weights)))
+        relation = _LINE_RELATIONS[rel_code]
+        return LineOrderWitness(
+            p=p, q=q, t=t, point=point, relation=relation,
+            observed=oracle.compare(*_line_pair(relation, p, q, point)))
 
-def _observe_line(oracle, p, q, point, relation) -> ComparisonResult:
-    if relation == "q-vs-point":
-        return oracle.compare(q, point)
-    if relation == "p-vs-point":
-        return oracle.compare(p, point)
-    if relation == "point-vs-q":
-        return oracle.compare(point, q)
-    return oracle.compare(point, p)
+    return _verdict("line-order", oracle, Budget(grid=grid, candidate_bound=d),
+                    kernels.scan_line_order(spec, nums, den, d), witness)

@@ -61,11 +61,21 @@ from .scenario import (
     verdict_to_json,
 )
 
-AXIOM_NAMES = (
-    "weak-order", "independence", "betweenness", "ip",
-    "grid-openness", "mixture", "archimedean", "solvability",
-    "convexity", "translation", "line-order",
-)
+# --axiom name -> check run as (oracle, grid, variant, depth).  Each row
+# looks its check_* name up in this module when it runs, so rebinding a
+# name (as perfbench/layers.py does to time it) reaches the CLI too.
+AXIOM_CHECKS = {
+    "weak-order": lambda o, g, v, d: check_weak_order(o, g),
+    "independence": lambda o, g, v, d: check_independence(
+        o, g, v or "independence"),
+    "betweenness": lambda o, g, v, d: check_independence(o, g, "betweenness"),
+    "ip": lambda o, g, v, d: check_ip(o, g),
+    **{kind: lambda o, g, v, d, kind=kind: check_continuity(o, kind, g, int(d))
+       for kind in CONTINUITY_KINDS},
+    "convexity": lambda o, g, v, d: check_convexity(o, g),
+    "translation": lambda o, g, v, d: check_translation(o, g),
+    "line-order": lambda o, g, v, d: check_line_order(o, g),
+}
 
 DEFAULT_OUTCOMES = 3
 
@@ -89,15 +99,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("elicit", help="fit a representation to "
                                       "indifference data")
     common(p)
+    p.set_defaults(run=_cmd_elicit)
 
     p = sub.add_parser("generate", help="indifferent points from a utility")
     common(p)
+    p.set_defaults(run=_cmd_generate)
     p.add_argument("--utility", metavar="CSV",
                    help="comma-separated utility values, e.g. 0,1,2")
 
     p = sub.add_parser("classify", help="rank queries against a reference "
                                         "under an elicited representation")
     common(p)
+    p.set_defaults(run=_cmd_classify)
     p.add_argument("--reference", metavar="LOTTERY",
                    help="reference lottery: 'uniform' or comma-separated "
                         "weights")
@@ -107,6 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify", help="step-by-step indifference "
                                        "certificate for a target")
     common(p)
+    p.set_defaults(run=_cmd_certify)
     p.add_argument("--target", metavar="LOTTERY",
                    help="target lottery to certify")
 
@@ -114,6 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
                                             "via the oracle's solve "
                                             "capability")
     common(p)
+    p.set_defaults(run=_cmd_construct_ip)
     _oracle_flags(p)
     p.add_argument("--p", metavar="LOTTERY", help="best lottery of the triple")
     p.add_argument("--q", metavar="LOTTERY", help="middle lottery")
@@ -121,8 +136,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="hunt for an axiom violation on a grid")
     common(p)
+    p.set_defaults(run=_cmd_check)
     _oracle_flags(p)
-    p.add_argument("--axiom", choices=AXIOM_NAMES, help="axiom to falsify")
+    p.add_argument("--axiom", choices=tuple(AXIOM_CHECKS), help="axiom to falsify")
     p.add_argument("--variant", choices=("independence", "betweenness"),
                    help="independence variant (with --axiom independence)")
     p.add_argument("--grid", type=int, metavar="D",
@@ -152,7 +168,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        text, code = _dispatch(args)
+        text, code = args.run(args)
     except LotprefError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
@@ -236,22 +252,6 @@ def _points_block(points) -> str:
 
 
 # ---- subcommands ------------------------------------------------------------
-
-
-def _dispatch(args) -> tuple[str, int]:
-    if args.command == "elicit":
-        return _cmd_elicit(args)
-    if args.command == "generate":
-        return _cmd_generate(args)
-    if args.command == "classify":
-        return _cmd_classify(args)
-    if args.command == "certify":
-        return _cmd_certify(args)
-    if args.command == "construct-ip":
-        return _cmd_construct_ip(args)
-    if args.command == "check":
-        return _cmd_check(args)
-    raise ValueError(f"unknown command {args.command!r}")
 
 
 def _cmd_elicit(args) -> tuple[str, int]:
@@ -387,29 +387,13 @@ def _cmd_check(args) -> tuple[str, int]:
     axiom = args.axiom or block.get("axiom")
     if not axiom:
         raise ValueError("check needs --axiom or a scenario check block")
-    if axiom not in AXIOM_NAMES:
+    if axiom not in AXIOM_CHECKS:
         raise ValueError(f"unknown axiom {axiom!r}")
     variant = args.variant or block.get("variant")
     bound = _given(args.grid, block.get("grid"), 4)
     depth = _given(args.depth, block.get("depth"), DEFAULT_DEPTH)
     grid = GridSpec(space, int(bound))
-
-    if axiom == "weak-order":
-        verdict = check_weak_order(oracle, grid)
-    elif axiom == "independence":
-        verdict = check_independence(oracle, grid, variant or "independence")
-    elif axiom == "betweenness":
-        verdict = check_independence(oracle, grid, "betweenness")
-    elif axiom == "ip":
-        verdict = check_ip(oracle, grid)
-    elif axiom in CONTINUITY_KINDS:
-        verdict = check_continuity(oracle, axiom, grid, int(depth))
-    elif axiom == "convexity":
-        verdict = check_convexity(oracle, grid)
-    elif axiom == "translation":
-        verdict = check_translation(oracle, grid)
-    else:
-        verdict = check_line_order(oracle, grid)
+    verdict = AXIOM_CHECKS[axiom](oracle, grid, variant, depth)
 
     text = "axiom = %s\nverdict = %s\n" % (
         verdict.axiom, "violated" if verdict.violated else "no-violation-found")

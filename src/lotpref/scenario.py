@@ -9,32 +9,20 @@ round trip.
 
 The *_to_json functions build plain dict/list trees ready for
 json.dumps; the *_from_json functions rebuild domain objects and
-validate as they go, raising the package's named errors.
+validate as they go, raising the package's named errors.  Witness JSON
+is derived from the witness dataclasses: "kind" (and "route" where a
+class has one), then each field in declaration order, encoded by its
+declared type.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
+from typing import get_type_hints
 
-from .axioms import (
-    ArchimedeanWitness,
-    AxiomVerdict,
-    BetweennessWitness,
-    Budget,
-    ConvexityWitness,
-    CycleWitness,
-    IndependenceWitness,
-    IPExhausted,
-    IPFound,
-    LineOrderWitness,
-    MixtureWitness,
-    OpennessWitness,
-    SolvabilityScanWitness,
-    SolveContractWitness,
-    TranslationWitness,
-)
+from .axioms import WITNESS_TYPES, AxiomVerdict, Budget
 from .errors import EmptyInput, LengthMismatch
 from .geometry import Hyperplane
 from .lotteries import Lottery, OutcomeSpace, uniform
@@ -280,183 +268,56 @@ def replay_to_json(replay: CertificateReplay) -> dict:
 # ---- verdicts and witnesses -------------------------------------------------
 
 
-def _result_to_json(result: ComparisonResult) -> str:
-    return result.value
+# (encode, decode) per declared witness field type.
+_FIELD_CODECS = {
+    Lottery: (lottery_to_json,
+              lambda space, value, key: parse_point(space, value, key)),
+    Fraction: (format_rational, lambda space, value, key: parse_rational(value)),
+    ComparisonResult: (lambda result: result.value,
+                       lambda space, value, key: ComparisonResult(value)),
+    int: (lambda value: value, lambda space, value, key: int(value)),
+    str: (lambda value: value, lambda space, value, key: value),
+}
+
+
+def _layout(cls) -> tuple:
+    """A witness class's (field name, codec) pairs in declaration order."""
+    hints = get_type_hints(cls)
+    return tuple((f.name, _FIELD_CODECS[hints[f.name]]) for f in fields(cls))
+
+
+_WITNESS_LAYOUT = {cls: _layout(cls) for cls in WITNESS_TYPES}
+
+# (kind, route) -> class.  A document without a route decodes as the
+# first class declared for its kind: built in reverse, so that class
+# writes its (kind, None) entry last.
+_WITNESS_BY_KEY = {
+    (cls.kind, route): cls
+    for cls in reversed(WITNESS_TYPES)
+    for route in (None, getattr(cls, "route", None))
+}
 
 
 def witness_to_json(witness) -> dict:
-    if isinstance(witness, CycleWitness):
-        return {
-            "kind": "weak-order",
-            "p": lottery_to_json(witness.p),
-            "q": lottery_to_json(witness.q),
-            "r": lottery_to_json(witness.r),
-            "pq": _result_to_json(witness.pq),
-            "qr": _result_to_json(witness.qr),
-            "pr": _result_to_json(witness.pr),
-        }
-    if isinstance(witness, IndependenceWitness):
-        return {
-            "kind": "independence",
-            "p": lottery_to_json(witness.p),
-            "q": lottery_to_json(witness.q),
-            "r": lottery_to_json(witness.r),
-            "alpha": format_rational(witness.alpha),
-            "before": _result_to_json(witness.before),
-            "after": _result_to_json(witness.after),
-        }
-    if isinstance(witness, BetweennessWitness):
-        return {
-            "kind": "betweenness",
-            "p": lottery_to_json(witness.p),
-            "q": lottery_to_json(witness.q),
-            "alpha": format_rational(witness.alpha),
-            "pq": _result_to_json(witness.pq),
-            "upper": _result_to_json(witness.upper),
-            "lower": _result_to_json(witness.lower),
-        }
-    if isinstance(witness, ConvexityWitness):
-        return {
-            "kind": "convexity",
-            "p": lottery_to_json(witness.p),
-            "q1": lottery_to_json(witness.q1),
-            "q2": lottery_to_json(witness.q2),
-            "alpha": format_rational(witness.alpha),
-            "observed": _result_to_json(witness.observed),
-        }
-    if isinstance(witness, TranslationWitness):
-        return {
-            "kind": "translation",
-            "p": lottery_to_json(witness.p),
-            "q": lottery_to_json(witness.q),
-            "r": lottery_to_json(witness.r),
-            "translated": lottery_to_json(witness.translated),
-            "observed": _result_to_json(witness.observed),
-        }
-    if isinstance(witness, LineOrderWitness):
-        return {
-            "kind": "line-order",
-            "p": lottery_to_json(witness.p),
-            "q": lottery_to_json(witness.q),
-            "t": format_rational(witness.t),
-            "point": lottery_to_json(witness.point),
-            "relation": witness.relation,
-            "observed": _result_to_json(witness.observed),
-        }
-    if isinstance(witness, MixtureWitness):
-        return {
-            "kind": "mixture",
-            "p": lottery_to_json(witness.p),
-            "q": lottery_to_json(witness.q),
-            "r": lottery_to_json(witness.r),
-            "alpha_star": format_rational(witness.alpha_star),
-            "side": witness.side,
-            "boundary": _result_to_json(witness.boundary),
-            "depth": witness.depth,
-        }
-    if isinstance(witness, ArchimedeanWitness):
-        return {
-            "kind": "archimedean",
-            "p": lottery_to_json(witness.p),
-            "q": lottery_to_json(witness.q),
-            "r": lottery_to_json(witness.r),
-            "side": witness.side,
-            "depth": witness.depth,
-        }
-    if isinstance(witness, SolvabilityScanWitness):
-        return {
-            "kind": "solvability",
-            "route": "alpha-scan",
-            "p": lottery_to_json(witness.p),
-            "q": lottery_to_json(witness.q),
-            "r": lottery_to_json(witness.r),
-            "candidate_bound": witness.candidate_bound,
-        }
-    if isinstance(witness, SolveContractWitness):
-        return {
-            "kind": "solvability",
-            "route": "solve-contract",
-            "p": lottery_to_json(witness.p),
-            "q": lottery_to_json(witness.q),
-            "r": lottery_to_json(witness.r),
-            "alpha": format_rational(witness.alpha),
-            "observed": _result_to_json(witness.observed),
-        }
-    if isinstance(witness, OpennessWitness):
-        return {
-            "kind": "grid-openness",
-            "p": lottery_to_json(witness.p),
-            "q": lottery_to_json(witness.q),
-            "w": lottery_to_json(witness.w),
-            "side": witness.side,
-            "depth": witness.depth,
-        }
-    if isinstance(witness, IPExhausted):
-        return {
-            "kind": "ip-exhausted",
-            "grid_size": witness.grid_size,
-            "classes": witness.classes,
-            "best_size": witness.best_size,
-        }
-    raise ValueError(f"cannot serialize witness {witness!r}")
+    cls = next((c for c in type(witness).__mro__ if c in _WITNESS_LAYOUT), None)
+    if cls is None:
+        raise ValueError(f"cannot serialize witness {witness!r}")
+    doc = {"kind": cls.kind}
+    if hasattr(cls, "route"):
+        doc["route"] = cls.route
+    for name, (encode, _) in _WITNESS_LAYOUT[cls]:
+        doc[name] = encode(getattr(witness, name))
+    return doc
 
 
 def witness_from_json(space: OutcomeSpace, data: dict):
     kind = data.get("kind")
-    lot = lambda key: parse_point(space, data[key], key)
-    res = lambda key: ComparisonResult(data[key])
-    if kind == "weak-order":
-        return CycleWitness(p=lot("p"), q=lot("q"), r=lot("r"),
-                            pq=res("pq"), qr=res("qr"), pr=res("pr"))
-    if kind == "independence":
-        return IndependenceWitness(
-            p=lot("p"), q=lot("q"), r=lot("r"),
-            alpha=parse_rational(data["alpha"]),
-            before=res("before"), after=res("after"))
-    if kind == "betweenness":
-        return BetweennessWitness(
-            p=lot("p"), q=lot("q"), alpha=parse_rational(data["alpha"]),
-            pq=res("pq"), upper=res("upper"), lower=res("lower"))
-    if kind == "convexity":
-        return ConvexityWitness(
-            p=lot("p"), q1=lot("q1"), q2=lot("q2"),
-            alpha=parse_rational(data["alpha"]), observed=res("observed"))
-    if kind == "translation":
-        return TranslationWitness(
-            p=lot("p"), q=lot("q"), r=lot("r"),
-            translated=lot("translated"), observed=res("observed"))
-    if kind == "line-order":
-        return LineOrderWitness(
-            p=lot("p"), q=lot("q"), t=parse_rational(data["t"]),
-            point=lot("point"), relation=data["relation"],
-            observed=res("observed"))
-    if kind == "mixture":
-        return MixtureWitness(
-            p=lot("p"), q=lot("q"), r=lot("r"),
-            alpha_star=parse_rational(data["alpha_star"]),
-            side=int(data["side"]), boundary=res("boundary"),
-            depth=int(data["depth"]))
-    if kind == "archimedean":
-        return ArchimedeanWitness(
-            p=lot("p"), q=lot("q"), r=lot("r"),
-            side=data["side"], depth=int(data["depth"]))
-    if kind == "solvability":
-        if data.get("route") == "solve-contract":
-            return SolveContractWitness(
-                p=lot("p"), q=lot("q"), r=lot("r"),
-                alpha=parse_rational(data["alpha"]), observed=res("observed"))
-        return SolvabilityScanWitness(
-            p=lot("p"), q=lot("q"), r=lot("r"),
-            candidate_bound=int(data["candidate_bound"]))
-    if kind == "grid-openness":
-        return OpennessWitness(
-            p=lot("p"), q=lot("q"), w=lot("w"),
-            side=int(data["side"]), depth=int(data["depth"]))
-    if kind == "ip-exhausted":
-        return IPExhausted(
-            grid_size=int(data["grid_size"]), classes=int(data["classes"]),
-            best_size=int(data["best_size"]))
-    raise ValueError(f"unknown witness kind {kind!r}")
+    cls = _WITNESS_BY_KEY.get((kind, data.get("route")),
+                              _WITNESS_BY_KEY.get((kind, None)))
+    if cls is None:
+        raise ValueError(f"unknown witness kind {kind!r}")
+    return cls(**{name: decode(space, data[name], name)
+                  for name, (_, decode) in _WITNESS_LAYOUT[cls]})
 
 
 def _budget_to_json(budget: Budget) -> dict:

@@ -6,7 +6,9 @@ pure reference, for every oracle recipe the C code understands.  First
 hits are compared exactly, None included.
 """
 
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -123,3 +125,27 @@ def test_oversized_payoffs_fall_back_to_pure():
     small = ("eu", (0, 1, 2))
     assert kernels.scan_transitivity(big, nums, den) \
         == kernels.scan_transitivity(small, nums, den)
+
+
+def test_generated_c_is_in_sync_with_pyx():
+    # setup.py compiles the committed _fastscan.c when Cython is
+    # missing, so it must be generated from the current .pyx.  Cython
+    # quotes the source line behind each block of C it emits: a header
+    # naming the .pyx line number, then the line itself marked
+    # "# <<<<<<<<<<<<<<".  Every quote must match that .pyx line, and
+    # every Python-visible function of the .pyx must be quoted.
+    here = Path(kernels.__file__).parent
+    pyx = (here / "_fastscan.pyx").read_text(encoding="utf-8").splitlines()
+    header = re.compile(r'/\* "lotpref/_kernels/_fastscan\.pyx":(\d+)$')
+    marker = "# <<<<<<<<<<<<<<"
+    line_no, quoted = None, set()
+    for line in (here / "_fastscan.c").read_text(encoding="utf-8").splitlines():
+        found = header.search(line)
+        if found:
+            line_no = int(found.group(1))
+        elif line.endswith(marker):
+            source = line[len(" * "):-len(marker)].rstrip()
+            assert source == pyx[line_no - 1].rstrip(), f"_fastscan.pyx:{line_no}"
+            quoted.add(line_no)
+    functions = [n for n, text in enumerate(pyx, 1) if text.startswith("def ")]
+    assert functions and set(functions) <= quoted

@@ -9,14 +9,17 @@ from lotpref.axioms import (
     BetweennessWitness,
     IPExhausted,
     LineOrderWitness,
+    SolvabilityScanWitness,
     SolveContractWitness,
     check_continuity,
     check_convexity,
     check_independence,
     check_ip,
+    check_line_order,
     check_translation,
     check_weak_order,
 )
+from lotpref import cli
 from lotpref.errors import EmptyInput, LengthMismatch
 from lotpref.grids import GridSpec
 from lotpref.lotteries import OutcomeSpace, make_lottery, uniform
@@ -169,6 +172,14 @@ def test_handmade_witnesses_round_trip():
 def test_unknown_witness_kind_rejected():
     with pytest.raises(ValueError):
         witness_from_json(SPACE, {"kind": "telepathy"})
+    with pytest.raises(ValueError):
+        witness_to_json(object())
+    # A solvability document without a route is the alpha-scan witness.
+    routeless = {"kind": "solvability", "p": ["0", "0", "1"],
+                 "q": ["0", "1", "0"], "r": ["1", "0", "0"],
+                 "candidate_bound": 3}
+    assert witness_from_json(SPACE, routeless) == SolvabilityScanWitness(
+        p=lot(0, 0, 1), q=lot(0, 1, 0), r=lot(1, 0, 0), candidate_bound=3)
 
 
 def test_verdict_document_shape():
@@ -385,6 +396,48 @@ def test_cli_zero_grid_or_depth_exits_two(tmp_path):
     proc = run_cli("check", "--scenario", str(scenario))
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ValueError")
+
+
+# Every --axiom choice with an oracle that violates it where a built-in
+# one does, and the direct API call the CLI must reproduce.
+LEX = LexicographicOracle(SPACE)
+MAJORITY = MajorityOracle(SPACE)
+CLI_CHECKS = {
+    "weak-order": ("majority", lambda g: check_weak_order(MAJORITY, g)),
+    "independence": ("hybrid", lambda g: check_independence(HYBRID, g)),
+    "betweenness": ("hybrid",
+                    lambda g: check_independence(HYBRID, g, "betweenness")),
+    "ip": ("lexicographic", lambda g: check_ip(LEX, g)),
+    "grid-openness": ("hybrid",
+                      lambda g: check_continuity(HYBRID, "grid-openness", g, 8)),
+    "mixture": ("hybrid", lambda g: check_continuity(HYBRID, "mixture", g, 8)),
+    "archimedean": ("lexicographic",
+                    lambda g: check_continuity(LEX, "archimedean", g, 8)),
+    "solvability": ("majority",
+                    lambda g: check_continuity(MAJORITY, "solvability", g, 8)),
+    "convexity": ("majority", lambda g: check_convexity(MAJORITY, g)),
+    "translation": ("hybrid", lambda g: check_translation(HYBRID, g)),
+    "line-order": ("hybrid", lambda g: check_line_order(HYBRID, g)),
+}
+# (--axiom, extra flags, CLI_CHECKS entry the run must match)
+CLI_CASES = [(axiom, (), axiom) for axiom in CLI_CHECKS] + [
+    ("independence", ("--variant", "betweenness"), "betweenness")]
+
+
+def test_cli_check_covers_every_axiom():
+    assert list(CLI_CHECKS) == list(cli.AXIOM_CHECKS)
+
+
+@pytest.mark.parametrize("axiom,extra,expected", CLI_CASES,
+                         ids=[" ".join((a,) + e) for a, e, _ in CLI_CASES])
+def test_cli_check_matches_api(axiom, extra, expected, capsys):
+    oracle, direct = CLI_CHECKS[expected]
+    code = cli.main(["check", "--oracle", oracle, "--axiom", axiom,
+                     "--grid", "3", "--depth", "8", *extra])
+    verdict = direct(GridSpec(SPACE, 3))
+    header, doc = split_output(capsys.readouterr().out)
+    assert code == (1 if verdict.violated else 0)
+    assert doc["verdict"] == verdict_to_json(verdict)
 
 
 def test_cli_rejects_unknown_axiom():
