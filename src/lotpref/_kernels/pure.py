@@ -38,6 +38,7 @@ __all__ = [
     "scan_archimedean",
     "scan_solvability_scan",
     "scan_solvability_solve",
+    "scan_solve_contract",
     "scan_openness",
 ]
 
@@ -395,6 +396,24 @@ def scan_solvability_scan(spec, nums, den, alphas):
                         break
                 if not solved:
                     return (i, j, k)
+    return None
+
+
+def scan_solve_contract(spec, nums, den, weight):
+    """First (i, j, k, a, b) with p >= q >= r where a/b = weight(i, j, k),
+    the oracle's own solution, does not mix p and r onto q.  For oracles
+    that solve but do not encode, so it has no compiled twin."""
+    cmp = make_compare(spec)
+    signs = _SignTable(cmp, nums, den)
+    for i in range(len(nums)):
+        gt_i, eq_i, _ = signs.row(i)
+        for j in _bits(gt_i | eq_i):
+            gt_j, eq_j, _ = signs.row(j)
+            for k in _bits(gt_j | eq_j):
+                a, b = weight(i, j, k)
+                m = _mix(nums[i], nums[k], a, b)
+                if cmp(m, b * den, nums[j], den) != 0:
+                    return (i, j, k, a, b)
     return None
 
 

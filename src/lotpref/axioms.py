@@ -19,9 +19,10 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import _kernels as kernels
+from ._kernels import pure
 from .geometry import affine_rank
 from .grids import GridSpec, dyadic_alphas, enumerate_grid, rationals_between
-from .lotteries import Lottery, embed, mix
+from .lotteries import Lottery, embed, mix, unit_weight
 from .oracles import ComparisonResult, PreferenceOracle
 
 __all__ = [
@@ -202,9 +203,9 @@ _LINE_RELATIONS = {
 
 def _line_pair(relation, p, q, point):
     """(first, second) of the strict comparison a line-order relation
-    names; "point-vs-p" is the remaining case."""
+    names."""
     return {"q-vs-point": (q, point), "p-vs-point": (p, point),
-            "point-vs-q": (point, q)}.get(relation, (point, p))
+            "point-vs-q": (point, q), "point-vs-p": (point, p)}[relation]
 
 
 @dataclass(frozen=True)
@@ -223,6 +224,10 @@ class LineOrderWitness:
     point: Lottery
     relation: str
     observed: ComparisonResult
+
+    def __post_init__(self):
+        if self.relation not in _LINE_RELATIONS.values():
+            raise ValueError(f"unknown line-order relation {self.relation!r}")
 
     def replay(self, oracle: PreferenceOracle) -> bool:
         along = tuple(
@@ -276,6 +281,10 @@ class ArchimedeanWitness:
     r: Lottery
     side: str  # "beta": no small weight keeps q above the mixture
     depth: int
+
+    def __post_init__(self):
+        if self.side not in ("alpha", "beta"):
+            raise ValueError(f"unknown archimedean side {self.side!r}")
 
     def replay(self, oracle: PreferenceOracle) -> bool:
         if self.depth < 1:
@@ -603,31 +612,17 @@ def check_continuity(oracle: PreferenceOracle, kind: str, grid: GridSpec,
 
     if kind == "solvability":
         if oracle.has_solve:
-            enc = kernels.encode_oracle(oracle)
-            if enc is not None and enc[0] == "eu":
-                hit = kernels.scan_solvability_solve(list(enc[1]), nums, den)
-                if hit is not None:
-                    i, j, k, a, b = hit
-                    hit = (lots[i], lots[j], lots[k], Fraction(a, b))
+            if spec[0] == "eu":
+                hit = kernels.scan_solvability_solve(list(spec[1]), nums, den)
             else:
-                hit = None
-                for i, p in enumerate(lots):
-                    for j, q in enumerate(lots):
-                        if not oracle.compare(p, q).weakly_better:
-                            continue
-                        for k, r in enumerate(lots):
-                            if not oracle.compare(q, r).weakly_better:
-                                continue
-                            alpha = oracle.solve(p, q, r)
-                            if oracle.compare(mix(p, r, alpha), q) is not INDIFF:
-                                hit = (p, q, r, alpha)
-                                break
-                        if hit:
-                            break
-                    if hit:
-                        break
+                def weight(i, j, k):
+                    alpha = unit_weight(oracle.solve(lots[i], lots[j], lots[k]))
+                    return alpha.numerator, alpha.denominator
 
-            def contract_witness(p, q, r, alpha):
+                hit = pure.scan_solve_contract(spec, nums, den, weight)
+
+            def contract_witness(i, j, k, a, b):
+                p, q, r, alpha = lots[i], lots[j], lots[k], Fraction(a, b)
                 return SolveContractWitness(
                     p=p, q=q, r=r, alpha=alpha,
                     observed=oracle.compare(mix(p, r, alpha), q))

@@ -29,14 +29,7 @@ from .axioms import (
 from .errors import LotprefError
 from .grids import GridSpec
 from .lotteries import OutcomeSpace
-from .oracles import (
-    ExpectedUtilityOracle,
-    HybridExampleOracle,
-    LexicographicOracle,
-    MajorityOracle,
-    RepresentedOracle,
-    UtilityFunction,
-)
+from .oracles import ExpectedUtilityOracle, RepresentedOracle, UtilityFunction
 from .rationals import format_rational, parse_rational
 from .representation import (
     construct_ip_via_solvability,
@@ -54,6 +47,7 @@ from .scenario import (
     dump_document,
     load_scenario,
     lottery_to_json,
+    oracle_from_json,
     oracle_to_json,
     parse_lottery_field,
     replay_to_json,
@@ -211,21 +205,12 @@ def _oracle(args, scenario: Scenario | None, space: OutcomeSpace):
     """Flags win over the scenario's oracle block; a scenario with only
     a utility implies the expected-utility oracle over it."""
     if getattr(args, "oracle", None):
-        kind = args.oracle
-        if kind == "eu":
-            if not args.utility:
-                raise ValueError("--oracle eu needs --utility")
-            return ExpectedUtilityOracle(_utility_from_csv(space, args.utility))
-        if kind == "lexicographic":
-            priority = None
-            if args.priority:
-                priority = tuple(
-                    int(part.strip()) for part in args.priority.split(","))
-            return LexicographicOracle(space, priority)
-        if kind == "hybrid":
-            return HybridExampleOracle(space)
-        if kind == "majority":
-            return MajorityOracle(space)
+        block = {"kind": args.oracle}
+        if args.utility:
+            block["utility"] = args.utility.split(",")
+        if args.priority:
+            block["priority"] = args.priority.split(",")
+        return oracle_from_json(space, block)
     if scenario is not None and scenario.oracle is not None:
         return scenario.oracle
     if scenario is not None and scenario.utility is not None:
@@ -330,15 +315,13 @@ def _cmd_certify(args) -> tuple[str, int]:
     else:
         raise ValueError("certify needs --target or a scenario 'target'")
 
-    if scenario.oracle is not None:
-        oracle = scenario.oracle
-    elif scenario.utility is not None:
-        oracle = ExpectedUtilityOracle(scenario.utility)
-    else:
+    if scenario.oracle is None and scenario.utility is None:
         # The indifference data itself pins the class: orientation does
         # not matter for ~, so +1 serves even without a strict pair.
         rep = elicit(scenario.elicitation)
         oracle = RepresentedOracle(space, rep.hyperplane, 1)
+    else:
+        oracle = _oracle(args, scenario, space)
 
     cert = indifference_certificate(target, points)
     replay = replay_certificate(cert, oracle)

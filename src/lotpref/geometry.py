@@ -239,14 +239,10 @@ def hyperplane_from_points(points) -> Hyperplane:
     if len(pts) != dim:
         raise WrongCount(f"need exactly {dim} points, got {len(pts)}")
     base = pts[0]
-    diffs = [vec_sub(p, base) for p in pts[1:]]
-    if diffs:
-        if affine_rank(pts) != dim - 1:
-            raise RankDeficient(
-                f"points span affine dimension {affine_rank(pts)}, need {dim - 1}")
-        normals = kernel_basis(diffs)
-    else:
-        # One point in a one-dimensional space: every normal works.
-        normals = ((Fraction(1),),)
-    assert len(normals) == 1
+    # dim - 1 difference rows in dim columns: one normal exactly when
+    # their rank, the points' affine rank, is dim - 1.
+    normals = kernel_basis([vec_sub(p, base) for p in pts[1:]], width=dim)
+    if len(normals) != 1:
+        raise RankDeficient(
+            f"points span affine dimension {dim - len(normals)}, need {dim - 1}")
     return Hyperplane(_primitive(normals[0]), base)

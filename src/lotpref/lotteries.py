@@ -33,6 +33,7 @@ __all__ = [
     "degenerate",
     "uniform",
     "mix",
+    "unit_weight",
     "embed",
     "unembed",
     "as_fraction",
@@ -132,6 +133,14 @@ def uniform(space: OutcomeSpace) -> Lottery:
     return Lottery(space, (w,) * space.size)
 
 
+def unit_weight(alpha) -> Fraction:
+    """alpha as an exact rational; AlphaOutOfRange outside [0, 1]."""
+    a = as_fraction(alpha)
+    if not 0 <= a <= 1:
+        raise AlphaOutOfRange(f"alpha {a} outside [0, 1]")
+    return a
+
+
 def mix(p: Lottery, q: Lottery, alpha) -> Lottery:
     """The convex combination alpha*p + (1-alpha)*q.
 
@@ -140,9 +149,7 @@ def mix(p: Lottery, q: Lottery, alpha) -> Lottery:
     """
     if p.space != q.space:
         raise SpaceMismatch("cannot mix lotteries over different spaces")
-    a = as_fraction(alpha)
-    if not 0 <= a <= 1:
-        raise AlphaOutOfRange(f"alpha {a} outside [0, 1]")
+    a = unit_weight(alpha)
     b = ONE - a
     return Lottery(p.space, tuple(
         a * pw + b * qw for pw, qw in zip(p.weights, q.weights)))

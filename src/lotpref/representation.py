@@ -203,12 +203,7 @@ def elicit(data: ElicitationInput) -> Representation:
     if len(data.indifferent) != n:
         raise WrongCount(
             f"need exactly {n} indifferent lotteries, got {len(data.indifferent)}")
-    embedded = [embed(p).coords for p in data.indifferent]
-    if affine_rank(embedded) != n - 1:
-        raise RankDeficient(
-            f"indifference data spans affine dimension {affine_rank(embedded)}, "
-            f"need {n - 1}")
-    plane = hyperplane_from_points(embedded)
+    plane = hyperplane_from_points([embed(p).coords for p in data.indifferent])
 
     if data.strict is None:
         orientation, oriented = 1, False

@@ -7,24 +7,29 @@ or a check request.  Every rational travels as a canonical string
 ("a/b" or "a"); floats are never accepted, so exactness survives the
 round trip.
 
-The *_to_json functions build plain dict/list trees ready for
-json.dumps; the *_from_json functions rebuild domain objects and
-validate as they go, raising the package's named errors.  Witness JSON
-is derived from the witness dataclasses: "kind" (and "route" where a
-class has one), then each field in declaration order, encoded by its
-declared type.
+Every dataclass (certificates, constructions, replays, budgets, found
+sets, hyperplanes, witnesses) has one wire format: one key per field in
+declaration order, None fields left out, lotteries as lists of
+rationals, comparison results as their values.  ``to_json`` writes it;
+``from_json`` reads it back by the declared field types.  A witness
+starts with "kind" (and "route" where its class has one).  Verdicts,
+representations, oracles and scenarios are framed by hand: their keys
+are not field names in declaration order.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from fractions import Fraction
-from typing import get_type_hints
+from functools import cache
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
-from .axioms import WITNESS_TYPES, AxiomVerdict, Budget
+from .axioms import WITNESS_TYPES, AxiomVerdict
 from .errors import EmptyInput, LengthMismatch
 from .geometry import Hyperplane
+from .grids import GridSpec
 from .lotteries import Lottery, OutcomeSpace, uniform
 from .oracles import (
     ComparisonResult,
@@ -38,11 +43,8 @@ from .oracles import (
 )
 from .rationals import format_rational, parse_rational
 from .representation import (
-    CertificateReplay,
     ElicitationInput,
     IndifferenceCertificate,
-    KernelConstruction,
-    MixStep,
     Representation,
 )
 
@@ -67,6 +69,8 @@ __all__ = [
     "witness_to_json",
     "witness_from_json",
     "verdict_to_json",
+    "to_json",
+    "from_json",
     "dump_document",
 ]
 
@@ -79,16 +83,7 @@ def fractions_to_json(values) -> list[str]:
 
 
 def _parse_fractions(items, what: str) -> tuple[Fraction, ...]:
-    if not isinstance(items, (list, tuple)):
-        raise ValueError(f"{what} must be a list of rational strings")
-    out = []
-    for item in items:
-        if not isinstance(item, str):
-            raise ValueError(
-                f"{what} entries must be canonical rational strings, "
-                f"got {item!r}")
-        out.append(parse_rational(item))
-    return tuple(out)
+    return tuple(parse_rational(item) for item in _shaped(items, list, what))
 
 
 def lottery_to_json(lot: Lottery) -> list[str]:
@@ -118,12 +113,8 @@ def oracle_to_json(oracle: PreferenceOracle) -> dict:
     if isinstance(oracle, ExpectedUtilityOracle):
         return {"kind": "eu", "utility": fractions_to_json(oracle.utility.values)}
     if isinstance(oracle, RepresentedOracle):
-        return {
-            "kind": "represented",
-            "normal": fractions_to_json(oracle.hyperplane.normal),
-            "base": fractions_to_json(oracle.hyperplane.base),
-            "orientation": oracle.orientation,
-        }
+        return {"kind": "represented", **to_json(oracle.hyperplane),
+                "orientation": oracle.orientation}
     if isinstance(oracle, HybridExampleOracle):
         return {"kind": "hybrid"}
     if isinstance(oracle, LexicographicOracle):
@@ -152,141 +143,118 @@ def oracle_from_json(space: OutcomeSpace, data: dict) -> PreferenceOracle:
     if kind == "majority":
         return MajorityOracle(space)
     if kind == "represented":
-        for field in ("normal", "base", "orientation"):
-            if field not in data:
-                raise ValueError(f"represented oracle needs {field!r}")
-        plane = Hyperplane(
-            normal=_parse_fractions(data["normal"], "normal"),
-            base=_parse_fractions(data["base"], "base"))
+        plane = from_json(Hyperplane, space, data)
+        if "orientation" not in data:
+            raise ValueError("represented oracle needs 'orientation'")
         return RepresentedOracle(space, plane, int(data["orientation"]))
     raise ValueError(f"unknown oracle kind {kind!r}")
 
 
-# ---- representation objects -------------------------------------------------
+# ---- dataclass documents ----------------------------------------------------
 
 
 def representation_to_json(rep: Representation) -> dict:
     return {
         "outcomes": rep.space.size,
         "utility": fractions_to_json(rep.utility.values),
-        "normal": fractions_to_json(rep.hyperplane.normal),
-        "base": fractions_to_json(rep.hyperplane.base),
+        **to_json(rep.hyperplane),
         "orientation": rep.orientation,
         "oriented": rep.oriented,
     }
 
 
-def construction_to_json(kc: KernelConstruction) -> dict:
-    return {
-        "matrix": [fractions_to_json(row) for row in kc.matrix],
-        "mean_utility": format_rational(kc.mean_utility),
-        "base": lottery_to_json(kc.base),
-        "basis": [fractions_to_json(vec) for vec in kc.basis],
-        "step": format_rational(kc.step),
-    }
+def to_json(value):
+    """The wire form of a value: a lottery as its weights, a rational as
+    its canonical string, a comparison result as its value, a grid as
+    its outcome count and bound, a tuple as a list, a dataclass as one
+    key per field in declaration order with None fields left out, and
+    any other value (int, str, bool) as itself."""
+    if isinstance(value, Lottery):
+        return lottery_to_json(value)
+    if isinstance(value, Fraction):
+        return format_rational(value)
+    if isinstance(value, ComparisonResult):
+        return value.value
+    if isinstance(value, GridSpec):
+        return {"outcomes": value.space.size,
+                "denominator_bound": value.denominator_bound}
+    if isinstance(value, (tuple, list)):
+        return [to_json(item) for item in value]
+    if is_dataclass(value):
+        return _fields_to_json(value, type(value))
+    return value
 
 
-def certificate_to_json(cert: IndifferenceCertificate) -> dict:
-    doc = {
-        "target": lottery_to_json(cert.target),
-        "points": [lottery_to_json(p) for p in cert.points],
-        "coefficients": fractions_to_json(cert.coefficients),
-        "branch": cert.branch,
-        "steps": [
-            {
-                "left": lottery_to_json(s.left),
-                "right": lottery_to_json(s.right),
-                "alpha": format_rational(s.alpha),
-                "result": lottery_to_json(s.result),
-            }
-            for s in cert.steps
-        ],
-    }
-    if cert.branch == "reduction":
-        doc["k_star"] = cert.k_star
-        doc["lambda_star"] = format_rational(cert.lambda_star)
-        doc["mean"] = lottery_to_json(cert.mean)
-        doc["alpha_star"] = format_rational(cert.alpha_star)
-        doc["reduced"] = lottery_to_json(cert.reduced)
-        doc["reduced_coefficients"] = fractions_to_json(cert.reduced_coefficients)
-        doc["ia_rhs"] = lottery_to_json(cert.ia_rhs)
-    return doc
+def _fields_to_json(value, cls) -> dict:
+    return {f.name: to_json(item) for f in fields(cls)
+            if (item := getattr(value, f.name)) is not None}
 
 
-def certificate_from_json(space: OutcomeSpace, data: dict) -> IndifferenceCertificate:
-    if not isinstance(data, dict):
-        raise ValueError("certificate must be an object")
-    for field in ("target", "points", "coefficients", "branch"):
-        if field not in data:
-            raise ValueError(f"certificate needs {field!r}")
-    steps = tuple(
-        MixStep(
-            left=parse_point(space, s["left"], "step left"),
-            right=parse_point(space, s["right"], "step right"),
-            alpha=parse_rational(s["alpha"]),
-            result=parse_point(space, s["result"], "step result"),
-        )
-        for s in data.get("steps", ())
-    )
-
-    def opt_lot(key):
-        return (parse_point(space, data[key], key)
-                if data.get(key) is not None else None)
-
-    def opt_frac(key):
-        return (parse_rational(data[key])
-                if data.get(key) is not None else None)
-
-    reduced_coeffs = None
-    if data.get("reduced_coefficients") is not None:
-        reduced_coeffs = _parse_fractions(
-            data["reduced_coefficients"], "reduced_coefficients")
-    return IndifferenceCertificate(
-        target=parse_point(space, data["target"], "target"),
-        points=tuple(
-            parse_point(space, p, "points") for p in data["points"]),
-        coefficients=_parse_fractions(data["coefficients"], "coefficients"),
-        branch=data["branch"],
-        steps=steps,
-        k_star=data.get("k_star"),
-        lambda_star=opt_frac("lambda_star"),
-        mean=opt_lot("mean"),
-        alpha_star=opt_frac("alpha_star"),
-        reduced=opt_lot("reduced"),
-        reduced_coefficients=reduced_coeffs,
-        ia_rhs=opt_lot("ia_rhs"),
-    )
+certificate_to_json = construction_to_json = replay_to_json = to_json
 
 
-def replay_to_json(replay: CertificateReplay) -> dict:
-    return {
-        "ok": replay.ok,
-        "checks": [[label, good] for label, good in replay.checks],
-    }
+def _shaped(value, json_type, key):
+    """value when its JSON type is exactly json_type, else ValueError."""
+    if type(value) is not json_type:
+        raise ValueError(f"{key} must be a JSON {json_type.__name__}, "
+                         f"got {value!r}")
+    return value
+
+
+def _decoder(tp):
+    """decode(space, value, key) for a declared field type: T | None,
+    tuple[T, ...], Lottery, Fraction, ComparisonResult, int, str, or a
+    nested dataclass."""
+    origin, args = get_origin(tp), get_args(tp)
+    if origin is UnionType:  # T | None
+        inner = _decoder(args[0])
+        return lambda space, value, key: (
+            None if value is None else inner(space, value, key))
+    if origin is tuple:  # tuple[T, ...]
+        item = _decoder(args[0])
+        return lambda space, value, key: tuple(
+            item(space, v, key) for v in _shaped(value, list, key))
+    if tp is Lottery:
+        return parse_point
+    if tp is Fraction:
+        return lambda space, value, key: parse_rational(value)
+    if tp is ComparisonResult:
+        return lambda space, value, key: ComparisonResult(value)
+    if tp in (int, str):
+        return lambda space, value, key: _shaped(value, tp, key)
+    return lambda space, value, key: from_json(tp, space, value)
+
+
+@cache
+def _layout(cls) -> tuple:
+    """(name, decode, required) per field of a dataclass in declaration
+    order, from its type hints on first use."""
+    hints = get_type_hints(cls)
+    return tuple((f.name, _decoder(hints[f.name]),
+                  f.default is MISSING and f.default_factory is MISSING)
+                 for f in fields(cls))
+
+
+def from_json(cls, space: OutcomeSpace, data):
+    """Rebuild dataclass ``cls`` from the object ``to_json`` wrote.
+    Raises ValueError on a missing required key or a wrongly shaped
+    value; keys that name no field are ignored."""
+    _shaped(data, dict, cls.__name__)
+    values = {}
+    for name, decode, required in _layout(cls):
+        if name in data:
+            values[name] = decode(space, data[name], name)
+        elif required:
+            raise ValueError(f"{cls.__name__} document needs {name!r}")
+    return cls(**values)
+
+
+def certificate_from_json(space: OutcomeSpace, data) -> IndifferenceCertificate:
+    return from_json(IndifferenceCertificate, space, data)
 
 
 # ---- verdicts and witnesses -------------------------------------------------
 
-
-# (encode, decode) per declared witness field type.
-_FIELD_CODECS = {
-    Lottery: (lottery_to_json,
-              lambda space, value, key: parse_point(space, value, key)),
-    Fraction: (format_rational, lambda space, value, key: parse_rational(value)),
-    ComparisonResult: (lambda result: result.value,
-                       lambda space, value, key: ComparisonResult(value)),
-    int: (lambda value: value, lambda space, value, key: int(value)),
-    str: (lambda value: value, lambda space, value, key: value),
-}
-
-
-def _layout(cls) -> tuple:
-    """A witness class's (field name, codec) pairs in declaration order."""
-    hints = get_type_hints(cls)
-    return tuple((f.name, _FIELD_CODECS[hints[f.name]]) for f in fields(cls))
-
-
-_WITNESS_LAYOUT = {cls: _layout(cls) for cls in WITNESS_TYPES}
 
 # (kind, route) -> class.  A document without a route decodes as the
 # first class declared for its kind: built in reverse, so that class
@@ -299,56 +267,39 @@ _WITNESS_BY_KEY = {
 
 
 def witness_to_json(witness) -> dict:
-    cls = next((c for c in type(witness).__mro__ if c in _WITNESS_LAYOUT), None)
+    """"kind", then "route" where the class has one, then the fields of
+    the witness's class in WITNESS_TYPES (a subclass adds none)."""
+    cls = next((c for c in type(witness).__mro__ if c in WITNESS_TYPES), None)
     if cls is None:
         raise ValueError(f"cannot serialize witness {witness!r}")
     doc = {"kind": cls.kind}
     if hasattr(cls, "route"):
         doc["route"] = cls.route
-    for name, (encode, _) in _WITNESS_LAYOUT[cls]:
-        doc[name] = encode(getattr(witness, name))
+    doc.update(_fields_to_json(witness, cls))
     return doc
 
 
 def witness_from_json(space: OutcomeSpace, data: dict):
-    kind = data.get("kind")
+    kind = _shaped(data, dict, "witness").get("kind")
     cls = _WITNESS_BY_KEY.get((kind, data.get("route")),
                               _WITNESS_BY_KEY.get((kind, None)))
     if cls is None:
         raise ValueError(f"unknown witness kind {kind!r}")
-    return cls(**{name: decode(space, data[name], name)
-                  for name, (_, decode) in _WITNESS_LAYOUT[cls]})
-
-
-def _budget_to_json(budget: Budget) -> dict:
-    doc = {
-        "grid": {
-            "outcomes": budget.grid.space.size,
-            "denominator_bound": budget.grid.denominator_bound,
-        }
-    }
-    if budget.candidate_bound is not None:
-        doc["candidate_bound"] = budget.candidate_bound
-    if budget.depth is not None:
-        doc["depth"] = budget.depth
-    return doc
+    return from_json(cls, space, data)
 
 
 def verdict_to_json(verdict: AxiomVerdict) -> dict:
     doc = {
         "axiom": verdict.axiom,
         "violated": verdict.violated,
-        "budget": _budget_to_json(verdict.budget),
+        "budget": to_json(verdict.budget),
     }
     if verdict.route is not None:
         doc["route"] = verdict.route
     if verdict.witness is not None:
         doc["witness"] = witness_to_json(verdict.witness)
     if verdict.found is not None:
-        doc["found"] = {
-            "points": [lottery_to_json(p) for p in verdict.found.points],
-            "rank": verdict.found.rank,
-        }
+        doc["found"] = to_json(verdict.found)
     return doc
 
 

@@ -20,6 +20,7 @@ from lotpref.axioms import (
     check_translation,
     check_weak_order,
 )
+from lotpref.errors import AlphaOutOfRange
 from lotpref.grids import GridSpec, enumerate_grid
 from lotpref.lotteries import OutcomeSpace, make_lottery
 from lotpref.oracles import (
@@ -208,6 +209,20 @@ def test_probe_depth_below_one_rejected(depth):
     for kind in ("grid-openness", "mixture", "archimedean", "solvability"):
         with pytest.raises(ValueError, match="depth must be at least 1"):
             check_continuity(EU, kind, GRID4, depth=depth)
+
+
+@pytest.mark.parametrize("answer,error", [(F(3, 2), AlphaOutOfRange),
+                                          (-1, AlphaOutOfRange),
+                                          (0.5, ValueError)])
+def test_solve_contract_rejects_weights_outside_the_contract(answer, error):
+    # The oracle's own solve() is checked like any mixing weight: exact
+    # and inside [0, 1], before any comparison trusts it.
+    class BadSolver(ExpectedUtilityOracle):
+        def solve(self, p, q, r):
+            return answer
+
+    with pytest.raises(error):
+        check_continuity(BadSolver(EU.utility), "solvability", GRID4)
 
 
 def test_probe_witnesses_do_not_replay_without_probes():

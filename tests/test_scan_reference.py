@@ -62,6 +62,36 @@ class TiesBetterOracle(ExpectedUtilityOracle):
         return result
 
 
+class RoundingSolver(ExpectedUtilityOracle):
+    """Expected utility whose solve() rounds the true weight down to a
+    multiple of 1/2, so it lies wherever the true weight is another
+    rational.  A subclass, so the contract walk sees it through the
+    callback path."""
+
+    def solve(self, p, q, r):
+        return Fraction(int(2 * super().solve(p, q, r)), 2)
+
+
+class TieLiar(ExpectedUtilityOracle):
+    """Expected utility whose solve() answers 1/2 when its ``tied`` pair
+    of (p, q, r) is indifferent and the other pair strictly ordered,
+    where the true weight is 1 or 0: it lies only on chains a walk
+    reaches through an indifference."""
+
+    def __init__(self, utility, tied):
+        super().__init__(utility)
+        self.tied = tied  # "pq" or "qr"
+
+    def solve(self, p, q, r):
+        alpha = super().solve(p, q, r)
+        pq, qr = self.compare(p, q), self.compare(q, r)
+        tie, strict = (pq, qr) if self.tied == "pq" else (qr, pq)
+        if (tie is ComparisonResult.INDIFFERENT
+                and strict is ComparisonResult.STRICTLY_BETTER):
+            return Fraction(1, 2)
+        return alpha
+
+
 CALLBACK_ORACLES = ("skewed", "ties-better")
 
 ORACLES = {
@@ -237,6 +267,19 @@ def ref_openness(ref, bound):
     return None
 
 
+def ref_solve_contract(ref):
+    """First (i, j, k, a, b) with p >= q >= r where a/b, the oracle's
+    own solve(p, q, r), does not mix p and r onto q."""
+    s, g = ref.sign, ref.grid
+    for i, j, k, p, q, r in ref.triples():
+        if g[i][j] < 0 or g[j][k] < 0:
+            continue
+        alpha = ref.oracle.solve(p, q, r)
+        if s(mix(p, r, alpha), q) != 0:
+            return (i, j, k, alpha.numerator, alpha.denominator)
+    return None
+
+
 def pairs(fracs):
     return [(a.numerator, a.denominator) for a in fracs]
 
@@ -285,6 +328,45 @@ def test_pure_scans_match_reference(size, bound, oracle_name):
     for name, reference in REFERENCES.items():
         hit = getattr(pure, f"scan_{name}")(spec, nums, den, *kernel_args(name, bound))
         assert hit == reference(ref, bound), f"{name} diverged"
+
+
+SOLVERS = {
+    size: {
+        "eu": ORACLES[size]["eu"],
+        "ties-better": ORACLES[size]["ties-better"],
+        "rounding": lambda s: RoundingSolver(
+            UtilityFunction.of(s, [2, 0, 1, 5][:s.size])),
+        "tie-pq": lambda s: TieLiar(
+            UtilityFunction.of(s, [0, 1, 1, 2][:s.size]), "pq"),
+        "tie-qr": lambda s: TieLiar(
+            UtilityFunction.of(s, [0, 1, 1, 2][:s.size]), "qr"),
+    }
+    for size in (3, 4)
+}
+SOLVE_CASES = [(size, bound, name)
+               for size, bound in GRIDS for name in SOLVERS[size]]
+
+
+@pytest.mark.parametrize(
+    "size,bound,solver", SOLVE_CASES,
+    ids=[f"{name}-{size}x{bound}" for size, bound, name in SOLVE_CASES])
+def test_solve_contract_scans_match_reference(size, bound, solver):
+    # eu takes the closed form; the callback solvers take the walk with
+    # the weight from the oracle's own solve(), as check_continuity does.
+    space = OutcomeSpace.of_size(size)
+    oracle = SOLVERS[size][solver](space)
+    lots, nums, den, spec = _encoded(oracle, GridSpec(space, bound))
+    if spec[0] == "eu":
+        hit = pure.scan_solvability_solve(list(spec[1]), nums, den)
+    else:
+        def weight(i, j, k):
+            alpha = oracle.solve(lots[i], lots[j], lots[k])
+            return alpha.numerator, alpha.denominator
+
+        hit = pure.scan_solve_contract(spec, nums, den, weight)
+    expected = ref_solve_contract(Reference(oracle, lots))
+    assert hit == expected
+    assert (expected is None) == (solver == "eu")
 
 
 def test_reference_cases_cover_hits_and_misses():

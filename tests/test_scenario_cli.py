@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from lotpref.axioms import (
+    ArchimedeanWitness,
     BetweennessWitness,
     IPExhausted,
     LineOrderWitness,
@@ -33,14 +34,21 @@ from lotpref.oracles import (
     UtilityFunction,
 )
 from lotpref.geometry import Hyperplane
-from lotpref.representation import indifference_certificate, replay_certificate
+from lotpref.representation import (
+    generate_indifferent_points,
+    indifference_certificate,
+    replay_certificate,
+)
 from lotpref.scenario import (
     certificate_from_json,
     certificate_to_json,
+    construction_to_json,
+    dump_document,
     oracle_from_json,
     oracle_to_json,
     parse_lottery_field,
     parse_point,
+    replay_to_json,
     scenario_from_dict,
     verdict_to_json,
     witness_from_json,
@@ -173,6 +181,8 @@ def test_unknown_witness_kind_rejected():
     with pytest.raises(ValueError):
         witness_from_json(SPACE, {"kind": "telepathy"})
     with pytest.raises(ValueError):
+        witness_from_json(SPACE, [])
+    with pytest.raises(ValueError):
         witness_to_json(object())
     # A solvability document without a route is the alpha-scan witness.
     routeless = {"kind": "solvability", "p": ["0", "0", "1"],
@@ -180,6 +190,20 @@ def test_unknown_witness_kind_rejected():
                  "candidate_bound": 3}
     assert witness_from_json(SPACE, routeless) == SolvabilityScanWitness(
         p=lot(0, 0, 1), q=lot(0, 1, 0), r=lot(1, 0, 0), candidate_bound=3)
+
+
+def test_witness_with_unknown_case_rejected():
+    # Accepted, this document would replay True against EU by reading
+    # the unknown relation as "point-vs-p", although EU orders that line.
+    bogus = {"kind": "line-order", "p": ["0", "0", "1"], "q": ["1", "0", "0"],
+             "t": "1/2", "point": ["1/2", "0", "1/2"], "relation": "bogus",
+             "observed": "strictly-worse"}
+    with pytest.raises(ValueError):
+        witness_from_json(SPACE, bogus)
+    assert check_line_order(EU, GridSpec(SPACE, 3)).no_violation_found
+    with pytest.raises(ValueError):
+        ArchimedeanWitness(p=lot(0, 0, 1), q=lot(0, 1, 0), r=lot(1, 0, 0),
+                           side="gamma", depth=4)
 
 
 def test_verdict_document_shape():
@@ -208,6 +232,102 @@ def test_certificate_round_trip(target):
 def test_certificate_from_json_missing_field():
     with pytest.raises(ValueError):
         certificate_from_json(SPACE, {"target": ["1", "0", "0"]})
+    cert = indifference_certificate(
+        lot("3/8", "1/4", "3/8"), (uniform(SPACE), lot("5/12", "1/6", "5/12")))
+    doc = certificate_to_json(cert)
+    del doc["steps"][0]["alpha"]
+    with pytest.raises(ValueError):
+        certificate_from_json(SPACE, doc)
+    doc = certificate_to_json(cert)
+    doc["k_star"] = "x"
+    with pytest.raises(ValueError):
+        certificate_from_json(SPACE, doc)
+
+
+# ---- exact document text -----------------------------------------------------------
+#
+# Each expected document is written as compact JSON; its key order and
+# value types are the wire format, and dump_document must print it with
+# two-space indents and a trailing newline.
+
+CERT_POINTS = (uniform(SPACE), lot("5/12", "1/6", "5/12"))
+P_UNIFORM = '["1/3", "1/3", "1/3"]'
+P_SECOND = '["5/12", "1/6", "5/12"]'
+
+
+def expected_text(compact: str) -> str:
+    return json.dumps(json.loads(compact), indent=2) + "\n"
+
+
+def test_certificate_documents_exact_text():
+    convex = indifference_certificate(lot("3/8", "1/4", "3/8"), CERT_POINTS)
+    assert dump_document(certificate_to_json(convex)) == expected_text(
+        '{"target": ["3/8", "1/4", "3/8"], '
+        f'"points": [{P_UNIFORM}, {P_SECOND}], '
+        '"coefficients": ["1/2", "1/2"], "branch": "convex", '
+        f'"steps": [{{"left": {P_UNIFORM}, "right": {P_SECOND}, '
+        '"alpha": "1/2", "result": ["3/8", "1/4", "3/8"]}]}')
+    reduction = indifference_certificate(lot("1/2", 0, "1/2"), CERT_POINTS)
+    assert dump_document(certificate_to_json(reduction)) == expected_text(
+        '{"target": ["1/2", "0", "1/2"], '
+        f'"points": [{P_UNIFORM}, {P_SECOND}], '
+        '"coefficients": ["-1", "2"], "branch": "reduction", "steps": [], '
+        '"k_star": 0, "lambda_star": "1", "mean": ["3/8", "1/4", "3/8"], '
+        f'"alpha_star": "2/3", "reduced": {P_SECOND}, '
+        '"reduced_coefficients": ["0", "1"], "ia_rhs": ["4/9", "1/9", "4/9"]}')
+
+
+def test_replay_document_exact_text():
+    convex = indifference_certificate(lot("3/8", "1/4", "3/8"), CERT_POINTS)
+    assert dump_document(replay_to_json(replay_certificate(convex, EU))) == (
+        expected_text(
+            '{"ok": true, "checks": [["coefficients sum to 1", true], '
+            '["coefficients combine to the target", true], '
+            '["points pairwise indifferent", true], '
+            '["mixture chain stays indifferent", true], '
+            '["chain ends at the target", true], '
+            '["target indifferent to the class", true]]}'))
+
+
+def test_construction_document_exact_text():
+    _, construction = generate_indifferent_points(EU.utility)
+    assert dump_document(construction_to_json(construction)) == expected_text(
+        '{"matrix": [["0", "1", "2"], ["1", "1", "1"]], "mean_utility": "1", '
+        f'"base": {P_UNIFORM}, "basis": [["1", "-2", "1"]], "step": "1/12"}}')
+
+
+GRID_2 = '{"grid": {"outcomes": 3, "denominator_bound": 2}'
+VERDICT_TEXTS = [
+    # No candidate bound, no depth: the budget is the grid alone.
+    (lambda g: check_weak_order(MajorityOracle(SPACE), g),
+     '{"axiom": "weak-order", "violated": true, "budget": ' + GRID_2 + '}, '
+     '"witness": {"kind": "weak-order", "p": ["0", "0", "1"], '
+     '"q": ["0", "1", "0"], "r": ["1/2", "1/2", "0"], "pq": "indifferent", '
+     '"qr": "indifferent", "pr": "strictly-worse"}}'),
+    # Both budget fields.
+    (lambda g: check_continuity(HYBRID, "mixture", g, 3),
+     '{"axiom": "mixture", "violated": true, "budget": ' + GRID_2
+     + ', "candidate_bound": 4, "depth": 3}, '
+     '"witness": {"kind": "mixture", "p": ["0", "0", "1"], '
+     '"q": ["0", "1", "0"], "r": ["1", "0", "0"], "alpha_star": "1", '
+     '"side": -1, "boundary": "strictly-worse", "depth": 3}}'),
+    # A found spanning set.
+    (lambda g: check_ip(EU, g),
+     '{"axiom": "ip", "violated": false, "budget": ' + GRID_2 + '}, '
+     '"found": {"points": [["0", "1", "0"], ["1/2", "0", "1/2"]], '
+     '"rank": 1}}'),
+    # A route and no witness.
+    (lambda g: check_continuity(EU, "solvability", g),
+     '{"axiom": "solvability", "violated": false, "budget": ' + GRID_2
+     + '}, "route": "solve-contract"}'),
+]
+
+
+@pytest.mark.parametrize("check,compact", VERDICT_TEXTS,
+                         ids=["weak-order", "mixture", "ip", "solvability"])
+def test_verdict_documents_exact_text(check, compact):
+    verdict = check(GridSpec(SPACE, 2))
+    assert dump_document(verdict_to_json(verdict)) == expected_text(compact)
 
 
 # ---- scenario parsing --------------------------------------------------------------
@@ -438,6 +558,23 @@ def test_cli_check_matches_api(axiom, extra, expected, capsys):
     header, doc = split_output(capsys.readouterr().out)
     assert code == (1 if verdict.violated else 0)
     assert doc["verdict"] == verdict_to_json(verdict)
+
+
+def test_cli_oracle_flags_reach_the_oracle(capsys):
+    # --utility and --priority become fields of the oracle block.
+    cases = [
+        (["--oracle", "lexicographic", "--priority", "2,0,1"],
+         LexicographicOracle(SPACE, (2, 0, 1))),
+        (["--oracle", "eu", "--utility", "2, -1,0"],
+         ExpectedUtilityOracle(UtilityFunction.of(SPACE, [2, -1, 0]))),
+    ]
+    for flags, oracle in cases:
+        code = cli.main(["check", *flags, "--axiom", "ip", "--grid", "3"])
+        verdict = check_ip(oracle, GridSpec(SPACE, 3))
+        _, doc = split_output(capsys.readouterr().out)
+        assert code == (1 if verdict.violated else 0)
+        assert doc["oracle"] == oracle_to_json(oracle)
+        assert doc["verdict"] == verdict_to_json(verdict)
 
 
 def test_cli_rejects_unknown_axiom():
