@@ -6,14 +6,12 @@ arguments imply.  It has the same signature and semantics as its twin
 in ``pure``; the only decision made is which backend runs.  The
 compiled path is taken when the extension imported, the oracle
 encoding is one the C code knows, and the integer envelope fits
-128-bit intermediates.  Set LOTPREF_PURE=1 (or call set_force_pure) to
-pin the pure backend.  ``scan_solvability_solve`` takes a utility
-instead of an oracle encoding and keeps a wrapper of its own.
+128-bit intermediates.  Call set_force_pure to pin the pure backend.
+``scan_solvability_solve`` takes a utility instead of an oracle
+encoding and keeps a wrapper of its own.
 """
 
 from __future__ import annotations
-
-import os
 
 from . import encoding, pure
 from .encoding import encode_lotteries, encode_oracle, envelope_ok
@@ -24,7 +22,7 @@ except ImportError:
     _fast = None
 
 _KIND_CODES = {"eu": 0, "lex": 1, "hybrid": 2, "majority": 3}
-_force_pure = os.environ.get("LOTPREF_PURE") == "1"
+_force_pure = False
 
 __all__ = [
     "encode_lotteries",

@@ -525,27 +525,22 @@ def check_ip(oracle: PreferenceOracle, grid: GridSpec) -> AxiomVerdict:
     if n == 0:
         return AxiomVerdict("ip", False, budget, found=IPFound((), -1))
 
-    classes: list[dict] = []
+    # Each class is its span: affinely independent members, the first
+    # one its representative, so its affine rank is len(span) - 1.
+    classes: list[list[Lottery]] = []
     best_size = 0
     for lot in lots:
-        home = None
-        for cls in classes:
-            if oracle.compare(lot, cls["rep"]) is INDIFF:
-                home = cls
+        for span in classes:
+            if oracle.compare(lot, span[0]) is INDIFF:
+                if affine_rank([embed(x).coords for x in (*span, lot)]) == len(span):
+                    span.append(lot)
                 break
-        if home is None:
-            home = {"rep": lot, "span": [lot], "coords": [embed(lot).coords],
-                    "rank": 0}
-            classes.append(home)
         else:
-            trial = home["coords"] + [embed(lot).coords]
-            if affine_rank(trial) > home["rank"]:
-                home["span"].append(lot)
-                home["coords"] = trial
-                home["rank"] += 1
-        best_size = max(best_size, len(home["span"]))
-        if len(home["span"]) == n and home["rank"] == n - 1:
-            points = tuple(home["span"])
+            span = [lot]
+            classes.append(span)
+        best_size = max(best_size, len(span))
+        if len(span) == n:
+            points = tuple(span)
             pairwise = all(
                 oracle.compare(points[a], points[b]) is INDIFF
                 for a in range(n) for b in range(a + 1, n))

@@ -1,8 +1,11 @@
 """Batch command line front end.
 
 One subcommand per public operation: elicit, generate, classify,
-certify, construct-ip, check.  Inputs come from a JSON scenario file
-and/or flags (flags win).  Output is a short human-readable header
+certify, construct-ip, check.  Every input is a scenario key: each flag
+replaces the key of the same name in the --scenario file (or in an
+empty scenario), --p/--q/--r and --axiom/--variant/--grid/--depth one
+key inside the construct or check block, and the result is decoded
+once by ``load_scenario``.  Output is a short human-readable header
 followed by one JSON document, all rationals in canonical string form;
 --out mirrors stdout byte for byte.
 
@@ -28,9 +31,8 @@ from .axioms import (
 )
 from .errors import LotprefError
 from .grids import GridSpec
-from .lotteries import OutcomeSpace
-from .oracles import ExpectedUtilityOracle, RepresentedOracle, UtilityFunction
-from .rationals import format_rational, parse_rational
+from .oracles import ExpectedUtilityOracle, RepresentedOracle
+from .rationals import format_rational
 from .representation import (
     construct_ip_via_solvability,
     elicit,
@@ -47,9 +49,8 @@ from .scenario import (
     dump_document,
     load_scenario,
     lottery_to_json,
-    oracle_from_json,
     oracle_to_json,
-    parse_lottery_field,
+    parse_lottery_field,  # noqa: F401  (perfbench/layers.py times it here)
     replay_to_json,
     representation_to_json,
     verdict_to_json,
@@ -64,7 +65,7 @@ AXIOM_CHECKS = {
         o, g, v or "independence"),
     "betweenness": lambda o, g, v, d: check_independence(o, g, "betweenness"),
     "ip": lambda o, g, v, d: check_ip(o, g),
-    **{kind: lambda o, g, v, d, kind=kind: check_continuity(o, kind, g, int(d))
+    **{kind: lambda o, g, v, d, kind=kind: check_continuity(o, kind, g, d)
        for kind in CONTINUITY_KINDS},
     "convexity": lambda o, g, v, d: check_convexity(o, g),
     "translation": lambda o, g, v, d: check_translation(o, g),
@@ -81,7 +82,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "certificates, constructions, and axiom checks.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, run, summary):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(run=run)
         p.add_argument("--scenario", metavar="FILE",
                        help="JSON scenario file (version %d)" % SCHEMA_VERSION)
         p.add_argument("--out", metavar="FILE",
@@ -89,55 +92,46 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--outcomes", type=int, metavar="N",
                        help="outcome count when no scenario declares one "
                             "(default %d)" % DEFAULT_OUTCOMES)
+        return p
 
-    p = sub.add_parser("elicit", help="fit a representation to "
-                                      "indifference data")
-    common(p)
-    p.set_defaults(run=_cmd_elicit)
+    command("elicit", _cmd_elicit,
+            "fit a representation to indifference data")
 
-    p = sub.add_parser("generate", help="indifferent points from a utility")
-    common(p)
-    p.set_defaults(run=_cmd_generate)
+    p = command("generate", _cmd_generate, "indifferent points from a utility")
     p.add_argument("--utility", metavar="CSV",
                    help="comma-separated utility values, e.g. 0,1,2")
 
-    p = sub.add_parser("classify", help="rank queries against a reference "
-                                        "under an elicited representation")
-    common(p)
-    p.set_defaults(run=_cmd_classify)
+    p = command("classify", _cmd_classify, "rank queries against a reference "
+                                           "under an elicited representation")
     p.add_argument("--reference", metavar="LOTTERY",
                    help="reference lottery: 'uniform' or comma-separated "
                         "weights")
-    p.add_argument("--query", action="append", metavar="LOTTERY",
-                   help="query lottery (repeatable)")
+    p.add_argument("--query", dest="queries", action="append",
+                   metavar="LOTTERY", help="query lottery (repeatable)")
 
-    p = sub.add_parser("certify", help="step-by-step indifference "
-                                       "certificate for a target")
-    common(p)
-    p.set_defaults(run=_cmd_certify)
+    p = command("certify", _cmd_certify,
+                "step-by-step indifference certificate for a target")
     p.add_argument("--target", metavar="LOTTERY",
                    help="target lottery to certify")
 
-    p = sub.add_parser("construct-ip", help="construct indifferent points "
-                                            "via the oracle's solve "
-                                            "capability")
-    common(p)
-    p.set_defaults(run=_cmd_construct_ip)
+    p = command("construct-ip", _cmd_construct_ip, "construct indifferent "
+                "points via the oracle's solve capability")
     _oracle_flags(p)
-    p.add_argument("--p", metavar="LOTTERY", help="best lottery of the triple")
-    p.add_argument("--q", metavar="LOTTERY", help="middle lottery")
-    p.add_argument("--r", metavar="LOTTERY", help="worst lottery")
+    for key, role in (("p", "best lottery of the triple"),
+                      ("q", "middle lottery"), ("r", "worst lottery")):
+        p.add_argument("--" + key, dest="construct." + key,
+                       metavar="LOTTERY", help=role)
 
-    p = sub.add_parser("check", help="hunt for an axiom violation on a grid")
-    common(p)
-    p.set_defaults(run=_cmd_check)
+    p = command("check", _cmd_check, "hunt for an axiom violation on a grid")
     _oracle_flags(p)
-    p.add_argument("--axiom", choices=tuple(AXIOM_CHECKS), help="axiom to falsify")
-    p.add_argument("--variant", choices=("independence", "betweenness"),
+    p.add_argument("--axiom", dest="check.axiom", choices=tuple(AXIOM_CHECKS),
+                   help="axiom to falsify")
+    p.add_argument("--variant", dest="check.variant",
+                   choices=("independence", "betweenness"),
                    help="independence variant (with --axiom independence)")
-    p.add_argument("--grid", type=int, metavar="D",
+    p.add_argument("--grid", dest="check.grid", type=int, metavar="D",
                    help="grid denominator bound (default 4)")
-    p.add_argument("--depth", type=int, metavar="H",
+    p.add_argument("--depth", dest="check.depth", type=int, metavar="H",
                    help="dyadic probe depth (default %d)" % DEFAULT_DEPTH)
 
     return parser
@@ -149,7 +143,8 @@ def _oracle_flags(p):
                    help="oracle kind (scenario files also support "
                         "'represented')")
     p.add_argument("--utility", metavar="CSV",
-                   help="comma-separated utility values for --oracle eu")
+                   help="comma-separated utility values: the eu oracle's "
+                        "with --oracle eu, else the scenario's utility")
     p.add_argument("--priority", metavar="CSV",
                    help="comma-separated outcome priority for "
                         "--oracle lexicographic")
@@ -163,10 +158,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         text, code = args.run(args)
-    except LotprefError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (LotprefError, ValueError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     sys.stdout.write(text)
@@ -178,51 +170,41 @@ def main(argv=None) -> int:
 
 # ---- shared resolution ------------------------------------------------------
 
-
-def _scenario(args) -> Scenario | None:
-    if args.scenario:
-        return load_scenario(args.scenario)
-    return None
-
-
-def _space(args, scenario: Scenario | None,
-           utility_csv: str | None = None) -> OutcomeSpace:
-    if scenario is not None:
-        return scenario.space
-    if utility_csv:
-        return OutcomeSpace.of_size(len(utility_csv.split(",")))
-    if args.outcomes:
-        return OutcomeSpace.of_size(args.outcomes)
-    return OutcomeSpace.of_size(DEFAULT_OUTCOMES)
+# Flag dests that are scenario keys; "block.key" is one key inside the
+# construct or check block.
+KEY_FLAGS = ("reference", "queries", "target", "construct.p", "construct.q",
+             "construct.r", "check.axiom", "check.variant", "check.grid",
+             "check.depth")
 
 
-def _utility_from_csv(space: OutcomeSpace, csv: str) -> UtilityFunction:
-    values = tuple(parse_rational(part.strip()) for part in csv.split(","))
-    return UtilityFunction(space, values)
-
-
-def _oracle(args, scenario: Scenario | None, space: OutcomeSpace):
-    """Flags win over the scenario's oracle block; a scenario with only
-    a utility implies the expected-utility oracle over it."""
+def _scenario(args) -> Scenario:
+    """The scenario file, or an empty scenario sized by --utility, then
+    --outcomes, with every given flag written over its scenario key."""
+    keys = {key: getattr(args, key) for key in KEY_FLAGS
+            if getattr(args, key, None) is not None}
+    utility = getattr(args, "utility", None)
+    utility = utility and utility.split(",")
     if getattr(args, "oracle", None):
-        block = {"kind": args.oracle}
-        if args.utility:
-            block["utility"] = args.utility.split(",")
+        block = keys["oracle"] = {"kind": args.oracle}
+        if utility:
+            block["utility"] = utility
         if args.priority:
-            block["priority"] = args.priority.split(",")
-        return oracle_from_json(space, block)
-    if scenario is not None and scenario.oracle is not None:
+            block["priority"] = [int(i) for i in args.priority.split(",")]
+    elif utility:
+        keys["utility"] = utility
+    outcomes = len(utility) if utility else args.outcomes or DEFAULT_OUTCOMES
+    return load_scenario(args.scenario, keys, outcomes)
+
+
+def _oracle(scenario: Scenario):
+    """The scenario's oracle block; a scenario with only a utility
+    implies the expected-utility oracle over it."""
+    if scenario.oracle is not None:
         return scenario.oracle
-    if scenario is not None and scenario.utility is not None:
+    if scenario.utility is not None:
         return ExpectedUtilityOracle(scenario.utility)
     raise ValueError("no oracle given (use --oracle or a scenario oracle "
                      "block)")
-
-
-def _given(*values):
-    """The first value that was given at all; 0 counts as given, so a
-    bad bound reaches the checker and fails there."""
-    return next(v for v in values if v is not None)
 
 
 def _tuple_str(values) -> str:
@@ -241,7 +223,7 @@ def _points_block(points) -> str:
 
 def _cmd_elicit(args) -> tuple[str, int]:
     scenario = _scenario(args)
-    if scenario is None or scenario.elicitation is None:
+    if scenario.elicitation is None:
         raise ValueError("elicit needs a scenario with 'indifferent' data")
     rep = elicit(scenario.elicitation)
     text = "u = %s\noriented = %s\n" % (
@@ -253,14 +235,9 @@ def _cmd_elicit(args) -> tuple[str, int]:
 
 def _cmd_generate(args) -> tuple[str, int]:
     scenario = _scenario(args)
-    if args.utility:
-        space = _space(args, scenario, args.utility)
-        utility = _utility_from_csv(space, args.utility)
-    elif scenario is not None and scenario.utility is not None:
-        utility = scenario.utility
-    else:
+    if scenario.utility is None:
         raise ValueError("generate needs --utility or a scenario 'utility'")
-    points, construction = generate_indifferent_points(utility)
+    points, construction = generate_indifferent_points(scenario.utility)
     doc = {
         "version": SCHEMA_VERSION,
         "points": [lottery_to_json(p) for p in points],
@@ -271,23 +248,14 @@ def _cmd_generate(args) -> tuple[str, int]:
 
 def _cmd_classify(args) -> tuple[str, int]:
     scenario = _scenario(args)
-    if scenario is None or scenario.elicitation is None:
+    if scenario.elicitation is None:
         raise ValueError("classify needs a scenario with 'indifferent' data")
     rep = elicit(scenario.elicitation)
-    space = scenario.space
-    if args.reference is not None:
-        reference = parse_lottery_field(space, args.reference, "reference")
-    elif scenario.reference is not None:
-        reference = scenario.reference
-    else:
+    reference, queries = scenario.reference, scenario.queries
+    if reference is None:
         raise ValueError("classify needs --reference or a scenario "
                          "'reference'")
-    if args.query:
-        queries = tuple(
-            parse_lottery_field(space, q, "query") for q in args.query)
-    elif scenario.queries:
-        queries = scenario.queries
-    else:
+    if not queries:
         raise ValueError("classify needs --query or scenario 'queries'")
     results = [classify(rep, reference, q) for q in queries]
     text = "".join(res.value + "\n" for res in results)
@@ -304,26 +272,20 @@ def _cmd_classify(args) -> tuple[str, int]:
 
 def _cmd_certify(args) -> tuple[str, int]:
     scenario = _scenario(args)
-    if scenario is None or scenario.elicitation is None:
+    if scenario.elicitation is None:
         raise ValueError("certify needs a scenario with 'indifferent' data")
-    points = scenario.elicitation.indifferent
-    space = scenario.space
-    if args.target is not None:
-        target = parse_lottery_field(space, args.target, "target")
-    elif scenario.target is not None:
-        target = scenario.target
-    else:
+    if scenario.target is None:
         raise ValueError("certify needs --target or a scenario 'target'")
 
     if scenario.oracle is None and scenario.utility is None:
         # The indifference data itself pins the class: orientation does
         # not matter for ~, so +1 serves even without a strict pair.
         rep = elicit(scenario.elicitation)
-        oracle = RepresentedOracle(space, rep.hyperplane, 1)
+        oracle = RepresentedOracle(scenario.space, rep.hyperplane, 1)
     else:
-        oracle = _oracle(args, scenario, space)
+        oracle = _oracle(scenario)
 
-    cert = indifference_certificate(target, points)
+    cert = indifference_certificate(scenario.target, scenario.indifferent)
     replay = replay_certificate(cert, oracle)
     text = "branch = %s\nreplay = %s\n" % (
         cert.branch, "ok" if replay.ok else "failed")
@@ -341,18 +303,12 @@ def _cmd_certify(args) -> tuple[str, int]:
 
 def _cmd_construct_ip(args) -> tuple[str, int]:
     scenario = _scenario(args)
-    space = _space(args, scenario, args.utility)
-    oracle = _oracle(args, scenario, space)
-    if args.p and args.q and args.r:
-        triple = tuple(
-            parse_lottery_field(space, field, name)
-            for field, name in ((args.p, "p"), (args.q, "q"), (args.r, "r")))
-    elif scenario is not None and scenario.construct is not None:
-        triple = scenario.construct
-    else:
+    oracle = _oracle(scenario)
+    triple = scenario.construct
+    if triple is None:
         raise ValueError("construct-ip needs --p/--q/--r or a scenario "
                          "'construct' block")
-    points = construct_ip_via_solvability(oracle, *triple)
+    points = construct_ip_via_solvability(oracle, triple.p, triple.q, triple.r)
     doc = {
         "version": SCHEMA_VERSION,
         "oracle": oracle_to_json(oracle),
@@ -363,20 +319,15 @@ def _cmd_construct_ip(args) -> tuple[str, int]:
 
 def _cmd_check(args) -> tuple[str, int]:
     scenario = _scenario(args)
-    space = _space(args, scenario, args.utility)
-    oracle = _oracle(args, scenario, space)
-    block = scenario.check if scenario is not None and scenario.check else {}
-
-    axiom = args.axiom or block.get("axiom")
-    if not axiom:
+    oracle = _oracle(scenario)
+    check = scenario.check
+    if check is None or check.axiom is None:
         raise ValueError("check needs --axiom or a scenario check block")
-    if axiom not in AXIOM_CHECKS:
-        raise ValueError(f"unknown axiom {axiom!r}")
-    variant = args.variant or block.get("variant")
-    bound = _given(args.grid, block.get("grid"), 4)
-    depth = _given(args.depth, block.get("depth"), DEFAULT_DEPTH)
-    grid = GridSpec(space, int(bound))
-    verdict = AXIOM_CHECKS[axiom](oracle, grid, variant, depth)
+    if check.axiom not in AXIOM_CHECKS:
+        raise ValueError(f"unknown axiom {check.axiom!r}")
+    grid = GridSpec(scenario.space, 4 if check.grid is None else check.grid)
+    depth = DEFAULT_DEPTH if check.depth is None else check.depth
+    verdict = AXIOM_CHECKS[check.axiom](oracle, grid, check.variant, depth)
 
     text = "axiom = %s\nverdict = %s\n" % (
         verdict.axiom, "violated" if verdict.violated else "no-violation-found")

@@ -461,6 +461,14 @@ def _affine_combination(points, coeffs, space) -> tuple[Fraction, ...]:
         for i in range(space.size))
 
 
+def _mixes_to(left, right, alpha, result) -> bool:
+    """mix(left, right, alpha) == result; False when a part is missing
+    or alpha leaves [0, 1], where no mixture is defined."""
+    if left is None or right is None or result is None or alpha is None:
+        return False
+    return 0 <= alpha <= 1 and mix(left, right, alpha) == result
+
+
 def replay_certificate(
         cert: IndifferenceCertificate, oracle: PreferenceOracle) -> CertificateReplay:
     """Re-check every arithmetic identity and oracle comparison.
@@ -484,22 +492,21 @@ def replay_certificate(
     checks.append(("points pairwise indifferent", pairwise))
 
     if cert.branch == "convex":
-        chain_ok = True
-        for step in cert.steps:
-            if mix(step.left, step.right, step.alpha) != step.result:
-                chain_ok = False
-                break
-            if oracle.compare(step.result, pts[0]) is not indiff:
-                chain_ok = False
-                break
+        chain_ok = all(
+            _mixes_to(step.left, step.right, step.alpha, step.result)
+            and oracle.compare(step.result, pts[0]) is indiff
+            for step in cert.steps)
         checks.append(("mixture chain stays indifferent", chain_ok))
         if cert.steps:
             checks.append(("chain ends at the target",
                            cert.steps[-1].result == cert.target))
     elif cert.branch == "reduction":
+        # Every reduction field is optional on the wire, so a decoded
+        # certificate may lack one: each check that needs it fails.
         m = len(pts)
         inv_m = Fraction(1, m)
         low = min(cert.coefficients)
+        reduced, rc = cert.reduced, cert.reduced_coefficients
         checks.append(("most negative coefficient drives the reduction",
                        low < 0
                        and cert.lambda_star == -low
@@ -508,29 +515,26 @@ def replay_certificate(
                        cert.mean is not None and cert.mean.weights
                        == _affine_combination(pts, (inv_m,) * m, space)))
         ok_alpha = (
-            cert.lambda_star is not None
+            cert.lambda_star is not None and cert.lambda_star > 0
             and cert.alpha_star == (m * cert.lambda_star) / (1 + m * cert.lambda_star)
             and 0 < cert.alpha_star < 1)
         checks.append(("pullback weight from the most negative coefficient",
                        ok_alpha))
         checks.append(("reduced point is the recorded mixture",
-                       cert.reduced is not None and cert.alpha_star is not None
-                       and mix(cert.mean, cert.target, cert.alpha_star)
-                       == cert.reduced))
-        rc = cert.reduced_coefficients
+                       _mixes_to(cert.mean, cert.target, cert.alpha_star, reduced)))
         rc_ok = (
-            rc is not None
-            and cert.k_star is not None
+            rc is not None and reduced is not None
+            and cert.k_star in range(len(rc))
             and rc[cert.k_star] == 0
             and all(c >= 0 for c in rc)
-            and _affine_combination(pts, rc, space) == cert.reduced.weights)
+            and _affine_combination(pts, rc, space) == reduced.weights)
         checks.append(("reduced coefficients convex with a zero at k*", rc_ok))
         checks.append(("reduced point indifferent to the class",
-                       oracle.compare(cert.reduced, pts[0]) is indiff))
+                       reduced is not None
+                       and oracle.compare(reduced, pts[0]) is indiff))
         ia_ok = (
-            cert.ia_rhs is not None
-            and mix(cert.reduced, cert.target, cert.alpha_star) == cert.ia_rhs
-            and oracle.compare(cert.reduced, cert.ia_rhs) is indiff)
+            _mixes_to(reduced, cert.target, cert.alpha_star, cert.ia_rhs)
+            and oracle.compare(reduced, cert.ia_rhs) is indiff)
         checks.append(("independence step holds", ia_ok))
     else:
         checks.append((f"unknown branch {cert.branch!r}", False))

@@ -3,9 +3,11 @@
 A scenario is a JSON document (schema ``version: 1``) declaring an
 outcome space plus whatever a subcommand needs: a utility, an oracle,
 elicitation data, queries, a certificate target, a construction triple,
-or a check request.  Every rational travels as a canonical string
-("a/b" or "a"); floats are never accepted, so exactness survives the
-round trip.
+or a check request.  ``Scenario`` has one field per key and is decoded
+by ``from_json`` like any other dataclass, so a wrongly shaped value
+fails with ValueError naming its key.  Every rational travels as a
+canonical string ("a/b" or "a"); floats are never accepted, so
+exactness survives the round trip.
 
 Every dataclass (certificates, constructions, replays, budgets, found
 sets, hyperplanes, witnesses) has one wire format: one key per field in
@@ -13,8 +15,8 @@ declaration order, None fields left out, lotteries as lists of
 rationals, comparison results as their values.  ``to_json`` writes it;
 ``from_json`` reads it back by the declared field types.  A witness
 starts with "kind" (and "route" where its class has one).  Verdicts,
-representations, oracles and scenarios are framed by hand: their keys
-are not field names in declaration order.
+representations and oracles are framed by hand: their keys are not
+field names in declaration order.
 """
 
 from __future__ import annotations
@@ -22,12 +24,12 @@ from __future__ import annotations
 import json
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from types import UnionType
-from typing import get_args, get_origin, get_type_hints
+from typing import Annotated, Union, get_args, get_origin, get_type_hints
 
 from .axioms import WITNESS_TYPES, AxiomVerdict
-from .errors import EmptyInput, LengthMismatch
+from .errors import EmptyInput
 from .geometry import Hyperplane
 from .grids import GridSpec
 from .lotteries import Lottery, OutcomeSpace, uniform
@@ -134,9 +136,8 @@ def oracle_from_json(space: OutcomeSpace, data: dict) -> PreferenceOracle:
         values = _parse_fractions(data["utility"], "utility")
         return ExpectedUtilityOracle(UtilityFunction(space, values))
     if kind == "lexicographic":
-        priority = data.get("priority")
-        if priority is not None:
-            priority = tuple(int(i) for i in priority)
+        priority = _decoder(tuple[int, ...] | None)(
+            space, data.get("priority"), "priority")
         return LexicographicOracle(space, priority)
     if kind == "hybrid":
         return HybridExampleOracle(space)
@@ -146,7 +147,8 @@ def oracle_from_json(space: OutcomeSpace, data: dict) -> PreferenceOracle:
         plane = from_json(Hyperplane, space, data)
         if "orientation" not in data:
             raise ValueError("represented oracle needs 'orientation'")
-        return RepresentedOracle(space, plane, int(data["orientation"]))
+        return RepresentedOracle(
+            space, plane, _shaped(data["orientation"], int, "orientation"))
     raise ValueError(f"unknown oracle kind {kind!r}")
 
 
@@ -203,10 +205,12 @@ def _shaped(value, json_type, key):
 
 def _decoder(tp):
     """decode(space, value, key) for a declared field type: T | None,
-    tuple[T, ...], Lottery, Fraction, ComparisonResult, int, str, or a
-    nested dataclass."""
+    tuple[T, ...], Annotated[T, decode], Lottery, Fraction,
+    ComparisonResult, UtilityFunction, PreferenceOracle, int, str, or a
+    nested dataclass; None for OutcomeSpace, which takes the space the
+    document is read in."""
     origin, args = get_origin(tp), get_args(tp)
-    if origin is UnionType:  # T | None
+    if origin in (Union, UnionType):  # T | None
         inner = _decoder(args[0])
         return lambda space, value, key: (
             None if value is None else inner(space, value, key))
@@ -214,22 +218,32 @@ def _decoder(tp):
         item = _decoder(args[0])
         return lambda space, value, key: tuple(
             item(space, v, key) for v in _shaped(value, list, key))
+    if origin is Annotated:  # the field names its own decoder
+        return args[1]
+    if tp is OutcomeSpace:
+        return None
     if tp is Lottery:
         return parse_point
     if tp is Fraction:
         return lambda space, value, key: parse_rational(value)
     if tp is ComparisonResult:
         return lambda space, value, key: ComparisonResult(value)
+    if tp is UtilityFunction:
+        return lambda space, value, key: UtilityFunction(
+            space, _parse_fractions(value, key))
+    if tp is PreferenceOracle:
+        return lambda space, value, key: oracle_from_json(space, value)
     if tp in (int, str):
         return lambda space, value, key: _shaped(value, tp, key)
-    return lambda space, value, key: from_json(tp, space, value)
+    return lambda space, value, key: from_json(
+        tp, space, _shaped(value, dict, key))
 
 
 @cache
 def _layout(cls) -> tuple:
     """(name, decode, required) per field of a dataclass in declaration
     order, from its type hints on first use."""
-    hints = get_type_hints(cls)
+    hints = get_type_hints(cls, include_extras=True)
     return tuple((f.name, _decoder(hints[f.name]),
                   f.default is MISSING and f.default_factory is MISSING)
                  for f in fields(cls))
@@ -242,7 +256,9 @@ def from_json(cls, space: OutcomeSpace, data):
     _shaped(data, dict, cls.__name__)
     values = {}
     for name, decode, required in _layout(cls):
-        if name in data:
+        if decode is None:
+            values[name] = space
+        elif name in data:
             values[name] = decode(space, data[name], name)
         elif required:
             raise ValueError(f"{cls.__name__} document needs {name!r}")
@@ -306,34 +322,70 @@ def verdict_to_json(verdict: AxiomVerdict) -> dict:
 # ---- scenario files ---------------------------------------------------------
 
 
+# A scenario lottery may also be written "uniform" or as a
+# comma-separated string of rationals.
+LotteryField = Annotated[Lottery, parse_lottery_field]
+
+
+@dataclass(frozen=True)
+class StrictPair:
+    better: Lottery
+    worse: Lottery
+
+
+@dataclass(frozen=True)
+class Construct:
+    """The best, middle and worst lottery of a construction."""
+
+    p: LotteryField
+    q: LotteryField
+    r: LotteryField
+
+
+@dataclass(frozen=True)
+class CheckRequest:
+    axiom: str | None = None
+    variant: str | None = None
+    grid: int | None = None
+    depth: int | None = None
+
+
 @dataclass(frozen=True)
 class Scenario:
-    """Everything a scenario file declared, already validated."""
+    """Everything a scenario file declared, already validated: one
+    field per scenario key, decoded by ``from_json``."""
 
     space: OutcomeSpace
     utility: UtilityFunction | None = None
     oracle: PreferenceOracle | None = None
-    elicitation: ElicitationInput | None = None
-    reference: Lottery | None = None
-    queries: tuple[Lottery, ...] = ()
-    target: Lottery | None = None
-    construct: tuple[Lottery, Lottery, Lottery] | None = None
-    check: dict | None = None
+    indifferent: tuple[Lottery, ...] | None = None
+    strict: StrictPair | None = None
+    reference: LotteryField | None = None
+    queries: tuple[LotteryField, ...] = ()
+    target: LotteryField | None = None
+    construct: Construct | None = None
+    check: CheckRequest | None = None
+
+    def __post_init__(self):
+        self.elicitation  # built now, so bad indifference data fails at load
+
+    @cached_property
+    def elicitation(self) -> ElicitationInput | None:
+        if self.indifferent is None:
+            return None
+        strict = self.strict and (self.strict.better, self.strict.worse)
+        return ElicitationInput(self.indifferent, strict)
 
 
 def _space_of(data: dict) -> OutcomeSpace:
     if "labels" in data:
-        labels = data["labels"]
-        if not isinstance(labels, list) or not all(
-                isinstance(x, str) for x in labels):
-            raise ValueError("labels must be a list of strings")
-        return OutcomeSpace(tuple(labels))
+        return OutcomeSpace(_decoder(tuple[str, ...])(None, data["labels"], "labels"))
     if "outcomes" in data:
-        return OutcomeSpace.of_size(int(data["outcomes"]))
+        return OutcomeSpace.of_size(_shaped(data["outcomes"], int, "outcomes"))
     # fall back to whatever sized data is present
     for key in ("utility", "indifferent", "queries"):
         seq = data.get(key)
-        if seq:
+        if seq and isinstance(seq, list):
             first = seq[0] if key != "utility" else seq
             if isinstance(first, list):
                 return OutcomeSpace.of_size(len(first))
@@ -345,84 +397,35 @@ def scenario_from_dict(data: dict) -> Scenario:
     if not isinstance(data, dict):
         raise ValueError("scenario must be a JSON object")
     version = data.get("version")
-    if version != SCHEMA_VERSION:
+    if version != SCHEMA_VERSION or type(version) is not int:
         raise ValueError(
             f"unsupported scenario version {version!r}; expected {SCHEMA_VERSION}")
-    space = _space_of(data)
-
-    utility = None
-    if data.get("utility") is not None:
-        values = _parse_fractions(data["utility"], "utility")
-        if len(values) != space.size:
-            raise LengthMismatch(
-                f"utility has {len(values)} values for {space.size} outcomes")
-        utility = UtilityFunction(space, values)
-
-    oracle = None
-    if data.get("oracle") is not None:
-        oracle = oracle_from_json(space, data["oracle"])
-
-    elicitation = None
-    if data.get("indifferent") is not None:
-        points = tuple(
-            parse_point(space, item, "indifferent")
-            for item in data["indifferent"])
-        strict = None
-        if data.get("strict") is not None:
-            block = data["strict"]
-            if not isinstance(block, dict) or "better" not in block \
-                    or "worse" not in block:
-                raise ValueError("strict block needs 'better' and 'worse'")
-            strict = (parse_point(space, block["better"], "better"),
-                      parse_point(space, block["worse"], "worse"))
-        elicitation = ElicitationInput(indifferent=points, strict=strict)
-
-    reference = None
-    if data.get("reference") is not None:
-        reference = parse_lottery_field(space, data["reference"], "reference")
-
-    queries = tuple(
-        parse_lottery_field(space, item, "query")
-        for item in data.get("queries", ()))
-
-    target = None
-    if data.get("target") is not None:
-        target = parse_lottery_field(space, data["target"], "target")
-
-    construct = None
-    if data.get("construct") is not None:
-        block = data["construct"]
-        if not isinstance(block, dict) or any(
-                key not in block for key in ("p", "q", "r")):
-            raise ValueError("construct block needs 'p', 'q' and 'r'")
-        construct = (parse_lottery_field(space, block["p"], "p"),
-                     parse_lottery_field(space, block["q"], "q"),
-                     parse_lottery_field(space, block["r"], "r"))
-
-    check = data.get("check")
-    if check is not None and not isinstance(check, dict):
-        raise ValueError("check block must be an object")
-
-    return Scenario(
-        space=space,
-        utility=utility,
-        oracle=oracle,
-        elicitation=elicitation,
-        reference=reference,
-        queries=queries,
-        target=target,
-        construct=construct,
-        check=check,
-    )
+    return from_json(Scenario, _space_of(data), data)
 
 
-def load_scenario(path: str) -> Scenario:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh, parse_float=_reject_float,
-                             parse_int=int)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"scenario is not valid JSON: {exc}") from exc
+def load_scenario(path: str | None, keys: dict | None = None,
+                  outcomes: int = 3) -> Scenario:
+    """The scenario in the JSON file at path (an empty one over
+    ``outcomes`` outcomes when path is None) with ``keys`` written over
+    it: "block.key" replaces one key inside a block, any other key the
+    whole value.  Decodes the result once."""
+    if path is None:
+        data = {"version": SCHEMA_VERSION, "outcomes": outcomes}
+    else:
+        with open(path, "r", encoding="utf-8") as fh:
+            try:
+                data = json.load(fh, parse_float=_reject_float)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"scenario is not valid JSON: {exc}") from exc
+        if not isinstance(data, dict):
+            raise ValueError("scenario must be a JSON object")
+    for key, value in (keys or {}).items():
+        block, _, name = key.rpartition(".")
+        if block:
+            inner = data.get(block)
+            value = {**({} if inner is None else _shaped(inner, dict, block)),
+                     name: value}
+        data[block or key] = value
     return scenario_from_dict(data)
 
 

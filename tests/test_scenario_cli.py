@@ -35,6 +35,7 @@ from lotpref.oracles import (
 )
 from lotpref.geometry import Hyperplane
 from lotpref.representation import (
+    construct_ip_via_solvability,
     generate_indifferent_points,
     indifference_certificate,
     replay_certificate,
@@ -44,6 +45,7 @@ from lotpref.scenario import (
     certificate_to_json,
     construction_to_json,
     dump_document,
+    lottery_to_json,
     oracle_from_json,
     oracle_to_json,
     parse_lottery_field,
@@ -115,6 +117,15 @@ def test_oracle_from_json_errors():
         oracle_from_json(SPACE, {"kind": "eu"})
     with pytest.raises(ValueError):
         oracle_from_json(SPACE, {"kind": "represented", "normal": ["1", "2"]})
+    # Integers must be JSON integers: no bool, no numeric string.
+    represented = oracle_to_json(RepresentedOracle(
+        SPACE, Hyperplane((F(1), F(2)), (F(1, 3), F(1, 3))), 1))
+    for doc, key in (
+            ({"kind": "lexicographic", "priority": [2, True, 0]}, "priority"),
+            ({"kind": "lexicographic", "priority": ["2", "0", "1"]}, "priority"),
+            ({**represented, "orientation": True}, "orientation")):
+        with pytest.raises(ValueError, match=key):
+            oracle_from_json(SPACE, doc)
 
 
 # ---- witness serialization ------------------------------------------------------
@@ -242,6 +253,34 @@ def test_certificate_from_json_missing_field():
     doc["k_star"] = "x"
     with pytest.raises(ValueError):
         certificate_from_json(SPACE, doc)
+
+
+@pytest.mark.parametrize("mutation,label", [
+    ({"reduced": None}, "reduced point is the recorded mixture"),
+    ({"mean": None}, "mean is the equal-weight average"),
+    ({"alpha_star": None}, "pullback weight from the most negative coefficient"),
+    ({"k_star": 5}, "reduced coefficients convex with a zero at k*"),
+    ({"alpha_star": "2"}, "pullback weight from the most negative coefficient"),
+    ({"lambda_star": "-1/2"}, "most negative coefficient drives the reduction"),
+], ids=["no-reduced", "no-mean", "no-alpha_star", "k_star-5", "alpha_star-2",
+        "lambda_star-minus-half"])
+def test_replay_of_a_broken_reduction_certificate_fails_a_check(mutation, label):
+    # The reduction fields are optional in the wire format, so a decoded
+    # certificate can lack one; replay must fail the named check, not crash.
+    points, _ = generate_indifferent_points(EU.utility)
+    cert = indifference_certificate(lot("1/2", 0, "1/2"), points)
+    doc = certificate_to_json(cert)
+    for key, value in mutation.items():
+        if value is None:
+            del doc[key]
+        else:
+            doc[key] = value
+    replay = replay_certificate(certificate_from_json(SPACE, doc), EU)
+    good = replay_certificate(cert, EU)
+    assert good.ok
+    assert [c for c, _ in replay.checks] == [c for c, _ in good.checks]
+    assert not replay.ok
+    assert label in replay.failures()
 
 
 # ---- exact document text -----------------------------------------------------------
@@ -516,6 +555,81 @@ def test_cli_zero_grid_or_depth_exits_two(tmp_path):
     proc = run_cli("check", "--scenario", str(scenario))
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ValueError")
+
+
+EU_SCENARIO = {"version": 1, "outcomes": 3, "utility": ["0", "1", "2"]}
+# (key the error must name, keys written over EU_SCENARIO)
+MALFORMED = [
+    ("outcomes", {"outcomes": [3]}),
+    ("outcomes", {"outcomes": "3"}),
+    ("queries", {"queries": None}),
+    ("queries", {"queries": 5}),
+    ("indifferent", {"indifferent": 5}),
+    ("priority", {"oracle": {"kind": "lexicographic", "priority": 5}}),
+    ("grid", {"check": {"axiom": "ip", "grid": [2]}}),
+    ("grid", {"check": {"axiom": "ip", "grid": True}}),
+    ("depth", {"check": {"axiom": "mixture", "depth": [6]}}),
+    ("depth", {"check": {"axiom": "mixture", "depth": "6"}}),
+]
+
+
+def write_scenario(tmp_path, doc) -> str:
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("key,overrides", MALFORMED,
+                         ids=[json.dumps(o) for _, o in MALFORMED])
+def test_cli_malformed_scenario_value_exits_two(tmp_path, capsys, key, overrides):
+    path = write_scenario(tmp_path, {**EU_SCENARIO, **overrides})
+    code = cli.main(["check", "--scenario", path, "--axiom", "ip"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ValueError") and key in err
+
+
+def cli_document(capsys, argv):
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    assert code == 0, err
+    return split_output(out)[1]
+
+
+def test_cli_construct_flags_replace_single_keys(tmp_path, capsys):
+    path = write_scenario(tmp_path, {**EU_SCENARIO, "construct": {
+        "p": "0,0,1", "q": "1/2,1/2,0", "r": "1,0,0"}})
+    doc = cli_document(capsys, ["construct-ip", "--scenario", path,
+                                "--p", "0,1,0"])
+    points = construct_ip_via_solvability(
+        EU, lot(0, 1, 0), lot("1/2", "1/2", 0), lot(1, 0, 0))
+    assert doc["points"] == [lottery_to_json(p) for p in points]
+
+    path = write_scenario(tmp_path, {**EU_SCENARIO, "construct": {
+        "p": "0,0,1", "q": "uniform"}})
+    doc = cli_document(capsys, ["construct-ip", "--scenario", path,
+                                "--r", "1,0,0"])
+    points = construct_ip_via_solvability(
+        EU, lot(0, 0, 1), uniform(SPACE), lot(1, 0, 0))
+    assert doc["points"] == [lottery_to_json(p) for p in points]
+
+
+def test_cli_grid_flag_keeps_the_check_block_axiom(tmp_path, capsys):
+    path = write_scenario(tmp_path, {**EU_SCENARIO,
+                                     "check": {"axiom": "ip", "grid": 4}})
+    doc = cli_document(capsys, ["check", "--scenario", path, "--grid", "2"])
+    assert doc["verdict"] == verdict_to_json(check_ip(EU, GridSpec(SPACE, 2)))
+
+
+def test_cli_utility_without_oracle_is_expected_utility(capsys):
+    doc = cli_document(capsys, ["check", "--utility", "0,1,2",
+                                "--axiom", "ip", "--grid", "2"])
+    assert doc["oracle"] == oracle_to_json(EU)
+    assert doc["verdict"] == verdict_to_json(check_ip(EU, GridSpec(SPACE, 2)))
+    doc = cli_document(capsys, ["construct-ip", "--utility", "0,1,2",
+                                "--p", "0,0,1", "--q", "uniform", "--r", "1,0,0"])
+    assert doc["oracle"] == oracle_to_json(EU)
 
 
 # Every --axiom choice with an oracle that violates it where a built-in
