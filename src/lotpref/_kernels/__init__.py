@@ -1,19 +1,27 @@
-"""Scan kernel dispatch: compiled extension when safe, pure otherwise.
+"""Scan kernel dispatch: one of three paths per call.
 
 Each ``scan_<name>`` here is built by ``_dispatcher`` from one row of
 a table: the scan's name and the envelope limits its trailing
 arguments imply.  It has the same signature and semantics as its twin
-in ``pure``; the only decision made is which backend runs.  The
-compiled path is taken when the extension imported, the oracle
-encoding is one the C code knows, and the integer envelope fits
-128-bit intermediates.  Call set_force_pure to pin the pure backend.
+in ``pure``; the only decision made is which path runs, first match:
+
+* ``"compiled"``: the extension imported, the oracle encoding is one
+  the C code knows, and the integer envelope fits 128-bit
+  intermediates.
+* ``"level"``: the spec is ``"eu"`` (expected utility, and represented
+  oracles through their gauge utility).  ``levels`` compares integer
+  levels u·x in unbounded Python ints, so no envelope applies.
+* ``"pure"``: everything else, through ``pure``'s comparison closures.
+
+``backend_name`` names the path a call would take.  set_force_pure(True)
+takes the compiled path out, as if the extension had not imported.
 ``scan_solvability_solve`` takes a utility instead of an oracle
 encoding and keeps a wrapper of its own.
 """
 
 from __future__ import annotations
 
-from . import encoding, pure
+from . import encoding, levels, pure
 from .encoding import encode_lotteries, encode_oracle, envelope_ok
 
 try:
@@ -76,7 +84,9 @@ def _can_compile(spec, scan: str, den: int, **limits) -> bool:
 
 
 def backend_name(spec, scan: str, den: int, **limits) -> str:
-    return "compiled" if _can_compile(spec, scan, den, **limits) else "pure"
+    if _can_compile(spec, scan, den, **limits):
+        return "compiled"
+    return "level" if spec[0] == "eu" else "pure"
 
 
 def _flat(nums) -> list[int]:
@@ -85,9 +95,11 @@ def _flat(nums) -> list[int]:
 
 def _dispatcher(scan: str, limits):
     """scan_<scan>(spec, nums, den, *rest): the compiled twin when
-    ``_can_compile`` allows it under ``limits(*rest)``, else the pure
-    one.  The compiled twin takes weight-pair lists flattened."""
+    ``_can_compile`` allows it under ``limits(*rest)``, else the level
+    twin for an eu spec, else the pure one.  The compiled twin takes
+    weight-pair lists flattened."""
     pure_scan = getattr(pure, f"scan_{scan}")
+    level_scan = getattr(levels, f"scan_{scan}")
 
     def dispatch(spec, nums, den, *rest):
         if _can_compile(spec, scan, den, **limits(*rest)):
@@ -96,6 +108,8 @@ def _dispatcher(scan: str, limits):
             return getattr(_fast, f"scan_{scan}")(
                 _KIND_CODES[spec[0]], list(spec[1]), _flat(nums), len(nums),
                 len(nums[0]) if nums else 0, den, *flat_rest)
+        if spec[0] == "eu":
+            return level_scan(spec, nums, den, *rest)
         return pure_scan(spec, nums, den, *rest)
 
     dispatch.__name__ = dispatch.__qualname__ = f"scan_{scan}"
@@ -126,4 +140,4 @@ def scan_solvability_solve(utility, nums, den):
         return _fast.scan_solvability_solve(
             list(utility), _flat(nums), len(nums),
             len(nums[0]) if nums else 0, den)
-    return pure.scan_solvability_solve(utility, nums, den)
+    return levels.scan_solvability_solve(utility, nums, den)

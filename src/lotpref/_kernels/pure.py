@@ -37,7 +37,6 @@ __all__ = [
     "scan_mixture",
     "scan_archimedean",
     "scan_solvability_scan",
-    "scan_solvability_solve",
     "scan_solve_contract",
     "scan_openness",
 ]
@@ -411,34 +410,6 @@ def scan_solve_contract(spec, nums, den, weight):
             gt_j, eq_j, _ = signs.row(j)
             for k in _bits(gt_j | eq_j):
                 a, b = weight(i, j, k)
-                m = _mix(nums[i], nums[k], a, b)
-                if cmp(m, b * den, nums[j], den) != 0:
-                    return (i, j, k, a, b)
-    return None
-
-
-def scan_solvability_solve(utility, nums, den):
-    """Contract check for linear oracles: the closed-form weight must
-    land exactly on q.  Returns (i, j, k, a, b) on the first failure."""
-    g = len(nums)
-    dots = [sum(u * x for u, x in zip(utility, pn)) for pn in nums]
-    spec = ("eu", tuple(utility))
-    cmp = make_compare(spec)
-    for i in range(g):
-        for j in range(g):
-            if dots[i] < dots[j]:
-                continue
-            for k in range(g):
-                if dots[j] < dots[k]:
-                    continue
-                if dots[i] == dots[k]:
-                    a, b = 1, 1
-                else:
-                    a = dots[j] - dots[k]
-                    b = dots[i] - dots[k]
-                    gg = gcd(a, b)
-                    a //= gg
-                    b //= gg
                 m = _mix(nums[i], nums[k], a, b)
                 if cmp(m, b * den, nums[j], den) != 0:
                     return (i, j, k, a, b)

@@ -192,7 +192,10 @@ def _scenario(args) -> Scenario:
             block["priority"] = [int(i) for i in args.priority.split(",")]
     elif utility:
         keys["utility"] = utility
-    outcomes = len(utility) if utility else args.outcomes or DEFAULT_OUTCOMES
+    if utility:
+        outcomes = len(utility)
+    else:
+        outcomes = DEFAULT_OUTCOMES if args.outcomes is None else args.outcomes
     return load_scenario(args.scenario, keys, outcomes)
 
 

@@ -485,6 +485,10 @@ def replay_certificate(
     checks.append(("coefficients combine to the target",
                    _affine_combination(pts, cert.coefficients, space)
                    == cert.target.weights))
+    if not pts:
+        # Every later check compares against the class's first point.
+        checks.append(("certificate lists the indifferent points", False))
+        return CertificateReplay(ok=False, checks=tuple(checks))
     indiff = ComparisonResult.INDIFFERENT
     pairwise = all(
         oracle.compare(pts[i], pts[j]) is indiff

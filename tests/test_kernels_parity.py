@@ -1,9 +1,10 @@
-"""Pure and compiled scan backends must agree hit for hit.
+"""The compiled, level and pure scan paths must agree hit for hit.
 
-Every scan is run twice on the same encoded grid, once through the
-dispatcher (compiled whenever available) and once directly against the
-pure reference, for every oracle recipe the C code understands.  First
-hits are compared exactly, None included.
+Every scan is run on the same encoded grid through the dispatcher with
+the compiled extension (built by the ``compiled`` fixture in
+conftest.py) and directly against the pure kernels, for every oracle
+recipe the C code understands; eu specs are also run through the level
+kernels.  First hits are compared exactly, None included.
 """
 
 import re
@@ -13,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from lotpref import _kernels as kernels
-from lotpref._kernels import pure
+from lotpref._kernels import levels, pure
 from lotpref.grids import GridSpec, dyadic_alphas, enumerate_grid, rationals_between
 from lotpref.lotteries import OutcomeSpace
 
@@ -29,10 +30,6 @@ SPECS = [
     ("majority", ()),
 ]
 
-needs_compiled = pytest.mark.skipif(
-    not kernels.have_compiled(), reason="compiled extension not built")
-
-
 def encoded(bound):
     grid = enumerate_grid(GridSpec(SPACE, bound))
     nums, den = kernels.encode_lotteries(grid)
@@ -43,10 +40,9 @@ def pairs(fracs):
     return [(a.numerator, a.denominator) for a in fracs]
 
 
-@needs_compiled
 @pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s[0]}{s[1]}")
 @pytest.mark.parametrize("bound", [2, 3])
-def test_triple_scans_agree(spec, bound):
+def test_triple_scans_agree(compiled, spec, bound):
     nums, den = encoded(bound)
     assert kernels.backend_name(spec, "transitivity", den) == "compiled"
     alphas = pairs(dyadic_alphas(bound))
@@ -67,15 +63,19 @@ def test_triple_scans_agree(spec, bound):
         fast_hit = getattr(kernels, f"scan_{name}")(spec, *args)
         pure_hit = getattr(pure, f"scan_{name}")(spec, *args)
         assert fast_hit == pure_hit, f"{name} diverged on {spec}"
+        if spec[0] == "eu":
+            level_hit = getattr(levels, f"scan_{name}")(spec, *args)
+            assert fast_hit == level_hit, f"level {name} diverged on {spec}"
 
 
-@needs_compiled
 @pytest.mark.parametrize("utility", [(0, 1, 2), (5, 5, 5), (-2, 7, 1)])
-def test_solvability_solve_agrees(utility):
+def test_solvability_solve_agrees(compiled, utility):
     nums, den = encoded(3)
+    assert kernels.backend_name(("eu", utility), "solvability_solve", den) \
+        == "compiled"
     fast_hit = kernels.scan_solvability_solve(list(utility), nums, den)
-    pure_hit = pure.scan_solvability_solve(list(utility), nums, den)
-    assert fast_hit == pure_hit
+    level_hit = levels.scan_solvability_solve(list(utility), nums, den)
+    assert fast_hit == level_hit
     # A linear payoff always solves, so the honest answer is no hit.
     assert fast_hit is None
 
@@ -102,14 +102,15 @@ def test_callback_spec_runs_pure():
             == pure.scan_transitivity(eu_spec, nums, den))
 
 
-@needs_compiled
-def test_force_pure_toggle():
+def test_force_pure_toggle(compiled):
     nums, den = encoded(2)
     spec = ("hybrid", ())
     assert kernels.backend_name(spec, "transitivity", den) == "compiled"
     kernels.set_force_pure(True)
     try:
         assert kernels.backend_name(spec, "transitivity", den) == "pure"
+        assert kernels.backend_name(("eu", (0, 1, 2)), "transitivity", den) \
+            == "level"
         alphas = pairs(dyadic_alphas(2))
         forced = kernels.scan_independence(spec, nums, den, alphas)
     finally:
@@ -118,13 +119,34 @@ def test_force_pure_toggle():
 
 
 def test_oversized_payoffs_fall_back_to_pure():
-    # Payoffs beyond the 64-bit envelope must not reach the C kernels.
+    # Payoffs beyond the 64-bit envelope must not reach the C kernels;
+    # the level kernels, pure Python over unbounded ints, take them.
     nums, den = encoded(2)
     big = ("eu", (0, 1 << 63, 1 << 64))
-    assert kernels.backend_name(big, "transitivity", den) == "pure"
+    assert kernels.backend_name(big, "transitivity", den) == "level"
     small = ("eu", (0, 1, 2))
     assert kernels.scan_transitivity(big, nums, den) \
         == kernels.scan_transitivity(small, nums, den)
+
+
+@pytest.mark.parametrize("extension", [False, True], ids=["absent", "built"])
+def test_backend_name_names_each_path(request, monkeypatch, extension):
+    # compiled first where the envelope allows it, then level for every
+    # eu spec, then pure; the benchmark counts only "compiled".
+    fast = request.getfixturevalue("fastscan") if extension else None
+    monkeypatch.setattr(kernels, "_fast", fast)
+    nums, den = encoded(2)
+    small, big = ("eu", (0, 1, 2)), ("eu", (0, 1, 1 << 125))
+    expected = {
+        small: "compiled" if extension else "level",
+        big: "level",
+        ("lex", (0, 1, 2)): "compiled" if extension else "pure",
+        ("callback", (None,)): "pure",
+    }
+    for spec, name in expected.items():
+        assert kernels.backend_name(spec, "transitivity", den) == name, spec
+        assert kernels.backend_name(spec, "mixture", den, max_alpha_den=4,
+                                    depth=8) == name, spec
 
 
 def test_generated_c_is_in_sync_with_pyx():

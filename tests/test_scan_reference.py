@@ -1,4 +1,5 @@
-"""Pure scan kernels against a brute-force Fraction-level reference.
+"""Pure and level scan kernels against a brute-force Fraction-level
+reference.
 
 Each reference below is written from its scan's docstring: nested loops
 over the grid in the pinned order (grid index, then candidate weight in
@@ -7,17 +8,23 @@ lotteries built with ``lotteries.mix``.  It shares no code with the
 kernels beyond the grid and weight enumerations, so the first hit the
 two agree on (None included) is computed twice, independently.
 
-The pure kernels run whether or not the compiled extension is built,
-so this suite checks the scan algorithms wherever the tests run.
+The pure kernels run every oracle; the level kernels run the eu and
+represented ones, including payoffs beyond the compiled envelope.  Both
+run whether or not the compiled extension is built, so this suite
+checks the scan algorithms wherever the tests run.  A Hypothesis test
+then holds the level kernels to the pure ones on drawn payoffs.
 """
 
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lotpref import _kernels as kernels
-from lotpref._kernels import pure
+from lotpref._kernels import levels, pure
 from lotpref.axioms import _encoded
+from lotpref.geometry import Hyperplane
 from lotpref.grids import GridSpec, dyadic_alphas, enumerate_grid, rationals_between
 from lotpref.lotteries import Lottery, OutcomeSpace, mix
 from lotpref.oracles import (
@@ -27,6 +34,7 @@ from lotpref.oracles import (
     LexicographicOracle,
     MajorityOracle,
     PreferenceOracle,
+    RepresentedOracle,
     UtilityFunction,
 )
 
@@ -138,7 +146,7 @@ class Reference:
                     yield i, j, k, p, q, r
 
 
-def ref_transitivity(ref, bound):
+def ref_transitivity(ref, bound, depth):
     """First (i, j, k) with i >= j >= k but i < k."""
     g = ref.grid
     for i, j, k, _, _, _ in ref.triples():
@@ -147,7 +155,18 @@ def ref_transitivity(ref, bound):
     return None
 
 
-def ref_betweenness(ref, bound):
+def ref_independence(ref, bound, depth):
+    """First (i, j, k, alpha index) where mixing with k flips i-vs-j."""
+    s, g = ref.sign, ref.grid
+    alphas = dyadic_alphas(bound)
+    for i, j, k, p, q, r in ref.triples():
+        for ai, alpha in enumerate(alphas):
+            if s(mix(p, r, alpha), mix(q, r, alpha)) != g[i][j]:
+                return (i, j, k, ai)
+    return None
+
+
+def ref_betweenness(ref, bound, depth):
     """First (i, j, alpha index) where i >= j but the mixture escapes
     the closed preference interval [j, i]."""
     s, g = ref.sign, ref.grid
@@ -163,7 +182,7 @@ def ref_betweenness(ref, bound):
     return None
 
 
-def ref_convexity(ref, bound):
+def ref_convexity(ref, bound, depth):
     """First (i, j, k, alpha index) where j ~ i and k ~ i but their
     mixture is not indifferent to i."""
     s, g = ref.sign, ref.grid
@@ -177,7 +196,7 @@ def ref_convexity(ref, bound):
     return None
 
 
-def ref_translation(ref, bound):
+def ref_translation(ref, bound, depth):
     """First (i, j, k) where k ~ i but the translate k + (j - i), when
     it stays a lottery, is not indifferent to j."""
     s, g = ref.sign, ref.grid
@@ -193,7 +212,7 @@ def ref_translation(ref, bound):
     return None
 
 
-def ref_line_order(ref, bound):
+def ref_line_order(ref, bound, depth):
     """First (i, j, t numerator, t denominator, relation) along the line
     q + t(p - q) through p > q, t over reduced rationals with
     denominator <= bound that keep the point a lottery, t not 0 or 1.
@@ -226,11 +245,30 @@ def ref_line_order(ref, bound):
     return None
 
 
-def ref_archimedean(ref, bound):
+def ref_mixture(ref, bound, depth):
+    """First (i, j, k, alpha index, side) where mix(p, r, alpha*) < q
+    for a candidate alpha* with denominator <= 2 * bound, while every
+    probe alpha* + side/2^h (h = 1..depth) that stays in [0, 1] mixes
+    weakly above q, and at least one does."""
+    s = ref.sign
+    stars = rationals_between(F(0), F(1), 2 * bound)
+    for i, j, k, p, q, r in ref.triples():
+        for si, star in enumerate(stars):
+            if s(mix(p, r, star), q) >= 0:
+                continue
+            for side in (1, -1):
+                probes = [star + side * F(1, 2 ** h) for h in range(1, depth + 1)]
+                probes = [a for a in probes if 0 <= a <= 1]
+                if probes and all(s(mix(p, r, a), q) >= 0 for a in probes):
+                    return (i, j, k, si, side)
+    return None
+
+
+def ref_archimedean(ref, bound, depth):
     """First (i, j, k, side) with p > q > r where one side of the
     interior-weight requirement fails at every dyadic probe."""
     s, g = ref.sign, ref.grid
-    steps = [F(1, 2 ** h) for h in range(1, DEPTH + 1)]
+    steps = [F(1, 2 ** h) for h in range(1, depth + 1)]
     for i, j, k, p, q, r in ref.triples():
         if g[i][j] <= 0 or g[j][k] <= 0:
             continue
@@ -241,7 +279,7 @@ def ref_archimedean(ref, bound):
     return None
 
 
-def ref_solvability_scan(ref, bound):
+def ref_solvability_scan(ref, bound, depth):
     """First (i, j, k) with p >= q >= r that no candidate weight solves."""
     s, g = ref.sign, ref.grid
     alphas = rationals_between(F(0), F(1), bound)
@@ -253,11 +291,11 @@ def ref_solvability_scan(ref, bound):
     return None
 
 
-def ref_openness(ref, bound):
+def ref_openness(ref, bound, depth):
     """First (i, j, k): q strictly compares to p, w sits strictly on the
     other side, and every dyadic step from q toward w stays there."""
     s, g = ref.sign, ref.grid
-    steps = [F(1, 2 ** h) for h in range(1, DEPTH + 1)]
+    steps = [F(1, 2 ** h) for h in range(1, depth + 1)]
     for i, j, k, p, q, w in ref.triples():
         side = g[j][i]
         if side == 0 or g[k][i] != -side:
@@ -284,18 +322,20 @@ def pairs(fracs):
     return [(a.numerator, a.denominator) for a in fracs]
 
 
-def kernel_args(name, bound):
-    """The trailing arguments the checkers pass each pure scan."""
+def kernel_args(name, bound, depth=DEPTH):
+    """The trailing arguments the checkers pass each scan."""
     candidates = pairs(rationals_between(F(0), F(1), bound))
     return {
         "transitivity": (),
+        "independence": (pairs(dyadic_alphas(bound)),),
         "betweenness": (pairs(dyadic_alphas(bound, interior_only=True)),),
         "convexity": (candidates,),
         "translation": (),
         "line_order": (bound,),
-        "archimedean": (DEPTH,),
+        "mixture": (pairs(rationals_between(F(0), F(1), 2 * bound)), depth),
+        "archimedean": (depth,),
         "solvability_scan": (candidates,),
-        "openness": (DEPTH,),
+        "openness": (depth,),
     }[name]
 
 
@@ -327,7 +367,26 @@ def test_pure_scans_match_reference(size, bound, oracle_name):
     ref = Reference(oracle, lots)
     for name, reference in REFERENCES.items():
         hit = getattr(pure, f"scan_{name}")(spec, nums, den, *kernel_args(name, bound))
-        assert hit == reference(ref, bound), f"{name} diverged"
+        assert hit == reference(ref, bound, DEPTH), f"{name} diverged"
+
+
+SMALL_CASES = [(size, bound, oracle) for size, bound in ((3, 2), (4, 2))
+               for oracle in ORACLES[size]]
+
+
+@pytest.mark.parametrize(
+    "size,bound,oracle_name", SMALL_CASES,
+    ids=[f"{oracle}-{size}x{bound}" for size, bound, oracle in SMALL_CASES])
+def test_pure_independence_and_mixture_match_reference(size, bound, oracle_name):
+    # The two g^3 scans whose references are slowest, on the small grids.
+    space = OutcomeSpace.of_size(size)
+    oracle = ORACLES[size][oracle_name](space)
+    lots, nums, den, spec = _encoded(oracle, GridSpec(space, bound))
+    ref = Reference(oracle, lots)
+    for name, reference in (("independence", ref_independence),
+                            ("mixture", ref_mixture)):
+        hit = getattr(pure, f"scan_{name}")(spec, nums, den, *kernel_args(name, bound))
+        assert hit == reference(ref, bound, DEPTH), f"{name} diverged"
 
 
 SOLVERS = {
@@ -357,7 +416,7 @@ def test_solve_contract_scans_match_reference(size, bound, solver):
     oracle = SOLVERS[size][solver](space)
     lots, nums, den, spec = _encoded(oracle, GridSpec(space, bound))
     if spec[0] == "eu":
-        hit = pure.scan_solvability_solve(list(spec[1]), nums, den)
+        hit = levels.scan_solvability_solve(list(spec[1]), nums, den)
     else:
         def weight(i, j, k):
             alpha = oracle.solve(lots[i], lots[j], lots[k])
@@ -379,5 +438,115 @@ def test_reference_cases_cover_hits_and_misses():
             oracle = make(space)
             ref = Reference(oracle, enumerate_grid(GridSpec(space, bound)))
             for name, reference in REFERENCES.items():
-                seen[name].add(reference(ref, bound) is None)
+                seen[name].add(reference(ref, bound, DEPTH) is None)
     assert all(outcomes == {True, False} for outcomes in seen.values()), seen
+
+
+# ---- level kernels ------------------------------------------------------------------
+
+LEVEL_REFERENCES = {**REFERENCES, "independence": ref_independence,
+                    "mixture": ref_mixture}
+PROBE_SCANS = ("mixture", "archimedean", "openness")
+PROBE_DEPTHS = (1, 2, 3, 4)
+HUGE = 1 << 121  # beyond the compiled path's 2^120 envelope
+
+
+def represented(space, normal):
+    base = (F(1, space.size),) * space.n
+    return RepresentedOracle(space, Hyperplane(tuple(map(F, normal)), base), -1)
+
+
+LEVEL_ORACLES = {
+    3: {
+        "eu": ORACLES[3]["eu"],
+        "eu-037": lambda s: ExpectedUtilityOracle(UtilityFunction.of(s, [0, 3, 7])),
+        "represented": lambda s: represented(s, (2, -5)),
+        "eu-huge": lambda s: ExpectedUtilityOracle(
+            UtilityFunction.of(s, [0, HUGE + 1, 3 * HUGE])),
+    },
+    4: {
+        "eu": ORACLES[4]["eu"],
+        "represented": lambda s: represented(s, (1, 0, -3)),
+        "eu-huge": lambda s: ExpectedUtilityOracle(
+            UtilityFunction.of(s, [-HUGE, 1, 5 * HUGE, 2 * HUGE])),
+    },
+}
+LEVEL_GRIDS = [(3, 2), (3, 3), (4, 2)]
+LEVEL_CASES = [(size, bound, name)
+               for size, bound in LEVEL_GRIDS for name in LEVEL_ORACLES[size]]
+
+
+def level_hits(oracle, grid):
+    """{(scan, depth): (level hit, reference hit)} for every scan on
+    the level path, the probe scans at each of PROBE_DEPTHS."""
+    lots, nums, den, spec = _encoded(oracle, grid)
+    assert spec[0] == "eu"
+    ref = Reference(oracle, lots)
+    bound = grid.denominator_bound
+    out = {}
+    for name, reference in LEVEL_REFERENCES.items():
+        for depth in PROBE_DEPTHS if name in PROBE_SCANS else (DEPTH,):
+            hit = getattr(levels, f"scan_{name}")(
+                spec, nums, den, *kernel_args(name, bound, depth))
+            out[name, depth] = hit, reference(ref, bound, depth)
+    out["solvability_solve", None] = (
+        levels.scan_solvability_solve(list(spec[1]), nums, den),
+        ref_solve_contract(ref))
+    return out
+
+
+@pytest.mark.parametrize(
+    "size,bound,oracle_name", LEVEL_CASES,
+    ids=[f"{oracle}-{size}x{bound}" for size, bound, oracle in LEVEL_CASES])
+def test_level_scans_match_reference(size, bound, oracle_name):
+    space = OutcomeSpace.of_size(size)
+    oracle = LEVEL_ORACLES[size][oracle_name](space)
+    hits = level_hits(oracle, GridSpec(space, bound))
+    for (name, depth), (hit, expected) in hits.items():
+        assert hit == expected, f"level {name} diverged at depth {depth}"
+
+
+def test_level_cases_cover_hits_and_misses():
+    # The probe scans and the candidate scan must hit in some level case
+    # and miss in another; the rest cannot hit an eu oracle at all.  The
+    # level hits stand for the reference's, which the test above matches.
+    seen = {name: set() for name in LEVEL_REFERENCES}
+    for size, bound in ((3, 2), (4, 2)):
+        space = OutcomeSpace.of_size(size)
+        for make in LEVEL_ORACLES[size].values():
+            _, nums, den, spec = _encoded(make(space), GridSpec(space, bound))
+            for name in LEVEL_REFERENCES:
+                for depth in PROBE_DEPTHS:
+                    hit = getattr(levels, f"scan_{name}")(
+                        spec, nums, den, *kernel_args(name, bound, depth))
+                    seen[name].add(hit is None)
+    can_hit = {*PROBE_SCANS, "solvability_scan"}
+    assert {name for name, outcomes in seen.items() if outcomes == {True, False}} \
+        == can_hit, seen
+    assert all(seen[name] == {True} for name in seen if name not in can_hit)
+
+
+WEIGHTED_SCANS = ("independence", "betweenness", "convexity", "mixture",
+                  "solvability_scan")
+
+
+@settings(max_examples=40, deadline=None)
+@given(size=st.sampled_from([3, 4]), bound=st.sampled_from([2, 3]),
+       payoffs=st.lists(st.integers(-(1 << 40), 1 << 40), min_size=4, max_size=4),
+       depth=st.integers(1, 6),
+       weights=st.lists(st.tuples(st.integers(-3, 6), st.integers(1, 4)), max_size=4))
+def test_level_scans_match_pure(size, bound, payoffs, depth, weights):
+    # The checkers' own arguments, then the weighted scans on drawn
+    # weights, some outside [0, 1], where independence and betweenness
+    # can hit an eu oracle.
+    if size == 4:
+        bound = 2
+    lots = enumerate_grid(GridSpec(OutcomeSpace.of_size(size), bound))
+    nums, den = kernels.encode_lotteries(lots)
+    spec = ("eu", tuple(payoffs[:size]))
+    calls = [(name, kernel_args(name, bound, depth)) for name in LEVEL_REFERENCES]
+    calls += [(name, (weights, depth) if name == "mixture" else (weights,))
+              for name in WEIGHTED_SCANS]
+    for name, args in calls:
+        assert (getattr(levels, f"scan_{name}")(spec, nums, den, *args)
+                == getattr(pure, f"scan_{name}")(spec, nums, den, *args)), name

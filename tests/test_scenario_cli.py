@@ -283,6 +283,22 @@ def test_replay_of_a_broken_reduction_certificate_fails_a_check(mutation, label)
     assert label in replay.failures()
 
 
+@pytest.mark.parametrize("target,branch", [
+    (lot("3/8", "1/4", "3/8"), "convex"),
+    (lot("1/2", 0, "1/2"), "reduction"),
+])
+def test_replay_of_a_certificate_without_points_fails_a_check(target, branch):
+    # The wire format accepts an empty point list; replay must fail a
+    # named check instead of indexing the first point or dividing by 0.
+    points, _ = generate_indifferent_points(EU.utility)
+    doc = certificate_to_json(indifference_certificate(target, points))
+    assert doc["branch"] == branch
+    doc["points"], doc["coefficients"] = [], []
+    replay = replay_certificate(certificate_from_json(SPACE, doc), EU)
+    assert not replay.ok
+    assert "certificate lists the indifferent points" in replay.failures()
+
+
 # ---- exact document text -----------------------------------------------------------
 #
 # Each expected document is written as compact JSON; its key order and
@@ -555,6 +571,15 @@ def test_cli_zero_grid_or_depth_exits_two(tmp_path):
     proc = run_cli("check", "--scenario", str(scenario))
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ValueError")
+
+
+def test_cli_zero_outcomes_exits_two():
+    # --outcomes 0 is given, not missing: it must not run on 3 outcomes.
+    proc = run_cli("check", "--oracle", "hybrid", "--outcomes", "0",
+                   "--axiom", "ip", "--grid", "2")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: EmptyInput")
 
 
 EU_SCENARIO = {"version": 1, "outcomes": 3, "utility": ["0", "1", "2"]}
