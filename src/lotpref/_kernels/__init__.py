@@ -3,33 +3,35 @@
 Each ``scan_<name>`` here is built by ``_dispatcher`` from one row of
 a table: the scan's name and the envelope limits its trailing
 arguments imply.  It has the same signature and semantics as its twin
-in ``pure``; the only decision made is which path runs, first match:
+in ``pure``.  ``backend_name`` makes the only decision, which path
+runs:
 
-* ``"compiled"``: the extension imported, the oracle encoding is one
-  the C code knows, and the integer envelope fits 128-bit
-  intermediates.
-* ``"level"``: the spec is ``"eu"`` (expected utility, and represented
+* ``"level"``: every ``"eu"`` spec (expected utility, and represented
   oracles through their gauge utility).  ``levels`` compares integer
   levels u·x in unbounded Python ints, so no envelope applies.
+* ``"compiled"``: a lex, hybrid or majority spec, when the extension
+  imported, set_force_pure(True) is off and the integer envelope fits
+  128-bit intermediates.
 * ``"pure"``: everything else, through ``pure``'s comparison closures.
 
-``backend_name`` names the path a call would take.  set_force_pure(True)
-takes the compiled path out, as if the extension had not imported.
-``scan_solvability_solve`` takes a utility instead of an oracle
-encoding and keeps a wrapper of its own.
+set_force_pure(True) takes the compiled path out, as if the extension
+had not imported.  ``scan_solvability_solve`` takes a utility instead
+of an oracle encoding; it is the level kernel itself.
 """
 
 from __future__ import annotations
 
-from . import encoding, levels, pure
+from . import levels, pure
 from .encoding import encode_lotteries, encode_oracle, envelope_ok
+from .levels import scan_solvability_solve
 
 try:
     from . import _fastscan as _fast
 except ImportError:
     _fast = None
 
-_KIND_CODES = {"eu": 0, "lex": 1, "hybrid": 2, "majority": 3}
+# The oracle kind codes of the .pyx enum that the compiled path serves.
+_KIND_CODES = {"lex": 1, "hybrid": 2, "majority": 3}
 _force_pure = False
 
 __all__ = [
@@ -75,18 +77,15 @@ def set_force_pure(flag: bool):
     _force_pure = flag
 
 
-def _can_compile(spec, scan: str, den: int, **limits) -> bool:
-    if _fast is None or _force_pure:
-        return False
-    if spec[0] not in _KIND_CODES:
-        return False
-    return envelope_ok(spec, scan, den, **limits)
-
-
 def backend_name(spec, scan: str, den: int, **limits) -> str:
-    if _can_compile(spec, scan, den, **limits):
+    """The path ``scan_<scan>(spec, nums, den, ...)`` takes, given the
+    envelope limits its trailing arguments imply."""
+    if spec[0] == "eu":
+        return "level"
+    if (_fast is not None and not _force_pure and spec[0] in _KIND_CODES
+            and envelope_ok(den, **limits)):
         return "compiled"
-    return "level" if spec[0] == "eu" else "pure"
+    return "pure"
 
 
 def _flat(nums) -> list[int]:
@@ -94,21 +93,21 @@ def _flat(nums) -> list[int]:
 
 
 def _dispatcher(scan: str, limits):
-    """scan_<scan>(spec, nums, den, *rest): the compiled twin when
-    ``_can_compile`` allows it under ``limits(*rest)``, else the level
-    twin for an eu spec, else the pure one.  The compiled twin takes
-    weight-pair lists flattened."""
+    """scan_<scan>(spec, nums, den, *rest) on the path ``backend_name``
+    picks under ``limits(*rest)``.  The compiled twin takes weight-pair
+    lists flattened."""
     pure_scan = getattr(pure, f"scan_{scan}")
     level_scan = getattr(levels, f"scan_{scan}")
 
     def dispatch(spec, nums, den, *rest):
-        if _can_compile(spec, scan, den, **limits(*rest)):
+        path = backend_name(spec, scan, den, **limits(*rest))
+        if path == "compiled":
             flat_rest = [_flat(x) if isinstance(x, (list, tuple)) else x
                          for x in rest]
             return getattr(_fast, f"scan_{scan}")(
                 _KIND_CODES[spec[0]], list(spec[1]), _flat(nums), len(nums),
                 len(nums[0]) if nums else 0, den, *flat_rest)
-        if spec[0] == "eu":
+        if path == "level":
             return level_scan(spec, nums, den, *rest)
         return pure_scan(spec, nums, den, *rest)
 
@@ -132,12 +131,3 @@ scan_mixture = _dispatcher("mixture", lambda stars, depth: dict(
 scan_archimedean = _dispatcher("archimedean", lambda depth: {"depth": depth})
 scan_solvability_scan = _dispatcher("solvability_scan", _alpha_limits)
 scan_openness = _dispatcher("openness", lambda depth: {"depth": depth})
-
-
-def scan_solvability_solve(utility, nums, den):
-    spec = ("eu", tuple(utility))
-    if _can_compile(spec, "solvability_solve", den):
-        return _fast.scan_solvability_solve(
-            list(utility), _flat(nums), len(nums),
-            len(nums[0]) if nums else 0, den)
-    return levels.scan_solvability_solve(utility, nums, den)

@@ -3,10 +3,11 @@
 The axiom scans run over a fixed grid, so every lottery is rescaled to
 one common integer denominator and every built-in oracle reduces to a
 small integer recipe.  Comparisons then happen by cross-multiplication
-in plain integers; the pure backend uses Python's unbounded ints, and
-the compiled backend uses 128-bit intermediates, so ``envelope_ok``
-computes a conservative bound on every product a given scan can form
-and refuses the compiled path when it could overflow.
+in plain integers.  The level and pure paths use Python's unbounded
+ints.  The compiled path serves only lex, hybrid and majority, which
+carry no payoffs, and uses 128-bit intermediates, so ``envelope_ok``
+bounds the lattice denominators a scan can form and refuses the
+compiled path when their cross products could overflow.
 """
 
 from __future__ import annotations
@@ -27,16 +28,13 @@ from ..oracles import (
 __all__ = [
     "encode_lotteries",
     "encode_oracle",
-    "oracle_scale",
     "envelope_ok",
     "INT128_SAFE",
-    "INT64_SAFE",
 ]
 
-# Compiled kernels multiply (utility scale) x (denominator)^2; staying
-# a few bits below 2^127 leaves room for one subtraction and sums.
+# Compiled kernels multiply two lattice denominators; staying a few
+# bits below 2^127 leaves room for one subtraction and sums.
 INT128_SAFE = 1 << 120
-INT64_SAFE = 1 << 62
 
 
 def encode_lotteries(lotteries) -> tuple[list[tuple[int, ...]], int]:
@@ -82,42 +80,11 @@ def encode_oracle(oracle: PreferenceOracle):
     return None
 
 
-def oracle_scale(spec) -> int:
-    """Largest payoff magnitude the comparison can multiply in."""
-    kind, params = spec
-    if kind == "eu":
-        return max(1, max(abs(v) for v in params))
-    return 1
-
-
-def worst_denominator(scan: str, den: int, *,
-                      max_alpha_den: int = 1,
-                      max_t_den: int = 1,
-                      depth: int = 0,
-                      u_scale: int = 1) -> int:
-    """Largest (unreduced) denominator any lottery in the scan can carry."""
-    if scan in ("transitivity", "translation"):
-        return den
-    if scan in ("independence", "betweenness", "convexity"):
-        return den * max_alpha_den
-    if scan == "line_order":
-        return den * max_t_den
-    if scan == "solvability_scan":
-        return den * max_alpha_den
-    if scan == "solvability_solve":
-        # alpha = ratio of two dot differences, each within 2*u*den.
-        return den * (2 * u_scale * den)
-    if scan == "mixture":
-        return den * max_alpha_den * (1 << depth)
-    if scan in ("archimedean", "openness"):
-        return den * (1 << depth)
-    raise ValueError(f"unknown scan {scan!r}")
-
-
-def envelope_ok(spec, scan: str, den: int, **limits) -> bool:
-    """True when every value and product the compiled scan can form
-    fits its storage: payoffs and denominators in 64 bits, cross
-    products in 128."""
-    u = oracle_scale(spec)
-    m = worst_denominator(scan, den, u_scale=u, **limits)
-    return u < INT64_SAFE and m < INT64_SAFE and u * m * m < INT128_SAFE
+def envelope_ok(den: int, *, max_alpha_den: int = 1, max_t_den: int = 1,
+                depth: int = 0) -> bool:
+    """True when every cross product the compiled scan can form fits
+    128 bits.  No lottery in a scan carries a denominator above
+    den · max_alpha_den · max_t_den · 2^depth: each scan passes only
+    the limits its own weights imply, and the others stay 1, 1 and 0."""
+    worst = den * max_alpha_den * max_t_den << depth
+    return worst * worst < INT128_SAFE

@@ -53,9 +53,11 @@ __all__ = [
     "CONTINUITY_KINDS",
 ]
 
-# Dyadic refinement budget for the continuity probes.  Deep enough that
-# a linear oracle's smallest grid margin dwarfs 2^-depth, so the probes
-# cannot manufacture a false boundary at desk scale.
+# Dyadic refinement budget for the continuity probes.  A mixture,
+# archimedean or grid-openness violation means only that every probe
+# down to 2^-depth agrees: a boundary closer than that still reads as
+# a violation, as for expected utility with u = (0, 1, 10^7) on grid
+# bound 3 at this depth (ROADMAP item 1).
 DEFAULT_DEPTH = 24
 
 CONTINUITY_KINDS = ("grid-openness", "mixture", "archimedean", "solvability")
@@ -240,6 +242,11 @@ class LineOrderWitness:
                 and self.observed is not BETTER)
 
 
+def _check_side(kind: str, side: int):
+    if side not in (-1, 1):
+        raise ValueError(f"{kind} side must be -1 or 1, got {side!r}")
+
+
 @dataclass(frozen=True)
 class MixtureWitness:
     """The weak upper set {alpha : mix(p, r, alpha) >= q} excludes
@@ -253,6 +260,9 @@ class MixtureWitness:
     side: int  # +1: probes above alpha_star; -1: below
     boundary: ComparisonResult
     depth: int
+
+    def __post_init__(self):
+        _check_side("mixture", self.side)
 
     def replay(self, oracle: PreferenceOracle) -> bool:
         at_star = oracle.compare(mix(self.p, self.r, self.alpha_star), self.q)
@@ -356,13 +366,16 @@ class OpennessWitness:
     p: Lottery
     q: Lottery
     w: Lottery
-    side: int
+    side: int  # sign of q against p
     depth: int
+
+    def __post_init__(self):
+        _check_side("grid-openness", self.side)
 
     def replay(self, oracle: PreferenceOracle) -> bool:
         if self.depth < 1:
             return False
-        if oracle.compare(self.q, self.p).sign != self.side or self.side == 0:
+        if oracle.compare(self.q, self.p).sign != self.side:
             return False
         if oracle.compare(self.w, self.p).sign != -self.side:
             return False

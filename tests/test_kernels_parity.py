@@ -1,10 +1,11 @@
 """The compiled, level and pure scan paths must agree hit for hit.
 
 Every scan is run on the same encoded grid through the dispatcher with
-the compiled extension (built by the ``compiled`` fixture in
-conftest.py) and directly against the pure kernels, for every oracle
-recipe the C code understands; eu specs are also run through the level
-kernels.  First hits are compared exactly, None included.
+the compiled extension loaded (built by the ``compiled`` fixture in
+conftest.py) and directly against the pure kernels.  lex, hybrid and
+majority specs take the compiled path; eu specs take the level path
+even with the extension loaded.  First hits are compared exactly, None
+included.
 """
 
 import re
@@ -44,7 +45,8 @@ def pairs(fracs):
 @pytest.mark.parametrize("bound", [2, 3])
 def test_triple_scans_agree(compiled, spec, bound):
     nums, den = encoded(bound)
-    assert kernels.backend_name(spec, "transitivity", den) == "compiled"
+    path = "level" if spec[0] == "eu" else "compiled"
+    assert kernels.backend_name(spec, "transitivity", den) == path
     alphas = pairs(dyadic_alphas(bound))
     candidates = pairs(rationals_between(F(0), F(1), bound))
     cases = [
@@ -60,24 +62,19 @@ def test_triple_scans_agree(compiled, spec, bound):
         ("openness", (nums, den, 8)),
     ]
     for name, args in cases:
-        fast_hit = getattr(kernels, f"scan_{name}")(spec, *args)
+        hit = getattr(kernels, f"scan_{name}")(spec, *args)
         pure_hit = getattr(pure, f"scan_{name}")(spec, *args)
-        assert fast_hit == pure_hit, f"{name} diverged on {spec}"
-        if spec[0] == "eu":
-            level_hit = getattr(levels, f"scan_{name}")(spec, *args)
-            assert fast_hit == level_hit, f"level {name} diverged on {spec}"
+        assert hit == pure_hit, f"{path} {name} diverged on {spec}"
 
 
 @pytest.mark.parametrize("utility", [(0, 1, 2), (5, 5, 5), (-2, 7, 1)])
 def test_solvability_solve_agrees(compiled, utility):
     nums, den = encoded(3)
     assert kernels.backend_name(("eu", utility), "solvability_solve", den) \
-        == "compiled"
-    fast_hit = kernels.scan_solvability_solve(list(utility), nums, den)
-    level_hit = levels.scan_solvability_solve(list(utility), nums, den)
-    assert fast_hit == level_hit
+        == "level"
+    assert kernels.scan_solvability_solve is levels.scan_solvability_solve
     # A linear payoff always solves, so the honest answer is no hit.
-    assert fast_hit is None
+    assert kernels.scan_solvability_solve(list(utility), nums, den) is None
 
 
 def test_callback_spec_runs_pure():
@@ -119,8 +116,9 @@ def test_force_pure_toggle(compiled):
 
 
 def test_oversized_payoffs_fall_back_to_pure():
-    # Payoffs beyond the 64-bit envelope must not reach the C kernels;
-    # the level kernels, pure Python over unbounded ints, take them.
+    # Payoffs beyond 64 bits must not reach the C kernels; like every
+    # eu spec, the level kernels, pure Python over unbounded ints, take
+    # them.
     nums, den = encoded(2)
     big = ("eu", (0, 1 << 63, 1 << 64))
     assert kernels.backend_name(big, "transitivity", den) == "level"
@@ -131,14 +129,14 @@ def test_oversized_payoffs_fall_back_to_pure():
 
 @pytest.mark.parametrize("extension", [False, True], ids=["absent", "built"])
 def test_backend_name_names_each_path(request, monkeypatch, extension):
-    # compiled first where the envelope allows it, then level for every
-    # eu spec, then pure; the benchmark counts only "compiled".
+    # level for every eu spec, compiled for the other recipes where the
+    # envelope allows it, else pure; the benchmark counts only "compiled".
     fast = request.getfixturevalue("fastscan") if extension else None
     monkeypatch.setattr(kernels, "_fast", fast)
     nums, den = encoded(2)
     small, big = ("eu", (0, 1, 2)), ("eu", (0, 1, 1 << 125))
     expected = {
-        small: "compiled" if extension else "level",
+        small: "level",
         big: "level",
         ("lex", (0, 1, 2)): "compiled" if extension else "pure",
         ("callback", (None,)): "pure",

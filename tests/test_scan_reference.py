@@ -11,8 +11,10 @@ two agree on (None included) is computed twice, independently.
 The pure kernels run every oracle; the level kernels run the eu and
 represented ones, including payoffs beyond the compiled envelope.  Both
 run whether or not the compiled extension is built, so this suite
-checks the scan algorithms wherever the tests run.  A Hypothesis test
-then holds the level kernels to the pure ones on drawn payoffs.
+checks the scan algorithms wherever the tests run.  Hypothesis tests
+then hold the level kernels to the pure ones on drawn payoffs, and the
+pure kernels to the reference on drawn lex, hybrid, majority and
+callback oracles.
 """
 
 from fractions import Fraction
@@ -42,20 +44,31 @@ F = Fraction
 DEPTH = 4  # dyadic probes; small enough that some probe scans do hit
 
 
-class SkewedOracle(PreferenceOracle):
-    """Scores the first lottery and the second with different weights:
-    reflexive, but neither antisymmetric nor transitive.  The encoder
-    refuses it, so the scans see it through the callback path."""
+class ScoredOracle(PreferenceOracle):
+    """Scores the first lottery with ``left`` and the second with
+    ``right``: reflexive, and with left != right in general neither
+    antisymmetric nor transitive.  The encoder refuses it, so the scans
+    see it through the callback path."""
 
-    kind = "skewed"
+    kind = "scored"
+
+    def __init__(self, space, left, right):
+        super().__init__(space)
+        self.left, self.right = left, right
 
     def compare(self, p, q):
         if p == q:
             return ComparisonResult.INDIFFERENT
-        n = self.space.size
-        left = sum((c + 1) * w for c, w in enumerate(p.weights))
-        right = sum((2 * c % n + 1) * w for c, w in enumerate(q.weights))
-        return ComparisonResult.from_sign((left > right) - (left < right))
+        lhs = sum(c * w for c, w in zip(self.left, p.weights))
+        rhs = sum(c * w for c, w in zip(self.right, q.weights))
+        return ComparisonResult.from_sign((lhs > rhs) - (lhs < rhs))
+
+
+def skewed(space):
+    """Scores c + 1 on the left against 2c mod n + 1 on the right."""
+    n = space.size
+    return ScoredOracle(space, [c + 1 for c in range(n)],
+                        [2 * c % n + 1 for c in range(n)])
 
 
 class TiesBetterOracle(ExpectedUtilityOracle):
@@ -108,7 +121,7 @@ ORACLES = {
         "lex": lambda s: LexicographicOracle(s, (2, 0, 1)),
         "hybrid": HybridExampleOracle,
         "majority": MajorityOracle,
-        "skewed": SkewedOracle,
+        "skewed": skewed,
         "ties-better": lambda s: TiesBetterOracle(UtilityFunction.of(s, [0, 1, 1])),
     },
     4: {
@@ -116,7 +129,7 @@ ORACLES = {
         "lex": lambda s: LexicographicOracle(s, (1, 3, 0, 2)),
         "hybrid": HybridExampleOracle,
         "majority": MajorityOracle,
-        "skewed": SkewedOracle,
+        "skewed": skewed,
         "ties-better": lambda s: TiesBetterOracle(
             UtilityFunction.of(s, [0, 1, 1, -1])),
     },
@@ -550,3 +563,34 @@ def test_level_scans_match_pure(size, bound, payoffs, depth, weights):
     for name, args in calls:
         assert (getattr(levels, f"scan_{name}")(spec, nums, den, *args)
                 == getattr(pure, f"scan_{name}")(spec, nums, den, *args)), name
+
+
+# ---- drawn non-eu oracles -----------------------------------------------------------
+
+SCORES = st.lists(st.integers(-3, 3), min_size=3, max_size=3)
+NON_EU_ORACLES = st.one_of(
+    st.permutations(range(3)).map(
+        lambda order: lambda s: LexicographicOracle(s, tuple(order))),
+    st.just(HybridExampleOracle),
+    st.just(MajorityOracle),
+    st.tuples(SCORES, SCORES).map(
+        lambda lr: lambda s: ScoredOracle(s, *lr)),
+)
+
+
+@settings(max_examples=20, deadline=None)
+@given(make=NON_EU_ORACLES, bound=st.sampled_from([2, 3]), depth=st.integers(1, 4))
+def test_pure_scans_match_reference_on_drawn_oracles(make, bound, depth):
+    # lex with a drawn priority, hybrid, majority and a callback oracle
+    # with drawn score weights: the pure kernels against the reference
+    # at a drawn probe depth, on the encoded or the callback path.  As
+    # above, independence and mixture run on the small grid only.
+    space = OutcomeSpace.of_size(3)
+    oracle = make(space)
+    lots, nums, den, spec = _encoded(oracle, GridSpec(space, bound))
+    assert (spec[0] == "callback") == isinstance(oracle, ScoredOracle)
+    ref = Reference(oracle, lots)
+    for name, reference in (LEVEL_REFERENCES if bound == 2 else REFERENCES).items():
+        hit = getattr(pure, f"scan_{name}")(
+            spec, nums, den, *kernel_args(name, bound, depth))
+        assert hit == reference(ref, bound, depth), f"{name} diverged"

@@ -215,6 +215,18 @@ def test_witness_with_unknown_case_rejected():
     with pytest.raises(ValueError):
         ArchimedeanWitness(p=lot(0, 0, 1), q=lot(0, 1, 0), r=lot(1, 0, 0),
                            side="gamma", depth=4)
+    # A mixture side of 7 steps past [0, 1] and skips most of the probes
+    # its depth claims: this document replayed True against an oracle
+    # that never violates mixture.
+    mixture = {"kind": "mixture", "p": ["0", "0", "1"], "q": ["0", "1", "0"],
+               "r": ["1/2", "1/2", "0"], "alpha_star": "0", "side": 7,
+               "boundary": "strictly-worse", "depth": 24}
+    openness = {"kind": "grid-openness", "p": ["0", "1", "0"],
+                "q": ["1/2", "1/2", "0"], "w": ["0", "0", "1"], "side": 2,
+                "depth": 24}
+    for doc in (mixture, openness):
+        with pytest.raises(ValueError, match="side"):
+            witness_from_json(SPACE, doc)
 
 
 def test_verdict_document_shape():
