@@ -12,7 +12,6 @@ compiled path when their cross products could overflow.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import lcm
 
 from ..lotteries import Lottery
@@ -53,24 +52,19 @@ def encode_lotteries(lotteries) -> tuple[list[tuple[int, ...]], int]:
 def encode_oracle(oracle: PreferenceOracle):
     """(kind, params) integer recipe, or None when not encodable.
 
-    eu: params are integer payoffs (common denominator cleared; scale
-    does not change comparisons).  A represented oracle is the same
-    thing through its gauge utility.  lex carries the priority order;
-    hybrid and majority need no parameters.
+    eu: params are the oracle's ``gauge``, its integer payoffs (common
+    denominator cleared; scale does not change comparisons).  A
+    represented oracle is the same thing through its gauge utility.
+    lex carries the priority order; hybrid and majority need no
+    parameters.
 
     Exact type checks on purpose: a subclass may override compare or
     solve, and encoding it with the parent's recipe would let the scans
     answer for the wrong ranking.  Unknown types run through the
     callback path instead.
     """
-    if type(oracle) is ExpectedUtilityOracle:
-        scale = lcm(*(v.denominator for v in oracle.utility.values))
-        return ("eu", tuple(int(v * scale) for v in oracle.utility.values))
-    if type(oracle) is RepresentedOracle:
-        values = (Fraction(0),) + tuple(
-            oracle.orientation * c for c in oracle.hyperplane.normal)
-        scale = lcm(*(v.denominator for v in values))
-        return ("eu", tuple(int(v * scale) for v in values))
+    if type(oracle) in (ExpectedUtilityOracle, RepresentedOracle):
+        return ("eu", oracle.gauge)
     if type(oracle) is HybridExampleOracle:
         return ("hybrid", ())
     if type(oracle) is LexicographicOracle:

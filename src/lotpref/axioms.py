@@ -20,7 +20,7 @@ from functools import lru_cache
 
 from . import _kernels as kernels
 from ._kernels import pure
-from .geometry import affine_rank
+from .geometry import AffineBasis, affine_rank
 from .grids import GridSpec, dyadic_alphas, enumerate_grid, rationals_between
 from .lotteries import Lottery, embed, mix, unit_weight
 from .oracles import ComparisonResult, PreferenceOracle
@@ -539,13 +539,18 @@ def check_ip(oracle: PreferenceOracle, grid: GridSpec) -> AxiomVerdict:
         return AxiomVerdict("ip", False, budget, found=IPFound((), -1))
 
     # Each class is its span: affinely independent members, the first
-    # one its representative, so its affine rank is len(span) - 1.
+    # one its representative, so its affine rank is len(span) - 1.  A
+    # class gets the echelon basis of its hull when a second member
+    # arrives; singleton classes never need one.
     classes: list[list[Lottery]] = []
+    hulls: dict[int, AffineBasis] = {}
     best_size = 0
     for lot in lots:
-        for span in classes:
+        for k, span in enumerate(classes):
             if oracle.compare(lot, span[0]) is INDIFF:
-                if affine_rank([embed(x).coords for x in (*span, lot)]) == len(span):
+                if k not in hulls:
+                    hulls[k] = AffineBasis(embed(span[0]).coords)
+                if hulls[k].add(embed(lot).coords):
                     span.append(lot)
                 break
         else:

@@ -1,4 +1,12 @@
-"""Exact affine geometry over Fraction vectors.
+"""Exact affine geometry over rational vectors.
+
+Inputs and results are Fractions (ints and anything ``Fraction`` accepts
+are read as rationals), but the elimination runs on Python ints: each
+row is scaled to integers by its denominators' lcm, reduced
+fraction-free (cross-multiply, then divide the row by its gcd), and
+Fractions are built only for the entries returned.  The reduced row
+echelon form of a matrix is unique, so this gives exactly what
+elimination over Fractions gives.
 
 Everything here is deterministic: row reduction always picks the first
 row with a nonzero entry as pivot, free variables are numbered in
@@ -8,13 +16,15 @@ which the rest of the package relies on for replayable witnesses.
 
 Vectors are plain tuples of Fraction; matrices are sequences of such
 rows.  Callers that hold embedded lottery points pass their ``coords``.
+``AffineBasis`` keeps a growing affine hull as an integer echelon basis,
+for callers that add points one at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import (
     DimensionMismatch,
@@ -33,11 +43,15 @@ __all__ = [
     "kernel_basis",
     "affine_rank",
     "affine_coefficients",
+    "common_denominator",
+    "AffineBasis",
     "Hyperplane",
     "hyperplane_from_points",
 ]
 
 Vector = tuple[Fraction, ...]
+
+ZERO = Fraction(0)
 
 
 def dot(a, b) -> Fraction:
@@ -63,8 +77,88 @@ def vec_scale(c, a) -> Vector:
     return tuple(c * x for x in a)
 
 
-def _as_rows(matrix) -> list[list[Fraction]]:
-    rows = [list(map(Fraction, row)) for row in matrix]
+# ---- the integer core ---------------------------------------------------------
+
+
+def _rationals(values) -> list:
+    """The values as ints and Fractions; anything else goes through
+    ``Fraction`` once."""
+    return [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in values]
+
+
+def _fractions(values) -> Vector:
+    return tuple(x if isinstance(x, Fraction) else Fraction(x) for x in values)
+
+
+def _primitive(ints: list[int]) -> list[int]:
+    """The row divided by the gcd of its entries."""
+    g = gcd(*ints)
+    return [x // g for x in ints] if g > 1 else ints
+
+
+def common_denominator(values) -> tuple[list[int], int]:
+    """(nums, den): rationals as integers over their least common
+    denominator, so that values[i] == nums[i] / den."""
+    dens = [x.denominator for x in values]
+    den = lcm(*dens)
+    return [x.numerator * (den // d) for x, d in zip(values, dens)], den
+
+
+def _int_points(points) -> list[list[int]]:
+    """Points scaled by one common denominator, so that differences of
+    rows are differences of points; ragged input is rejected."""
+    rows = [common_denominator(_rationals(p)) for p in points]
+    if len({len(nums) for nums, _ in rows}) > 1:
+        raise DimensionMismatch("points of unequal length")
+    den = lcm(*(d for _, d in rows))
+    return [[x * (den // d) for x in nums] for nums, d in rows]
+
+
+def _differences(rows: list[list[int]]) -> list[list[int]]:
+    base = rows[0]
+    return [_primitive([x - y for x, y in zip(row, base)]) for row in rows[1:]]
+
+
+def _eliminate(rows: list[list[int]], full: bool = True) -> list[int]:
+    """Fraction-free row reduction of integer rows, in place.
+
+    Scans columns left to right; the pivot for a column is the first
+    not-yet-used row with a nonzero entry there, swapped up to its
+    place.  Each row that needs it is replaced by pivot·row − entry·pivot
+    row and divided by its gcd, so every row stays a primitive integer
+    multiple of the row elimination over Fractions would hold.  With
+    ``full`` the pivot column is cleared in every other row (Gauss-
+    Jordan), otherwise only below the pivot.  Returns the pivot columns;
+    row r holds pivot r and the rows after the last pivot are zero.
+    """
+    pivots: list[int] = []
+    if not rows:
+        return pivots
+    nrows = len(rows)
+    r = 0
+    for c in range(len(rows[0])):
+        for i in range(r, nrows):
+            if rows[i][c]:
+                break
+        else:
+            continue
+        rows[r], rows[i] = rows[i], rows[r]
+        prow = rows[r]
+        pv = prow[c]
+        for i in range(0 if full else r + 1, nrows):
+            f = rows[i][c]
+            if f and i != r:
+                rows[i] = _primitive([pv * x - f * y for x, y in zip(rows[i], prow)])
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return pivots
+
+
+def _int_matrix(matrix) -> list[list[int]]:
+    """Each row as the primitive integer row spanning the same line."""
+    rows = [_primitive(common_denominator(_rationals(row))[0]) for row in matrix]
     widths = {len(r) for r in rows}
     if len(widths) > 1:
         raise DimensionMismatch(f"ragged matrix with row lengths {sorted(widths)}")
@@ -78,32 +172,29 @@ def rref(matrix) -> tuple[tuple[Vector, ...], tuple[int, ...]]:
     not-yet-used row with a nonzero entry there.  Returns the reduced
     rows and the tuple of pivot column indices.
     """
-    rows = _as_rows(matrix)
+    rows = _int_matrix(matrix)
     if not rows:
         return (), ()
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(rows)):
-            if rows[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [inv * x for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return tuple(tuple(row) for row in rows), tuple(pivots)
+    pivots = _eliminate(rows)
+    reduced = [tuple(ZERO if not x else Fraction(x, row[c]) for x in row)
+               for row, c in zip(rows, pivots)]
+    reduced += [(ZERO,) * len(rows[0])] * (len(rows) - len(pivots))
+    return tuple(reduced), tuple(pivots)
+
+
+def _kernel_ints(rows, pivots, ncols) -> tuple[list[list[int]], int]:
+    """One integer kernel vector per free column of Gauss-Jordan reduced
+    rows, and the scale: each vector is the canonical Fraction basis
+    vector times that scale, the lcm of the pivot entries."""
+    scale = lcm(*(rows[r][c] for r, c in enumerate(pivots)))
+    out = []
+    for f in sorted(set(range(ncols)) - set(pivots)):
+        v = [0] * ncols
+        v[f] = scale
+        for r, c in enumerate(pivots):
+            v[c] = -rows[r][f] * (scale // rows[r][c])
+        out.append(v)
+    return out, scale
 
 
 def kernel_basis(matrix, width: int | None = None) -> tuple[Vector, ...]:
@@ -113,26 +204,18 @@ def kernel_basis(matrix, width: int | None = None) -> tuple[Vector, ...]:
     has a 1 in its own free position and 0 in every other free position,
     so the result is unique given the pivoting rule of ``rref``.
     """
-    rows = _as_rows(matrix)
+    rows = _int_matrix(matrix)
     if not rows:
         if width is None:
             raise EmptyInput("kernel of an empty matrix needs an explicit width")
         ncols = width
-        reduced, pivots = (), ()
     else:
         ncols = len(rows[0])
         if width is not None and width != ncols:
             raise DimensionMismatch(f"width {width} but rows have {ncols} columns")
-        reduced, pivots = rref(rows)
-    free_cols = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free_cols:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for r, c in enumerate(pivots):
-            v[c] = -reduced[r][f]
-        basis.append(tuple(v))
-    return tuple(basis)
+    vectors, scale = _kernel_ints(rows, _eliminate(rows), ncols)
+    return tuple(tuple(ZERO if not x else Fraction(x, scale) for x in v)
+                 for v in vectors)
 
 
 def affine_rank(points) -> int:
@@ -140,15 +223,10 @@ def affine_rank(points) -> int:
 
     A single point has rank 0; a segment rank 1; and so on.
     """
-    pts = [tuple(map(Fraction, p)) for p in points]
-    if not pts:
+    rows = _int_points(points)
+    if not rows:
         raise EmptyInput("affine rank of no points")
-    base = pts[0]
-    diffs = [vec_sub(p, base) for p in pts[1:]]
-    if not diffs:
-        return 0
-    _, pivots = rref(diffs)
-    return len(pivots)
+    return len(_eliminate(_differences(rows), full=False))
 
 
 def affine_coefficients(target, points) -> tuple[Fraction, ...]:
@@ -158,27 +236,77 @@ def affine_coefficients(target, points) -> tuple[Fraction, ...]:
     appended; free weights are fixed at 0, so the answer is canonical.
     Raises NotInAffineHull when the system is inconsistent.
     """
-    pts = [tuple(map(Fraction, p)) for p in points]
-    if not pts:
+    points = list(points)
+    if not points:
         raise EmptyInput("no points to combine")
-    tgt = tuple(map(Fraction, target))
+    tgt = _rationals(target)
     dim = len(tgt)
-    for p in pts:
+    for p in points:
         if len(p) != dim:
             raise DimensionMismatch(
                 f"point of length {len(p)} against target of length {dim}")
+    *pts, tgt_ints = _int_points(points + [tgt])
     m = len(pts)
     # Rows: one per coordinate plus the sum-to-one row; last column is
     # the augment.
-    aug = [[pts[j][i] for j in range(m)] + [tgt[i]] for i in range(dim)]
-    aug.append([Fraction(1)] * m + [Fraction(1)])
-    reduced, pivots = rref(aug)
+    aug = [_primitive([p[i] for p in pts] + [tgt_ints[i]]) for i in range(dim)]
+    aug.append([1] * (m + 1))
+    pivots = _eliminate(aug)
     if m in pivots:
-        raise NotInAffineHull(f"{tgt} is not an affine combination of the points")
-    coeffs = [Fraction(0)] * m
+        raise NotInAffineHull(
+            f"{_fractions(tgt)} is not an affine combination "
+            "of the points")
+    coeffs = [ZERO] * m
     for r, c in enumerate(pivots):
-        coeffs[c] = reduced[r][m]
+        if aug[r][m]:
+            coeffs[c] = Fraction(aug[r][m], aug[r][c])
     return tuple(coeffs)
+
+
+class AffineBasis:
+    """The affine hull of an origin and the points added to it, kept as
+    an integer echelon basis of their differences from the origin.
+
+    ``add`` and ``contains`` reduce one difference against the basis
+    rows, O(rank · width) integer operations, where recomputing
+    ``affine_rank`` of every point costs a full elimination.  Row k's
+    pivot is its first nonzero column, and every later row is zero
+    there, so a difference reduces to zero exactly when it lies in the
+    span.
+    """
+
+    def __init__(self, origin):
+        self._origin, self._den = common_denominator(_rationals(origin))
+        self._rows: list[tuple[int, list[int]]] = []
+
+    def _reduce(self, point) -> list[int]:
+        nums, d = common_denominator(_rationals(point))
+        if len(nums) != len(self._origin):
+            raise DimensionMismatch(
+                f"point of length {len(nums)} against origin of length "
+                f"{len(self._origin)}")
+        den = lcm(self._den, d)
+        kp, ko = den // d, den // self._den
+        v = [kp * x - ko * o for x, o in zip(nums, self._origin)]
+        for c, row in self._rows:
+            f = v[c]
+            if f:
+                pv = row[c]
+                v = _primitive([pv * x - f * y for x, y in zip(v, row)])
+        return v
+
+    def contains(self, point) -> bool:
+        """Whether the point lies in the hull."""
+        return not any(self._reduce(point))
+
+    def add(self, point) -> bool:
+        """Grow the hull by the point; True when its dimension grew."""
+        v = self._reduce(point)
+        for c, x in enumerate(v):
+            if x:
+                self._rows.append((c, _primitive(v)))
+                return True
+        return False
 
 
 @dataclass(frozen=True)
@@ -205,22 +333,6 @@ class Hyperplane:
         return (lv > 0) - (lv < 0)
 
 
-def _primitive(v: Vector) -> Vector:
-    """Scale to coprime integers with a positive leading entry."""
-    mult = 1
-    for x in v:
-        mult = mult * x.denominator // gcd(mult, x.denominator)
-    ints = [int(x * mult) for x in v]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    ints = [x // g for x in ints]
-    lead = next(x for x in ints if x != 0)
-    if lead < 0:
-        ints = [-x for x in ints]
-    return tuple(Fraction(x) for x in ints)
-
-
 def hyperplane_from_points(points) -> Hyperplane:
     """The unique hyperplane through ``dim`` affinely independent points.
 
@@ -229,20 +341,21 @@ def hyperplane_from_points(points) -> Hyperplane:
     integer entries, first nonzero positive) and the base point is the
     first input point, so equal inputs give equal hyperplanes.
     """
-    pts = [tuple(map(Fraction, p)) for p in points]
+    pts = [_rationals(p) for p in points]
     if not pts:
         raise EmptyInput("no points given")
     dim = len(pts[0])
-    for p in pts:
-        if len(p) != dim:
-            raise DimensionMismatch("points of unequal length")
+    rows = _int_points(pts)
     if len(pts) != dim:
         raise WrongCount(f"need exactly {dim} points, got {len(pts)}")
-    base = pts[0]
     # dim - 1 difference rows in dim columns: one normal exactly when
     # their rank, the points' affine rank, is dim - 1.
-    normals = kernel_basis([vec_sub(p, base) for p in pts[1:]], width=dim)
+    diffs = _differences(rows)
+    normals, _ = _kernel_ints(diffs, _eliminate(diffs), dim)
     if len(normals) != 1:
         raise RankDeficient(
             f"points span affine dimension {dim - len(normals)}, need {dim - 1}")
-    return Hyperplane(_primitive(normals[0]), base)
+    normal = _primitive(normals[0])
+    if next(x for x in normal if x) < 0:
+        normal = [-x for x in normal]
+    return Hyperplane(tuple(Fraction(x) for x in normal), _fractions(pts[0]))

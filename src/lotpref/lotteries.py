@@ -23,6 +23,7 @@ from .errors import (
     SpaceMismatch,
     SumNotOne,
 )
+from .geometry import common_denominator
 from .rationals import parse_rational
 
 __all__ = [
@@ -37,6 +38,7 @@ __all__ = [
     "embed",
     "unembed",
     "as_fraction",
+    "require_exact",
 ]
 
 ONE = Fraction(1)
@@ -68,6 +70,14 @@ class OutcomeSpace:
         return len(self.labels) - 1
 
 
+def require_exact(values) -> None:
+    """ValueError naming the first value that is not an int or a
+    Fraction, so no float or string gets into exact arithmetic."""
+    for value in values:
+        if not isinstance(value, (int, Fraction)):
+            raise ValueError(f"not an exact rational: {value!r}")
+
+
 def as_fraction(value) -> Fraction:
     """Coerce ints, Fractions, and "a/b" strings; reject floats."""
     if isinstance(value, Fraction):
@@ -90,12 +100,13 @@ class Lottery:
         if len(self.weights) != self.space.size:
             raise LengthMismatch(
                 f"{len(self.weights)} weights for {self.space.size} outcomes")
-        for w in self.weights:
-            if w < 0:
+        require_exact(self.weights)
+        nums, den = common_denominator(self.weights)
+        for w, num in zip(self.weights, nums):
+            if num < 0:
                 raise NegativeWeight(f"weight {w} is negative")
-        total = sum(self.weights, Fraction(0))
-        if total != ONE:
-            raise SumNotOne(f"weights sum to {total}, not 1")
+        if sum(nums) != den:
+            raise SumNotOne(f"weights sum to {Fraction(sum(nums), den)}, not 1")
 
     def __getitem__(self, index: int) -> Fraction:
         return self.weights[index]
@@ -150,9 +161,14 @@ def mix(p: Lottery, q: Lottery, alpha) -> Lottery:
     if p.space != q.space:
         raise SpaceMismatch("cannot mix lotteries over different spaces")
     a = unit_weight(alpha)
-    b = ONE - a
+    pn, pd = common_denominator(p.weights)
+    qn, qd = common_denominator(q.weights)
+    # a·x/pd + (1 − a)·y/qd over the one denominator den.
+    den = a.denominator * pd * qd
+    kp = a.numerator * qd
+    kq = (a.denominator - a.numerator) * pd
     return Lottery(p.space, tuple(
-        a * pw + b * qw for pw, qw in zip(p.weights, q.weights)))
+        Fraction(kp * x + kq * y, den) for x, y in zip(pn, qn)))
 
 
 def embed(p: Lottery) -> EmbeddedPoint:

@@ -7,6 +7,13 @@ mix(p, r, alpha) indifferent to q.  The linear oracles here can solve
 in closed form; the lexicographic family cannot solve at all, which is
 precisely what the continuity falsifiers are designed to expose.
 
+The linear oracles (expected utility and the represented hyperplane)
+keep one integer payoff vector, their ``gauge``, built once from the
+utility.  Comparisons and solves compute on it in
+Python ints and build no Fraction but the solved weight; ``level``
+still returns the exact Fraction score.  The scan kernels encode these
+oracles by the same gauge.
+
 The majority oracle is deliberately intransitive (a Condorcet-style
 cycle appears already on the denominator-3 grid) and exists so the
 weak-order checker has a guaranteed failure case to find.
@@ -17,6 +24,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .errors import (
     LengthMismatch,
@@ -25,8 +33,8 @@ from .errors import (
     SpaceMismatch,
     UnorientedRepresentation,
 )
-from .geometry import Hyperplane
-from .lotteries import Lottery, OutcomeSpace, as_fraction, embed
+from .geometry import Hyperplane, common_denominator
+from .lotteries import Lottery, OutcomeSpace, as_fraction, embed, require_exact
 
 __all__ = [
     "ComparisonResult",
@@ -80,6 +88,7 @@ class UtilityFunction:
         if len(self.values) != self.space.size:
             raise LengthMismatch(
                 f"{len(self.values)} payoffs for {self.space.size} outcomes")
+        require_exact(self.values)
 
     @classmethod
     def of(cls, space: OutcomeSpace, values) -> "UtilityFunction":
@@ -120,26 +129,52 @@ class PreferenceOracle:
 
 
 class _LevelOracle(PreferenceOracle):
-    """Shared machinery for oracles ranked by one linear score."""
+    """Shared machinery for oracles ranked by one linear score.
+
+    ``level`` is that score as a Fraction.  Comparisons and solves read
+    ``gauge`` instead: integer payoffs whose expected value is a
+    positive multiple of ``level`` plus a constant.  A lottery's gauge
+    level is the integer S over the lcm B of its denominators, so two
+    levels compare by the sign of S_p·B_q − S_q·B_p and no Fraction is
+    built.
+    """
 
     has_solve = True
+
+    def __init__(self, space: OutcomeSpace, payoffs):
+        super().__init__(space)
+        require_exact(payoffs)
+        # The payoffs times their denominators' lcm: a positive
+        # rescaling, so it ranks as they do and keeps every ratio of
+        # differences.  The scan kernels encode the oracle by it too.
+        self.gauge = tuple(common_denominator(payoffs)[0])
 
     def level(self, p: Lottery) -> Fraction:
         raise NotImplementedError
 
+    def _gauge_level(self, p: Lottery) -> tuple[int, int]:
+        """(S, B) with the gauge level of p equal to S / B."""
+        nums, den = common_denominator(p.weights)
+        return sum(map(mul, self.gauge, nums)), den
+
     def compare(self, p: Lottery, q: Lottery) -> ComparisonResult:
         self._check_pair(p, q)
-        d = self.level(p) - self.level(q)
+        sp, bp = self._gauge_level(p)
+        sq, bq = self._gauge_level(q)
+        d = sp * bq - sq * bp
         return ComparisonResult.from_sign((d > 0) - (d < 0))
 
     def solve(self, p: Lottery, q: Lottery, r: Lottery) -> Fraction:
         self._check_pair(p, r)
         self._solve_precondition(p, q, r)
-        top, mid, bot = self.level(p), self.level(q), self.level(r)
-        if top == bot:
+        (sp, bp), (sq, bq), (sr, br) = map(self._gauge_level, (p, q, r))
+        # (mid - bot) / (top - bot) over the levels S/B; the ratio does
+        # not see the gauge's scale or offset.
+        span = (sp * br - sr * bp) * bq
+        if not span:
             # The whole segment sits on q's level; any alpha works.
             return Fraction(1)
-        return (mid - bot) / (top - bot)
+        return Fraction((sq * br - sr * bq) * bp, span)
 
 
 class ExpectedUtilityOracle(_LevelOracle):
@@ -148,7 +183,7 @@ class ExpectedUtilityOracle(_LevelOracle):
     kind = "eu"
 
     def __init__(self, utility: UtilityFunction):
-        super().__init__(utility.space)
+        super().__init__(utility.space, utility.values)
         self.utility = utility
 
     def level(self, p: Lottery) -> Fraction:
@@ -160,18 +195,21 @@ class RepresentedOracle(_LevelOracle):
 
     orientation +1 means points on the normal side are better, -1 the
     reverse.  This is the oracle form of an elicited representation.
+    Its gauge is the utility (0, orientation·normal): the offset plus
+    a constant, since embedding drops outcome 0.
     """
 
     kind = "represented"
 
     def __init__(self, space: OutcomeSpace, hyperplane: Hyperplane, orientation: int):
-        super().__init__(space)
         if orientation not in (-1, 1):
             raise UnorientedRepresentation(
                 f"orientation must be +1 or -1, got {orientation!r}")
         if len(hyperplane.normal) != space.n:
             raise SpaceMismatch(
                 f"hyperplane in dimension {len(hyperplane.normal)}, space has {space.n}")
+        super().__init__(space, (Fraction(0),) + tuple(
+            orientation * c for c in hyperplane.normal))
         self.hyperplane = hyperplane
         self.orientation = orientation
 

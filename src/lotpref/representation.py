@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import (
     EmptyInput,
@@ -33,9 +34,11 @@ from .errors import (
     WrongCount,
 )
 from .geometry import (
+    AffineBasis,
     Hyperplane,
     affine_coefficients,
     affine_rank,
+    common_denominator,
     dot,
     hyperplane_from_points,
     kernel_basis,
@@ -341,21 +344,22 @@ def construct_ip_via_solvability(
     else:
         anchor = mix(p, r, oracle.solve(p, q, r))
     points = [anchor]
+    hull = AffineBasis(embed(p).coords)
+    for x in (r, anchor):
+        hull.add(embed(x).coords)
 
+    # A vertex inside the hull stays inside as the hull grows, so each
+    # search for the first vertex outside resumes where the last stopped.
+    vertex = 0
     while len(points) < n:
-        hull = [embed(x).coords for x in points] + [embed(p).coords, embed(r).coords]
-        candidate = None
-        for i in range(space.size):
-            vertex = degenerate(space, i)
-            try:
-                affine_coefficients(embed(vertex).coords, hull)
-            except NotInAffineHull:
-                candidate = vertex
-                break
-        if candidate is None:
+        while vertex < space.size and hull.contains(
+                embed(degenerate(space, vertex)).coords):
+            vertex += 1
+        if vertex == space.size:
             # The hull of k < n points plus the p-r line has affine
             # dimension at most k, so it cannot hold every vertex.
             raise RankDeficient("no vertex found outside the affine hull")
+        candidate = degenerate(space, vertex)
         side = oracle.compare(candidate, anchor)
         if side is ComparisonResult.INDIFFERENT:
             new_point = candidate
@@ -364,6 +368,7 @@ def construct_ip_via_solvability(
         else:
             new_point = mix(p, candidate, oracle.solve(p, anchor, candidate))
         points.append(new_point)
+        hull.add(embed(new_point).coords)
 
     embedded = [embed(x).coords for x in points]
     if affine_rank(embedded) != n - 1:
@@ -456,9 +461,16 @@ def indifference_certificate(
 
 
 def _affine_combination(points, coeffs, space) -> tuple[Fraction, ...]:
-    return tuple(
-        sum((c * pt.weights[i] for pt, c in zip(points, coeffs)), Fraction(0))
-        for i in range(space.size))
+    """The weights of sum c·point, summed in ints over one denominator."""
+    cnums, cden = common_denominator(coeffs)
+    rows = [common_denominator(pt.weights) for pt in points]
+    den = lcm(*(d for _, d in rows))
+    total = [0] * space.size
+    for c, (nums, d) in zip(cnums, rows):
+        k = c * (den // d)
+        if k:
+            total = [t + k * x for t, x in zip(total, nums)]
+    return tuple(Fraction(t, cden * den) for t in total)
 
 
 def _mixes_to(left, right, alpha, result) -> bool:

@@ -61,6 +61,16 @@ def test_as_fraction_rejects_floats():
         as_fraction(0.5)
 
 
+@pytest.mark.parametrize("bad", [0.5, "1/2"])
+def test_lottery_rejects_inexact_weights(bad):
+    # Without the check a float weight summed to 1 and every expected
+    # utility over the lottery came out a float.
+    with pytest.raises(ValueError, match="not an exact rational"):
+        Lottery(OutcomeSpace.of_size(2), (bad, bad))
+    with pytest.raises(ValueError, match=repr(bad)):
+        Lottery(SPACE, (Fraction(1, 2), bad, Fraction(0)))
+
+
 def test_lottery_validation_order():
     with pytest.raises(LengthMismatch):
         Lottery(SPACE, (Fraction(1), Fraction(0)))

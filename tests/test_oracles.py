@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from lotpref.errors import (
@@ -12,7 +12,14 @@ from lotpref.errors import (
     UnorientedRepresentation,
 )
 from lotpref.geometry import Hyperplane
-from lotpref.lotteries import OutcomeSpace, degenerate, make_lottery, mix, uniform
+from lotpref.lotteries import (
+    OutcomeSpace,
+    degenerate,
+    embed,
+    make_lottery,
+    mix,
+    uniform,
+)
 from lotpref.oracles import (
     ComparisonResult,
     ExpectedUtilityOracle,
@@ -61,6 +68,15 @@ def test_utility_function_validation():
     with pytest.raises(LengthMismatch):
         UtilityFunction.of(SPACE, [0, 1])
     assert UtilityFunction.of(SPACE, ["1/2", 1, 2]).values == (F(1, 2), F(1), F(2))
+
+
+@pytest.mark.parametrize("bad", [0.1, "1"])
+def test_utility_function_rejects_inexact_payoffs(bad):
+    space = OutcomeSpace.of_size(2)
+    with pytest.raises(ValueError, match=f"not an exact rational: {bad!r}"):
+        UtilityFunction(space, (bad, 1))
+    with pytest.raises(ValueError, match="not an exact rational"):
+        UtilityFunction(space, (F(0), bad))
 
 
 def test_expected_utility():
@@ -138,6 +154,8 @@ def test_represented_oracle_validation():
         RepresentedOracle(SPACE, plane, 0)
     with pytest.raises(SpaceMismatch):
         RepresentedOracle(OutcomeSpace.of_size(4), plane, 1)
+    with pytest.raises(ValueError, match="not an exact rational: 0.5"):
+        RepresentedOracle(SPACE, Hyperplane((F(1), 0.5), (F(0), F(0))), 1)
 
 
 def test_lexicographic_compare():
@@ -198,3 +216,54 @@ def test_compare_is_antisymmetric(p, q):
         MajorityOracle(SPACE),
     ):
         assert oracle.compare(p, q).sign == -oracle.compare(q, p).sign
+
+
+# ---- the integer gauge against Fraction levels -------------------------------
+
+# Small rationals such as 1/3, negatives, and magnitudes near 2^70.
+RATIONALS = st.builds(
+    F,
+    st.integers(-9, 9) | st.integers(2**70 - 9, 2**70 + 9)
+    | st.integers(-2**70 - 9, -2**70 + 9),
+    st.integers(1, 6))
+
+
+def sign(x):
+    return (x > 0) - (x < 0)
+
+
+def reference_solve(level, p, q, r):
+    top, mid, bot = level(p), level(q), level(r)
+    return F(1) if top == bot else (mid - bot) / (top - bot)
+
+
+@given(st.data())
+def test_linear_oracles_match_fraction_levels(data):
+    size = data.draw(st.integers(2, 5))
+    space = OutcomeSpace.of_size(size)
+    utility = UtilityFunction(space, tuple(
+        data.draw(RATIONALS) for _ in range(size)))
+    normal = tuple(data.draw(RATIONALS) for _ in range(size - 1))
+    assume(any(normal))
+    plane = Hyperplane(normal, tuple(
+        data.draw(RATIONALS) for _ in range(size - 1)))
+    orientation = data.draw(st.sampled_from((-1, 1)))
+    cases = (
+        (ExpectedUtilityOracle(utility),
+         lambda x: expected_utility(utility, x)),
+        (RepresentedOracle(space, plane, orientation),
+         lambda x: orientation * plane.level(embed(x).coords)),
+    )
+    lots = [data.draw(lotteries(size)) for _ in range(3)]
+    lots.append(mix(lots[0], lots[1], F(data.draw(st.integers(0, 8)), 8)))
+    lots.append(degenerate(space, data.draw(st.integers(0, size - 1))))
+    for oracle, level in cases:
+        for a in lots:
+            for b in lots:
+                assert oracle.compare(a, b) is ComparisonResult.from_sign(
+                    sign(level(a) - level(b)))
+        for p, q, r in ((a, b, c) for a in lots for b in lots for c in lots
+                        if level(a) >= level(b) >= level(c)):
+            alpha = oracle.solve(p, q, r)
+            assert type(alpha) is F
+            assert alpha == reference_solve(level, p, q, r)
