@@ -6,14 +6,17 @@ with the exhausted budget.  A non-finding is evidence at that budget,
 never proof; the verdict says which budget it means.
 
 Witness integrity is double-route: the scans run on an integer-encoded
-copy of the grid (compiled kernels when available), and every hit is
-then re-evaluated through the oracle's own exact Fraction path before
-it is returned.  A witness object can always replay itself against the
-oracle that produced it.
+copy of the grid (compiled or level kernels where they apply) and only
+find a hit.  The witness class's ``observe`` then confirms the hit
+through the oracle's own exact Fraction path, asking every question the
+witness records, and ``observe`` on the witness's own inputs is also
+its ``replay``: each violation is defined once.  A hit the oracle does
+not confirm is refused with RuntimeError.
 """
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -93,8 +96,35 @@ class AxiomVerdict:
 # ---- witnesses --------------------------------------------------------------
 
 
+class _ScanWitness:
+    """Base of the scan witnesses.  ``observe(oracle, *inputs)`` asks the
+    oracle every question the witness records and returns the witness
+    only when the answers make a violation, else None.  Replay is the
+    same observation on the witness's own inputs, the parameters of
+    ``observe`` after the oracle, and must give the witness back."""
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._inputs = tuple(inspect.signature(cls.observe).parameters)[1:]
+
+    def replay(self, oracle: PreferenceOracle) -> bool:
+        inputs = (getattr(self, name) for name in self._inputs)
+        return self.observe(oracle, *inputs) == self
+
+
+def _simplex_point(space, weights) -> Lottery | None:
+    """The lottery with these weights, which sum to one, or None when
+    one of them is negative."""
+    return None if min(weights) < 0 else Lottery(space, weights)
+
+
+def _dyadic_steps(depth: int):
+    """The probe steps 1/2, 1/4, ..., 2^-depth."""
+    return (Fraction(1, 2 ** e) for e in range(1, depth + 1))
+
+
 @dataclass(frozen=True)
-class CycleWitness:
+class CycleWitness(_ScanWitness):
     """Transitivity failure: p >= q and q >= r but p < r."""
 
     kind = "weak-order"
@@ -105,17 +135,16 @@ class CycleWitness:
     qr: ComparisonResult
     pr: ComparisonResult
 
-    def replay(self, oracle: PreferenceOracle) -> bool:
-        return (oracle.compare(self.p, self.q) is self.pq
-                and oracle.compare(self.q, self.r) is self.qr
-                and oracle.compare(self.p, self.r) is self.pr
-                and self.pq.weakly_better
-                and self.qr.weakly_better
-                and not self.pr.weakly_better)
+    @classmethod
+    def observe(cls, oracle, p, q, r):
+        pq, qr, pr = oracle.compare(p, q), oracle.compare(q, r), oracle.compare(p, r)
+        if pq.weakly_better and qr.weakly_better and not pr.weakly_better:
+            return cls(p=p, q=q, r=r, pq=pq, qr=qr, pr=pr)
+        return None
 
 
 @dataclass(frozen=True)
-class IndependenceWitness:
+class IndependenceWitness(_ScanWitness):
     """Common mixing with r at weight alpha changes how p ranks vs q."""
 
     kind = "independence"
@@ -126,16 +155,17 @@ class IndependenceWitness:
     before: ComparisonResult
     after: ComparisonResult
 
-    def replay(self, oracle: PreferenceOracle) -> bool:
-        mp = mix(self.p, self.r, self.alpha)
-        mq = mix(self.q, self.r, self.alpha)
-        return (oracle.compare(self.p, self.q) is self.before
-                and oracle.compare(mp, mq) is self.after
-                and self.before is not self.after)
+    @classmethod
+    def observe(cls, oracle, p, q, r, alpha):
+        before = oracle.compare(p, q)
+        after = oracle.compare(mix(p, r, alpha), mix(q, r, alpha))
+        if before is not after:
+            return cls(p=p, q=q, r=r, alpha=alpha, before=before, after=after)
+        return None
 
 
 @dataclass(frozen=True)
-class BetweennessWitness:
+class BetweennessWitness(_ScanWitness):
     """p >= q, yet their mixture escapes the preference interval."""
 
     kind = "betweenness"
@@ -146,17 +176,18 @@ class BetweennessWitness:
     upper: ComparisonResult
     lower: ComparisonResult
 
-    def replay(self, oracle: PreferenceOracle) -> bool:
-        m = mix(self.p, self.q, self.alpha)
-        return (oracle.compare(self.p, self.q) is self.pq
-                and oracle.compare(self.p, m) is self.upper
-                and oracle.compare(m, self.q) is self.lower
-                and self.pq.weakly_better
-                and not (self.upper.weakly_better and self.lower.weakly_better))
+    @classmethod
+    def observe(cls, oracle, p, q, alpha):
+        m = mix(p, q, alpha)
+        pq, upper, lower = (oracle.compare(p, q), oracle.compare(p, m),
+                            oracle.compare(m, q))
+        if pq.weakly_better and not (upper.weakly_better and lower.weakly_better):
+            return cls(p=p, q=q, alpha=alpha, pq=pq, upper=upper, lower=lower)
+        return None
 
 
 @dataclass(frozen=True)
-class ConvexityWitness:
+class ConvexityWitness(_ScanWitness):
     """Two members of an indifference class mix to a non-member."""
 
     kind = "convexity"
@@ -166,16 +197,18 @@ class ConvexityWitness:
     alpha: Fraction
     observed: ComparisonResult
 
-    def replay(self, oracle: PreferenceOracle) -> bool:
-        m = mix(self.q1, self.q2, self.alpha)
-        return (oracle.compare(self.q1, self.p) is INDIFF
-                and oracle.compare(self.q2, self.p) is INDIFF
-                and oracle.compare(m, self.p) is self.observed
-                and self.observed is not INDIFF)
+    @classmethod
+    def observe(cls, oracle, p, q1, q2, alpha):
+        if oracle.compare(q1, p) is not INDIFF or oracle.compare(q2, p) is not INDIFF:
+            return None
+        observed = oracle.compare(mix(q1, q2, alpha), p)
+        if observed is not INDIFF:
+            return cls(p=p, q1=q1, q2=q2, alpha=alpha, observed=observed)
+        return None
 
 
 @dataclass(frozen=True)
-class TranslationWitness:
+class TranslationWitness(_ScanWitness):
     """r ~ p, but shifting r by (q - p) leaves q's indifference class."""
 
     kind = "translation"
@@ -185,14 +218,18 @@ class TranslationWitness:
     translated: Lottery
     observed: ComparisonResult
 
-    def replay(self, oracle: PreferenceOracle) -> bool:
-        shifted = tuple(
-            rw + qw - pw for rw, qw, pw in
-            zip(self.r.weights, self.q.weights, self.p.weights))
-        return (oracle.compare(self.r, self.p) is INDIFF
-                and shifted == self.translated.weights
-                and oracle.compare(self.translated, self.q) is self.observed
-                and self.observed is not INDIFF)
+    @classmethod
+    def observe(cls, oracle, p, q, r):
+        if oracle.compare(r, p) is not INDIFF:
+            return None
+        translated = _simplex_point(p.space, tuple(
+            rw + qw - pw for rw, qw, pw in zip(r.weights, q.weights, p.weights)))
+        if translated is None:
+            return None
+        observed = oracle.compare(translated, q)
+        if observed is not INDIFF:
+            return cls(p=p, q=q, r=r, translated=translated, observed=observed)
+        return None
 
 
 _LINE_RELATIONS = {
@@ -203,15 +240,8 @@ _LINE_RELATIONS = {
 }
 
 
-def _line_pair(relation, p, q, point):
-    """(first, second) of the strict comparison a line-order relation
-    names."""
-    return {"q-vs-point": (q, point), "p-vs-point": (p, point),
-            "point-vs-q": (point, q), "point-vs-p": (point, p)}[relation]
-
-
 @dataclass(frozen=True)
-class LineOrderWitness:
+class LineOrderWitness(_ScanWitness):
     """A point on the line through p > q compares the wrong way.
 
     relation names which of the expected strict comparisons failed;
@@ -231,15 +261,21 @@ class LineOrderWitness:
         if self.relation not in _LINE_RELATIONS.values():
             raise ValueError(f"unknown line-order relation {self.relation!r}")
 
-    def replay(self, oracle: PreferenceOracle) -> bool:
-        along = tuple(
-            qw + self.t * (pw - qw)
-            for pw, qw in zip(self.p.weights, self.q.weights))
-        first, second = _line_pair(self.relation, self.p, self.q, self.point)
-        return (oracle.compare(self.p, self.q) is BETTER
-                and along == self.point.weights
-                and oracle.compare(first, second) is self.observed
-                and self.observed is not BETTER)
+    @classmethod
+    def observe(cls, oracle, p, q, t, relation):
+        if oracle.compare(p, q) is not BETTER:
+            return None
+        point = _simplex_point(p.space, tuple(
+            qw + t * (pw - qw) for pw, qw in zip(p.weights, q.weights)))
+        if point is None:
+            return None
+        first, second = {"q-vs-point": (q, point), "p-vs-point": (p, point),
+                         "point-vs-q": (point, q), "point-vs-p": (point, p)}[relation]
+        observed = oracle.compare(first, second)
+        if observed is not BETTER:
+            return cls(p=p, q=q, t=t, point=point, relation=relation,
+                       observed=observed)
+        return None
 
 
 def _check_side(kind: str, side: int):
@@ -248,7 +284,7 @@ def _check_side(kind: str, side: int):
 
 
 @dataclass(frozen=True)
-class MixtureWitness:
+class MixtureWitness(_ScanWitness):
     """The weak upper set {alpha : mix(p, r, alpha) >= q} excludes
     alpha_star although every dyadic probe on one side belongs to it."""
 
@@ -264,25 +300,22 @@ class MixtureWitness:
     def __post_init__(self):
         _check_side("mixture", self.side)
 
-    def replay(self, oracle: PreferenceOracle) -> bool:
-        at_star = oracle.compare(mix(self.p, self.r, self.alpha_star), self.q)
-        if at_star is not self.boundary or at_star.weakly_better:
-            return False
-        checked = False
-        step = Fraction(1)
-        for _ in range(self.depth):
-            step = step / 2
-            alpha = self.alpha_star + self.side * step
-            if not 0 <= alpha <= 1:
-                continue
-            if not oracle.compare(mix(self.p, self.r, alpha), self.q).weakly_better:
-                return False
-            checked = True
-        return checked
+    @classmethod
+    def observe(cls, oracle, p, q, r, alpha_star, side, depth):
+        boundary = oracle.compare(mix(p, r, alpha_star), q)
+        if boundary.weakly_better:
+            return None
+        probes = [alpha for step in _dyadic_steps(depth)
+                  if 0 <= (alpha := alpha_star + side * step) <= 1]
+        if probes and all(oracle.compare(mix(p, r, alpha), q).weakly_better
+                          for alpha in probes):
+            return cls(p=p, q=q, r=r, alpha_star=alpha_star, side=side,
+                       boundary=boundary, depth=depth)
+        return None
 
 
 @dataclass(frozen=True)
-class ArchimedeanWitness:
+class ArchimedeanWitness(_ScanWitness):
     """p > q > r, but no probed interior weight works on one side."""
 
     kind = "archimedean"
@@ -296,27 +329,23 @@ class ArchimedeanWitness:
         if self.side not in ("alpha", "beta"):
             raise ValueError(f"unknown archimedean side {self.side!r}")
 
-    def replay(self, oracle: PreferenceOracle) -> bool:
-        if self.depth < 1:
-            return False
-        if oracle.compare(self.p, self.q) is not BETTER:
-            return False
-        if oracle.compare(self.q, self.r) is not BETTER:
-            return False
-        step = Fraction(1)
-        for _ in range(self.depth):
-            step = step / 2
-            if self.side == "beta":
-                if oracle.compare(self.q, mix(self.p, self.r, step)) is BETTER:
-                    return False
+    @classmethod
+    def observe(cls, oracle, p, q, r, side, depth):
+        if (depth < 1 or oracle.compare(p, q) is not BETTER
+                or oracle.compare(q, r) is not BETTER):
+            return None
+        for step in _dyadic_steps(depth):
+            if side == "beta":
+                works = oracle.compare(q, mix(p, r, step))
             else:
-                if oracle.compare(mix(self.p, self.r, 1 - step), self.q) is BETTER:
-                    return False
-        return True
+                works = oracle.compare(mix(p, r, 1 - step), q)
+            if works is BETTER:
+                return None
+        return cls(p=p, q=q, r=r, side=side, depth=depth)
 
 
 @dataclass(frozen=True)
-class SolvabilityScanWitness:
+class SolvabilityScanWitness(_ScanWitness):
     """p >= q >= r, and no candidate weight up to the bound solves."""
 
     kind = "solvability"
@@ -326,19 +355,19 @@ class SolvabilityScanWitness:
     r: Lottery
     candidate_bound: int
 
-    def replay(self, oracle: PreferenceOracle) -> bool:
-        if not oracle.compare(self.p, self.q).weakly_better:
-            return False
-        if not oracle.compare(self.q, self.r).weakly_better:
-            return False
-        for alpha in rationals_between(Fraction(0), Fraction(1), self.candidate_bound):
-            if oracle.compare(mix(self.p, self.r, alpha), self.q) is INDIFF:
-                return False
-        return True
+    @classmethod
+    def observe(cls, oracle, p, q, r, candidate_bound):
+        if not (oracle.compare(p, q).weakly_better
+                and oracle.compare(q, r).weakly_better):
+            return None
+        candidates = rationals_between(Fraction(0), Fraction(1), candidate_bound)
+        if any(oracle.compare(mix(p, r, alpha), q) is INDIFF for alpha in candidates):
+            return None
+        return cls(p=p, q=q, r=r, candidate_bound=candidate_bound)
 
 
 @dataclass(frozen=True)
-class SolveContractWitness:
+class SolveContractWitness(_ScanWitness):
     """The oracle's own solve() returned a weight that does not solve."""
 
     kind = "solvability"
@@ -349,15 +378,21 @@ class SolveContractWitness:
     alpha: Fraction
     observed: ComparisonResult
 
-    def replay(self, oracle: PreferenceOracle) -> bool:
-        if oracle.solve(self.p, self.q, self.r) != self.alpha:
-            return False
-        result = oracle.compare(mix(self.p, self.r, self.alpha), self.q)
-        return result is self.observed and result is not INDIFF
+    @classmethod
+    def observe(cls, oracle, p, q, r):
+        # solve() owes an answer only under its premise p >= q >= r.
+        if not (oracle.compare(p, q).weakly_better
+                and oracle.compare(q, r).weakly_better):
+            return None
+        alpha = unit_weight(oracle.solve(p, q, r))
+        observed = oracle.compare(mix(p, r, alpha), q)
+        if observed is not INDIFF:
+            return cls(p=p, q=q, r=r, alpha=alpha, observed=observed)
+        return None
 
 
 @dataclass(frozen=True)
-class OpennessWitness:
+class OpennessWitness(_ScanWitness):
     """q compares strictly against p, yet every dyadic step from q
     toward w (which sits strictly on the other side) stays on w's side:
     the strict set containing q is not open at q along this segment."""
@@ -372,20 +407,15 @@ class OpennessWitness:
     def __post_init__(self):
         _check_side("grid-openness", self.side)
 
-    def replay(self, oracle: PreferenceOracle) -> bool:
-        if self.depth < 1:
-            return False
-        if oracle.compare(self.q, self.p).sign != self.side:
-            return False
-        if oracle.compare(self.w, self.p).sign != -self.side:
-            return False
-        step = Fraction(1)
-        for _ in range(self.depth):
-            step = step / 2
-            probe = mix(self.w, self.q, step)
-            if oracle.compare(probe, self.p).sign != -self.side:
-                return False
-        return True
+    @classmethod
+    def observe(cls, oracle, p, q, w, depth):
+        side = oracle.compare(q, p).sign
+        if depth < 1 or side == 0 or oracle.compare(w, p).sign != -side:
+            return None
+        if any(oracle.compare(mix(w, q, step), p).sign != -side
+               for step in _dyadic_steps(depth)):
+            return None
+        return cls(p=p, q=q, w=w, side=side, depth=depth)
 
 
 @dataclass(frozen=True)
@@ -447,21 +477,20 @@ def _encoded(oracle: PreferenceOracle, grid: GridSpec):
     return lots, nums, den, spec
 
 
-def _confirm(witness, oracle) -> object:
-    if not witness.replay(oracle):
-        raise RuntimeError(
-            "scan backend and oracle disagree on a witness; "
-            f"refusing to report it: {witness!r}")
-    return witness
-
-
-def _verdict(axiom, oracle, budget, hit, witness_of, route=None) -> AxiomVerdict:
+def _verdict(cls, oracle, budget, hit, inputs_of) -> AxiomVerdict:
     """NoViolationFound when the scan found no hit; otherwise Violated
-    with the witness built from the hit and replayed against the oracle."""
+    with the witness ``cls.observe`` builds from the hit's inputs, once
+    it also replays.  A hit the oracle does not confirm, or a witness
+    its answers no longer reproduce, is refused."""
+    route = getattr(cls, "route", None)
     if hit is None:
-        return AxiomVerdict(axiom, False, budget, route=route)
-    return AxiomVerdict(axiom, True, budget, route=route,
-                        witness=_confirm(witness_of(*hit), oracle))
+        return AxiomVerdict(cls.kind, False, budget, route=route)
+    witness = cls.observe(oracle, *inputs_of(*hit))
+    if witness is None or not witness.replay(oracle):
+        raise RuntimeError(
+            f"scan backend and oracle disagree on the {cls.kind} hit "
+            f"{hit!r}; refusing to report it: {witness!r}")
+    return AxiomVerdict(cls.kind, True, budget, witness=witness, route=route)
 
 
 def _pairs(alphas) -> list[tuple[int, int]]:
@@ -477,14 +506,9 @@ def check_weak_order(oracle: PreferenceOracle, grid: GridSpec) -> AxiomVerdict:
     Completeness needs no scan: compare is total by contract.
     """
     lots, nums, den, spec = _encoded(oracle, grid)
-
-    def witness(i, j, k):
-        p, q, r = lots[i], lots[j], lots[k]
-        return CycleWitness(p=p, q=q, r=r, pq=oracle.compare(p, q),
-                            qr=oracle.compare(q, r), pr=oracle.compare(p, r))
-
-    return _verdict("weak-order", oracle, Budget(grid=grid),
-                    kernels.scan_transitivity(spec, nums, den), witness)
+    return _verdict(CycleWitness, oracle, Budget(grid=grid),
+                    kernels.scan_transitivity(spec, nums, den),
+                    lambda i, j, k: (lots[i], lots[j], lots[k]))
 
 
 def check_independence(oracle: PreferenceOracle, grid: GridSpec,
@@ -499,27 +523,14 @@ def check_independence(oracle: PreferenceOracle, grid: GridSpec,
     budget = Budget(grid=grid, candidate_bound=grid.denominator_bound)
     if variant == "independence":
         alphas = dyadic_alphas(grid.denominator_bound)
-
-        def witness(i, j, k, ai):
-            p, q, r, alpha = lots[i], lots[j], lots[k], alphas[ai]
-            return IndependenceWitness(
-                p=p, q=q, r=r, alpha=alpha, before=oracle.compare(p, q),
-                after=oracle.compare(mix(p, r, alpha), mix(q, r, alpha)))
-
-        hit = kernels.scan_independence(spec, nums, den, _pairs(alphas))
-        return _verdict("independence", oracle, budget, hit, witness)
+        return _verdict(IndependenceWitness, oracle, budget,
+                        kernels.scan_independence(spec, nums, den, _pairs(alphas)),
+                        lambda i, j, k, ai: (lots[i], lots[j], lots[k], alphas[ai]))
     if variant == "betweenness":
         alphas = dyadic_alphas(grid.denominator_bound, interior_only=True)
-
-        def witness(i, j, ai):
-            p, q, alpha = lots[i], lots[j], alphas[ai]
-            m = mix(p, q, alpha)
-            return BetweennessWitness(
-                p=p, q=q, alpha=alpha, pq=oracle.compare(p, q),
-                upper=oracle.compare(p, m), lower=oracle.compare(m, q))
-
-        hit = kernels.scan_betweenness(spec, nums, den, _pairs(alphas))
-        return _verdict("betweenness", oracle, budget, hit, witness)
+        return _verdict(BetweennessWitness, oracle, budget,
+                        kernels.scan_betweenness(spec, nums, den, _pairs(alphas)),
+                        lambda i, j, ai: (lots[i], lots[j], alphas[ai]))
     raise ValueError(f"unknown independence variant {variant!r}")
 
 
@@ -586,42 +597,33 @@ def check_continuity(oracle: PreferenceOracle, kind: str, grid: GridSpec,
     candidate grid).  depth is the number of dyadic probes and must be
     at least 1: with none, an empty probe loop vouches for anything.
     """
+    if type(depth) is not int:
+        raise ValueError(f"probe depth must be an int, got {depth!r}")
     if depth < 1:
         raise ValueError(f"probe depth must be at least 1, got {depth}")
     lots, nums, den, spec = _encoded(oracle, grid)
     d = grid.denominator_bound
 
     if kind == "grid-openness":
-        def witness(i, j, k):
-            p, q, w = lots[i], lots[j], lots[k]
-            return OpennessWitness(p=p, q=q, w=w, side=oracle.compare(q, p).sign,
-                                   depth=depth)
-
-        return _verdict(kind, oracle, Budget(grid=grid, depth=depth),
-                        kernels.scan_openness(spec, nums, den, depth), witness)
+        return _verdict(OpennessWitness, oracle, Budget(grid=grid, depth=depth),
+                        kernels.scan_openness(spec, nums, den, depth),
+                        lambda i, j, k: (lots[i], lots[j], lots[k], depth))
 
     if kind == "mixture":
         stars = rationals_between(Fraction(0), Fraction(1), 2 * d)
-
-        def witness(i, j, k, si, side):
-            p, q, r, alpha_star = lots[i], lots[j], lots[k], stars[si]
-            return MixtureWitness(
-                p=p, q=q, r=r, alpha_star=alpha_star, side=side,
-                boundary=oracle.compare(mix(p, r, alpha_star), q), depth=depth)
-
-        hit = kernels.scan_mixture(spec, nums, den, _pairs(stars), depth)
-        return _verdict(kind, oracle,
+        return _verdict(MixtureWitness, oracle,
                         Budget(grid=grid, candidate_bound=2 * d, depth=depth),
-                        hit, witness)
+                        kernels.scan_mixture(spec, nums, den, _pairs(stars), depth),
+                        lambda i, j, k, si, side: (
+                            lots[i], lots[j], lots[k], stars[si], side, depth))
 
     if kind == "archimedean":
-        def witness(i, j, k, side_code):
-            side = "beta" if side_code == kernels.ARCH_SIDE_BETA else "alpha"
-            return ArchimedeanWitness(p=lots[i], q=lots[j], r=lots[k],
-                                      side=side, depth=depth)
-
-        return _verdict(kind, oracle, Budget(grid=grid, depth=depth),
-                        kernels.scan_archimedean(spec, nums, den, depth), witness)
+        return _verdict(ArchimedeanWitness, oracle, Budget(grid=grid, depth=depth),
+                        kernels.scan_archimedean(spec, nums, den, depth),
+                        lambda i, j, k, side: (
+                            lots[i], lots[j], lots[k],
+                            "beta" if side == kernels.ARCH_SIDE_BETA else "alpha",
+                            depth))
 
     if kind == "solvability":
         if oracle.has_solve:
@@ -633,25 +635,16 @@ def check_continuity(oracle: PreferenceOracle, kind: str, grid: GridSpec,
                     return alpha.numerator, alpha.denominator
 
                 hit = pure.scan_solve_contract(spec, nums, den, weight)
-
-            def contract_witness(i, j, k, a, b):
-                p, q, r, alpha = lots[i], lots[j], lots[k], Fraction(a, b)
-                return SolveContractWitness(
-                    p=p, q=q, r=r, alpha=alpha,
-                    observed=oracle.compare(mix(p, r, alpha), q))
-
-            return _verdict(kind, oracle, Budget(grid=grid), hit,
-                            contract_witness, route=SolveContractWitness.route)
+            # observe asks solve() itself; the hit's weight a/b only led
+            # the scan to the triple.
+            return _verdict(SolveContractWitness, oracle, Budget(grid=grid), hit,
+                            lambda i, j, k, a, b: (lots[i], lots[j], lots[k]))
 
         alphas = rationals_between(Fraction(0), Fraction(1), d)
-
-        def witness(i, j, k):
-            return SolvabilityScanWitness(p=lots[i], q=lots[j], r=lots[k],
-                                          candidate_bound=d)
-
-        hit = kernels.scan_solvability_scan(spec, nums, den, _pairs(alphas))
-        return _verdict(kind, oracle, Budget(grid=grid, candidate_bound=d), hit,
-                        witness, route=SolvabilityScanWitness.route)
+        return _verdict(SolvabilityScanWitness, oracle,
+                        Budget(grid=grid, candidate_bound=d),
+                        kernels.scan_solvability_scan(spec, nums, den, _pairs(alphas)),
+                        lambda i, j, k: (lots[i], lots[j], lots[k], d))
 
     raise ValueError(f"unknown continuity kind {kind!r}; "
                      f"expected one of {CONTINUITY_KINDS}")
@@ -662,31 +655,18 @@ def check_convexity(oracle: PreferenceOracle, grid: GridSpec) -> AxiomVerdict:
     lots, nums, den, spec = _encoded(oracle, grid)
     d = grid.denominator_bound
     alphas = rationals_between(Fraction(0), Fraction(1), d)
-
-    def witness(i, j, k, ai):
-        p, q1, q2, alpha = lots[i], lots[j], lots[k], alphas[ai]
-        return ConvexityWitness(p=p, q1=q1, q2=q2, alpha=alpha,
-                                observed=oracle.compare(mix(q1, q2, alpha), p))
-
-    hit = kernels.scan_convexity(spec, nums, den, _pairs(alphas))
-    return _verdict("convexity", oracle, Budget(grid=grid, candidate_bound=d),
-                    hit, witness)
+    return _verdict(ConvexityWitness, oracle, Budget(grid=grid, candidate_bound=d),
+                    kernels.scan_convexity(spec, nums, den, _pairs(alphas)),
+                    lambda i, j, k, ai: (lots[i], lots[j], lots[k], alphas[ai]))
 
 
 def check_translation(oracle: PreferenceOracle, grid: GridSpec) -> AxiomVerdict:
     """Indifference must survive translation: r ~ p implies
     r + (q - p) ~ q whenever the shift stays inside the simplex."""
     lots, nums, den, spec = _encoded(oracle, grid)
-
-    def witness(i, j, k):
-        p, q, r = lots[i], lots[j], lots[k]
-        translated = Lottery(p.space, tuple(
-            rw + qw - pw for rw, qw, pw in zip(r.weights, q.weights, p.weights)))
-        return TranslationWitness(p=p, q=q, r=r, translated=translated,
-                                  observed=oracle.compare(translated, q))
-
-    return _verdict("translation", oracle, Budget(grid=grid),
-                    kernels.scan_translation(spec, nums, den), witness)
+    return _verdict(TranslationWitness, oracle, Budget(grid=grid),
+                    kernels.scan_translation(spec, nums, den),
+                    lambda i, j, k: (lots[i], lots[j], lots[k]))
 
 
 def check_line_order(oracle: PreferenceOracle, grid: GridSpec) -> AxiomVerdict:
@@ -695,15 +675,7 @@ def check_line_order(oracle: PreferenceOracle, grid: GridSpec) -> AxiomVerdict:
     beyond p they beat p."""
     lots, nums, den, spec = _encoded(oracle, grid)
     d = grid.denominator_bound
-
-    def witness(i, j, a, b, rel_code):
-        p, q, t = lots[i], lots[j], Fraction(a, b)
-        point = Lottery(p.space, tuple(
-            qw + t * (pw - qw) for pw, qw in zip(p.weights, q.weights)))
-        relation = _LINE_RELATIONS[rel_code]
-        return LineOrderWitness(
-            p=p, q=q, t=t, point=point, relation=relation,
-            observed=oracle.compare(*_line_pair(relation, p, q, point)))
-
-    return _verdict("line-order", oracle, Budget(grid=grid, candidate_bound=d),
-                    kernels.scan_line_order(spec, nums, den, d), witness)
+    return _verdict(LineOrderWitness, oracle, Budget(grid=grid, candidate_bound=d),
+                    kernels.scan_line_order(spec, nums, den, d),
+                    lambda i, j, a, b, relation: (
+                        lots[i], lots[j], Fraction(a, b), _LINE_RELATIONS[relation]))

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 
 from .axioms import (
     CONTINUITY_KINDS,
@@ -75,7 +76,10 @@ AXIOM_CHECKS = {
 DEFAULT_OUTCOMES = 3
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parse_args keeps
+    no state between calls, and an append flag starts a fresh list."""
     parser = argparse.ArgumentParser(
         prog="lotpref",
         description="Exact lottery-preference toolkit: elicitation, "
@@ -151,9 +155,8 @@ def _oracle_flags(p):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -39,6 +39,9 @@ class GridSpec:
     denominator_bound: int
 
     def __post_init__(self):
+        if type(self.denominator_bound) is not int:
+            raise ValueError(
+                f"denominator bound must be an int, got {self.denominator_bound!r}")
         if self.denominator_bound < 1:
             raise ValueError(
                 f"denominator bound must be positive, got {self.denominator_bound}")

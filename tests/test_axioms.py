@@ -210,6 +210,15 @@ def test_probe_depth_below_one_rejected(depth):
             check_continuity(EU, kind, GRID4, depth=depth)
 
 
+@pytest.mark.parametrize("depth", [2.5, True, "3", F(3)])
+def test_probe_depth_must_be_an_int(depth):
+    # 2.5 once raised TypeError inside the kernels, and True ran as
+    # depth 1 and wrote a "depth": true its witness could not decode.
+    for kind in ("grid-openness", "mixture", "archimedean", "solvability"):
+        with pytest.raises(ValueError, match="probe depth must be an int"):
+            check_continuity(EU, kind, GRID4, depth=depth)
+
+
 @pytest.mark.parametrize("answer,error", [(F(3, 2), AlphaOutOfRange),
                                           (-1, AlphaOutOfRange),
                                           (0.5, ValueError)])

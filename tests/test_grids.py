@@ -22,6 +22,14 @@ def test_grid_spec_validation():
         GridSpec(SPACE, 0)
 
 
+@pytest.mark.parametrize("bound", [2.5, True, "3", F(3)])
+def test_grid_bound_must_be_an_int(bound):
+    # Each of these once constructed: enumerate_grid then raised
+    # TypeError, or True ran as bound 1 and wrote a JSON true.
+    with pytest.raises(ValueError, match="denominator bound must be an int"):
+        GridSpec(SPACE, bound)
+
+
 def test_enumerate_grid_counts():
     # Farey-style counts for three outcomes; frozen by brute force.
     assert len(enumerate_grid(GridSpec(SPACE, 4))) == 22

@@ -482,6 +482,21 @@ def test_cli_classify(scenario_file):
     assert doc["results"][1]["query"] == ["1", "0", "0"]
 
 
+def test_cli_parser_reuse_keeps_no_query_state(scenario_file, capsys):
+    # main() reuses one parser per process; each run must see only its
+    # own --query list, not an appended one.
+    for queries, header in ((["0,0,1", "1,0,0"], "strictly-better\nstrictly-worse\n"),
+                            (["1,0,0"], "strictly-worse\n")):
+        argv = ["classify", "--scenario", scenario_file, "--reference", "uniform"]
+        for query in queries:
+            argv += ["--query", query]
+        assert cli.main(argv) == 0
+        head, doc = split_output(capsys.readouterr().out)
+        assert head == header
+        assert [",".join(r["query"]) for r in doc["results"]] == queries
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_cli_generate():
     proc = run_cli("generate", "--utility", "0,1,2")
     assert proc.returncode == 0

@@ -1,0 +1,212 @@
+"""One definition per witness: ``observe`` builds, confirms and replays.
+
+Each scan witness class asks the oracle every question it records in
+one ``observe`` classmethod.  The checkers report a scan hit only
+through it, and ``replay`` is ``observe`` again on the witness's own
+inputs, so every recorded answer is checked and a hit the oracle does
+not confirm raises the one RuntimeError.
+"""
+
+import dataclasses
+import inspect
+from fractions import Fraction
+
+import pytest
+
+from lotpref import _kernels as kernels
+from lotpref._kernels import pure
+from lotpref.axioms import (
+    WITNESS_TYPES,
+    IPExhausted,
+    LineOrderWitness,
+    TranslationWitness,
+    check_continuity,
+    check_convexity,
+    check_independence,
+    check_line_order,
+    check_translation,
+    check_weak_order,
+)
+from lotpref.grids import GridSpec, enumerate_grid
+from lotpref.lotteries import Lottery, OutcomeSpace
+from lotpref.oracles import (
+    ComparisonResult,
+    ExpectedUtilityOracle,
+    HybridExampleOracle,
+    LexicographicOracle,
+    MajorityOracle,
+    UtilityFunction,
+)
+from lotpref.scenario import witness_from_json
+from test_scan_reference import RoundingSolver, skewed
+
+F = Fraction
+SPACE = OutcomeSpace.of_size(3)
+GRID2 = GridSpec(SPACE, 2)
+GRID3 = GridSpec(SPACE, 3)
+GRID4 = GridSpec(SPACE, 4)
+EU = ExpectedUtilityOracle(UtilityFunction.of(SPACE, [0, 3, 7]))
+HYBRID = HybridExampleOracle(SPACE)
+MAJORITY = MajorityOracle(SPACE)
+
+
+class EUSubclass(ExpectedUtilityOracle):
+    """Expected utility the encoder refuses, so solvability walks the
+    solve contract on the pure path."""
+
+
+def continuity(kind):
+    return lambda oracle, grid: check_continuity(oracle, kind, grid)
+
+
+def betweenness(oracle, grid):
+    return check_independence(oracle, grid, variant="betweenness")
+
+
+# ---- every unconfirmed hit raises the same RuntimeError --------------------
+
+# (owner, scan, hit, checker, oracle): a hit on the 3-outcome grid at
+# bound 2 that the oracle denies.  Its lotteries, by index: (0,0,1),
+# (0,1,0), (1,0,0), (0,1/2,1/2), (1/2,0,1/2), (1/2,1/2,0).  Before
+# observe, the grid-openness, translation, line-order and solve-contract
+# hits raised ValueError, NegativeWeight, NegativeWeight and
+# PreconditionViolated.
+UNCONFIRMED = [
+    (kernels, "scan_transitivity", (0, 1, 2), check_weak_order, EU),
+    (kernels, "scan_independence", (0, 1, 2, 0), check_independence, EU),
+    (kernels, "scan_betweenness", (0, 1, 0), betweenness, EU),
+    (kernels, "scan_convexity", (0, 1, 2, 0), check_convexity, EU),
+    (kernels, "scan_translation", (2, 0, 1), check_translation, EU),
+    (kernels, "scan_line_order", (0, 1, 3, 1, kernels.LINE_POINT_BEATS_P),
+     check_line_order, EU),
+    (kernels, "scan_mixture", (0, 1, 2, 0, 1), continuity("mixture"), EU),
+    (kernels, "scan_archimedean", (0, 1, 2, kernels.ARCH_SIDE_BETA),
+     continuity("archimedean"), EU),
+    (kernels, "scan_solvability_scan", (0, 2, 2), continuity("solvability"),
+     LexicographicOracle(SPACE)),
+    (kernels, "scan_openness", (0, 0, 0), continuity("grid-openness"), EU),
+    (kernels, "scan_solvability_solve", (0, 2, 1, 1, 2),
+     continuity("solvability"), EU),
+    (pure, "scan_solve_contract", (0, 2, 1, 1, 2), continuity("solvability"),
+     EUSubclass(EU.utility)),
+]
+
+
+@pytest.mark.parametrize("owner,scan,hit,check,oracle", UNCONFIRMED,
+                         ids=[row[1] for row in UNCONFIRMED])
+def test_unconfirmed_hit_raises_runtime_error(monkeypatch, owner, scan, hit,
+                                              check, oracle):
+    monkeypatch.setattr(owner, scan, lambda *args: hit)
+    with pytest.raises(RuntimeError, match="scan backend and oracle disagree"):
+        check(oracle, GRID2)
+
+
+class DriftingOracle(ExpectedUtilityOracle):
+    """Expected utility that answers "indifferent" after its 33rd
+    comparison: the scan's sign table sees the true order, and the
+    confirmation that follows sees only ties."""
+
+    calls = 0
+
+    def compare(self, p, q):
+        self.calls += 1
+        if self.calls > 33:
+            return ComparisonResult.INDIFFERENT
+        return super().compare(p, q)
+
+
+def test_an_oracle_alone_reaches_the_unconfirmed_path():
+    # Unpatched: the grid-openness hit once raised "grid-openness side
+    # must be -1 or 1, got 0" from the witness constructor.
+    oracle = DriftingOracle(UtilityFunction.of(SPACE, [0, 1, 10**7]))
+    with pytest.raises(RuntimeError, match="scan backend and oracle disagree"):
+        check_continuity(oracle, "grid-openness", GRID3, 3)
+
+
+# ---- replay checks every recorded answer ------------------------------------
+
+
+def reported():
+    """(oracle, witness) with one reported witness per scan witness class."""
+    sk = skewed(SPACE)
+    rounding = RoundingSolver(UtilityFunction.of(SPACE, [0, 1, 5]))
+    cases = [
+        (MAJORITY, check_weak_order(MAJORITY, GRID3)),
+        (HYBRID, check_independence(HYBRID, GRID4)),
+        (sk, betweenness(sk, GRID2)),
+        (MAJORITY, check_convexity(MAJORITY, GRID3)),
+        (HYBRID, check_translation(HYBRID, GRID4)),
+        (sk, check_line_order(sk, GRID2)),
+        (rounding, check_continuity(rounding, "solvability", GRID2)),
+    ] + [(HYBRID, check_continuity(HYBRID, kind, GRID4))
+         for kind in ("mixture", "archimedean", "grid-openness", "solvability")]
+    return [(oracle, verdict.witness) for oracle, verdict in cases]
+
+
+REPORTED = reported()
+
+
+def test_one_reported_witness_per_scan_class():
+    scan_classes = [cls for cls in WITNESS_TYPES if cls is not IPExhausted]
+    assert sorted(type(w).__name__ for _, w in REPORTED) == sorted(
+        cls.__name__ for cls in scan_classes)
+
+
+def other_values(value):
+    """Valid replacements for a recorded field's value."""
+    if isinstance(value, ComparisonResult):
+        return [r for r in ComparisonResult if r is not value]
+    if isinstance(value, Lottery):
+        return [x for x in enumerate_grid(GRID2) if x != value]
+    if isinstance(value, Fraction):
+        return [a for a in (F(0), F(1, 3), F(1, 2), F(1)) if a != value]
+    assert isinstance(value, int), value
+    return [-value]  # a side, +1 or -1
+
+
+@pytest.mark.parametrize("oracle,witness", REPORTED,
+                         ids=[type(w).__name__ for _, w in REPORTED])
+def test_replay_checks_every_recorded_answer(oracle, witness):
+    names = list(inspect.signature(type(witness).observe).parameters)[1:]
+    values = [getattr(witness, name) for name in names]
+    assert type(witness).observe(oracle, *values) == witness
+    assert witness.replay(oracle)
+    recorded = [f.name for f in dataclasses.fields(witness) if f.name not in names]
+    for name in recorded:
+        for value in other_values(getattr(witness, name)):
+            changed = dataclasses.replace(witness, **{name: value})
+            assert not changed.replay(oracle), (name, value)
+
+
+def test_replay_is_written_once():
+    for cls in WITNESS_TYPES:
+        if cls is not IPExhausted:
+            assert "replay" not in vars(cls), cls.__name__
+
+
+def test_derived_lottery_off_the_simplex_replays_false():
+    eu = ExpectedUtilityOracle(UtilityFunction.of(SPACE, [0, 1, 2]))
+    # r ~ p, but r + (q - p) = (3/2, -1, 1/2) leaves the simplex.
+    translation = witness_from_json(SPACE, {
+        "kind": "translation", "p": ["0", "1", "0"], "q": ["1", "0", "0"],
+        "r": ["1/2", "0", "1/2"], "translated": ["1", "0", "0"],
+        "observed": "strictly-better"})
+    assert isinstance(translation, TranslationWitness)
+    assert translation.replay(eu) is False
+    # p > q, but q + 3 (p - q) = (-2, 0, 3) leaves the simplex.
+    line = witness_from_json(SPACE, {
+        "kind": "line-order", "p": ["0", "0", "1"], "q": ["1", "0", "0"],
+        "t": "3", "point": ["0", "0", "1"], "relation": "point-vs-p",
+        "observed": "indifferent"})
+    assert isinstance(line, LineOrderWitness)
+    assert line.replay(eu) is False
+
+
+def test_derived_lottery_that_disagrees_with_its_inputs_replays_false():
+    sk = skewed(SPACE)
+    witness = check_line_order(sk, GRID2).witness
+    for point in enumerate_grid(GRID2):
+        if point != witness.point:
+            assert not dataclasses.replace(witness, point=point).replay(sk)
+    # The inputs are what replay re-derives from: moving t moves the point.
+    assert not dataclasses.replace(witness, t=F(-1, 2)).replay(sk)
