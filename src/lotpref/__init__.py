@@ -51,6 +51,7 @@ from .errors import (
     RankDeficient,
     SpaceMismatch,
     SumNotOne,
+    UnconfirmedHit,
     UnorientedRepresentation,
     WrongCount,
 )
@@ -145,5 +146,5 @@ __all__ = [
     "AlphaOutOfRange", "SpaceMismatch", "NotInSimplex", "EmptyInput",
     "DimensionMismatch", "RankDeficient", "WrongCount",
     "NoSolveCapability", "PreconditionViolated", "InconsistentStrictPair",
-    "NotInAffineHull", "UnorientedRepresentation",
+    "NotInAffineHull", "UnorientedRepresentation", "UnconfirmedHit",
 ]

@@ -10,6 +10,12 @@ algebra removes loops: each docstring below states the identity its
 scan rests on.  Five scans can never hit, and two hit only on weights
 outside [0, 1], which no checker passes.
 
+The levels come with threshold bitsets, ``pure._Thresholds``: the grid
+points below, at or above any level, each one bisection away.
+``pure.level_thresholds`` builds them once per grid and payoffs, so
+the level scans on one grid, and the sign table's eu rows, share one
+build.
+
 Each ``scan_<name>`` has the signature of its twin in ``pure`` and
 returns the same first hit in the same pinned order, None included,
 for any payoffs, any grid over ``den >= 1`` and any weights with
@@ -19,10 +25,9 @@ the Fraction-level reference and to ``pure``.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from math import gcd
 
-from .pure import ARCH_SIDE_ALPHA, ARCH_SIDE_BETA, _bits
+from .pure import ARCH_SIDE_ALPHA, ARCH_SIDE_BETA, _bits, level_thresholds
 
 __all__ = [
     "scan_transitivity",
@@ -37,34 +42,6 @@ __all__ = [
     "scan_solvability_solve",
     "scan_openness",
 ]
-
-
-class _Levels(list):
-    """The grid's levels, plus threshold bitsets taken from the grid
-    indices sorted by level: bit k of ``below(t)`` is set when
-    L_k < t, and so on.  A sign-table row of i is ``below(L_i)``,
-    ``above(L_i)`` and what is left, at the cost of one bisection."""
-
-    def __init__(self, spec, nums):
-        utility = spec[1]
-        super().__init__(sum(u * x for u, x in zip(utility, xs)) for xs in nums)
-        order = sorted(range(len(self)), key=self.__getitem__)
-        self._sorted = [self[k] for k in order]
-        self._prefix = [0]
-        for k in order:
-            self._prefix.append(self._prefix[-1] | 1 << k)
-
-    def below(self, t):
-        return self._prefix[bisect_left(self._sorted, t)]
-
-    def at_most(self, t):
-        return self._prefix[bisect_right(self._sorted, t)]
-
-    def above(self, t):
-        return self._prefix[-1] ^ self.at_most(t)
-
-    def at_least(self, t):
-        return self._prefix[-1] ^ self.below(t)
 
 
 def _lowest(mask):
@@ -96,7 +73,7 @@ def scan_independence(spec, nums, den, alphas):
     ai = next((ai for ai, (a, b) in enumerate(alphas) if a * b <= 0), None)
     if ai is None:
         return None
-    levels = _Levels(spec, nums)
+    levels = level_thresholds(spec, nums)
     for j, level in enumerate(levels):
         if level != levels[0]:
             return (0, j, 0, ai)
@@ -116,7 +93,7 @@ def scan_betweenness(spec, nums, den, alphas):
     ai = next((ai for ai, (a, b) in enumerate(alphas) if a < 0 or a > b), None)
     if ai is None:
         return None
-    levels = _Levels(spec, nums)
+    levels = level_thresholds(spec, nums)
     for i, level in enumerate(levels):
         lower = levels.below(level)
         if lower:
@@ -170,7 +147,7 @@ def scan_mixture(spec, nums, den, alpha_stars, depth):
     M = a·L_p + (b - a)·L_r, so each (p, r, a/b) takes its first q from
     one level window instead of a loop over q and the probes.
     """
-    levels = _Levels(spec, nums)
+    levels = level_thresholds(spec, nums)
 
     def deepest(a, b, side):
         """2^h for the largest h <= depth whose probe is in [0, 1], or 0."""
@@ -219,7 +196,7 @@ def scan_archimedean(spec, nums, den, depth):
     L_r <= L_p - P·(L_p - L_q).  Each (p, q) takes its first failing r
     from two level thresholds instead of a loop over r.
     """
-    levels = _Levels(spec, nums)
+    levels = level_thresholds(spec, nums)
     power = 1 << max(depth, 0)
     for i, lp in enumerate(levels):
         for j in _bits(levels.below(lp)):
@@ -242,7 +219,7 @@ def scan_solvability_scan(spec, nums, den, alphas):
     L_p = L_r every candidate solves; otherwise only the reduced
     (L_q - L_r)/(L_p - L_r) does, so each triple is one set lookup.
     """
-    levels = _Levels(spec, nums)
+    levels = level_thresholds(spec, nums)
     solving = {_reduced(a, b) for a, b in alphas}
     for i, lp in enumerate(levels):
         for j in _bits(levels.at_most(lp)):
@@ -278,7 +255,7 @@ def scan_openness(spec, nums, den, depth):
     q is below.  Each (p, q) takes its first such w from one level
     threshold instead of a loop over w.
     """
-    levels = _Levels(spec, nums)
+    levels = level_thresholds(spec, nums)
     power = 1 << max(depth, 0)
     for i, lp in enumerate(levels):
         for j in _bits(levels.below(lp) | levels.above(lp)):

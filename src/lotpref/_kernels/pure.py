@@ -10,7 +10,11 @@ Fraction-level reference written from the docstrings.
 Comparisons between two grid points go through ``_SignTable``, a lazily
 built table of comparison signs stored as Python-int bitsets, so the
 triple scans become walks over set bits instead of cubic loops that
-repeat the same comparison once per third point.  Comparisons with
+repeat the same comparison once per third point.  For an encoded
+oracle the table makes no comparison at all: each row is a few bitset
+operations on ``_Thresholds``, the per-coordinate (or, for eu,
+per-level) threshold bitsets of the grid, built once per grid.  Only a
+callback oracle fills rows by calling its closure.  Comparisons with
 points off the grid (mixtures, translates, dyadic probes, line points)
 are made directly.
 
@@ -24,6 +28,8 @@ Conventions shared by every scan:
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+from functools import lru_cache
 from math import gcd
 
 __all__ = [
@@ -102,41 +108,176 @@ def make_compare(spec):
     raise ValueError(f"unknown oracle encoding {kind!r}")
 
 
+class _Thresholds(list):
+    """Integer values, one per grid index, plus threshold bitsets taken
+    from the indices sorted by value: bit k of ``below(t)`` is set when
+    values[k] < t, and so on.  Each threshold costs one bisection."""
+
+    def __init__(self, values):
+        super().__init__(values)
+        order = sorted(range(len(self)), key=self.__getitem__)
+        self._sorted = [self[k] for k in order]
+        self._prefix = [0]
+        for k in order:
+            self._prefix.append(self._prefix[-1] | 1 << k)
+
+    def below(self, t):
+        return self._prefix[bisect_left(self._sorted, t)]
+
+    def at_most(self, t):
+        return self._prefix[bisect_right(self._sorted, t)]
+
+    def above(self, t):
+        return self._prefix[-1] ^ self.at_most(t)
+
+    def at_least(self, t):
+        return self._prefix[-1] ^ self.below(t)
+
+    def at(self, t):
+        return self.at_most(t) ^ self.below(t)
+
+
+@lru_cache(maxsize=8)
+def _level_thresholds(utility, nums):
+    return _Thresholds(sum(u * x for u, x in zip(utility, xs)) for xs in nums)
+
+
+@lru_cache(maxsize=8)
+def _coordinate_thresholds(nums):
+    return tuple(_Thresholds(column) for column in zip(*nums))
+
+
+def level_thresholds(spec, nums):
+    """The levels u·x of an ``("eu", u)`` grid as ``_Thresholds``,
+    built once per grid and payoffs and shared by every caller, which
+    only reads it."""
+    return _level_thresholds(tuple(spec[1]), tuple(nums))
+
+
+def _threshold_row(spec, nums, den):
+    """i -> (gt, eq, lt), the sign-table row of grid point i, from
+    threshold bitsets; None for a callback spec.
+
+    lex walks its priority: gt gains the tied points below i on the
+    coordinate, and the tie narrows to the points level with i there.
+    hybrid is lex in index order, then a point with 2·x_0 = den is made
+    indifferent to every other such point.  majority counts wins and
+    losses per point in bit-sliced counters (plane b holds bit b of
+    every point's count) and compares the two counters from the top
+    plane down.  eu reads its row off the levels.
+    """
+    kind, params = spec
+    full = (1 << len(nums)) - 1
+    if kind == "eu":
+        levels = level_thresholds(spec, nums)
+
+        def eu_row(i):
+            gt, lt = levels.below(levels[i]), levels.above(levels[i])
+            return gt, full ^ gt ^ lt, lt
+
+        return eu_row
+    if kind not in ("lex", "hybrid", "majority"):
+        return None
+    coords = _coordinate_thresholds(tuple(nums))
+
+    if kind == "majority":
+        width = len(coords).bit_length()
+
+        def majority_row(i):
+            wins, losses = [0] * width, [0] * width
+            for t, x in zip(coords, nums[i]):
+                _count(wins, t.below(x))
+                _count(losses, t.above(x))
+            gt = lt = 0
+            tie = full
+            for w, l in zip(reversed(wins), reversed(losses)):
+                gt |= tie & w & ~l
+                lt |= tie & l & ~w
+                tie &= ~(w ^ l)
+            return gt, tie, lt
+
+        return majority_row
+
+    priority = params if kind == "lex" else range(len(coords))
+
+    def lex_row(i):
+        x = nums[i]
+        gt, tie = 0, full
+        for c in priority:
+            gt |= tie & coords[c].below(x[c])
+            tie &= coords[c].at(x[c])
+        return gt, tie, full ^ gt ^ tie
+
+    if kind == "lex":
+        return lex_row
+
+    def hybrid_row(i):
+        gt, eq, lt = lex_row(i)
+        if 2 * nums[i][0] != den:
+            return gt, eq, lt
+        half = coords[0].at(nums[i][0])
+        return gt & ~half, eq | half, lt & ~half
+
+    return hybrid_row
+
+
+def _count(planes, mask):
+    """Add one to the bit-sliced counter of every point in mask."""
+    for b, plane in enumerate(planes):
+        planes[b], mask = plane ^ mask, plane & mask
+        if not mask:
+            return
+
+
 class _SignTable:
     """Signs of cmp between grid points, as bitsets built on demand.
 
     ``row(i)`` is ``(gt, eq, lt)``: bit k is set in the one matching the
     sign of ``cmp(nums[i], den, nums[k], den)``.  ``col(i)`` holds the
-    same for ``cmp(nums[k], den, nums[i], den)``, from calls of its own,
-    since a callback oracle need not be antisymmetric.  A row or column
-    costs g comparisons the first time a scan asks for it and none
-    after, so a scan makes at most g extra comparisons for each row or
-    column its walk stops inside; only bitsets are stored.
+    same for ``cmp(nums[k], den, nums[i], den)``.
+
+    An encoded oracle (eu, lex, hybrid, majority) builds each row from
+    the grid's threshold bitsets with no comparison at all, and since it
+    is antisymmetric, ``col(i)`` is ``row(i)`` mirrored: ``mirrored`` is
+    True.  A callback oracle need not be antisymmetric, so its rows and
+    columns come from g closure calls each, the first time a scan asks;
+    a scan then makes at most g extra comparisons for each row or
+    column its walk stops inside.  Only bitsets are stored.
     """
 
-    __slots__ = ("_cmp", "_nums", "_den", "_rows", "_cols")
+    __slots__ = ("mirrored", "_row_of", "_col_of", "_rows", "_cols")
 
-    def __init__(self, cmp, nums, den):
-        self._cmp = cmp
-        self._nums = nums
-        self._den = den
+    def __init__(self, spec, nums, den):
+        self._row_of = _threshold_row(spec, nums, den)
+        self.mirrored = self._row_of is not None
+        if not self.mirrored:
+            cmp = make_compare(spec)
+
+            def row_of(i):
+                p = nums[i]
+                return _masks([cmp(p, den, q, den) for q in nums])
+
+            def col_of(i):
+                p = nums[i]
+                return _masks([cmp(q, den, p, den) for q in nums])
+
+            self._row_of, self._col_of = row_of, col_of
         self._rows = [None] * len(nums)
         self._cols = [None] * len(nums)
 
     def row(self, i):
         signs = self._rows[i]
         if signs is None:
-            cmp, den, p = self._cmp, self._den, self._nums[i]
-            signs = _masks([cmp(p, den, q, den) for q in self._nums])
-            self._rows[i] = signs
+            signs = self._rows[i] = self._row_of(i)
         return signs
 
     def col(self, i):
+        if self.mirrored:
+            gt, eq, lt = self.row(i)
+            return lt, eq, gt
         signs = self._cols[i]
         if signs is None:
-            cmp, den, p = self._cmp, self._den, self._nums[i]
-            signs = _masks([cmp(q, den, p, den) for q in self._nums])
-            self._cols[i] = signs
+            signs = self._cols[i] = self._col_of(i)
         return signs
 
 
@@ -164,7 +305,7 @@ def _mix(pn, qn, a, b):
 
 def scan_transitivity(spec, nums, den):
     """First (i, j, k) with i >= j >= k but i < k."""
-    signs = _SignTable(make_compare(spec), nums, den)
+    signs = _SignTable(spec, nums, den)
     for i in range(len(nums)):
         gt_i, eq_i, lt_i = signs.row(i)
         for j in _bits(gt_i | eq_i):
@@ -197,7 +338,7 @@ def scan_betweenness(spec, nums, den, alphas):
     """First (i, j, alpha index) where i >= j but the mixture escapes
     the closed preference interval [j, i]."""
     cmp = make_compare(spec)
-    signs = _SignTable(cmp, nums, den)
+    signs = _SignTable(spec, nums, den)
     for i in range(len(nums)):
         gt_i, eq_i, _ = signs.row(i)
         for j in _bits(gt_i | eq_i):
@@ -214,7 +355,7 @@ def scan_convexity(spec, nums, den, alphas):
     """First (i, j, k, alpha index) where j ~ i and k ~ i but their
     mixture is not indifferent to i."""
     cmp = make_compare(spec)
-    signs = _SignTable(cmp, nums, den)
+    signs = _SignTable(spec, nums, den)
     for i in range(len(nums)):
         members = list(_bits(signs.col(i)[1]))
         for j in members:
@@ -230,7 +371,7 @@ def scan_translation(spec, nums, den):
     """First (i, j, k) where k ~ i but the translate k + (j - i), when
     it stays a lottery, is not indifferent to j."""
     cmp = make_compare(spec)
-    signs = _SignTable(cmp, nums, den)
+    signs = _SignTable(spec, nums, den)
     g = len(nums)
     size = len(nums[0]) if nums else 0
     for i in range(g):
@@ -261,7 +402,7 @@ def scan_line_order(spec, nums, den, max_t_den):
     skipping t = 0 and t = 1 (the endpoints themselves).
     """
     cmp = make_compare(spec)
-    signs = _SignTable(cmp, nums, den)
+    signs = _SignTable(spec, nums, den)
     size = len(nums[0]) if nums else 0
     for i in range(len(nums)):
         for j in _bits(signs.row(i)[0]):
@@ -349,7 +490,7 @@ def scan_archimedean(spec, nums, den, depth):
     """First (i, j, k, side) with p > q > r where one side of the
     interior-weight requirement fails at every dyadic probe."""
     cmp = make_compare(spec)
-    signs = _SignTable(cmp, nums, den)
+    signs = _SignTable(spec, nums, den)
     for i in range(len(nums)):
         for j in _bits(signs.row(i)[0]):
             for k in _bits(signs.row(j)[0]):
@@ -378,14 +519,23 @@ def scan_archimedean(spec, nums, den, depth):
 
 
 def scan_solvability_scan(spec, nums, den, alphas):
-    """First (i, j, k) with p >= q >= r that no candidate weight solves."""
+    """First (i, j, k) with p >= q >= r that no candidate weight solves.
+
+    The weight 1 mixes onto p and the weight 0 onto r.  So when 1 is a
+    candidate no j with q ~ p can hit, and when 0 is one no k with
+    r ~ q (the eq bits of col(j)) can; the walk skips them, and the
+    first hit stays the same.  A callback table pays g comparisons for
+    col(j), so it skips only by weight 1.
+    """
     cmp = make_compare(spec)
-    signs = _SignTable(cmp, nums, den)
+    signs = _SignTable(spec, nums, den)
+    one = (1, 1) in alphas
+    zero = (0, 1) in alphas and signs.mirrored
     for i in range(len(nums)):
         gt_i, eq_i, _ = signs.row(i)
-        for j in _bits(gt_i | eq_i):
+        for j in _bits(gt_i if one else gt_i | eq_i):
             gt_j, eq_j, _ = signs.row(j)
-            for k in _bits(gt_j | eq_j):
+            for k in _bits(gt_j if zero else gt_j | eq_j):
                 p, q, r = nums[i], nums[j], nums[k]
                 solved = False
                 for a, b in alphas:
@@ -403,7 +553,7 @@ def scan_solve_contract(spec, nums, den, weight):
     the oracle's own solution, does not mix p and r onto q.  For oracles
     that solve but do not encode, so it has no compiled twin."""
     cmp = make_compare(spec)
-    signs = _SignTable(cmp, nums, den)
+    signs = _SignTable(spec, nums, den)
     for i in range(len(nums)):
         gt_i, eq_i, _ = signs.row(i)
         for j in _bits(gt_i | eq_i):
@@ -421,7 +571,7 @@ def scan_openness(spec, nums, den, depth):
     other side, and every dyadic step from q toward w stays strictly on
     w's side, so q's side fails to be open at q along that segment."""
     cmp = make_compare(spec)
-    signs = _SignTable(cmp, nums, den)
+    signs = _SignTable(spec, nums, den)
     for i in range(len(nums)):
         gt_i, _, lt_i = signs.col(i)
         for j in _bits(gt_i | lt_i):

@@ -11,7 +11,7 @@ find a hit.  The witness class's ``observe`` then confirms the hit
 through the oracle's own exact Fraction path, asking every question the
 witness records, and ``observe`` on the witness's own inputs is also
 its ``replay``: each violation is defined once.  A hit the oracle does
-not confirm is refused with RuntimeError.
+not confirm is refused with UnconfirmedHit, a RuntimeError.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from functools import lru_cache
 
 from . import _kernels as kernels
 from ._kernels import pure
+from .errors import UnconfirmedHit
 from .geometry import AffineBasis, affine_rank
 from .grids import GridSpec, dyadic_alphas, enumerate_grid, rationals_between
 from .lotteries import Lottery, embed, mix, unit_weight
@@ -106,6 +107,19 @@ class _ScanWitness:
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls._inputs = tuple(inspect.signature(cls.observe).parameters)[1:]
+
+    def __post_init__(self):
+        # A weight outside [0, 1] mixes to no lottery and a candidate
+        # bound below 1 names no candidate: refuse them when the witness
+        # is built, so a decoded document fails there and not in replay.
+        fields = self.__dataclass_fields__
+        for name in ("alpha", "alpha_star"):
+            if name in fields and not 0 <= getattr(self, name) <= 1:
+                raise ValueError(f"{self.kind} {name} must lie in [0, 1], "
+                                 f"got {getattr(self, name)}")
+        if "candidate_bound" in fields and self.candidate_bound < 1:
+            raise ValueError(f"{self.kind} candidate_bound must be at least 1, "
+                             f"got {self.candidate_bound}")
 
     def replay(self, oracle: PreferenceOracle) -> bool:
         inputs = (getattr(self, name) for name in self._inputs)
@@ -298,6 +312,7 @@ class MixtureWitness(_ScanWitness):
     depth: int
 
     def __post_init__(self):
+        super().__post_init__()
         _check_side("mixture", self.side)
 
     @classmethod
@@ -487,7 +502,7 @@ def _verdict(cls, oracle, budget, hit, inputs_of) -> AxiomVerdict:
         return AxiomVerdict(cls.kind, False, budget, route=route)
     witness = cls.observe(oracle, *inputs_of(*hit))
     if witness is None or not witness.replay(oracle):
-        raise RuntimeError(
+        raise UnconfirmedHit(
             f"scan backend and oracle disagree on the {cls.kind} hit "
             f"{hit!r}; refusing to report it: {witness!r}")
     return AxiomVerdict(cls.kind, True, budget, witness=witness, route=route)
@@ -534,16 +549,54 @@ def check_independence(oracle: PreferenceOracle, grid: GridSpec,
     raise ValueError(f"unknown independence variant {variant!r}")
 
 
+def _greedy_classes(oracle, lots, nums, den, spec):
+    """Each lot's class index, in lot order: the first class whose
+    representative, its first member, the lot is indifferent to, or a
+    new class.
+
+    An encoded oracle reads indifference off the sign table's eq bits,
+    with no oracle call: each new representative claims, in one bitset
+    operation, every later unclaimed lot indifferent to it, which is
+    the lot's first such representative.  A callback oracle is asked
+    lazily instead, one lot at a time, so an early exit saves the
+    comparisons of the lots after it.
+    """
+    if spec[0] == "callback":
+        reps: list[Lottery] = []
+        for lot in lots:
+            k = next((k for k, rep in enumerate(reps)
+                      if oracle.compare(lot, rep) is INDIFF), len(reps))
+            if k == len(reps):
+                reps.append(lot)
+            yield k
+        return
+    signs = pure._SignTable(spec, nums, den)
+    owner: list[int | None] = [None] * len(lots)
+    unclaimed = (1 << len(lots)) - 1
+    founded = 0
+    for i in range(len(lots)):
+        if owner[i] is None:
+            owner[i] = founded
+            unclaimed ^= 1 << i
+            claimed = signs.col(i)[1] & unclaimed
+            unclaimed ^= claimed
+            for m in pure._bits(claimed):
+                owner[m] = founded
+            founded += 1
+        yield owner[i]
+
+
 def check_ip(oracle: PreferenceOracle, grid: GridSpec) -> AxiomVerdict:
     """Search the grid for n mutually indifferent lotteries spanning a
     hyperplane (embedded affine rank n-1).
 
     Found means NoViolationFound carrying the points; an exhausted grid
     is reported as Violated in the falsifier sense.  Classes grow
-    greedily in enumeration order; a found set is re-verified pairwise
-    against the oracle, independently of the greedy bookkeeping.
+    greedily in enumeration order (``_greedy_classes``); a found set is
+    re-verified pairwise against the oracle, independently of the
+    greedy bookkeeping.
     """
-    lots = _grid(grid)[0]
+    lots, nums, den, spec = _encoded(oracle, grid)
     n = grid.space.n
     budget = Budget(grid=grid)
     if n == 0:
@@ -556,17 +609,16 @@ def check_ip(oracle: PreferenceOracle, grid: GridSpec) -> AxiomVerdict:
     classes: list[list[Lottery]] = []
     hulls: dict[int, AffineBasis] = {}
     best_size = 0
-    for lot in lots:
-        for k, span in enumerate(classes):
-            if oracle.compare(lot, span[0]) is INDIFF:
-                if k not in hulls:
-                    hulls[k] = AffineBasis(embed(span[0]).coords)
-                if hulls[k].add(embed(lot).coords):
-                    span.append(lot)
-                break
-        else:
+    for lot, k in zip(lots, _greedy_classes(oracle, lots, nums, den, spec)):
+        if k == len(classes):
             span = [lot]
             classes.append(span)
+        else:
+            span = classes[k]
+            if k not in hulls:
+                hulls[k] = AffineBasis(embed(span[0]).coords)
+            if hulls[k].add(embed(lot).coords):
+                span.append(lot)
         best_size = max(best_size, len(span))
         if len(span) == n:
             points = tuple(span)

@@ -10,7 +10,9 @@ followed by one JSON document, all rationals in canonical string form;
 --out mirrors stdout byte for byte.
 
 Exit codes: 0 success (including NoViolationFound), 1 a check found a
-violation, 2 invalid input with the failed invariant named on stderr.
+violation, 2 invalid input with the failed invariant named on stderr,
+or a scan hit the oracle did not confirm (``UnconfirmedHit``), which
+is no verdict at all.
 """
 
 from __future__ import annotations

@@ -68,3 +68,8 @@ class NotInAffineHull(LotprefError):
 
 class UnorientedRepresentation(LotprefError):
     """A representation with no strict direction cannot classify points."""
+
+
+class UnconfirmedHit(LotprefError, RuntimeError):
+    """A scan reported a hit that the oracle's own answers do not
+    confirm: a kernel fault or an inconsistent oracle, not a verdict."""

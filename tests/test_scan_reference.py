@@ -12,9 +12,10 @@ The pure kernels run every oracle; the level kernels run the eu and
 represented ones, including payoffs beyond the compiled envelope.  Both
 run whether or not the compiled extension is built, so this suite
 checks the scan algorithms wherever the tests run.  Hypothesis tests
-then hold the level kernels to the pure ones on drawn payoffs, and the
+then hold the level kernels to the pure ones on drawn payoffs, the
 pure kernels to the reference on drawn lex, hybrid, majority and
-callback oracles.
+callback oracles, and the sign rows built from thresholds to the rows
+a comparison closure fills.
 """
 
 from fractions import Fraction
@@ -292,10 +293,12 @@ def ref_archimedean(ref, bound, depth):
     return None
 
 
-def ref_solvability_scan(ref, bound, depth):
-    """First (i, j, k) with p >= q >= r that no candidate weight solves."""
+def ref_solvability_scan(ref, bound, depth, alphas=None):
+    """First (i, j, k) with p >= q >= r that no candidate weight solves;
+    the candidates are those the checker passes unless given."""
     s, g = ref.sign, ref.grid
-    alphas = rationals_between(F(0), F(1), bound)
+    if alphas is None:
+        alphas = rationals_between(F(0), F(1), bound)
     for i, j, k, p, q, r in ref.triples():
         if g[i][j] < 0 or g[j][k] < 0:
             continue
@@ -453,6 +456,66 @@ def test_reference_cases_cover_hits_and_misses():
             for name, reference in REFERENCES.items():
                 seen[name].add(reference(ref, bound, DEPTH) is None)
     assert all(outcomes == {True, False} for outcomes in seen.values()), seen
+
+
+ENDPOINT_CASES = [(size, bound, oracle, drop)
+                  for size, bound in ((3, 2), (3, 3), (4, 2))
+                  for oracle in ORACLES[size]
+                  for drop in ((), (0,), (1,), (0, 1))]
+
+
+@pytest.mark.parametrize(
+    "size,bound,oracle_name,drop", ENDPOINT_CASES,
+    ids=[f"{oracle}-{size}x{bound}-without{list(drop)}"
+         for size, bound, oracle, drop in ENDPOINT_CASES])
+def test_solvability_scan_with_and_without_endpoint_weights(size, bound,
+                                                            oracle_name, drop):
+    # The scan skips the triples the weights 1 and 0 solve only when
+    # those weights are candidates; without them, those triples can hit.
+    space = OutcomeSpace.of_size(size)
+    oracle = ORACLES[size][oracle_name](space)
+    lots, nums, den, spec = _encoded(oracle, GridSpec(space, bound))
+    alphas = [a for a in rationals_between(F(0), F(1), bound) if a not in drop]
+    hit = pure.scan_solvability_scan(spec, nums, den, pairs(alphas))
+    assert hit == ref_solvability_scan(Reference(oracle, lots), bound, DEPTH, alphas)
+
+
+# ---- sign rows from thresholds --------------------------------------------------
+
+MAX_BOUND = {2: 6, 3: 4, 4: 3, 5: 2}
+SMALL_OR_HUGE = st.one_of(st.integers(-3, 3), st.integers(-(1 << 40), 1 << 40))
+
+
+@st.composite
+def encoded_grids(draw):
+    """(spec, grid size, bound): lex with a drawn priority, hybrid,
+    majority, or eu with payoffs up to 2^40, on 2 to 5 outcomes."""
+    size = draw(st.integers(2, 5))
+    spec = draw(st.one_of(
+        st.permutations(range(size)).map(lambda order: ("lex", tuple(order))),
+        st.just(("hybrid", ())),
+        st.just(("majority", ())),
+        st.lists(SMALL_OR_HUGE, min_size=size, max_size=size).map(
+            lambda payoffs: ("eu", tuple(payoffs)))))
+    return spec, size, draw(st.integers(2, MAX_BOUND[size]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(drawn=encoded_grids())
+def test_threshold_rows_match_closure_rows(drawn):
+    # Every grid bound here is at least 2, so den is even and hybrid's
+    # plateau x_0 = 1/2 holds grid points.
+    spec, size, bound = drawn
+    lots = enumerate_grid(GridSpec(OutcomeSpace.of_size(size), bound))
+    nums, den = kernels.encode_lotteries(lots)
+    if spec[0] == "hybrid":
+        assert any(2 * x[0] == den for x in nums)
+    table = pure._SignTable(spec, nums, den)
+    closure = pure._SignTable(("callback", (pure.make_compare(spec),)), nums, den)
+    assert table.mirrored and not closure.mirrored
+    for i in range(len(nums)):
+        assert table.row(i) == closure.row(i)
+        assert table.col(i) == closure.col(i)
 
 
 # ---- level kernels ------------------------------------------------------------------

@@ -20,6 +20,7 @@ from lotpref.axioms import (
     check_translation,
     check_weak_order,
 )
+from lotpref import _kernels as kernels
 from lotpref import cli
 from lotpref.errors import EmptyInput, LengthMismatch
 from lotpref.grids import GridSpec
@@ -227,6 +228,25 @@ def test_witness_with_unknown_case_rejected():
     for doc in (mixture, openness):
         with pytest.raises(ValueError, match="side"):
             witness_from_json(SPACE, doc)
+
+
+def test_witness_with_weight_or_bound_out_of_range_rejected():
+    # Accepted, these decoded and then made replay raise AlphaOutOfRange
+    # (the weight) or ValueError (the bound) instead of answering.
+    independence = {"kind": "independence", "p": ["0", "0", "1"],
+                    "q": ["0", "1", "0"], "r": ["1", "0", "0"], "alpha": "3/2",
+                    "before": "strictly-worse", "after": "strictly-worse"}
+    scan = {"kind": "solvability", "route": "alpha-scan", "p": ["0", "0", "1"],
+            "q": ["0", "1", "0"], "r": ["1", "0", "0"], "candidate_bound": 0}
+    mixture = {"kind": "mixture", "p": ["0", "0", "1"], "q": ["0", "1", "0"],
+               "r": ["1/2", "1/2", "0"], "alpha_star": "-1/2", "side": 1,
+               "boundary": "strictly-worse", "depth": 24}
+    for doc, field, valid in ((independence, "alpha", "1/2"),
+                              (scan, "candidate_bound", 1),
+                              (mixture, "alpha_star", "1/2")):
+        with pytest.raises(ValueError, match=field):
+            witness_from_json(SPACE, doc)
+        assert witness_from_json(SPACE, {**doc, field: valid}).kind == doc["kind"]
 
 
 def test_verdict_document_shape():
@@ -598,6 +618,19 @@ def test_cli_zero_grid_or_depth_exits_two(tmp_path):
     proc = run_cli("check", "--scenario", str(scenario))
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ValueError")
+
+
+def test_cli_unconfirmed_hit_exits_two(monkeypatch, capsys):
+    # A scan hit the oracle does not confirm is a fault, not a verdict:
+    # exit 1 would read as "violated".
+    monkeypatch.setattr(kernels, "scan_openness", lambda *args: (0, 0, 0))
+    code = cli.main(["check", "--oracle", "eu", "--utility", "0,3,7",
+                     "--axiom", "grid-openness", "--grid", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "error: UnconfirmedHit: scan backend and oracle disagree")
 
 
 def test_cli_zero_outcomes_exits_two():
