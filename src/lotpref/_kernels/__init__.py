@@ -22,8 +22,12 @@ of an oracle encoding; it is the level kernel itself.
 from __future__ import annotations
 
 from . import levels, pure
-from .encoding import encode_lotteries, encode_oracle, envelope_ok
+from .encoding import encode_lotteries, encode_oracle, envelope_ok, separation_depth
 from .levels import scan_solvability_solve
+from .pure import (
+    ARCH_SIDE_ALPHA, ARCH_SIDE_BETA, LINE_P_BEATS_POINT, LINE_POINT_BEATS_P,
+    LINE_POINT_BEATS_Q, LINE_Q_BEATS_POINT,
+)
 
 try:
     from . import _fastscan as _fast
@@ -38,6 +42,7 @@ __all__ = [
     "encode_lotteries",
     "encode_oracle",
     "envelope_ok",
+    "separation_depth",
     "have_compiled",
     "set_force_pure",
     "backend_name",
@@ -59,14 +64,6 @@ __all__ = [
     "ARCH_SIDE_BETA",
     "ARCH_SIDE_ALPHA",
 ]
-
-LINE_Q_BEATS_POINT = pure.LINE_Q_BEATS_POINT
-LINE_P_BEATS_POINT = pure.LINE_P_BEATS_POINT
-LINE_POINT_BEATS_Q = pure.LINE_POINT_BEATS_Q
-LINE_POINT_BEATS_P = pure.LINE_POINT_BEATS_P
-ARCH_SIDE_BETA = pure.ARCH_SIDE_BETA
-ARCH_SIDE_ALPHA = pure.ARCH_SIDE_ALPHA
-
 
 def have_compiled() -> bool:
     return _fast is not None

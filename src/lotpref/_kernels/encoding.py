@@ -28,6 +28,7 @@ __all__ = [
     "encode_lotteries",
     "encode_oracle",
     "envelope_ok",
+    "separation_depth",
     "INT128_SAFE",
 ]
 
@@ -82,3 +83,19 @@ def envelope_ok(den: int, *, max_alpha_den: int = 1, max_t_den: int = 1,
     the limits its own weights imply, and the others stay 1, 1 and 0."""
     worst = den * max_alpha_den * max_t_den << depth
     return worst * worst < INT128_SAFE
+
+
+def separation_depth(spec, den: int, max_b: int) -> int:
+    """The probe depth from which dyadic probes of candidate weights
+    with denominator <= max_b are exact for an encoded ``spec``.
+
+    Along a grid segment a comparison changes sign only at thresholds:
+    (L_q - L_r)/(L_p - L_r) for ("eu", u), of denominator <= den·S with
+    S = max(u) - min(u); coordinate breakpoints for lex and majority,
+    <= den; hybrid's plateau crossing, <= 2·den (S = 1 outside eu).  Any
+    other threshold lies over 2^-depth from a candidate, so its probes
+    share the open interval of its one-sided limit, at any deeper depth.
+    """
+    kind, params = spec
+    span = max(params) - min(params) if kind == "eu" else 1
+    return (2 * max_b * den * span).bit_length()

@@ -7,8 +7,13 @@ at level (u·x)/D, so grid point i sits at L_i/den and the mixture
 mix(p, r, a/b) of two grid points at (a·L_p + (b - a)·L_r)/(b·den).
 Every comparison is then the sign of one integer expression, and the
 algebra removes loops: each docstring below states the identity its
-scan rests on.  Five scans can never hit, and two hit only on weights
+scan rests on.  Eight scans can never hit, and two hit only on weights
 outside [0, 1], which no checker passes.
+
+The probe scans (mixture, archimedean, openness) hold from
+``encoding.separation_depth`` on; below it a None would prove nothing,
+so they raise ValueError naming both depths.  S is max(u) - min(u):
+no two levels differ by more than den·S.
 
 The levels come with threshold bitsets, ``pure._Thresholds``: the grid
 points below, at or above any level, each one bisection away.
@@ -19,15 +24,17 @@ build.
 Each ``scan_<name>`` has the signature of its twin in ``pure`` and
 returns the same first hit in the same pinned order, None included,
 for any payoffs, any grid over ``den >= 1`` and any weights with
-positive denominators.  tests/test_scan_reference.py holds them to
-the Fraction-level reference and to ``pure``.
+positive denominators (the probe scans: from the separation depth on,
+and mixture candidates in [0, 1]).  tests/test_scan_reference.py holds
+them to the Fraction-level reference and to ``pure``.
 """
 
 from __future__ import annotations
 
 from math import gcd
 
-from .pure import ARCH_SIDE_ALPHA, ARCH_SIDE_BETA, _bits, level_thresholds
+from .encoding import separation_depth
+from .pure import _bits, level_thresholds
 
 __all__ = [
     "scan_transitivity",
@@ -42,10 +49,6 @@ __all__ = [
     "scan_solvability_solve",
     "scan_openness",
 ]
-
-
-def _lowest(mask):
-    return (mask & -mask).bit_length() - 1
 
 
 def _reduced(a, b):
@@ -97,7 +100,7 @@ def scan_betweenness(spec, nums, den, alphas):
     for i, level in enumerate(levels):
         lower = levels.below(level)
         if lower:
-            return (i, _lowest(lower), ai)
+            return (i, (lower & -lower).bit_length() - 1, ai)
     return None
 
 
@@ -138,49 +141,15 @@ def scan_mixture(spec, nums, den, alpha_stars, depth):
     {alpha : mix(p, r, alpha) >= q} excludes a boundary candidate that
     its one-sided dyadic probes all belong to.
 
-    With c = L_p - L_r and F = a·L_p + (b - a)·L_r - b·L_q, the
-    candidate a/b lies below q when F < 0, and its probe a/b + side/2^h
-    sits at 2^h·F + side·b·c, which falls as h grows.  So the deepest
-    probe inside [0, 1], at P = 2^h, decides: the side holds iff
-    side·c > 0 and P·F + b·|c| >= 0.  For given p, r and a/b the q that
-    hit are those with levels in the window (M/b, M/b + |c|/P], where
-    M = a·L_p + (b - a)·L_r, so each (p, r, a/b) takes its first q from
-    one level window instead of a loop over q and the probes.
+    Never for candidates in [0, 1], B their largest denominator: a
+    candidate a/b below q has F = a·L_p + (b - a)·L_r - b·L_q <= -1, and
+    a side with a probe in [0, 1] has one at 2^-depth < 1/b, which sits
+    at 2^depth·F ± b·(L_p - L_r) < 0 against q: b·|L_p - L_r| <= B·den·S.
     """
-    levels = level_thresholds(spec, nums)
-
-    def deepest(a, b, side):
-        """2^h for the largest h <= depth whose probe is in [0, 1], or 0."""
-        for h in range(depth, 0, -1):
-            power = 1 << h
-            if 0 <= a * power + side * b <= b * power:
-                return power
-        return 0
-
-    # A weight with b <= 0 never hits: none of its probes is in [0, 1],
-    # except at a = b = 0, where F = 0.
-    stars = [(si, a, b, {1: deepest(a, b, 1), -1: deepest(a, b, -1)})
-             for si, (a, b) in enumerate(alpha_stars) if b > 0]
-    for i, lp in enumerate(levels):
-        first = None  # (j, k, alpha index, side), least in scan order
-        for k, lr in enumerate(levels):
-            side = (lp > lr) - (lp < lr)
-            gap = abs(lp - lr)
-            for si, a, b, powers in stars:
-                power = powers.get(side)
-                if not power:
-                    continue
-                mixed = a * lp + (b - a) * lr
-                low, high = mixed // b + 1, (power * mixed + b * gap) // (power * b)
-                if low > high:
-                    continue
-                window = levels.at_least(low) & levels.at_most(high)
-                if window:
-                    j = _lowest(window)
-                    if first is None or j < first[0]:
-                        first = (j, k, si, side)
-        if first:
-            return (i, *first)
+    if any(not 0 <= a <= b for a, b in alpha_stars):
+        raise ValueError(f"level mixture candidates must lie in [0, 1]: {alpha_stars}")
+    _require_separation(spec, den, max((b for _, b in alpha_stars), default=1),
+                        depth)
     return None
 
 
@@ -188,27 +157,12 @@ def scan_archimedean(spec, nums, den, depth):
     """First (i, j, k, side) with p > q > r where one side of the
     interior-weight requirement fails at every dyadic probe.
 
-    The beta probe 2^-h puts q above mix(p, r, 2^-h) iff
-    2^h·(L_q - L_r) > L_p - L_r, and the alpha probe 1 - 2^-h puts the
-    mixture above q iff 2^h·(L_p - L_q) > L_p - L_r.  Both grow with h,
-    so the probe at P = 2^depth decides: beta fails for the r with
-    (P - 1)·L_r >= P·L_q - L_p, alpha for those with
-    L_r <= L_p - P·(L_p - L_q).  Each (p, q) takes its first failing r
-    from two level thresholds instead of a loop over r.
+    Never: the beta probe puts q above mix(p, r, 2^-depth) iff
+    2^depth·(L_q - L_r) > L_p - L_r, the alpha probe puts mix(p, r,
+    1 - 2^-depth) above q iff 2^depth·(L_p - L_q) > L_p - L_r, and both
+    hold, as the left factors are at least 1 and L_p - L_r <= den·S.
     """
-    levels = level_thresholds(spec, nums)
-    power = 1 << max(depth, 0)
-    for i, lp in enumerate(levels):
-        for j in _bits(levels.below(lp)):
-            lq = levels[j]
-            lower = levels.below(lq)
-            beta = lower
-            if power > 1:
-                beta &= levels.at_least(-((lp - power * lq) // (power - 1)))
-            fails = beta | lower & levels.at_most(lp - power * (lp - lq))
-            if fails:
-                k = _lowest(fails)
-                return (i, j, k, ARCH_SIDE_BETA if beta >> k & 1 else ARCH_SIDE_ALPHA)
+    _require_separation(spec, den, 1, depth)
     return None
 
 
@@ -248,20 +202,17 @@ def scan_openness(spec, nums, den, depth):
     other side, and every dyadic step from q toward w stays strictly on
     w's side, so q's side fails to be open at q along that segment.
 
-    The step 2^-h sits at (L_w - L_q) + 2^h·(L_q - L_p) against p, which
-    moves toward q's side as h grows, so the step at P = 2^depth
-    decides: w fails openness iff it lies beyond
-    T = L_q - P·(L_q - L_p), below T when q is above p and above T when
-    q is below.  Each (p, q) takes its first such w from one level
-    threshold instead of a loop over w.
+    Never: the step 2^-depth sits at 2^depth·(L_q - L_p) + (L_w - L_q)
+    against p, on q's side, as |L_q - L_p| >= 1 and |L_w - L_q| <= den·S.
     """
-    levels = level_thresholds(spec, nums)
-    power = 1 << max(depth, 0)
-    for i, lp in enumerate(levels):
-        for j in _bits(levels.below(lp) | levels.above(lp)):
-            lq = levels[j]
-            bound = lq - power * (lq - lp)
-            beyond = levels.below(bound) if lq > lp else levels.above(bound)
-            if beyond:
-                return (i, j, _lowest(beyond))
+    _require_separation(spec, den, 1, depth)
     return None
+
+
+def _require_separation(spec, den, max_b, depth):
+    """Refuse a depth below the separation depth: from there on
+    2^depth > 2·max_b·den·S, the bound the proofs above use."""
+    floor = separation_depth(spec, den, max_b)
+    if depth < floor:
+        raise ValueError(f"level probe depth {depth} is below the "
+                         f"separation depth {floor}")

@@ -130,9 +130,6 @@ class _Thresholds(list):
     def above(self, t):
         return self._prefix[-1] ^ self.at_most(t)
 
-    def at_least(self, t):
-        return self._prefix[-1] ^ self.below(t)
-
     def at(self, t):
         return self.at_most(t) ^ self.below(t)
 
@@ -491,29 +488,16 @@ def scan_archimedean(spec, nums, den, depth):
     interior-weight requirement fails at every dyadic probe."""
     cmp = make_compare(spec)
     signs = _SignTable(spec, nums, den)
+    powers = [1 << h for h in range(1, depth + 1)]
     for i in range(len(nums)):
         for j in _bits(signs.row(i)[0]):
             for k in _bits(signs.row(j)[0]):
                 p, q, r = nums[i], nums[j], nums[k]
-                beta_ok = False
-                power = 1
-                for _ in range(depth):
-                    power *= 2
-                    m = _mix(p, r, 1, power)
-                    if cmp(q, den, m, power * den) > 0:
-                        beta_ok = True
-                        break
-                if not beta_ok:
+                if not any(cmp(q, den, _mix(p, r, 1, P), P * den) > 0
+                           for P in powers):
                     return (i, j, k, ARCH_SIDE_BETA)
-                alpha_ok = False
-                power = 1
-                for _ in range(depth):
-                    power *= 2
-                    m = _mix(p, r, power - 1, power)
-                    if cmp(m, power * den, q, den) > 0:
-                        alpha_ok = True
-                        break
-                if not alpha_ok:
+                if not any(cmp(_mix(p, r, P - 1, P), P * den, q, den) > 0
+                           for P in powers):
                     return (i, j, k, ARCH_SIDE_ALPHA)
     return None
 
@@ -572,20 +556,14 @@ def scan_openness(spec, nums, den, depth):
     w's side, so q's side fails to be open at q along that segment."""
     cmp = make_compare(spec)
     signs = _SignTable(spec, nums, den)
+    powers = [1 << h for h in range(1, depth + 1)]
     for i in range(len(nums)):
         gt_i, _, lt_i = signs.col(i)
         for j in _bits(gt_i | lt_i):
             side, opposite = (1, lt_i) if gt_i >> j & 1 else (-1, gt_i)
             for k in _bits(opposite):
                 q, w = nums[j], nums[k]
-                all_opposite = True
-                power = 1
-                for _ in range(depth):
-                    power *= 2
-                    probe = _mix(w, q, 1, power)
-                    if cmp(probe, power * den, nums[i], den) != -side:
-                        all_opposite = False
-                        break
-                if all_opposite:
+                if all(cmp(_mix(w, q, 1, P), P * den, nums[i], den) == -side
+                       for P in powers):
                     return (i, j, k)
     return None

@@ -57,14 +57,15 @@ __all__ = [
     "CONTINUITY_KINDS",
 ]
 
-# Dyadic refinement budget for the continuity probes.  A mixture,
-# archimedean or grid-openness violation means only that every probe
-# down to 2^-depth agrees: a boundary closer than that still reads as
-# a violation, as for expected utility with u = (0, 1, 10^7) on grid
-# bound 3 at this depth (ROADMAP item 1).
+# Dyadic refinement budget for the continuity probes, a floor: for a
+# built-in oracle check_continuity raises it to the separation depth
+# (kernels.separation_depth), where every probe is exact.  A callback
+# oracle's mixture, archimedean or grid-openness hit means only that
+# every probe down to 2^-depth agrees.
 DEFAULT_DEPTH = 24
 
 CONTINUITY_KINDS = ("grid-openness", "mixture", "archimedean", "solvability")
+_PROBE_KINDS = ("grid-openness", "mixture", "archimedean")
 
 INDIFF = ComparisonResult.INDIFFERENT
 BETTER = ComparisonResult.STRICTLY_BETTER
@@ -648,6 +649,10 @@ def check_continuity(oracle: PreferenceOracle, kind: str, grid: GridSpec,
     answers instead of scanning (an exact weight need not sit on the
     candidate grid).  depth is the number of dyadic probes and must be
     at least 1: with none, an empty probe loop vouches for anything.
+    It is a floor: for a built-in oracle the probe kinds raise it to the
+    separation depth (candidate bound 2d), from which a hit is a real
+    failure along its segment, and the budget and witness record it.  A
+    callback oracle keeps it; its hit says only that every probe agrees.
     """
     if type(depth) is not int:
         raise ValueError(f"probe depth must be an int, got {depth!r}")
@@ -655,6 +660,8 @@ def check_continuity(oracle: PreferenceOracle, kind: str, grid: GridSpec,
         raise ValueError(f"probe depth must be at least 1, got {depth}")
     lots, nums, den, spec = _encoded(oracle, grid)
     d = grid.denominator_bound
+    if kind in _PROBE_KINDS and spec[0] != "callback":
+        depth = max(depth, kernels.separation_depth(spec, den, 2 * d))
 
     if kind == "grid-openness":
         return _verdict(OpennessWitness, oracle, Budget(grid=grid, depth=depth),

@@ -138,7 +138,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", dest="check.grid", type=int, metavar="D",
                    help="grid denominator bound (default 4)")
     p.add_argument("--depth", dest="check.depth", type=int, metavar="H",
-                   help="dyadic probe depth (default %d)" % DEFAULT_DEPTH)
+                   help="least dyadic probe depth (default %d): built-in "
+                        "oracles raise it to where probes are exact"
+                        % DEFAULT_DEPTH)
 
     return parser
 

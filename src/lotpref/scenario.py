@@ -349,6 +349,13 @@ class CheckRequest:
     grid: int | None = None
     depth: int | None = None
 
+    def __post_init__(self):
+        if self.variant is not None and self.axiom != "independence":
+            raise ValueError(f"check variant {self.variant!r} applies only to "
+                             f"axiom 'independence', got {self.axiom!r}")
+        if self.depth is not None and (type(self.depth) is not int or self.depth < 1):
+            raise ValueError(f"check depth must be an int >= 1, got {self.depth!r}")
+
 
 @dataclass(frozen=True)
 class Scenario:

@@ -1,8 +1,13 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from lotpref import _kernels as kernels
 from lotpref.axioms import (
+    CONTINUITY_KINDS,
     ArchimedeanWitness,
     BetweennessWitness,
     CycleWitness,
@@ -20,6 +25,7 @@ from lotpref.axioms import (
     check_weak_order,
 )
 from lotpref.errors import AlphaOutOfRange
+from lotpref.geometry import Hyperplane
 from lotpref.grids import GridSpec, enumerate_grid
 from lotpref.lotteries import OutcomeSpace, make_lottery
 from lotpref.oracles import (
@@ -62,6 +68,49 @@ def test_eu_satisfies_all_continuity_kinds():
         verdict = check_continuity(EU, kind, GRID4)
         assert verdict.no_violation_found, kind
     assert check_continuity(EU, "solvability", GRID4).route == "solve-contract"
+
+
+@settings(max_examples=60, deadline=None)
+@given(grid=st.sampled_from([(3, 2), (3, 3), (4, 2)]), depth=st.integers(1, 24),
+       data=st.data())
+def test_linear_oracles_satisfy_every_continuity_kind(grid, depth, data):
+    # Expected utility satisfies every continuity kind however close a
+    # threshold sits to a candidate weight: the probe kinds run from the
+    # separation depth (2 * 2d * den * payoff span).bit_length() on, and
+    # the budget records the depth used.
+    size, bound = grid
+    space = OutcomeSpace.of_size(size)
+    payoffs = data.draw(st.lists(st.integers(-(1 << 40), 1 << 40),
+                                 min_size=size, max_size=size))
+    if data.draw(st.booleans(), label="represented"):
+        assume(any(payoffs[1:]))
+        plane = Hyperplane(tuple(map(F, payoffs[1:])), (F(1, size),) * space.n)
+        oracle = RepresentedOracle(space, plane, data.draw(st.sampled_from([1, -1])))
+    else:
+        oracle = ExpectedUtilityOracle(UtilityFunction.of(space, payoffs))
+    span = max(oracle.gauge) - min(oracle.gauge)
+    floor = (2 * 2 * bound * lcm(*range(1, bound + 1)) * span).bit_length()
+    for kind in CONTINUITY_KINDS:
+        verdict = check_continuity(oracle, kind, GridSpec(space, bound), depth)
+        assert verdict.no_violation_found, kind
+        if kind != "solvability":
+            assert verdict.budget.depth == max(depth, floor), kind
+
+
+class CallbackEU(ExpectedUtilityOracle):
+    """Expected utility through the callback path: the encoder refuses
+    subclasses."""
+
+
+def test_callback_oracles_keep_the_requested_depth():
+    # A callback oracle has no threshold bound, so its probes stay at
+    # the requested depth, and a threshold closer than 2^-depth reads as
+    # a violation: the hit is only as deep as the probes.
+    oracle = CallbackEU(UtilityFunction.of(SPACE, [0, 1, 10**7]))
+    assert kernels.encode_oracle(oracle) is None
+    verdict = check_continuity(oracle, "archimedean", GridSpec(SPACE, 3), 3)
+    assert verdict.violated
+    assert verdict.budget.depth == verdict.witness.depth == 3
 
 
 def test_eu_satisfies_geometry_axioms():

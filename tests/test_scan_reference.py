@@ -14,8 +14,10 @@ run whether or not the compiled extension is built, so this suite
 checks the scan algorithms wherever the tests run.  Hypothesis tests
 then hold the level kernels to the pure ones on drawn payoffs, the
 pure kernels to the reference on drawn lex, hybrid, majority and
-callback oracles, and the sign rows built from thresholds to the rows
-a comparison closure fills.
+callback oracles, the sign rows built from thresholds to the rows a
+comparison closure fills, and the pure probe scans' first hits to stay
+put from the separation depth on.  The level probe scans run only
+from their separation depth; below it they refuse.
 """
 
 from fractions import Fraction
@@ -266,14 +268,18 @@ def ref_mixture(ref, bound, depth):
     weakly above q, and at least one does."""
     s = ref.sign
     stars = rationals_between(F(0), F(1), 2 * bound)
+    steps = [F(1, 2 ** h) for h in range(1, depth + 1)]
+    # The probes of each candidate and side that stay in [0, 1].
+    probes = {(si, side): [a for a in (star + side * step for step in steps)
+                           if 0 <= a <= 1]
+              for si, star in enumerate(stars) for side in (1, -1)}
     for i, j, k, p, q, r in ref.triples():
         for si, star in enumerate(stars):
             if s(mix(p, r, star), q) >= 0:
                 continue
             for side in (1, -1):
-                probes = [star + side * F(1, 2 ** h) for h in range(1, depth + 1)]
-                probes = [a for a in probes if 0 <= a <= 1]
-                if probes and all(s(mix(p, r, a), q) >= 0 for a in probes):
+                inside = probes[si, side]
+                if inside and all(s(mix(p, r, a), q) >= 0 for a in inside):
                     return (i, j, k, si, side)
     return None
 
@@ -523,7 +529,6 @@ def test_threshold_rows_match_closure_rows(drawn):
 LEVEL_REFERENCES = {**REFERENCES, "independence": ref_independence,
                     "mixture": ref_mixture}
 PROBE_SCANS = ("mixture", "archimedean", "openness")
-PROBE_DEPTHS = (1, 2, 3, 4)
 HUGE = 1 << 121  # beyond the compiled path's 2^120 envelope
 
 
@@ -552,20 +557,26 @@ LEVEL_CASES = [(size, bound, name)
                for size, bound in LEVEL_GRIDS for name in LEVEL_ORACLES[size]]
 
 
+def probe_floor(name, spec, den, bound):
+    """The separation depth of a probe scan's own arguments: the
+    largest candidate denominator, 2 * bound, for mixture, else 1."""
+    return kernels.separation_depth(spec, den, 2 * bound if name == "mixture" else 1)
+
+
 def level_hits(oracle, grid):
-    """{(scan, depth): (level hit, reference hit)} for every scan on
-    the level path, the probe scans at each of PROBE_DEPTHS."""
+    """{scan: (level hit, reference hit)} for every scan on the level
+    path, the probe scans at their separation depth."""
     lots, nums, den, spec = _encoded(oracle, grid)
     assert spec[0] == "eu"
     ref = Reference(oracle, lots)
     bound = grid.denominator_bound
     out = {}
     for name, reference in LEVEL_REFERENCES.items():
-        for depth in PROBE_DEPTHS if name in PROBE_SCANS else (DEPTH,):
-            hit = getattr(levels, f"scan_{name}")(
-                spec, nums, den, *kernel_args(name, bound, depth))
-            out[name, depth] = hit, reference(ref, bound, depth)
-    out["solvability_solve", None] = (
+        depth = probe_floor(name, spec, den, bound) if name in PROBE_SCANS else DEPTH
+        hit = getattr(levels, f"scan_{name}")(
+            spec, nums, den, *kernel_args(name, bound, depth))
+        out[name] = hit, reference(ref, bound, depth)
+    out["solvability_solve"] = (
         levels.scan_solvability_solve(list(spec[1]), nums, den),
         ref_solve_contract(ref))
     return out
@@ -577,26 +588,47 @@ def level_hits(oracle, grid):
 def test_level_scans_match_reference(size, bound, oracle_name):
     space = OutcomeSpace.of_size(size)
     oracle = LEVEL_ORACLES[size][oracle_name](space)
-    hits = level_hits(oracle, GridSpec(space, bound))
-    for (name, depth), (hit, expected) in hits.items():
-        assert hit == expected, f"level {name} diverged at depth {depth}"
+    for name, (hit, expected) in level_hits(oracle, GridSpec(space, bound)).items():
+        assert hit == expected, f"level {name} diverged"
+
+
+@pytest.mark.parametrize(
+    "size,bound,oracle_name", LEVEL_CASES,
+    ids=[f"{oracle}-{size}x{bound}" for size, bound, oracle in LEVEL_CASES])
+def test_level_probe_scans_refuse_depths_below_separation(size, bound, oracle_name):
+    # Below the separation depth a probe can straddle a threshold, so a
+    # None there would be a guess: the level probe scans refuse it.
+    space = OutcomeSpace.of_size(size)
+    _, nums, den, spec = _encoded(LEVEL_ORACLES[size][oracle_name](space),
+                                  GridSpec(space, bound))
+    for name in PROBE_SCANS:
+        scan = getattr(levels, f"scan_{name}")
+        floor = probe_floor(name, spec, den, bound)
+        for depth in {1, floor - 1}:
+            with pytest.raises(ValueError, match=f"level probe depth {depth} is "
+                                                 f"below the separation depth {floor}"):
+                scan(spec, nums, den, *kernel_args(name, bound, depth))
+        assert scan(spec, nums, den, *kernel_args(name, bound, floor)) is None
+    with pytest.raises(ValueError, match=r"candidates must lie in \[0, 1\]"):
+        levels.scan_mixture(spec, nums, den, [(3, 2)], 200)
 
 
 def test_level_cases_cover_hits_and_misses():
-    # The probe scans and the candidate scan must hit in some level case
-    # and miss in another; the rest cannot hit an eu oracle at all.  The
-    # level hits stand for the reference's, which the test above matches.
+    # Only the candidate scan can hit an eu oracle on the checkers'
+    # arguments; it must hit in some level case and miss in another.
+    # The level hits stand for the reference's, which the test above
+    # matches.
     seen = {name: set() for name in LEVEL_REFERENCES}
     for size, bound in ((3, 2), (4, 2)):
         space = OutcomeSpace.of_size(size)
         for make in LEVEL_ORACLES[size].values():
             _, nums, den, spec = _encoded(make(space), GridSpec(space, bound))
             for name in LEVEL_REFERENCES:
-                for depth in PROBE_DEPTHS:
-                    hit = getattr(levels, f"scan_{name}")(
-                        spec, nums, den, *kernel_args(name, bound, depth))
-                    seen[name].add(hit is None)
-    can_hit = {*PROBE_SCANS, "solvability_scan"}
+                depth = probe_floor(name, spec, den, bound)
+                hit = getattr(levels, f"scan_{name}")(
+                    spec, nums, den, *kernel_args(name, bound, depth))
+                seen[name].add(hit is None)
+    can_hit = {"solvability_scan"}
     assert {name for name, outcomes in seen.items() if outcomes == {True, False}} \
         == can_hit, seen
     assert all(seen[name] == {True} for name in seen if name not in can_hit)
@@ -609,19 +641,24 @@ WEIGHTED_SCANS = ("independence", "betweenness", "convexity", "mixture",
 @settings(max_examples=40, deadline=None)
 @given(size=st.sampled_from([3, 4]), bound=st.sampled_from([2, 3]),
        payoffs=st.lists(st.integers(-(1 << 40), 1 << 40), min_size=4, max_size=4),
-       depth=st.integers(1, 6),
+       extra=st.integers(0, 6),
        weights=st.lists(st.tuples(st.integers(-3, 6), st.integers(1, 4)), max_size=4))
-def test_level_scans_match_pure(size, bound, payoffs, depth, weights):
-    # The checkers' own arguments, then the weighted scans on drawn
-    # weights, some outside [0, 1], where independence and betweenness
-    # can hit an eu oracle.
+def test_level_scans_match_pure(size, bound, payoffs, extra, weights):
+    # The checkers' own arguments, the probe scans from their separation
+    # depth on, then the weighted scans on drawn weights, some outside
+    # [0, 1], where independence and betweenness can hit an eu oracle.
+    # The mixture's candidates stay in [0, 1], where its proof holds.
     if size == 4:
         bound = 2
     lots = enumerate_grid(GridSpec(OutcomeSpace.of_size(size), bound))
     nums, den = kernels.encode_lotteries(lots)
     spec = ("eu", tuple(payoffs[:size]))
-    calls = [(name, kernel_args(name, bound, depth)) for name in LEVEL_REFERENCES]
-    calls += [(name, (weights, depth) if name == "mixture" else (weights,))
+    calls = [(name, kernel_args(name, bound,
+                                probe_floor(name, spec, den, bound) + extra))
+             for name in LEVEL_REFERENCES]
+    stars = [(a, b) for a, b in weights if 0 <= a <= b]
+    star_floor = kernels.separation_depth(spec, den, max((b for _, b in stars), default=1))
+    calls += [(name, (stars, star_floor + extra) if name == "mixture" else (weights,))
               for name in WEIGHTED_SCANS]
     for name, args in calls:
         assert (getattr(levels, f"scan_{name}")(spec, nums, den, *args)
@@ -657,3 +694,23 @@ def test_pure_scans_match_reference_on_drawn_oracles(make, bound, depth):
         hit = getattr(pure, f"scan_{name}")(
             spec, nums, den, *kernel_args(name, bound, depth))
         assert hit == reference(ref, bound, depth), f"{name} diverged"
+
+
+@settings(max_examples=30, deadline=None)
+@given(grid=st.sampled_from([(3, 2), (3, 3), (4, 2)]), data=st.data())
+def test_pure_probe_hits_settle_at_separation_depth(grid, data):
+    # lex with a drawn priority, hybrid and majority: from its
+    # separation depth on, each probe scan's first hit (None included)
+    # no longer moves with the depth.
+    size, bound = grid
+    spec = data.draw(st.one_of(
+        st.permutations(range(size)).map(lambda order: ("lex", tuple(order))),
+        st.just(("hybrid", ())),
+        st.just(("majority", ()))))
+    nums, den = kernels.encode_lotteries(
+        enumerate_grid(GridSpec(OutcomeSpace.of_size(size), bound)))
+    for name in PROBE_SCANS:
+        scan = getattr(pure, f"scan_{name}")
+        floor = probe_floor(name, spec, den, bound)
+        assert (scan(spec, nums, den, *kernel_args(name, bound, floor))
+                == scan(spec, nums, den, *kernel_args(name, bound, floor + 6))), name

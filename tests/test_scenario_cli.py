@@ -391,13 +391,14 @@ VERDICT_TEXTS = [
      '"witness": {"kind": "weak-order", "p": ["0", "0", "1"], '
      '"q": ["0", "1", "0"], "r": ["1/2", "1/2", "0"], "pq": "indifferent", '
      '"qr": "indifferent", "pr": "strictly-worse"}}'),
-    # Both budget fields.
+    # Both budget fields.  The requested depth 3 is raised to the
+    # separation depth of grid 2 and candidate bound 4: (2·4·2).bit_length().
     (lambda g: check_continuity(HYBRID, "mixture", g, 3),
      '{"axiom": "mixture", "violated": true, "budget": ' + GRID_2
-     + ', "candidate_bound": 4, "depth": 3}, '
+     + ', "candidate_bound": 4, "depth": 5}, '
      '"witness": {"kind": "mixture", "p": ["0", "0", "1"], '
      '"q": ["0", "1", "0"], "r": ["1", "0", "0"], "alpha_star": "1", '
-     '"side": -1, "boundary": "strictly-worse", "depth": 3}}'),
+     '"side": -1, "boundary": "strictly-worse", "depth": 5}}'),
     # A found spanning set.
     (lambda g: check_ip(EU, g),
      '{"axiom": "ip", "violated": false, "budget": ' + GRID_2 + '}, '
@@ -620,6 +621,40 @@ def test_cli_zero_grid_or_depth_exits_two(tmp_path):
     assert proc.stderr.startswith("error: ValueError")
 
 
+# (check flags, the check key the error must name)
+UNREAD_CHECK_KEYS = [
+    (("--axiom", "ip", "--variant", "betweenness", "--depth", "-5", "--grid", "2"),
+     "variant"),
+    (("--axiom", "betweenness", "--variant", "independence"), "variant"),
+    (("--axiom", "ip", "--depth", "-5", "--grid", "2"), "depth"),
+    (("--axiom", "weak-order", "--depth", "0"), "depth"),
+]
+
+
+@pytest.mark.parametrize("flags,key", UNREAD_CHECK_KEYS,
+                         ids=[" ".join(flags) for flags, _ in UNREAD_CHECK_KEYS])
+def test_cli_check_block_fails_at_load(flags, key, capsys):
+    # A variant only independence reads, or a depth below 1, once ran
+    # silently: the first as another axiom, the second ignored.
+    code = cli.main(["check", "--oracle", "eu", "--utility", "0,1,2", *flags])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: ValueError: check {key} ")
+
+
+@pytest.mark.parametrize("axiom", ["archimedean", "mixture", "grid-openness"])
+def test_cli_wide_payoff_span_passes_the_probe_kinds(axiom, capsys):
+    # Thresholds within 2^-24 of a candidate once read as violations at
+    # the default depth; the probes now run at the separation depth.
+    code = cli.main(["check", "--oracle", "eu", "--utility", "0,1,10000000",
+                     "--axiom", axiom, "--grid", "3"])
+    header, doc = split_output(capsys.readouterr().out)
+    assert code == 0
+    assert header == f"axiom = {axiom}\nverdict = no-violation-found\n"
+    assert doc["verdict"]["budget"]["depth"] == 30
+
+
 def test_cli_unconfirmed_hit_exits_two(monkeypatch, capsys):
     # A scan hit the oracle does not confirm is a fault, not a verdict:
     # exit 1 would read as "violated".
@@ -655,6 +690,8 @@ MALFORMED = [
     ("grid", {"check": {"axiom": "ip", "grid": True}}),
     ("depth", {"check": {"axiom": "mixture", "depth": [6]}}),
     ("depth", {"check": {"axiom": "mixture", "depth": "6"}}),
+    ("depth", {"check": {"axiom": "ip", "depth": -5}}),
+    ("variant", {"check": {"axiom": "ip", "variant": "betweenness"}}),
 ]
 
 
