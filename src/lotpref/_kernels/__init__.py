@@ -1,17 +1,18 @@
 """Scan kernel dispatch: one of three paths per call.
 
 Each ``scan_<name>`` here is built by ``_dispatcher`` from one row of
-a table: the scan's name and the envelope limits its trailing
-arguments imply.  It has the same signature and semantics as its twin
-in ``pure``.  ``backend_name`` makes the only decision, which path
-runs:
+a table: the scan's name and, where the compiled path can take it,
+the envelope limits its trailing arguments imply.  It has the same
+signature and semantics as its twin in ``pure``.  ``backend_name``
+makes the only decision, which path runs:
 
-* ``"level"``: every ``"eu"`` spec (expected utility, and represented
-  oracles through their gauge utility).  ``levels`` compares integer
-  levels u·x in unbounded Python ints, so no envelope applies.
-* ``"compiled"``: a lex, hybrid or majority spec, when the extension
-  imported, set_force_pure(True) is off and the integer envelope fits
-  128-bit intermediates.
+* ``"level"``: the (kind, scan) rows in ``levels.PROVEN``: expected
+  utility on every scan, and lex, hybrid and majority where an
+  invariance identity answers.  These rows need no envelope and ignore
+  the extension and set_force_pure.
+* ``"compiled"``: any other lex, hybrid or majority row, when the
+  extension imported, set_force_pure(True) is off and the integer
+  envelope fits 128-bit intermediates.
 * ``"pure"``: everything else, through ``pure``'s comparison closures.
 
 set_force_pure(True) takes the compiled path out, as if the extension
@@ -77,7 +78,7 @@ def set_force_pure(flag: bool):
 def backend_name(spec, scan: str, den: int, **limits) -> str:
     """The path ``scan_<scan>(spec, nums, den, ...)`` takes, given the
     envelope limits its trailing arguments imply."""
-    if spec[0] == "eu":
+    if spec[0] in levels.PROVEN[scan]:
         return "level"
     if (_fast is not None and not _force_pure and spec[0] in _KIND_CODES
             and envelope_ok(den, **limits)):
@@ -89,10 +90,10 @@ def _flat(nums) -> list[int]:
     return [x for row in nums for x in row]
 
 
-def _dispatcher(scan: str, limits):
+def _dispatcher(scan: str, limits=lambda *rest: {}):
     """scan_<scan>(spec, nums, den, *rest) on the path ``backend_name``
-    picks under ``limits(*rest)``.  The compiled twin takes weight-pair
-    lists flattened."""
+    picks under ``limits(*rest)``, none by default.  The compiled twin
+    takes weight-pair lists flattened."""
     pure_scan = getattr(pure, f"scan_{scan}")
     level_scan = getattr(levels, f"scan_{scan}")
 
@@ -117,12 +118,12 @@ def _alpha_limits(alphas):
     return {"max_alpha_den": max((b for _, b in alphas), default=1)}
 
 
-scan_transitivity = _dispatcher("transitivity", lambda: {})
+scan_transitivity = _dispatcher("transitivity")
 scan_independence = _dispatcher("independence", _alpha_limits)
-scan_betweenness = _dispatcher("betweenness", _alpha_limits)
+scan_betweenness = _dispatcher("betweenness")
 scan_convexity = _dispatcher("convexity", _alpha_limits)
-scan_translation = _dispatcher("translation", lambda: {})
-scan_line_order = _dispatcher("line_order", lambda t_den: {"max_t_den": t_den})
+scan_translation = _dispatcher("translation")
+scan_line_order = _dispatcher("line_order")
 scan_mixture = _dispatcher("mixture", lambda stars, depth: dict(
     _alpha_limits(stars), depth=depth))
 scan_archimedean = _dispatcher("archimedean", lambda depth: {"depth": depth})

@@ -75,13 +75,12 @@ def encode_oracle(oracle: PreferenceOracle):
     return None
 
 
-def envelope_ok(den: int, *, max_alpha_den: int = 1, max_t_den: int = 1,
-                depth: int = 0) -> bool:
+def envelope_ok(den: int, *, max_alpha_den: int = 1, depth: int = 0) -> bool:
     """True when every cross product the compiled scan can form fits
     128 bits.  No lottery in a scan carries a denominator above
-    den · max_alpha_den · max_t_den · 2^depth: each scan passes only
-    the limits its own weights imply, and the others stay 1, 1 and 0."""
-    worst = den * max_alpha_den * max_t_den << depth
+    den · max_alpha_den · 2^depth: each scan passes only the limits its
+    own weights imply, and the others stay 1 and 0."""
+    worst = den * max_alpha_den << depth
     return worst * worst < INT128_SAFE
 
 

@@ -1,31 +1,32 @@
-"""Level kernels: the axiom scans for expected-utility encodings.
+"""Level kernels: the axiom scans answered by proof, not by search.
 
-For a spec ``("eu", u)`` every comparison a scan makes is linear in the
-lotteries, so it reduces to integers computed once per grid: the level
-L_i = u·nums[i].  A lottery with numerators x over denominator D sits
-at level (u·x)/D, so grid point i sits at L_i/den and the mixture
-mix(p, r, a/b) of two grid points at (a·L_p + (b - a)·L_r)/(b·den).
-Every comparison is then the sign of one integer expression, and the
-algebra removes loops: each docstring below states the identity its
-scan rests on.  Eight scans can never hit, and two hit only on weights
-outside [0, 1], which no checker passes.
+Every encoded comparison but hybrid's is F(p - q), with F(λx) = F(x)
+for λ > 0 and F(-x) = -F(x): eu's sign of u·x, lex's first nonzero
+coordinate in priority order, majority's wins minus losses.  In
+independence, betweenness, translation and line-order the two sides of
+each comparison differ by a multiple of one grid difference, so those
+identities hold by this invariance alone; transitivity and convexity
+hold for the orders their docstrings name.  Hybrid is lex in index
+order, except that two lotteries with x_0 = 1/2 (the plateau) are
+indifferent; a strict pair, a mixture or a line point puts both sides
+of a comparison on the plateau only where the identity holds anyway.
+``PROVEN`` names the kinds each scan proves; no other kind comes here.
 
-The probe scans (mixture, archimedean, openness) hold from
-``encoding.separation_depth`` on; below it a None would prove nothing,
-so they raise ValueError naming both depths.  S is max(u) - min(u):
-no two levels differ by more than den·S.
+For ("eu", u) every comparison is also linear: grid point i sits at
+level L_i/den, L_i = u·nums[i], and mix(p, r, a/b) at
+(a·L_p + (b - a)·L_r)/(b·den), so each comparison is the sign of one
+integer expression.  The probe scans (mixture, archimedean, openness)
+hold from ``encoding.separation_depth`` on; below it a None would prove
+nothing, so they raise ValueError naming both depths.  S is
+max(u) - min(u): no two levels differ by more than den·S.
 
-The levels come with threshold bitsets, ``pure._Thresholds``: the grid
-points below, at or above any level, each one bisection away.
-``pure.level_thresholds`` builds them once per grid and payoffs, so
-the level scans on one grid, and the sign table's eu rows, share one
-build.
-
+Independence and betweenness hit only on weights outside [0, 1],
+which no checker passes, and read the hit off ``pure._SignTable`` rows.
 Each ``scan_<name>`` has the signature of its twin in ``pure`` and
 returns the same first hit in the same pinned order, None included,
-for any payoffs, any grid over ``den >= 1`` and any weights with
-positive denominators (the probe scans: from the separation depth on,
-and mixture candidates in [0, 1]).  tests/test_scan_reference.py holds
+for any grid over ``den >= 1`` and any weights with positive
+denominators (the probe scans: from the separation depth on, and
+mixture candidates in [0, 1]).  tests/test_scan_reference.py holds
 them to the Fraction-level reference and to ``pure``.
 """
 
@@ -34,9 +35,10 @@ from __future__ import annotations
 from math import gcd
 
 from .encoding import separation_depth
-from .pure import _bits, level_thresholds
+from .pure import _bits, _SignTable, level_thresholds
 
 __all__ = [
+    "PROVEN",
     "scan_transitivity",
     "scan_independence",
     "scan_betweenness",
@@ -50,6 +52,21 @@ __all__ = [
     "scan_openness",
 ]
 
+# scan -> the encoded kinds whose first hit its level scan proves.
+PROVEN = {
+    "transitivity": {"eu", "lex", "hybrid"},
+    "independence": {"eu", "lex", "majority"},
+    "betweenness": {"eu", "lex", "hybrid", "majority"},
+    "convexity": {"eu", "lex", "hybrid"},
+    "translation": {"eu", "lex", "majority"},
+    "line_order": {"eu", "lex", "hybrid", "majority"},
+    "mixture": {"eu"},
+    "archimedean": {"eu"},
+    "solvability_scan": {"eu"},
+    "solvability_solve": {"eu"},
+    "openness": {"eu"},
+}
+
 
 def _reduced(a, b):
     """a/b in lowest terms, as a pair; b > 0."""
@@ -60,7 +77,10 @@ def _reduced(a, b):
 def scan_transitivity(spec, nums, den):
     """First (i, j, k) with i >= j >= k but i < k.
 
-    Never: L_i >= L_j >= L_k implies L_i >= L_k.
+    Never for eu, lex and hybrid, each a weak order: eu ranks by level,
+    lex by coordinates in priority order, and hybrid is lex with the
+    plateau joined into one class, which sits between x_0 < 1/2 and
+    x_0 > 1/2 on lex's first coordinate.
     """
     return None
 
@@ -68,18 +88,20 @@ def scan_transitivity(spec, nums, den):
 def scan_independence(spec, nums, den, alphas):
     """First (i, j, k, alpha index) where mixing with k flips i-vs-j.
 
-    mix(i, k, a/b) against mix(j, k, a/b) is the sign of a·b·(L_i - L_j),
-    so k cancels and the sign of i against j survives unless a·b <= 0.
-    The first hit is (0, j, 0, ai): j the first point off L_0's level,
-    ai the first weight with a·b <= 0.
+    mix(i, k, a/b) against mix(j, k, a/b) is F(a·(x_i - x_j)), so k
+    cancels, and the sign of i against j survives unless a·b <= 0 and
+    i is not indifferent to j.  The first hit is the first i whose row
+    has a bit outside eq, its lowest such bit, k = 0, and the first
+    weight with a·b <= 0.
     """
     ai = next((ai for ai, (a, b) in enumerate(alphas) if a * b <= 0), None)
     if ai is None:
         return None
-    levels = level_thresholds(spec, nums)
-    for j, level in enumerate(levels):
-        if level != levels[0]:
-            return (0, j, 0, ai)
+    signs = _SignTable(spec, nums, den)
+    for i in range(len(nums)):
+        gt, _, lt = signs.row(i)
+        if gt | lt:
+            return (i, next(_bits(gt | lt)), 0, ai)
     return None
 
 
@@ -87,20 +109,21 @@ def scan_betweenness(spec, nums, den, alphas):
     """First (i, j, alpha index) where i >= j but the mixture escapes
     the closed preference interval [j, i].
 
-    i against m = mix(i, j, a/b) is the sign of (b - a)·(L_i - L_j), and
-    m against j that of a·(L_i - L_j): only a weight outside [0, 1]
-    escapes, and then for every pair with L_i > L_j.  The first hit is
-    the first i above the lowest level, the first j below L_i, and the
-    first weight with a < 0 or a > b.
+    i against m = mix(i, j, a/b) is F((b - a)·(x_i - x_j)), and m
+    against j is F(a·(x_i - x_j)): an indifferent pair never escapes,
+    and a strict one escapes exactly on a weight outside [0, 1].  (For
+    hybrid, i and m both on the plateau put j there too, unless m = i;
+    likewise for m and j.)  The first hit is the first i with gt bits,
+    its lowest gt bit, and the first weight with a < 0 or a > b.
     """
     ai = next((ai for ai, (a, b) in enumerate(alphas) if a < 0 or a > b), None)
     if ai is None:
         return None
-    levels = level_thresholds(spec, nums)
-    for i, level in enumerate(levels):
-        lower = levels.below(level)
-        if lower:
-            return (i, (lower & -lower).bit_length() - 1, ai)
+    signs = _SignTable(spec, nums, den)
+    for i in range(len(nums)):
+        gt = signs.row(i)[0]
+        if gt:
+            return (i, next(_bits(gt)), ai)
     return None
 
 
@@ -108,8 +131,10 @@ def scan_convexity(spec, nums, den, alphas):
     """First (i, j, k, alpha index) where j ~ i and k ~ i but their
     mixture is not indifferent to i.
 
-    Never: j ~ i ~ k puts j and k at L_i, and mix(j, k, a/b) at
-    (a·L_i + (b - a)·L_i)/b = L_i.
+    Never for eu, lex and hybrid, at any weight: j ~ i ~ k puts j and k
+    at L_i, and mix(j, k, a/b) at (a·L_i + (b - a)·L_i)/b = L_i; lex
+    ties only equal points, so j = k = i; hybrid ties equal points and
+    the plateau, an affine set.
     """
     return None
 
@@ -118,8 +143,8 @@ def scan_translation(spec, nums, den):
     """First (i, j, k) where k ~ i but the translate k + (j - i), when
     it stays a lottery, is not indifferent to j.
 
-    Never: the translate sits at L_k + L_j - L_i, which is L_j when
-    L_k = L_i.
+    Never for eu, lex and majority: the translate minus j is k - i, so
+    it compares with j as k does with i, F(x_k - x_i) = 0.
     """
     return None
 
@@ -128,10 +153,12 @@ def scan_line_order(spec, nums, den, max_t_den):
     """First (i, j, tnum, tden, relation) violating the expected order
     along the line point(t) = q + t(p - q), given p > q.
 
-    Never: with s = L_p - L_q > 0, the point at t = a/b sits at
-    (b·L_q + a·s)/b, so q against it is -a·s, p against it (b - a)·s,
-    it against q a·s and it against p (a - b)·s, each positive where
-    the relation applies (t < 0, 0 < t < 1, t > 1).
+    Never: with x = p - q, the point at t = a/b sits at q + (a/b)·x, so
+    q against it is F(-a·x), p against it F((b - a)·x), it against q
+    F(a·x) and it against p F((a - b)·x), each F(x) = 1 where the
+    relation applies (t < 0, 0 < t < 1, t > 1).  For hybrid, q and the
+    point both on the plateau would put p there (t != 0), and p and the
+    point would put q there (t != 1), so each comparison is lex's.
     """
     return None
 

@@ -4,16 +4,59 @@ removing one of them must fail here, not only in a benchmark run."""
 import importlib.util
 from pathlib import Path
 
+import pytest
+
+from lotpref import _kernels as kernels
+from lotpref._kernels import levels
+
 LAYERS = Path(__file__).resolve().parent.parent / "perfbench" / "layers.py"
 
 
-def test_benchmark_tracer_installs_against_the_package():
+def load_layers():
     spec = importlib.util.spec_from_file_location("perfbench_layers", LAYERS)
     layers = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(layers)
+    return layers
+
+
+def test_benchmark_tracer_installs_against_the_package():
+    layers = load_layers()
     from lotpref import cli
 
     load = cli.load_scenario
     with layers.Tracer().installed():
         assert cli.load_scenario is not load
     assert cli.load_scenario is load
+
+
+# One set of trailing scan arguments each, as the checkers pass them.
+SCAN_ARGS = {
+    "independence": ([(1, 2), (1, 1)],),
+    "betweenness": ([(1, 2)],),
+    "convexity": ([(0, 1), (1, 2), (1, 1)],),
+    "line_order": (4,),
+    "mixture": ([(1, 4), (1, 2)], 8),
+    "archimedean": (8,),
+    "solvability_scan": ([(0, 1), (1, 2), (1, 1)],),
+    "openness": (8,),
+}
+
+
+@pytest.mark.parametrize("extension", [False, True], ids=["absent", "built"])
+def test_backend_name_takes_the_tracers_limits(request, monkeypatch, extension):
+    # The tracer names each traced call's path by passing backend_name
+    # the limits it derives from the scan's trailing arguments; every
+    # (kind, scan) pair must accept them and name its path.
+    fast = request.getfixturevalue("fastscan") if extension else None
+    monkeypatch.setattr(kernels, "_fast", fast)
+    layers = load_layers()
+    specs = [("eu", (0, 1, 2)), ("lex", (2, 0, 1)), ("hybrid", ()),
+             ("majority", ()), ("callback", (None,))]
+    for scan in layers.SCANS:
+        limits = layers._scan_limits(scan, SCAN_ARGS.get(scan, ()))
+        for spec in specs:
+            if spec[0] in levels.PROVEN[scan]:
+                path = "level"
+            else:
+                path = "compiled" if extension and spec[0] != "callback" else "pure"
+            assert kernels.backend_name(spec, scan, 4, **limits) == path, (scan, spec)

@@ -2,10 +2,10 @@
 
 Every scan is run on the same encoded grid through the dispatcher with
 the compiled extension loaded (built by the ``compiled`` fixture in
-conftest.py) and directly against the pure kernels.  lex, hybrid and
-majority specs take the compiled path; eu specs take the level path
-even with the extension loaded.  First hits are compared exactly, None
-included.
+conftest.py) and directly against the pure kernels.  The rows in
+``levels.PROVEN`` take the level path even with the extension loaded;
+the other lex, hybrid and majority rows take the compiled path.  First
+hits are compared exactly, None included.
 """
 
 import re
@@ -46,7 +46,7 @@ def pairs(fracs):
 def test_triple_scans_agree(compiled, spec, bound):
     nums, den = encoded(bound)
     path = "level" if spec[0] == "eu" else "compiled"
-    assert kernels.backend_name(spec, "transitivity", den) == path
+    assert kernels.backend_name(spec, "mixture", den) == path
     alphas = pairs(dyadic_alphas(bound))
     candidates = pairs(rationals_between(F(0), F(1), bound))
     cases = [
@@ -102,11 +102,11 @@ def test_callback_spec_runs_pure():
 def test_force_pure_toggle(compiled):
     nums, den = encoded(2)
     spec = ("hybrid", ())
-    assert kernels.backend_name(spec, "transitivity", den) == "compiled"
+    assert kernels.backend_name(spec, "mixture", den) == "compiled"
     kernels.set_force_pure(True)
     try:
-        assert kernels.backend_name(spec, "transitivity", den) == "pure"
-        assert kernels.backend_name(("eu", (0, 1, 2)), "transitivity", den) \
+        assert kernels.backend_name(spec, "mixture", den) == "pure"
+        assert kernels.backend_name(("eu", (0, 1, 2)), "mixture", den) \
             == "level"
         alphas = pairs(dyadic_alphas(2))
         forced = kernels.scan_independence(spec, nums, den, alphas)
@@ -129,8 +129,9 @@ def test_oversized_payoffs_fall_back_to_pure():
 
 @pytest.mark.parametrize("extension", [False, True], ids=["absent", "built"])
 def test_backend_name_names_each_path(request, monkeypatch, extension):
-    # level for every eu spec, compiled for the other recipes where the
-    # envelope allows it, else pure; the benchmark counts only "compiled".
+    # level for every eu spec, compiled for the other recipes' computed
+    # rows where the envelope allows it, else pure; the benchmark counts
+    # only "compiled".
     fast = request.getfixturevalue("fastscan") if extension else None
     monkeypatch.setattr(kernels, "_fast", fast)
     nums, den = encoded(2)
@@ -142,9 +143,29 @@ def test_backend_name_names_each_path(request, monkeypatch, extension):
         ("callback", (None,)): "pure",
     }
     for spec, name in expected.items():
-        assert kernels.backend_name(spec, "transitivity", den) == name, spec
+        assert kernels.backend_name(spec, "mixture", den) == name, spec
         assert kernels.backend_name(spec, "mixture", den, max_alpha_den=4,
                                     depth=8) == name, spec
+
+
+PROVEN_ROWS = [(kind, scan) for scan, kinds in levels.PROVEN.items()
+               for kind in sorted(kinds)]
+KIND_SPECS = {"eu": ("eu", (0, 1, 2)), "lex": ("lex", (2, 0, 1)),
+              "hybrid": ("hybrid", ()), "majority": ("majority", ())}
+
+
+@pytest.mark.parametrize("mode", ["absent", "built", "forced"])
+@pytest.mark.parametrize("kind,scan", PROVEN_ROWS,
+                         ids=[f"{kind}-{scan}" for kind, scan in PROVEN_ROWS])
+def test_proven_rows_take_the_level_path(request, monkeypatch, kind, scan, mode):
+    # A proven row answers by its identity whatever the extension and
+    # the force-pure toggle say.
+    fast = None if mode == "absent" else request.getfixturevalue("fastscan")
+    monkeypatch.setattr(kernels, "_fast", fast)
+    monkeypatch.setattr(kernels, "_force_pure", False)  # restored afterwards
+    kernels.set_force_pure(mode == "forced")
+    _, den = encoded(2)
+    assert kernels.backend_name(KIND_SPECS[kind], scan, den) == "level"
 
 
 def test_generated_c_is_in_sync_with_pyx():

@@ -8,16 +8,18 @@ lotteries built with ``lotteries.mix``.  It shares no code with the
 kernels beyond the grid and weight enumerations, so the first hit the
 two agree on (None included) is computed twice, independently.
 
-The pure kernels run every oracle; the level kernels run the eu and
-represented ones, including payoffs beyond the compiled envelope.  Both
-run whether or not the compiled extension is built, so this suite
-checks the scan algorithms wherever the tests run.  Hypothesis tests
-then hold the level kernels to the pure ones on drawn payoffs, the
-pure kernels to the reference on drawn lex, hybrid, majority and
-callback oracles, the sign rows built from thresholds to the rows a
-comparison closure fills, and the pure probe scans' first hits to stay
-put from the separation depth on.  The level probe scans run only
-from their separation depth; below it they refuse.
+The pure kernels run every oracle; the level kernels run each kind on
+the scans ``levels.PROVEN`` lists for it: eu and represented oracles,
+including payoffs beyond the compiled envelope, on every scan, and
+lex, hybrid and majority on their proven rows.  Both run whether or
+not the compiled extension is built, so this suite checks the scan
+algorithms wherever the tests run.  Hypothesis tests then hold the
+level kernels to the pure ones on drawn payoffs, priorities, weights
+and sub-grids, the pure kernels to the reference on drawn lex, hybrid,
+majority and callback oracles, the sign rows built from thresholds to
+the rows a comparison closure fills, and the pure probe scans' first
+hits to stay put from the separation depth on.  The level probe scans
+run only from their separation depth; below it they refuse.
 """
 
 from fractions import Fraction
@@ -537,6 +539,7 @@ def represented(space, normal):
     return RepresentedOracle(space, Hyperplane(tuple(map(F, normal)), base), -1)
 
 
+INVARIANT_KINDS = ("lex", "hybrid", "majority")
 LEVEL_ORACLES = {
     3: {
         "eu": ORACLES[3]["eu"],
@@ -544,17 +547,20 @@ LEVEL_ORACLES = {
         "represented": lambda s: represented(s, (2, -5)),
         "eu-huge": lambda s: ExpectedUtilityOracle(
             UtilityFunction.of(s, [0, HUGE + 1, 3 * HUGE])),
+        **{kind: ORACLES[3][kind] for kind in INVARIANT_KINDS},
     },
     4: {
         "eu": ORACLES[4]["eu"],
         "represented": lambda s: represented(s, (1, 0, -3)),
         "eu-huge": lambda s: ExpectedUtilityOracle(
             UtilityFunction.of(s, [-HUGE, 1, 5 * HUGE, 2 * HUGE])),
+        **{kind: ORACLES[4][kind] for kind in INVARIANT_KINDS},
     },
 }
 LEVEL_GRIDS = [(3, 2), (3, 3), (4, 2)]
 LEVEL_CASES = [(size, bound, name)
                for size, bound in LEVEL_GRIDS for name in LEVEL_ORACLES[size]]
+EU_LEVEL_CASES = [case for case in LEVEL_CASES if case[2] not in INVARIANT_KINDS]
 
 
 def probe_floor(name, spec, den, bound):
@@ -563,22 +569,28 @@ def probe_floor(name, spec, den, bound):
     return kernels.separation_depth(spec, den, 2 * bound if name == "mixture" else 1)
 
 
+def proven_scans(spec):
+    """The scans the level path proves for spec's kind."""
+    return [name for name, kinds in levels.PROVEN.items() if spec[0] in kinds]
+
+
 def level_hits(oracle, grid):
-    """{scan: (level hit, reference hit)} for every scan on the level
-    path, the probe scans at their separation depth."""
+    """{scan: (level hit, reference hit)} for every scan the level path
+    proves for the oracle's kind, the probe scans at their separation
+    depth."""
     lots, nums, den, spec = _encoded(oracle, grid)
-    assert spec[0] == "eu"
     ref = Reference(oracle, lots)
     bound = grid.denominator_bound
     out = {}
-    for name, reference in LEVEL_REFERENCES.items():
+    for name in proven_scans(spec):
+        if name == "solvability_solve":
+            out[name] = (levels.scan_solvability_solve(list(spec[1]), nums, den),
+                         ref_solve_contract(ref))
+            continue
         depth = probe_floor(name, spec, den, bound) if name in PROBE_SCANS else DEPTH
         hit = getattr(levels, f"scan_{name}")(
             spec, nums, den, *kernel_args(name, bound, depth))
-        out[name] = hit, reference(ref, bound, depth)
-    out["solvability_solve"] = (
-        levels.scan_solvability_solve(list(spec[1]), nums, den),
-        ref_solve_contract(ref))
+        out[name] = hit, LEVEL_REFERENCES[name](ref, bound, depth)
     return out
 
 
@@ -588,13 +600,16 @@ def level_hits(oracle, grid):
 def test_level_scans_match_reference(size, bound, oracle_name):
     space = OutcomeSpace.of_size(size)
     oracle = LEVEL_ORACLES[size][oracle_name](space)
-    for name, (hit, expected) in level_hits(oracle, GridSpec(space, bound)).items():
+    hits = level_hits(oracle, GridSpec(space, bound))
+    # eu proves all eleven scans; README's table gives the others' rows.
+    assert len(hits) == {"lex": 6, "hybrid": 4, "majority": 4}.get(oracle_name, 11)
+    for name, (hit, expected) in hits.items():
         assert hit == expected, f"level {name} diverged"
 
 
 @pytest.mark.parametrize(
-    "size,bound,oracle_name", LEVEL_CASES,
-    ids=[f"{oracle}-{size}x{bound}" for size, bound, oracle in LEVEL_CASES])
+    "size,bound,oracle_name", EU_LEVEL_CASES,
+    ids=[f"{oracle}-{size}x{bound}" for size, bound, oracle in EU_LEVEL_CASES])
 def test_level_probe_scans_refuse_depths_below_separation(size, bound, oracle_name):
     # Below the separation depth a probe can straddle a threshold, so a
     # None there would be a guess: the level probe scans refuse it.
@@ -615,15 +630,17 @@ def test_level_probe_scans_refuse_depths_below_separation(size, bound, oracle_na
 
 def test_level_cases_cover_hits_and_misses():
     # Only the candidate scan can hit an eu oracle on the checkers'
-    # arguments; it must hit in some level case and miss in another.
-    # The level hits stand for the reference's, which the test above
-    # matches.
+    # arguments, and no proven row of the other kinds can; it must hit
+    # in some level case and miss in another.  The level hits stand for
+    # the reference's, which the test above matches.
     seen = {name: set() for name in LEVEL_REFERENCES}
     for size, bound in ((3, 2), (4, 2)):
         space = OutcomeSpace.of_size(size)
         for make in LEVEL_ORACLES[size].values():
             _, nums, den, spec = _encoded(make(space), GridSpec(space, bound))
-            for name in LEVEL_REFERENCES:
+            for name in proven_scans(spec):
+                if name == "solvability_solve":
+                    continue
                 depth = probe_floor(name, spec, den, bound)
                 hit = getattr(levels, f"scan_{name}")(
                     spec, nums, den, *kernel_args(name, bound, depth))
@@ -634,32 +651,60 @@ def test_level_cases_cover_hits_and_misses():
     assert all(seen[name] == {True} for name in seen if name not in can_hit)
 
 
+def test_level_first_hits_on_pinned_weights():
+    # Majority ties the vertex e_0 to every point on an edge from it, so
+    # on this sub-grid rows 0 and 1 are all ties and the first
+    # independence hit sits in row 2.  The weight 0 and a weight above 1
+    # are the first to escape.
+    nums, den = [(2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0)], 2
+    spec = ("majority", ())
+    for name, weights, expected in (
+            ("independence", [(1, 2), (0, 1), (-1, 2)], (2, 3, 0, 1)),
+            ("betweenness", [(1, 2), (1, 1), (3, 2), (-1, 2)], (3, 2, 2))):
+        hit = getattr(levels, f"scan_{name}")(spec, nums, den, weights)
+        assert hit == getattr(pure, f"scan_{name}")(spec, nums, den, weights) \
+            == expected, name
+
+
 WEIGHTED_SCANS = ("independence", "betweenness", "convexity", "mixture",
                   "solvability_scan")
+LEVEL_SPECS = {
+    size: st.one_of(
+        st.lists(st.integers(-(1 << 40), 1 << 40), min_size=size, max_size=size)
+        .map(lambda payoffs: ("eu", tuple(payoffs))),
+        st.permutations(range(size)).map(lambda order: ("lex", tuple(order))),
+        st.just(("hybrid", ())),
+        st.just(("majority", ())))
+    for size in (3, 4)
+}
 
 
-@settings(max_examples=40, deadline=None)
-@given(size=st.sampled_from([3, 4]), bound=st.sampled_from([2, 3]),
-       payoffs=st.lists(st.integers(-(1 << 40), 1 << 40), min_size=4, max_size=4),
+@settings(max_examples=60, deadline=None)
+@given(size=st.sampled_from([3, 4]), bound=st.sampled_from([2, 3]), data=st.data(),
        extra=st.integers(0, 6),
        weights=st.lists(st.tuples(st.integers(-3, 6), st.integers(1, 4)), max_size=4))
-def test_level_scans_match_pure(size, bound, payoffs, extra, weights):
-    # The checkers' own arguments, the probe scans from their separation
-    # depth on, then the weighted scans on drawn weights, some outside
-    # [0, 1], where independence and betweenness can hit an eu oracle.
+def test_level_scans_match_pure(size, bound, data, extra, weights):
+    # eu with drawn payoffs, lex with a drawn priority, hybrid and
+    # majority, each on its proven scans, over a drawn sub-grid: the
+    # checkers' own arguments, the probe scans from their separation
+    # depth on, then the weighted scans on drawn weights, which include
+    # a = 0, a < 0 and a > b, where independence and betweenness hit.
     # The mixture's candidates stay in [0, 1], where its proof holds.
     if size == 4:
         bound = 2
-    lots = enumerate_grid(GridSpec(OutcomeSpace.of_size(size), bound))
-    nums, den = kernels.encode_lotteries(lots)
-    spec = ("eu", tuple(payoffs[:size]))
+    spec = data.draw(LEVEL_SPECS[size])
+    nums, den = kernels.encode_lotteries(
+        enumerate_grid(GridSpec(OutcomeSpace.of_size(size), bound)))
+    keep = data.draw(st.lists(st.booleans(), min_size=len(nums), max_size=len(nums)))
+    nums = [x for x, kept in zip(nums, keep) if kept]
+    proven = [name for name in proven_scans(spec) if name in LEVEL_REFERENCES]
     calls = [(name, kernel_args(name, bound,
                                 probe_floor(name, spec, den, bound) + extra))
-             for name in LEVEL_REFERENCES]
+             for name in proven]
     stars = [(a, b) for a, b in weights if 0 <= a <= b]
     star_floor = kernels.separation_depth(spec, den, max((b for _, b in stars), default=1))
     calls += [(name, (stars, star_floor + extra) if name == "mixture" else (weights,))
-              for name in WEIGHTED_SCANS]
+              for name in WEIGHTED_SCANS if name in proven]
     for name, args in calls:
         assert (getattr(levels, f"scan_{name}")(spec, nums, den, *args)
                 == getattr(pure, f"scan_{name}")(spec, nums, den, *args)), name
