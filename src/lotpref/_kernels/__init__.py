@@ -8,7 +8,8 @@ makes the only decision, which path runs:
 
 * ``"level"``: the (kind, scan) rows in ``levels.PROVEN``: expected
   utility on every scan, and lex, hybrid and majority where an
-  invariance identity answers.  These rows need no envelope and ignore
+  invariance identity answers or, for mixture, where the search of
+  coordinate breakpoints does.  These rows need no envelope and ignore
   the extension and set_force_pure.
 * ``"compiled"``: any other lex, hybrid or majority row, when the
   extension imported, set_force_pure(True) is off and the integer
@@ -124,8 +125,7 @@ scan_betweenness = _dispatcher("betweenness")
 scan_convexity = _dispatcher("convexity", _alpha_limits)
 scan_translation = _dispatcher("translation")
 scan_line_order = _dispatcher("line_order")
-scan_mixture = _dispatcher("mixture", lambda stars, depth: dict(
-    _alpha_limits(stars), depth=depth))
+scan_mixture = _dispatcher("mixture")
 scan_archimedean = _dispatcher("archimedean", lambda depth: {"depth": depth})
 scan_solvability_scan = _dispatcher("solvability_scan", _alpha_limits)
 scan_openness = _dispatcher("openness", lambda depth: {"depth": depth})

@@ -94,6 +94,10 @@ def separation_depth(spec, den: int, max_b: int) -> int:
     <= den; hybrid's plateau crossing, <= 2·den (S = 1 outside eu).  Any
     other threshold lies over 2^-depth from a candidate, so its probes
     share the open interval of its one-sided limit, at any deeper depth.
+    A candidate that is no threshold thus has its nearest in-range probe
+    on its own side of every threshold, which is why the level mixture
+    scan for lex, hybrid and majority tests only the candidates a
+    coordinate breakpoint sits on.
     """
     kind, params = spec
     span = max(params) - min(params) if kind == "eu" else 1

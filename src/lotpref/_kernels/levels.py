@@ -1,4 +1,5 @@
-"""Level kernels: the axiom scans answered by proof, not by search.
+"""Level kernels: the axiom scans answered by proof, or by a search a
+proof narrows.
 
 Every encoded comparison but hybrid's is F(p - q), with F(λx) = F(x)
 for λ > 0 and F(-x) = -F(x): eu's sign of u·x, lex's first nonzero
@@ -20,6 +21,13 @@ hold from ``encoding.separation_depth`` on; below it a None would prove
 nothing, so they raise ValueError naming both depths.  S is
 max(u) - min(u): no two levels differ by more than den·S.
 
+For lex, hybrid and majority the mixture scan still searches, but only
+coordinate breakpoints: along a segment each coordinate of the mixture
+minus q changes sign at one weight, so the comparison is constant
+between those weights, and from the separation depth on a candidate
+off them cannot hit.  Each triple tests the at most n candidates a
+breakpoint sits on, with the exact body of ``pure.scan_mixture``.
+
 Independence and betweenness hit only on weights outside [0, 1],
 which no checker passes, and read the hit off ``pure._SignTable`` rows.
 Each ``scan_<name>`` has the signature of its twin in ``pure`` and
@@ -32,10 +40,13 @@ them to the Fraction-level reference and to ``pure``.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import gcd
 
 from .encoding import separation_depth
-from .pure import _bits, _SignTable, level_thresholds
+from .pure import (
+    _bits, _mix, _mixture_side, _SignTable, level_thresholds, make_compare,
+)
 
 __all__ = [
     "PROVEN",
@@ -60,7 +71,7 @@ PROVEN = {
     "convexity": {"eu", "lex", "hybrid"},
     "translation": {"eu", "lex", "majority"},
     "line_order": {"eu", "lex", "hybrid", "majority"},
-    "mixture": {"eu"},
+    "mixture": {"eu", "lex", "hybrid", "majority"},
     "archimedean": {"eu"},
     "solvability_scan": {"eu"},
     "solvability_solve": {"eu"},
@@ -168,15 +179,59 @@ def scan_mixture(spec, nums, den, alpha_stars, depth):
     {alpha : mix(p, r, alpha) >= q} excludes a boundary candidate that
     its one-sided dyadic probes all belong to.
 
-    Never for candidates in [0, 1], B their largest denominator: a
-    candidate a/b below q has F = a·L_p + (b - a)·L_r - b·L_q <= -1, and
-    a side with a probe in [0, 1] has one at 2^-depth < 1/b, which sits
-    at 2^depth·F ± b·(L_p - L_r) < 0 against q: b·|L_p - L_r| <= B·den·S.
+    Never for eu, on candidates in [0, 1], B their largest denominator:
+    a candidate a/b below q has F = a·L_p + (b - a)·L_r - b·L_q <= -1,
+    and a side with a probe in [0, 1] has one at 2^-depth < 1/b, which
+    sits at 2^depth·F ± b·(L_p - L_r) < 0 against q: b·|L_p - L_r| <=
+    B·den·S.
+
+    lex, hybrid and majority hit only on coordinate breakpoints.
+    Coordinate c of mix(p, r, alpha) - q is affine in alpha and changes
+    sign only at (q_c - r_c)/(p_c - r_c), of denominator <= den; lex
+    takes the first nonzero coordinate, majority counts signs, and
+    hybrid's plateau holds q only where coordinate 0 meets q_0.  So the
+    comparison is constant between breakpoints, and a candidate that is
+    none lies over 1/(B·den) > 2^-depth from each: a side with a probe
+    in [0, 1] has its nearest one in the candidate's own interval,
+    below q whenever the candidate is.  Each triple tests only the
+    candidates a breakpoint sits on, in candidate order, with the body
+    of ``pure.scan_mixture``.
     """
     if any(not 0 <= a <= b for a, b in alpha_stars):
         raise ValueError(f"level mixture candidates must lie in [0, 1]: {alpha_stars}")
     _require_separation(spec, den, max((b for _, b in alpha_stars), default=1),
                         depth)
+    if spec[0] == "eu":
+        return None
+    cmp = make_compare(spec)
+    # by_den[b][a]: the indices of the candidates equal to a/b in lowest terms.
+    by_den = {}
+    for si, (a, b) in enumerate(alpha_stars):
+        a, b = _reduced(a, b)
+        by_den.setdefault(b, {}).setdefault(a, []).append(si)
+
+    @lru_cache(maxsize=None)
+    def rises(span):
+        """q_c - r_c -> the indices of the candidates equal to its ratio
+        to span = p_c - r_c: a/b in lowest terms is one when b | span."""
+        return {a * (span // b): found for b, numerators in by_den.items()
+                if span % b == 0 for a, found in numerators.items()}
+
+    for i, p in enumerate(nums):
+        # lines[k]: (c, r_c, rises) for each coordinate where p and r differ.
+        lines = [[(c, rc, rises(pc - rc)) for c, (pc, rc) in enumerate(zip(p, r))
+                  if pc != rc] for r in nums]
+        for j, q in enumerate(nums):
+            for k, (r, line) in enumerate(zip(nums, lines)):
+                found = {si for c, rc, table in line
+                         for si in table.get(q[c] - rc, ())}
+                for si in sorted(found):
+                    a, b = alpha_stars[si]
+                    if cmp(_mix(p, r, a, b), b * den, q, den) >= 0:
+                        continue
+                    for side in (1, -1):
+                        if _mixture_side(cmp, p, r, q, den, a, b, side, depth):
+                            return (i, j, k, si, side)
     return None
 
 

@@ -4,8 +4,9 @@ Every scan is run on the same encoded grid through the dispatcher with
 the compiled extension loaded (built by the ``compiled`` fixture in
 conftest.py) and directly against the pure kernels.  The rows in
 ``levels.PROVEN`` take the level path even with the extension loaded;
-the other lex, hybrid and majority rows take the compiled path.  First
-hits are compared exactly, None included.
+the other lex, hybrid and majority rows take the compiled path.  The
+compiled mixture scan, which no route reaches any more, is held to the
+pure one directly.  First hits are compared exactly, None included.
 """
 
 import re
@@ -46,7 +47,7 @@ def pairs(fracs):
 def test_triple_scans_agree(compiled, spec, bound):
     nums, den = encoded(bound)
     path = "level" if spec[0] == "eu" else "compiled"
-    assert kernels.backend_name(spec, "mixture", den) == path
+    assert kernels.backend_name(spec, "archimedean", den) == path
     alphas = pairs(dyadic_alphas(bound))
     candidates = pairs(rationals_between(F(0), F(1), bound))
     cases = [
@@ -64,7 +65,14 @@ def test_triple_scans_agree(compiled, spec, bound):
     for name, args in cases:
         hit = getattr(kernels, f"scan_{name}")(spec, *args)
         pure_hit = getattr(pure, f"scan_{name}")(spec, *args)
+        path = kernels.backend_name(spec, name, den)
         assert hit == pure_hit, f"{path} {name} diverged on {spec}"
+    if spec[0] != "eu":
+        fast_hit = compiled._fast.scan_mixture(
+            kernels._KIND_CODES[spec[0]], list(spec[1]), kernels._flat(nums),
+            len(nums), len(nums[0]), den, kernels._flat(candidates), 8)
+        assert fast_hit == pure.scan_mixture(spec, nums, den, candidates, 8), \
+            f"compiled mixture diverged on {spec}"
 
 
 @pytest.mark.parametrize("utility", [(0, 1, 2), (5, 5, 5), (-2, 7, 1)])
@@ -102,11 +110,11 @@ def test_callback_spec_runs_pure():
 def test_force_pure_toggle(compiled):
     nums, den = encoded(2)
     spec = ("hybrid", ())
-    assert kernels.backend_name(spec, "mixture", den) == "compiled"
+    assert kernels.backend_name(spec, "archimedean", den) == "compiled"
     kernels.set_force_pure(True)
     try:
-        assert kernels.backend_name(spec, "mixture", den) == "pure"
-        assert kernels.backend_name(("eu", (0, 1, 2)), "mixture", den) \
+        assert kernels.backend_name(spec, "archimedean", den) == "pure"
+        assert kernels.backend_name(("eu", (0, 1, 2)), "archimedean", den) \
             == "level"
         alphas = pairs(dyadic_alphas(2))
         forced = kernels.scan_independence(spec, nums, den, alphas)
@@ -143,8 +151,8 @@ def test_backend_name_names_each_path(request, monkeypatch, extension):
         ("callback", (None,)): "pure",
     }
     for spec, name in expected.items():
-        assert kernels.backend_name(spec, "mixture", den) == name, spec
-        assert kernels.backend_name(spec, "mixture", den, max_alpha_den=4,
+        assert kernels.backend_name(spec, "archimedean", den) == name, spec
+        assert kernels.backend_name(spec, "archimedean", den, max_alpha_den=4,
                                     depth=8) == name, spec
 
 

@@ -560,7 +560,6 @@ LEVEL_ORACLES = {
 LEVEL_GRIDS = [(3, 2), (3, 3), (4, 2)]
 LEVEL_CASES = [(size, bound, name)
                for size, bound in LEVEL_GRIDS for name in LEVEL_ORACLES[size]]
-EU_LEVEL_CASES = [case for case in LEVEL_CASES if case[2] not in INVARIANT_KINDS]
 
 
 def probe_floor(name, spec, den, bound):
@@ -602,37 +601,43 @@ def test_level_scans_match_reference(size, bound, oracle_name):
     oracle = LEVEL_ORACLES[size][oracle_name](space)
     hits = level_hits(oracle, GridSpec(space, bound))
     # eu proves all eleven scans; README's table gives the others' rows.
-    assert len(hits) == {"lex": 6, "hybrid": 4, "majority": 4}.get(oracle_name, 11)
+    assert len(hits) == {"lex": 7, "hybrid": 5, "majority": 5}.get(oracle_name, 11)
     for name, (hit, expected) in hits.items():
         assert hit == expected, f"level {name} diverged"
 
 
 @pytest.mark.parametrize(
-    "size,bound,oracle_name", EU_LEVEL_CASES,
-    ids=[f"{oracle}-{size}x{bound}" for size, bound, oracle in EU_LEVEL_CASES])
+    "size,bound,oracle_name", LEVEL_CASES,
+    ids=[f"{oracle}-{size}x{bound}" for size, bound, oracle in LEVEL_CASES])
 def test_level_probe_scans_refuse_depths_below_separation(size, bound, oracle_name):
     # Below the separation depth a probe can straddle a threshold, so a
-    # None there would be a guess: the level probe scans refuse it.
+    # None there would be a guess and a skipped candidate could hit: the
+    # level probe scans refuse it.  eu proves all three; lex, hybrid and
+    # majority take mixture only, and answer as pure does from the floor.
     space = OutcomeSpace.of_size(size)
     _, nums, den, spec = _encoded(LEVEL_ORACLES[size][oracle_name](space),
                                   GridSpec(space, bound))
-    for name in PROBE_SCANS:
+    for name in (name for name in PROBE_SCANS if spec[0] in levels.PROVEN[name]):
         scan = getattr(levels, f"scan_{name}")
         floor = probe_floor(name, spec, den, bound)
         for depth in {1, floor - 1}:
             with pytest.raises(ValueError, match=f"level probe depth {depth} is "
                                                  f"below the separation depth {floor}"):
                 scan(spec, nums, den, *kernel_args(name, bound, depth))
-        assert scan(spec, nums, den, *kernel_args(name, bound, floor)) is None
+        args = kernel_args(name, bound, floor)
+        expected = (None if spec[0] == "eu"
+                    else getattr(pure, f"scan_{name}")(spec, nums, den, *args))
+        assert scan(spec, nums, den, *args) == expected
     with pytest.raises(ValueError, match=r"candidates must lie in \[0, 1\]"):
         levels.scan_mixture(spec, nums, den, [(3, 2)], 200)
 
 
 def test_level_cases_cover_hits_and_misses():
-    # Only the candidate scan can hit an eu oracle on the checkers'
-    # arguments, and no proven row of the other kinds can; it must hit
-    # in some level case and miss in another.  The level hits stand for
-    # the reference's, which the test above matches.
+    # On the checkers' arguments only the candidate scan can hit an eu
+    # oracle, and of the other kinds' proven rows only mixture can (lex
+    # hits; eu never does); each must hit in some level case and miss in
+    # another.  The level hits stand for the reference's, which the test
+    # above matches.
     seen = {name: set() for name in LEVEL_REFERENCES}
     for size, bound in ((3, 2), (4, 2)):
         space = OutcomeSpace.of_size(size)
@@ -645,7 +650,7 @@ def test_level_cases_cover_hits_and_misses():
                 hit = getattr(levels, f"scan_{name}")(
                     spec, nums, den, *kernel_args(name, bound, depth))
                 seen[name].add(hit is None)
-    can_hit = {"solvability_scan"}
+    can_hit = {"solvability_scan", "mixture"}
     assert {name for name, outcomes in seen.items() if outcomes == {True, False}} \
         == can_hit, seen
     assert all(seen[name] == {True} for name in seen if name not in can_hit)
@@ -666,6 +671,24 @@ def test_level_first_hits_on_pinned_weights():
             == expected, name
 
 
+def test_level_mixture_checks_every_probe_of_a_breakpoint():
+    # Majority on 4 outcomes, p = (6,1,1,0)/8, q = (0,2,2,4)/8 and
+    # r = (0,1,1,6)/8: the coordinates of mix(p, r, alpha) - q have
+    # signs (0,-,-,+) at alpha = 0, (+,-,-,+) below 1/3 and (+,-,-,-)
+    # from 1/3 on.  The breakpoint candidate 0 is below q and its nearest
+    # probe 2^-depth is not, but the farther probe 1/2 is: no hit.
+    spec = ("majority", ())
+    nums, den = [(6, 1, 1, 0), (0, 2, 2, 4), (0, 1, 1, 6)], 8
+    stars = [(0, 1), (1, 2), (1, 1)]
+    depth = kernels.separation_depth(spec, den, 2)
+    cmp = pure.make_compare(spec)
+    p, q, r = nums
+    assert [cmp(pure._mix(p, r, a, b), b * den, q, den)
+            for a, b in ((0, 1), (1, 2 ** depth), (1, 2))] == [-1, 0, -1]
+    assert levels.scan_mixture(spec, nums, den, stars, depth) is None
+    assert pure.scan_mixture(spec, nums, den, stars, depth) is None
+
+
 WEIGHTED_SCANS = ("independence", "betweenness", "convexity", "mixture",
                   "solvability_scan")
 LEVEL_SPECS = {
@@ -675,22 +698,24 @@ LEVEL_SPECS = {
         st.permutations(range(size)).map(lambda order: ("lex", tuple(order))),
         st.just(("hybrid", ())),
         st.just(("majority", ())))
-    for size in (3, 4)
+    for size in (3, 4, 5)
 }
 
 
 @settings(max_examples=60, deadline=None)
-@given(size=st.sampled_from([3, 4]), bound=st.sampled_from([2, 3]), data=st.data(),
+@given(size=st.sampled_from([3, 4, 5]), bound=st.sampled_from([2, 3]), data=st.data(),
        extra=st.integers(0, 6),
        weights=st.lists(st.tuples(st.integers(-3, 6), st.integers(1, 4)), max_size=4))
 def test_level_scans_match_pure(size, bound, data, extra, weights):
     # eu with drawn payoffs, lex with a drawn priority, hybrid and
-    # majority, each on its proven scans, over a drawn sub-grid: the
-    # checkers' own arguments, the probe scans from their separation
-    # depth on, then the weighted scans on drawn weights, which include
-    # a = 0, a < 0 and a > b, where independence and betweenness hit.
-    # The mixture's candidates stay in [0, 1], where its proof holds.
-    if size == 4:
+    # majority, each on its proven scans, over a drawn sub-grid of 3 to
+    # 5 outcomes: the checkers' own arguments, the probe scans from
+    # their separation depth on, then the weighted scans on drawn
+    # weights, which include a = 0, a < 0 and a > b, where independence
+    # and betweenness hit.  The mixture's candidates stay in [0, 1],
+    # where its proof holds, and each comes twice, as a/b and 2a/2b, in
+    # a drawn order: the breakpoint kernel must let the first index win.
+    if size > 3:
         bound = 2
     spec = data.draw(LEVEL_SPECS[size])
     nums, den = kernels.encode_lotteries(
@@ -702,6 +727,7 @@ def test_level_scans_match_pure(size, bound, data, extra, weights):
                                 probe_floor(name, spec, den, bound) + extra))
              for name in proven]
     stars = [(a, b) for a, b in weights if 0 <= a <= b]
+    stars = data.draw(st.permutations(stars + [(2 * a, 2 * b) for a, b in stars]))
     star_floor = kernels.separation_depth(spec, den, max((b for _, b in stars), default=1))
     calls += [(name, (stars, star_floor + extra) if name == "mixture" else (weights,))
               for name in WEIGHTED_SCANS if name in proven]
