@@ -40,7 +40,6 @@ them to the Fraction-level reference and to ``pure``.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import gcd
 
 from .encoding import separation_depth
@@ -210,21 +209,22 @@ def scan_mixture(spec, nums, den, alpha_stars, depth):
         a, b = _reduced(a, b)
         by_den.setdefault(b, {}).setdefault(a, []).append(si)
 
-    @lru_cache(maxsize=None)
-    def rises(span):
-        """q_c - r_c -> the indices of the candidates equal to its ratio
-        to span = p_c - r_c: a/b in lowest terms is one when b | span."""
-        return {a * (span // b): found for b, numerators in by_den.items()
-                if span % b == 0 for a, found in numerators.items()}
-
     for i, p in enumerate(nums):
-        # lines[k]: (c, r_c, rises) for each coordinate where p and r differ.
-        lines = [[(c, rc, rises(pc - rc)) for c, (pc, rc) in enumerate(zip(p, r))
-                  if pc != rc] for r in nums]
+        # lines[k]: (c, r_c, s, s·(p_c - r_c)) for each coordinate where p
+        # and r differ, s the sign that makes the span positive.
+        lines = [[(c, rc, 1, pc - rc) if pc > rc else (c, rc, -1, rc - pc)
+                  for c, (pc, rc) in enumerate(zip(p, r)) if pc != rc]
+                 for r in nums]
         for j, q in enumerate(nums):
             for k, (r, line) in enumerate(zip(nums, lines)):
-                found = {si for c, rc, table in line
-                         for si in table.get(q[c] - rc, ())}
+                found = set()
+                for c, rc, s, span in line:
+                    # The breakpoint rise/span, when it lies in [0, 1].
+                    rise = s * (q[c] - rc)
+                    if 0 <= rise <= span:
+                        common = gcd(rise, span)
+                        found.update(by_den.get(span // common, {})
+                                     .get(rise // common, ()))
                 for si in sorted(found):
                     a, b = alpha_stars[si]
                     if cmp(_mix(p, r, a, b), b * den, q, den) >= 0:

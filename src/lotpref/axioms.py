@@ -20,6 +20,7 @@ import inspect
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 from . import _kernels as kernels
 from ._kernels import pure
@@ -478,16 +479,49 @@ def _grid(grid: GridSpec):
     return lots, tuple(nums), den
 
 
+# How many off-grid lotteries (mixtures, translates, probes, line
+# points) one callback check keeps built.
+_INTERNED = 1 << 12
+
+
+def _interned(space, lots, nums, den):
+    """lottery(xn, xd): the Lottery with weights xn[c]/xd.  A grid
+    point is the grid's own lot.  Any other point is built through the
+    validating constructor and then reused while it stays among the
+    _INTERNED most recently used.  Its key is the weights over den when
+    their reduced denominator divides den, else in lowest terms, so
+    equal weights written over different denominators share one."""
+    on_grid = dict(zip(nums, lots))
+
+    @lru_cache(maxsize=_INTERNED)
+    def build(xn, xd):
+        return Lottery(space, tuple(Fraction(a, xd) for a in xn))
+
+    def lottery(xn, xd):
+        if xd != den:
+            common = gcd(xd, *xn)
+            scale, rest = divmod(den * common, xd)
+            if rest:
+                return build(tuple(a // common for a in xn), xd // common)
+            xn = tuple(a * scale // common for a in xn)
+        lot = on_grid.get(xn)
+        return build(xn, den) if lot is None else lot
+
+    return lottery
+
+
 def _encoded(oracle: PreferenceOracle, grid: GridSpec):
+    """(lots, nums, den, spec) for one check.  An oracle the encoder
+    refuses gets a ("callback", ...) spec whose closure asks
+    ``oracle.compare`` on interned lotteries (``_interned``), the same
+    questions in the same order as on fresh ones."""
     lots, nums, den = _grid(grid)
     spec = kernels.encode_oracle(oracle)
     if spec is None:
-        space = oracle.space
+        lottery = _interned(oracle.space, lots, nums, den)
 
         def callback(pn, pd, qn, qd):
-            p = Lottery(space, tuple(Fraction(a, pd) for a in pn))
-            q = Lottery(space, tuple(Fraction(a, qd) for a in qn))
-            return oracle.compare(p, q).sign
+            return oracle.compare(lottery(pn, pd), lottery(qn, qd)).sign
 
         spec = ("callback", (callback,))
     return lots, nums, den, spec

@@ -91,7 +91,14 @@ def as_fraction(value) -> Fraction:
 
 @dataclass(frozen=True)
 class Lottery:
-    """A probability vector over an outcome space, validated on creation."""
+    """A probability vector over an outcome space, validated on creation.
+
+    Validation puts the weights over their least common denominator,
+    and the lottery keeps that as ``integer_form``, (nums, den) with
+    weights[i] == nums[i] / den, for callers that compare or combine
+    lotteries in ints.  It is an attribute, not a field: equality, hash,
+    repr and the JSON form see the weights only.
+    """
 
     space: OutcomeSpace
     weights: tuple[Fraction, ...]
@@ -107,6 +114,7 @@ class Lottery:
                 raise NegativeWeight(f"weight {w} is negative")
         if sum(nums) != den:
             raise SumNotOne(f"weights sum to {Fraction(sum(nums), den)}, not 1")
+        object.__setattr__(self, "integer_form", (tuple(nums), den))
 
     def __getitem__(self, index: int) -> Fraction:
         return self.weights[index]
@@ -161,8 +169,8 @@ def mix(p: Lottery, q: Lottery, alpha) -> Lottery:
     if p.space != q.space:
         raise SpaceMismatch("cannot mix lotteries over different spaces")
     a = unit_weight(alpha)
-    pn, pd = common_denominator(p.weights)
-    qn, qd = common_denominator(q.weights)
+    pn, pd = p.integer_form
+    qn, qd = q.integer_form
     # a·x/pd + (1 − a)·y/qd over the one denominator den.
     den = a.denominator * pd * qd
     kp = a.numerator * qd

@@ -134,9 +134,9 @@ class _LevelOracle(PreferenceOracle):
     ``level`` is that score as a Fraction.  Comparisons and solves read
     ``gauge`` instead: integer payoffs whose expected value is a
     positive multiple of ``level`` plus a constant.  A lottery's gauge
-    level is the integer S over the lcm B of its denominators, so two
-    levels compare by the sign of S_p·B_q − S_q·B_p and no Fraction is
-    built.
+    level is the integer S over the lcm B of its denominators, read off
+    its ``integer_form``, so two levels compare by the sign of
+    S_p·B_q − S_q·B_p and no Fraction is built.
     """
 
     has_solve = True
@@ -154,7 +154,7 @@ class _LevelOracle(PreferenceOracle):
 
     def _gauge_level(self, p: Lottery) -> tuple[int, int]:
         """(S, B) with the gauge level of p equal to S / B."""
-        nums, den = common_denominator(p.weights)
+        nums, den = p.integer_form
         return sum(map(mul, self.gauge, nums)), den
 
     def compare(self, p: Lottery, q: Lottery) -> ComparisonResult:
@@ -238,10 +238,11 @@ class LexicographicOracle(PreferenceOracle):
 
     def compare(self, p: Lottery, q: Lottery) -> ComparisonResult:
         self._check_pair(p, q)
+        (pn, pd), (qn, qd) = p.integer_form, q.integer_form
         for i in self.priority:
-            if p.weights[i] != q.weights[i]:
-                sign = 1 if p.weights[i] > q.weights[i] else -1
-                return ComparisonResult.from_sign(sign)
+            diff = pn[i] * qd - qn[i] * pd
+            if diff:
+                return ComparisonResult.from_sign(diff)
         return ComparisonResult.INDIFFERENT
 
 
@@ -257,7 +258,6 @@ class HybridExampleOracle(PreferenceOracle):
     """
 
     kind = "hybrid"
-    THRESHOLD = Fraction(1, 2)
 
     def __init__(self, space: OutcomeSpace):
         super().__init__(space)
@@ -265,7 +265,8 @@ class HybridExampleOracle(PreferenceOracle):
 
     def compare(self, p: Lottery, q: Lottery) -> ComparisonResult:
         self._check_pair(p, q)
-        if p.weights[0] == self.THRESHOLD and q.weights[0] == self.THRESHOLD:
+        (pn, pd), (qn, qd) = p.integer_form, q.integer_form
+        if 2 * pn[0] == pd and 2 * qn[0] == qd:
             return ComparisonResult.INDIFFERENT
         return self._lex.compare(p, q)
 
@@ -281,6 +282,10 @@ class MajorityOracle(PreferenceOracle):
 
     def compare(self, p: Lottery, q: Lottery) -> ComparisonResult:
         self._check_pair(p, q)
-        wins = sum(1 for a, b in zip(p.weights, q.weights) if a > b)
-        losses = sum(1 for a, b in zip(p.weights, q.weights) if a < b)
-        return ComparisonResult.from_sign((wins > losses) - (wins < losses))
+        (pn, pd), (qn, qd) = p.integer_form, q.integer_form
+        wins = losses = 0
+        for a, b in zip(pn, qn):
+            diff = a * qd - b * pd
+            wins += diff > 0
+            losses += diff < 0
+        return ComparisonResult.from_sign(wins - losses)

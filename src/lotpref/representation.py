@@ -463,7 +463,7 @@ def indifference_certificate(
 def _affine_combination(points, coeffs, space) -> tuple[Fraction, ...]:
     """The weights of sum c·point, summed in ints over one denominator."""
     cnums, cden = common_denominator(coeffs)
-    rows = [common_denominator(pt.weights) for pt in points]
+    rows = [pt.integer_form for pt in points]
     den = lcm(*(d for _, d in rows))
     total = [0] * space.size
     for c, (nums, d) in zip(cnums, rows):

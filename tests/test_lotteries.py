@@ -1,3 +1,4 @@
+from dataclasses import FrozenInstanceError, fields
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from lotpref.errors import (
     SpaceMismatch,
     SumNotOne,
 )
+from lotpref.geometry import common_denominator
 from lotpref.lotteries import (
     EmbeddedPoint,
     Lottery,
@@ -25,6 +27,7 @@ from lotpref.lotteries import (
     unembed,
     uniform,
 )
+from lotpref.scenario import lottery_to_json
 
 SPACE = OutcomeSpace.of_size(3)
 
@@ -39,6 +42,18 @@ def lotteries(draw, size=3):
     weights = tuple(
         Fraction(bounds[i + 1] - bounds[i], den) for i in range(size))
     return Lottery(OutcomeSpace.of_size(size), weights)
+
+
+@st.composite
+def mixed_lotteries(draw, size=3):
+    """Random exact lottery whose weights keep their own denominators:
+    each weight is a drawn fraction of what the earlier ones left."""
+    rest, weights = Fraction(1), []
+    for _ in range(size - 1):
+        den = draw(st.integers(1, 12))
+        weights.append(rest * Fraction(draw(st.integers(0, den)), den))
+        rest -= weights[-1]
+    return Lottery(OutcomeSpace.of_size(size), (*weights, rest))
 
 
 def test_outcome_space_basics():
@@ -144,3 +159,27 @@ def test_mix_stays_in_simplex(p, q, num):
 @given(lotteries(size=4))
 def test_embed_unembed_round_trip(lot):
     assert unembed(embed(lot)) == lot
+
+
+@given(mixed_lotteries(size=4))
+def test_integer_form_is_kept_out_of_sight(lot):
+    nums, den = common_denominator(lot.weights)
+    assert lot.integer_form == (tuple(nums), den)
+    # Not a field: equality, hash, repr and JSON read the weights only.
+    assert [f.name for f in fields(Lottery)] == ["space", "weights"]
+    twin = Lottery(lot.space, tuple(Fraction(w.numerator, w.denominator)
+                                    for w in lot.weights))
+    assert twin == lot and hash(twin) == hash(lot)
+    assert repr(lot) == f"Lottery(space={lot.space!r}, weights={lot.weights!r})"
+    assert lottery_to_json(lot) == [str(w) for w in lot.weights]
+    with pytest.raises(FrozenInstanceError):
+        lot.integer_form = ((1, 0, 0, 0), 1)
+
+
+@given(mixed_lotteries(), mixed_lotteries(), st.data())
+def test_mix_matches_fraction_reference(p, q, data):
+    b = data.draw(st.integers(1, 12))
+    alpha = Fraction(data.draw(st.integers(0, b)), b)
+    m = mix(p, q, alpha)
+    assert m.weights == tuple(alpha * x + (1 - alpha) * y
+                              for x, y in zip(p.weights, q.weights))

@@ -52,6 +52,22 @@ def lotteries(draw, size=3):
     return make_lottery(space, weights)
 
 
+@st.composite
+def mixed_lotteries(draw, size=3):
+    """Weights that keep their own denominators, each a drawn fraction
+    of what the earlier ones left; weight 0 is sometimes exactly 1/2,
+    the hybrid plateau."""
+    rest, weights = F(1), []
+    if draw(st.booleans()):
+        weights.append(F(1, 2))
+        rest -= weights[-1]
+    while len(weights) < size - 1:
+        den = draw(st.integers(1, 12))
+        weights.append(rest * F(draw(st.integers(0, den)), den))
+        rest -= weights[-1]
+    return make_lottery(OutcomeSpace.of_size(size), [*weights, rest])
+
+
 def test_comparison_result_signs():
     assert ComparisonResult.STRICTLY_BETTER.sign == 1
     assert ComparisonResult.INDIFFERENT.sign == 0
@@ -267,3 +283,39 @@ def test_linear_oracles_match_fraction_levels(data):
             alpha = oracle.solve(p, q, r)
             assert type(alpha) is F
             assert alpha == reference_solve(level, p, q, r)
+
+
+# ---- built-in compares against Fraction-level references ---------------------
+
+
+def lex_reference(priority, p, q):
+    return next((sign(p[i] - q[i]) for i in priority if p[i] != q[i]), 0)
+
+
+@given(st.data())
+def test_builtin_compares_match_fraction_references(data):
+    size = data.draw(st.integers(2, 5))
+    space = OutcomeSpace.of_size(size)
+    utility = UtilityFunction(space, tuple(
+        data.draw(RATIONALS) for _ in range(size)))
+    priority = tuple(data.draw(st.permutations(range(size))))
+    ascending = tuple(range(size))
+    references = (
+        (ExpectedUtilityOracle(utility),
+         lambda p, q: sign(expected_utility(utility, p)
+                           - expected_utility(utility, q))),
+        (LexicographicOracle(space, priority),
+         lambda p, q: lex_reference(priority, p, q)),
+        (HybridExampleOracle(space),
+         lambda p, q: 0 if p[0] == q[0] == F(1, 2)
+         else lex_reference(ascending, p, q)),
+        (MajorityOracle(space),
+         lambda p, q: sign(sum(sign(a - b) for a, b in zip(p.weights, q.weights)))),
+    )
+    lots = [data.draw(mixed_lotteries(size)) for _ in range(3)]
+    lots.append(mix(lots[0], lots[1], F(data.draw(st.integers(0, 7)), 7)))
+    for oracle, reference in references:
+        for p in lots:
+            for q in lots:
+                assert oracle.compare(p, q) is ComparisonResult.from_sign(
+                    reference(p, q))
