@@ -4,10 +4,9 @@ Lotteries are probability vectors with Fraction weights.  The package
 elicits linear representations from indifference data, certifies
 indifference of affine combinations step by step, constructs spanning
 indifferent sets, and hunts for axiom violations over finite grids with
-replayable witnesses.  Expected-utility scans run on integer level
-kernels; the other built-in oracles run on a compiled kernel when the
-extension is built, with a pure-Python fallback that computes the exact
-same answers.
+replayable witnesses.  The scans run in pure Python over integer
+encodings: on level kernels wherever a proof or a coordinate threshold
+answers, else on a direct search with the same first hits.
 """
 
 from .axioms import (

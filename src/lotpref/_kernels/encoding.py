@@ -3,18 +3,13 @@
 The axiom scans run over a fixed grid, so every lottery is rescaled to
 one common integer denominator and every built-in oracle reduces to a
 small integer recipe.  Comparisons then happen by cross-multiplication
-in plain integers.  The level and pure paths use Python's unbounded
-ints.  The compiled path serves only lex, hybrid and majority, which
-carry no payoffs, and uses 128-bit intermediates, so ``envelope_ok``
-bounds the lattice denominators a scan can form and refuses the
-compiled path when their cross products could overflow.
+in Python's unbounded ints, so no payoff or depth can overflow.
 """
 
 from __future__ import annotations
 
 from math import lcm
 
-from ..lotteries import Lottery
 from ..oracles import (
     ExpectedUtilityOracle,
     HybridExampleOracle,
@@ -27,15 +22,8 @@ from ..oracles import (
 __all__ = [
     "encode_lotteries",
     "encode_oracle",
-    "envelope_ok",
     "separation_depth",
-    "INT128_SAFE",
 ]
-
-# Compiled kernels multiply two lattice denominators; staying a few
-# bits below 2^127 leaves room for one subtraction and sums.
-INT128_SAFE = 1 << 120
-
 
 def encode_lotteries(lotteries) -> tuple[list[tuple[int, ...]], int]:
     """Rescale lotteries to one common denominator; returns (nums, den)."""
@@ -73,15 +61,6 @@ def encode_oracle(oracle: PreferenceOracle):
     if type(oracle) is MajorityOracle:
         return ("majority", ())
     return None
-
-
-def envelope_ok(den: int, *, max_alpha_den: int = 1, depth: int = 0) -> bool:
-    """True when every cross product the compiled scan can form fits
-    128 bits.  No lottery in a scan carries a denominator above
-    den · max_alpha_den · 2^depth: each scan passes only the limits its
-    own weights imply, and the others stay 1 and 0."""
-    worst = den * max_alpha_den << depth
-    return worst * worst < INT128_SAFE
 
 
 def separation_depth(spec, den: int, max_b: int) -> int:

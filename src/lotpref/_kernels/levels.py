@@ -21,12 +21,17 @@ hold from ``encoding.separation_depth`` on; below it a None would prove
 nothing, so they raise ValueError naming both depths.  S is
 max(u) - min(u): no two levels differ by more than den·S.
 
-For lex, hybrid and majority the mixture scan still searches, but only
-coordinate breakpoints: along a segment each coordinate of the mixture
-minus q changes sign at one weight, so the comparison is constant
-between those weights, and from the separation depth on a candidate
-off them cannot hit.  Each triple tests the at most n candidates a
-breakpoint sits on, with the exact body of ``pure.scan_mixture``.
+For lex, hybrid and majority the probe scans still search, on
+coordinate thresholds.  Along a segment each coordinate of the mixture
+minus q changes sign at one weight, so the mixture comparison is
+constant between those weights, and from the separation depth on a
+candidate off them cannot hit: each triple tests the at most n
+candidates a breakpoint sits on, with the exact body of
+``pure.scan_mixture``.  The archimedean and openness probes fix a pair
+and a probe and vary one grid point, and each coordinate of the probe
+comparison is affine in that point's coordinate, so the points on each
+side form threshold bitsets, the ``pure._Thresholds`` bisections the
+sign rows use: one probe row settles a whole row of triples.
 
 Independence and betweenness hit only on weights outside [0, 1],
 which no checker passes, and read the hit off ``pure._SignTable`` rows.
@@ -40,11 +45,13 @@ them to the Fraction-level reference and to ``pure``.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import gcd
 
 from .encoding import separation_depth
 from .pure import (
-    _bits, _mix, _mixture_side, _SignTable, level_thresholds, make_compare,
+    ARCH_SIDE_ALPHA, ARCH_SIDE_BETA, _bits, _mix, _mixture_side, _SignTable,
+    level_thresholds, make_compare, signs_from_coordinates,
 )
 
 __all__ = [
@@ -71,10 +78,10 @@ PROVEN = {
     "translation": {"eu", "lex", "majority"},
     "line_order": {"eu", "lex", "hybrid", "majority"},
     "mixture": {"eu", "lex", "hybrid", "majority"},
-    "archimedean": {"eu"},
+    "archimedean": {"eu", "lex", "hybrid", "majority"},
     "solvability_scan": {"eu"},
     "solvability_solve": {"eu"},
-    "openness": {"eu"},
+    "openness": {"eu", "lex", "hybrid", "majority"},
 }
 
 
@@ -239,12 +246,37 @@ def scan_archimedean(spec, nums, den, depth):
     """First (i, j, k, side) with p > q > r where one side of the
     interior-weight requirement fails at every dyadic probe.
 
-    Never: the beta probe puts q above mix(p, r, 2^-depth) iff
+    Never for eu: the beta probe puts q above mix(p, r, 2^-depth) iff
     2^depth·(L_q - L_r) > L_p - L_r, the alpha probe puts mix(p, r,
     1 - 2^-depth) above q iff 2^depth·(L_p - L_q) > L_p - L_r, and both
     hold, as the left factors are at least 1 and L_p - L_r <= den·S.
+
+    lex, hybrid and majority read probe rows: for a pair (i, j) and a
+    probe P, the points r that the probe settles, as a bitset.  Beta's
+    coordinate c has the sign of P·q_c - p_c - (P - 1)·r_c, so r_c is
+    compared with (P·q_c - p_c)/(P - 1); alpha's has the sign of
+    (P - 1)·p_c + r_c - P·q_c, so r_c is compared with
+    P·q_c - (P - 1)·p_c.  Beta fails at the k in gt(j) that no probe
+    settles, alpha likewise, and the first hit is the lowest failing k,
+    on the beta side when beta fails there, as the pure scan tests beta
+    first for each k.
     """
     _require_separation(spec, den, 1, depth)
+    if spec[0] == "eu":
+        return None
+    signs = _SignTable(spec, nums, den)
+    beta_rows = _ProbeRows(spec, nums, den, depth, _beta_thresholds)
+    alpha_rows = _ProbeRows(spec, nums, den, depth, _alpha_thresholds)
+    for i, p in enumerate(nums):
+        for j in _bits(signs.row(i)[0]):
+            q = nums[j]
+            below_q = signs.row(j)[0]
+            beta = beta_rows.narrow(p, q, below_q, 0, False)
+            alpha = alpha_rows.narrow(p, q, below_q, 2, False)
+            fail = beta | alpha
+            if fail:
+                k = (fail & -fail).bit_length() - 1
+                return (i, j, k, ARCH_SIDE_BETA if beta >> k & 1 else ARCH_SIDE_ALPHA)
     return None
 
 
@@ -284,11 +316,114 @@ def scan_openness(spec, nums, den, depth):
     other side, and every dyadic step from q toward w stays strictly on
     w's side, so q's side fails to be open at q along that segment.
 
-    Never: the step 2^-depth sits at 2^depth·(L_q - L_p) + (L_w - L_q)
-    against p, on q's side, as |L_q - L_p| >= 1 and |L_w - L_q| <= den·S.
+    Never for eu: the step 2^-depth sits at 2^depth·(L_q - L_p) +
+    (L_w - L_q) against p, on q's side, as |L_q - L_p| >= 1 and
+    |L_w - L_q| <= den·S.
+
+    lex, hybrid and majority read probe rows: coordinate c of
+    mix(w, q, 1/P) - p has the sign of w_c + (P - 1)·q_c - P·p_c, so w_c
+    is compared with P·p_c - (P - 1)·q_c.  For a pair (i, j) the hits are
+    the points on w's side that every probe keeps there: the
+    intersection of the probe rows, of which the lowest is the first.
     """
     _require_separation(spec, den, 1, depth)
+    if spec[0] == "eu":
+        return None
+    signs = _SignTable(spec, nums, den)
+    rows = _ProbeRows(spec, nums, den, depth, _openness_thresholds)
+    for i, p in enumerate(nums):
+        gt_i, _, lt_i = signs.col(i)
+        for j in _bits(gt_i | lt_i):
+            # The k with w below p when q is above it, and the converse.
+            if gt_i >> j & 1:
+                kept = rows.narrow(p, nums[j], lt_i, 0, True)
+            else:
+                kept = rows.narrow(p, nums[j], gt_i, 2, True)
+            if kept:
+                return (i, j, (kept & -kept).bit_length() - 1)
     return None
+
+
+class _ProbeRows:
+    """Probe rows for one probe scan over a lex, hybrid or majority grid.
+
+    ``thresholds(p, q, P, den)`` gives, for the pair a scan fixes and
+    the probe P = 2^h, the (lows, highs, plateau) that
+    ``pure.signs_from_coordinates`` turns into the (gt, eq, lt) of the
+    probe comparison against every grid point.  Each probe is evaluated
+    exactly, deepest first, and the walk stops once nothing is left to
+    settle.  Every threshold either moves by less than one coordinate
+    step or leaves [0, den] once P - 1 > den, so every probe deeper than
+    den + 1 has the masks of 2^depth and is not evaluated; thresholds
+    clamped to [-1, den + 1] that equal the previous probe's give its
+    masks, so that probe is skipped too.
+    """
+
+    __slots__ = ("_signs", "_thresholds", "_den", "_powers")
+
+    def __init__(self, spec, nums, den, depth, thresholds):
+        # Few distinct thresholds recur across pairs: the deepest probe's
+        # are out of range wherever p and q differ.
+        self._signs = lru_cache(maxsize=1 << 12)(signs_from_coordinates(spec, nums))
+        self._thresholds = thresholds
+        self._den = den
+        top = min(depth - 1, (den + 1).bit_length() - 1)
+        self._powers = [1 << depth, *(1 << h for h in range(top, 0, -1))]
+
+    def narrow(self, p, q, mask, part, keep):
+        """The points of mask in part (0 gt, 2 lt) of every probe row
+        when keep, else of none."""
+        signs, thresholds, den, last = self._signs, self._thresholds, self._den, None
+        for power in self._powers:
+            if not mask:
+                break
+            key = thresholds(p, q, power, den)
+            if key != last:
+                last = key
+                row = signs(*key)[part]
+                mask = mask & row if keep else mask & ~row
+        return mask
+
+
+def _clamp(t, den):
+    return -1 if t < 0 else den + 1 if t > den else t
+
+
+def _beta_thresholds(p, q, power, den):
+    """r against q > mix(p, r, 1/P): r_c against (P·q_c - p_c)/(P - 1),
+    ceiling and floor; the plateau holds q, and holds the mixture where
+    2·(p_0 + (P - 1)·r_0) = P·den."""
+    step = power - 1
+    lows, highs = [], []
+    for pc, qc in zip(p, q):
+        high, rest = divmod(power * qc - pc, step)
+        lows.append(_clamp(high + (rest != 0), den))
+        highs.append(_clamp(high, den))
+    plateau = None
+    if 2 * q[0] == den:
+        high, rest = divmod(power * den - 2 * p[0], 2 * step)
+        plateau = None if rest else _clamp(high, den)
+    return tuple(lows), tuple(highs), plateau
+
+
+def _alpha_thresholds(p, q, power, den):
+    """r against mix(p, r, 1 - 1/P) > q: r_c against P·q_c - (P - 1)·p_c;
+    the plateau holds q, and holds the mixture at one r_0."""
+    t = tuple([_clamp(pc + power * (qc - pc), den) for pc, qc in zip(p, q)])
+    plateau = None
+    if 2 * q[0] == den:
+        plateau = _clamp(p[0] + power * (den // 2 - p[0]), den)
+    return t, t, plateau
+
+
+def _openness_thresholds(p, q, power, den):
+    """w against mix(w, q, 1/P) vs p: w_c against P·p_c - (P - 1)·q_c;
+    the plateau holds p, and holds the mixture at one w_0."""
+    t = tuple([_clamp(qc + power * (pc - qc), den) for pc, qc in zip(p, q)])
+    plateau = None
+    if 2 * p[0] == den:
+        plateau = _clamp(q[0] + power * (den // 2 - q[0]), den)
+    return t, t, plateau
 
 
 def _require_separation(spec, den, max_b, depth):

@@ -1,11 +1,11 @@
 """Pure-Python axiom-scan kernels over unbounded integers.
 
 Every scan has one pinned candidate order, spelled out by its loops,
-and returns the first hit in that order.  The compiled twin in
-_fastscan.pyx must return the same first hit, not run the same
-statements: the parity tests hold the two backends to each other, and
-tests/test_scan_reference.py holds this module to a brute-force
-Fraction-level reference written from the docstrings.
+and returns the first hit in that order.  These scans serve callback
+oracles and the rows ``levels.PROVEN`` leaves out, and are the
+reference the level kernels must match: tests/test_scan_reference.py
+holds this module to a brute-force Fraction-level reference written
+from the docstrings, and the level kernels to both.
 
 Comparisons between two grid points go through ``_SignTable``, a lazily
 built table of comparison signs stored as Python-int bitsets, so the
@@ -155,17 +155,15 @@ def _threshold_row(spec, nums, den):
     """i -> (gt, eq, lt), the sign-table row of grid point i, from
     threshold bitsets; None for a callback spec.
 
-    lex walks its priority: gt gains the tied points below i on the
-    coordinate, and the tie narrows to the points level with i there.
-    hybrid is lex in index order, then a point with 2·x_0 = den is made
-    indifferent to every other such point.  majority counts wins and
-    losses per point in bit-sliced counters (plane b holds bit b of
-    every point's count) and compares the two counters from the top
-    plane down.  eu reads its row off the levels.
+    Coordinate c of point i against point k has the sign of
+    x_c - nums[k][c], so each coordinate's masks are two bisections at
+    x_c, and ``signs_from_coordinates`` joins them by the oracle's rule;
+    for hybrid, a point with 2·x_0 = den sees the points level with it
+    on coordinate 0 as its plateau.  eu reads its row off the levels.
     """
-    kind, params = spec
-    full = (1 << len(nums)) - 1
+    kind = spec[0]
     if kind == "eu":
+        full = (1 << len(nums)) - 1
         levels = level_thresholds(spec, nums)
 
         def eu_row(i):
@@ -175,16 +173,44 @@ def _threshold_row(spec, nums, den):
         return eu_row
     if kind not in ("lex", "hybrid", "majority"):
         return None
+    signs = signs_from_coordinates(spec, nums)
+
+    def row(i):
+        x = nums[i]
+        return signs(x, x, x[0] if 2 * x[0] == den else None)
+
+    return row
+
+
+def signs_from_coordinates(spec, nums):
+    """(lows, highs, plateau) -> (gt, eq, lt) for a lex, hybrid or
+    majority spec: the signs, against every grid point, of a comparison
+    whose coordinate c has the sign of t_c - nums[k][c] at point k, with
+    lows[c] = ceil(t_c) and highs[c] = floor(t_c).
+
+    So bit k of the coordinate's gt mask is set when nums[k][c] < lows[c]
+    and of its lt mask when nums[k][c] > highs[c], one bisection each.
+    lex walks its priority: gt and lt gain the tied points the
+    coordinate separates, and the tie narrows to the rest.  hybrid is lex
+    in index order, then the points whose coordinate 0 equals
+    ``plateau`` become indifferent: the caller passes the value that
+    puts point k on x_0 = 1/2 when the fixed side sits there, else None.
+    majority counts wins and losses per point in bit-sliced counters
+    (plane b holds bit b of every point's count) and compares the two
+    counters from the top plane down.  lex and majority ignore plateau.
+    """
+    kind, params = spec
     coords = _coordinate_thresholds(tuple(nums))
+    full = (1 << len(nums)) - 1
 
     if kind == "majority":
         width = len(coords).bit_length()
 
-        def majority_row(i):
+        def majority_signs(lows, highs, plateau):
             wins, losses = [0] * width, [0] * width
-            for t, x in zip(coords, nums[i]):
-                _count(wins, t.below(x))
-                _count(losses, t.above(x))
+            for t, lo, hi in zip(coords, lows, highs):
+                _count(wins, t.below(lo))
+                _count(losses, t.above(hi))
             gt = lt = 0
             tie = full
             for w, l in zip(reversed(wins), reversed(losses)):
@@ -193,29 +219,28 @@ def _threshold_row(spec, nums, den):
                 tie &= ~(w ^ l)
             return gt, tie, lt
 
-        return majority_row
+        return majority_signs
 
-    priority = params if kind == "lex" else range(len(coords))
+    hybrid = kind == "hybrid"
+    priority = range(len(coords)) if hybrid else params
 
-    def lex_row(i):
-        x = nums[i]
-        gt, tie = 0, full
+    def lex_signs(lows, highs, plateau):
+        gt = lt = 0
+        tie = full
         for c in priority:
-            gt |= tie & coords[c].below(x[c])
-            tie &= coords[c].at(x[c])
-        return gt, tie, full ^ gt ^ tie
+            t = coords[c]
+            above, below = tie & t.above(highs[c]), tie & t.below(lows[c])
+            gt |= below
+            lt |= above
+            tie ^= below | above
+            if not tie:
+                break
+        if hybrid and plateau is not None:
+            half = coords[0].at(plateau)
+            return gt & ~half, tie | half, lt & ~half
+        return gt, tie, lt
 
-    if kind == "lex":
-        return lex_row
-
-    def hybrid_row(i):
-        gt, eq, lt = lex_row(i)
-        if 2 * nums[i][0] != den:
-            return gt, eq, lt
-        half = coords[0].at(nums[i][0])
-        return gt & ~half, eq | half, lt & ~half
-
-    return hybrid_row
+    return lex_signs
 
 
 def _count(planes, mask):
@@ -314,17 +339,27 @@ def scan_transitivity(spec, nums, den):
 
 
 def scan_independence(spec, nums, den, alphas):
-    """First (i, j, k, alpha index) where mixing with k flips i-vs-j."""
+    """First (i, j, k, alpha index) where mixing with k flips i-vs-j.
+
+    An encoded comparison has cmp(x, x) = 0, and for j = i both
+    mixtures are one tuple, so only a callback spec walks j = i.
+    """
     cmp = make_compare(spec)
     g = len(nums)
+    reflexive = spec[0] != "callback"
     for i in range(g):
-        # mixes[k][ai] is i mixed with k at alphas[ai], shared by every j.
-        mixes = [[_mix(nums[i], nums[k], a, b) for a, b in alphas]
-                 for k in range(g)]
+        # mixes[k][ai] is i mixed with k at alphas[ai], built on first
+        # use and shared by every later j.
+        mixes = [None] * g
         for j in range(g):
+            if j == i and reflexive:
+                continue
             before = cmp(nums[i], den, nums[j], den)
             for k in range(g):
-                for ai, ((a, b), mp) in enumerate(zip(alphas, mixes[k])):
+                row = mixes[k]
+                if row is None:
+                    row = mixes[k] = [_mix(nums[i], nums[k], a, b) for a, b in alphas]
+                for ai, ((a, b), mp) in enumerate(zip(alphas, row)):
                     mq = _mix(nums[j], nums[k], a, b)
                     if cmp(mp, b * den, mq, b * den) != before:
                         return (i, j, k, ai)
@@ -535,7 +570,7 @@ def scan_solvability_scan(spec, nums, den, alphas):
 def scan_solve_contract(spec, nums, den, weight):
     """First (i, j, k, a, b) with p >= q >= r where a/b = weight(i, j, k),
     the oracle's own solution, does not mix p and r onto q.  For oracles
-    that solve but do not encode, so it has no compiled twin."""
+    that solve but do not encode."""
     cmp = make_compare(spec)
     signs = _SignTable(spec, nums, den)
     for i in range(len(nums)):

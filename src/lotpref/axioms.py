@@ -6,7 +6,7 @@ with the exhausted budget.  A non-finding is evidence at that budget,
 never proof; the verdict says which budget it means.
 
 Witness integrity is double-route: the scans run on an integer-encoded
-copy of the grid (compiled or level kernels where they apply) and only
+copy of the grid (level kernels where they apply, else pure ones) and only
 find a hit.  The witness class's ``observe`` then confirms the hit
 through the oracle's own exact Fraction path, asking every question the
 witness records, and ``observe`` on the witness's own inputs is also

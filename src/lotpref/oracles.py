@@ -111,7 +111,11 @@ class PreferenceOracle:
         self.space = space
 
     def _check_pair(self, p: Lottery, q: Lottery):
-        if p.space != self.space or q.space != self.space:
+        # Identity first: a lottery almost always carries the oracle's
+        # own space object, and equality compares the label tuples.
+        space = self.space
+        if ((p.space is not space and p.space != space)
+                or (q.space is not space and q.space != space)):
             raise SpaceMismatch("lottery from a different outcome space")
 
     def compare(self, p: Lottery, q: Lottery) -> ComparisonResult:

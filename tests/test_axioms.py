@@ -312,6 +312,5 @@ def test_verdict_budget_records_the_scan():
 
 
 def test_eu_mixture_holds_on_denser_grid():
-    # g^3 x 23 candidates: the level kernel runs it without the
-    # compiled extension.
+    # g^3 x 23 candidates: the level kernel answers by proof.
     assert check_continuity(EU, "mixture", GRID6).no_violation_found

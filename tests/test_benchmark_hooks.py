@@ -4,8 +4,6 @@ removing one of them must fail here, not only in a benchmark run."""
 import importlib.util
 from pathlib import Path
 
-import pytest
-
 from lotpref import _kernels as kernels
 from lotpref._kernels import levels
 
@@ -42,21 +40,17 @@ SCAN_ARGS = {
 }
 
 
-@pytest.mark.parametrize("extension", [False, True], ids=["absent", "built"])
-def test_backend_name_takes_the_tracers_limits(request, monkeypatch, extension):
+def test_backend_name_takes_the_tracers_limits():
     # The tracer names each traced call's path by passing backend_name
     # the limits it derives from the scan's trailing arguments; every
-    # (kind, scan) pair must accept them and name its path.
-    fast = request.getfixturevalue("fastscan") if extension else None
-    monkeypatch.setattr(kernels, "_fast", fast)
+    # (kind, scan) pair must accept them and name its path.  The
+    # benchmark records have_compiled(), False with no compiled path.
     layers = load_layers()
     specs = [("eu", (0, 1, 2)), ("lex", (2, 0, 1)), ("hybrid", ()),
              ("majority", ()), ("callback", (None,))]
     for scan in layers.SCANS:
         limits = layers._scan_limits(scan, SCAN_ARGS.get(scan, ()))
         for spec in specs:
-            if spec[0] in levels.PROVEN[scan]:
-                path = "level"
-            else:
-                path = "compiled" if extension and spec[0] != "callback" else "pure"
+            path = "level" if spec[0] in levels.PROVEN[scan] else "pure"
             assert kernels.backend_name(spec, scan, 4, **limits) == path, (scan, spec)
+    assert kernels.have_compiled() is False

@@ -1,17 +1,12 @@
-"""The compiled, level and pure scan paths must agree hit for hit.
+"""The level and pure scan paths must agree hit for hit.
 
-Every scan is run on the same encoded grid through the dispatcher with
-the compiled extension loaded (built by the ``compiled`` fixture in
-conftest.py) and directly against the pure kernels.  The rows in
-``levels.PROVEN`` take the level path even with the extension loaded;
-the other lex, hybrid and majority rows take the compiled path.  The
-compiled mixture scan, which no route reaches any more, is held to the
-pure one directly.  First hits are compared exactly, None included.
+Every scan is run on the same encoded grid through the dispatcher and
+directly against the pure kernels.  The rows in ``levels.PROVEN`` take
+the level path; every other row, and every callback spec, takes the
+pure one.  First hits are compared exactly, None included.
 """
 
-import re
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -44,10 +39,9 @@ def pairs(fracs):
 
 @pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s[0]}{s[1]}")
 @pytest.mark.parametrize("bound", [2, 3])
-def test_triple_scans_agree(compiled, spec, bound):
+def test_triple_scans_agree(spec, bound):
     nums, den = encoded(bound)
-    path = "level" if spec[0] == "eu" else "compiled"
-    assert kernels.backend_name(spec, "archimedean", den) == path
+    assert kernels.backend_name(spec, "archimedean", den) == "level"
     alphas = pairs(dyadic_alphas(bound))
     candidates = pairs(rationals_between(F(0), F(1), bound))
     cases = [
@@ -67,16 +61,10 @@ def test_triple_scans_agree(compiled, spec, bound):
         pure_hit = getattr(pure, f"scan_{name}")(spec, *args)
         path = kernels.backend_name(spec, name, den)
         assert hit == pure_hit, f"{path} {name} diverged on {spec}"
-    if spec[0] != "eu":
-        fast_hit = compiled._fast.scan_mixture(
-            kernels._KIND_CODES[spec[0]], list(spec[1]), kernels._flat(nums),
-            len(nums), len(nums[0]), den, kernels._flat(candidates), 8)
-        assert fast_hit == pure.scan_mixture(spec, nums, den, candidates, 8), \
-            f"compiled mixture diverged on {spec}"
 
 
 @pytest.mark.parametrize("utility", [(0, 1, 2), (5, 5, 5), (-2, 7, 1)])
-def test_solvability_solve_agrees(compiled, utility):
+def test_solvability_solve_agrees(utility):
     nums, den = encoded(3)
     assert kernels.backend_name(("eu", utility), "solvability_solve", den) \
         == "level"
@@ -107,26 +95,9 @@ def test_callback_spec_runs_pure():
             == pure.scan_transitivity(eu_spec, nums, den))
 
 
-def test_force_pure_toggle(compiled):
-    nums, den = encoded(2)
-    spec = ("hybrid", ())
-    assert kernels.backend_name(spec, "archimedean", den) == "compiled"
-    kernels.set_force_pure(True)
-    try:
-        assert kernels.backend_name(spec, "archimedean", den) == "pure"
-        assert kernels.backend_name(("eu", (0, 1, 2)), "archimedean", den) \
-            == "level"
-        alphas = pairs(dyadic_alphas(2))
-        forced = kernels.scan_independence(spec, nums, den, alphas)
-    finally:
-        kernels.set_force_pure(False)
-    assert forced == kernels.scan_independence(spec, nums, den, alphas)
-
-
 def test_oversized_payoffs_fall_back_to_pure():
-    # Payoffs beyond 64 bits must not reach the C kernels; like every
-    # eu spec, the level kernels, pure Python over unbounded ints, take
-    # them.
+    # Payoffs beyond 64 bits take the level kernels, like every eu
+    # spec: they compare over unbounded ints, so nothing overflows.
     nums, den = encoded(2)
     big = ("eu", (0, 1 << 63, 1 << 64))
     assert kernels.backend_name(big, "transitivity", den) == "level"
@@ -135,25 +106,26 @@ def test_oversized_payoffs_fall_back_to_pure():
         == kernels.scan_transitivity(small, nums, den)
 
 
-@pytest.mark.parametrize("extension", [False, True], ids=["absent", "built"])
-def test_backend_name_names_each_path(request, monkeypatch, extension):
-    # level for every eu spec, compiled for the other recipes' computed
-    # rows where the envelope allows it, else pure; the benchmark counts
-    # only "compiled".
-    fast = request.getfixturevalue("fastscan") if extension else None
-    monkeypatch.setattr(kernels, "_fast", fast)
-    nums, den = encoded(2)
-    small, big = ("eu", (0, 1, 2)), ("eu", (0, 1, 1 << 125))
+def test_backend_name_names_each_path():
+    # level for every row levels.PROVEN names, whatever the payoffs,
+    # else pure; the limits the benchmark passes change nothing, and no
+    # row is compiled.
+    _, den = encoded(2)
+    big = ("eu", (0, 1, 1 << 125))
     expected = {
-        small: "level",
-        big: "level",
-        ("lex", (0, 1, 2)): "compiled" if extension else "pure",
-        ("callback", (None,)): "pure",
+        (("eu", (0, 1, 2)), "archimedean"): "level",
+        (big, "transitivity"): "level",
+        (("lex", (0, 1, 2)), "archimedean"): "level",
+        (("majority", ()), "openness"): "level",
+        (("lex", (0, 1, 2)), "solvability_scan"): "pure",
+        (("hybrid", ()), "independence"): "pure",
+        (("callback", (None,)), "archimedean"): "pure",
     }
-    for spec, name in expected.items():
-        assert kernels.backend_name(spec, "archimedean", den) == name, spec
-        assert kernels.backend_name(spec, "archimedean", den, max_alpha_den=4,
-                                    depth=8) == name, spec
+    for (spec, scan), name in expected.items():
+        assert kernels.backend_name(spec, scan, den) == name, (spec, scan)
+        assert kernels.backend_name(spec, scan, den, max_alpha_den=4,
+                                    depth=8) == name, (spec, scan)
+    assert not kernels.have_compiled()
 
 
 PROVEN_ROWS = [(kind, scan) for scan, kinds in levels.PROVEN.items()
@@ -162,39 +134,25 @@ KIND_SPECS = {"eu": ("eu", (0, 1, 2)), "lex": ("lex", (2, 0, 1)),
               "hybrid": ("hybrid", ()), "majority": ("majority", ())}
 
 
-@pytest.mark.parametrize("mode", ["absent", "built", "forced"])
 @pytest.mark.parametrize("kind,scan", PROVEN_ROWS,
                          ids=[f"{kind}-{scan}" for kind, scan in PROVEN_ROWS])
-def test_proven_rows_take_the_level_path(request, monkeypatch, kind, scan, mode):
-    # A proven row answers by its identity whatever the extension and
-    # the force-pure toggle say.
-    fast = None if mode == "absent" else request.getfixturevalue("fastscan")
-    monkeypatch.setattr(kernels, "_fast", fast)
-    monkeypatch.setattr(kernels, "_force_pure", False)  # restored afterwards
-    kernels.set_force_pure(mode == "forced")
+def test_proven_rows_take_the_level_path(kind, scan):
     _, den = encoded(2)
     assert kernels.backend_name(KIND_SPECS[kind], scan, den) == "level"
 
 
-def test_generated_c_is_in_sync_with_pyx():
-    # setup.py compiles the committed _fastscan.c when Cython is
-    # missing, so it must be generated from the current .pyx.  Cython
-    # quotes the source line behind each block of C it emits: a header
-    # naming the .pyx line number, then the line itself marked
-    # "# <<<<<<<<<<<<<<".  Every quote must match that .pyx line, and
-    # every Python-visible function of the .pyx must be quoted.
-    here = Path(kernels.__file__).parent
-    pyx = (here / "_fastscan.pyx").read_text(encoding="utf-8").splitlines()
-    header = re.compile(r'/\* "lotpref/_kernels/_fastscan\.pyx":(\d+)$')
-    marker = "# <<<<<<<<<<<<<<"
-    line_no, quoted = None, set()
-    for line in (here / "_fastscan.c").read_text(encoding="utf-8").splitlines():
-        found = header.search(line)
-        if found:
-            line_no = int(found.group(1))
-        elif line.endswith(marker):
-            source = line[len(" * "):-len(marker)].rstrip()
-            assert source == pyx[line_no - 1].rstrip(), f"_fastscan.pyx:{line_no}"
-            quoted.add(line_no)
-    functions = [n for n, text in enumerate(pyx, 1) if text.startswith("def ")]
-    assert functions and set(functions) <= quoted
+def test_unproven_rows_take_the_pure_path():
+    # What levels.PROVEN leaves out: majority transitivity and
+    # convexity, hybrid independence and translation, and
+    # solvability-scan outside eu.
+    _, den = encoded(2)
+    unproven = {(kind, scan) for scan in levels.PROVEN for kind in KIND_SPECS
+                if kind not in levels.PROVEN[scan]}
+    assert unproven == {("majority", "transitivity"), ("majority", "convexity"),
+                        ("hybrid", "independence"), ("hybrid", "translation"),
+                        ("lex", "solvability_scan"), ("hybrid", "solvability_scan"),
+                        ("majority", "solvability_scan"),
+                        ("lex", "solvability_solve"), ("hybrid", "solvability_solve"),
+                        ("majority", "solvability_solve")}
+    for kind, scan in unproven:
+        assert kernels.backend_name(KIND_SPECS[kind], scan, den) == "pure"

@@ -319,3 +319,23 @@ def test_builtin_compares_match_fraction_references(data):
             for q in lots:
                 assert oracle.compare(p, q) is ComparisonResult.from_sign(
                     reference(p, q))
+
+
+@pytest.mark.parametrize("make", [
+    lambda s: ExpectedUtilityOracle(UtilityFunction.of(s, [0, 1, 2])),
+    lambda s: LexicographicOracle(s, (2, 0, 1)),
+    HybridExampleOracle,
+    MajorityOracle,
+], ids=["eu", "lex", "hybrid", "majority"])
+def test_compare_checks_the_space_by_value(make):
+    # The check tests identity first; an equal space built apart is the
+    # same space, and a space with other labels is not, on either side.
+    oracle = make(SPACE)
+    twin = OutcomeSpace(tuple(SPACE.labels))
+    assert twin is not SPACE
+    assert oracle.compare(uniform(twin), degenerate(SPACE, 0)) \
+        == oracle.compare(uniform(SPACE), degenerate(twin, 0))
+    other = OutcomeSpace(("a", "b", "c"))
+    for p, q in ((uniform(other), uniform(SPACE)), (uniform(SPACE), uniform(other))):
+        with pytest.raises(SpaceMismatch):
+            oracle.compare(p, q)

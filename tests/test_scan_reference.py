@@ -10,10 +10,8 @@ two agree on (None included) is computed twice, independently.
 
 The pure kernels run every oracle; the level kernels run each kind on
 the scans ``levels.PROVEN`` lists for it: eu and represented oracles,
-including payoffs beyond the compiled envelope, on every scan, and
-lex, hybrid and majority on their proven rows.  Both run whether or
-not the compiled extension is built, so this suite checks the scan
-algorithms wherever the tests run.  Hypothesis tests then hold the
+including payoffs beyond 2^121, on every scan, and lex, hybrid and
+majority on their proven rows.  Hypothesis tests then hold the
 level kernels to the pure ones on drawn payoffs, priorities, weights
 and sub-grids, the pure kernels to the reference on drawn lex, hybrid,
 majority and callback oracles, the sign rows built from thresholds to
@@ -30,7 +28,7 @@ from hypothesis import strategies as st
 
 from lotpref import _kernels as kernels
 from lotpref._kernels import levels, pure
-from lotpref.axioms import _encoded
+from lotpref.axioms import DEFAULT_DEPTH, _encoded
 from lotpref.geometry import Hyperplane
 from lotpref.grids import GridSpec, dyadic_alphas, enumerate_grid, rationals_between
 from lotpref.lotteries import Lottery, OutcomeSpace, mix
@@ -531,7 +529,7 @@ def test_threshold_rows_match_closure_rows(drawn):
 LEVEL_REFERENCES = {**REFERENCES, "independence": ref_independence,
                     "mixture": ref_mixture}
 PROBE_SCANS = ("mixture", "archimedean", "openness")
-HUGE = 1 << 121  # beyond the compiled path's 2^120 envelope
+HUGE = 1 << 121  # far beyond any fixed-width integer
 
 
 def represented(space, normal):
@@ -601,7 +599,7 @@ def test_level_scans_match_reference(size, bound, oracle_name):
     oracle = LEVEL_ORACLES[size][oracle_name](space)
     hits = level_hits(oracle, GridSpec(space, bound))
     # eu proves all eleven scans; README's table gives the others' rows.
-    assert len(hits) == {"lex": 7, "hybrid": 5, "majority": 5}.get(oracle_name, 11)
+    assert len(hits) == {"lex": 9, "hybrid": 7, "majority": 7}.get(oracle_name, 11)
     for name, (hit, expected) in hits.items():
         assert hit == expected, f"level {name} diverged"
 
@@ -612,8 +610,9 @@ def test_level_scans_match_reference(size, bound, oracle_name):
 def test_level_probe_scans_refuse_depths_below_separation(size, bound, oracle_name):
     # Below the separation depth a probe can straddle a threshold, so a
     # None there would be a guess and a skipped candidate could hit: the
-    # level probe scans refuse it.  eu proves all three; lex, hybrid and
-    # majority take mixture only, and answer as pure does from the floor.
+    # level probe scans refuse it.  Every encoded kind takes all three;
+    # eu proves them, and lex, hybrid and majority answer as pure does
+    # from the floor.
     space = OutcomeSpace.of_size(size)
     _, nums, den, spec = _encoded(LEVEL_ORACLES[size][oracle_name](space),
                                   GridSpec(space, bound))
@@ -634,8 +633,8 @@ def test_level_probe_scans_refuse_depths_below_separation(size, bound, oracle_na
 
 def test_level_cases_cover_hits_and_misses():
     # On the checkers' arguments only the candidate scan can hit an eu
-    # oracle, and of the other kinds' proven rows only mixture can (lex
-    # hits; eu never does); each must hit in some level case and miss in
+    # oracle, and of the other kinds' proven rows only the probe scans
+    # can (eu never does); each must hit in some level case and miss in
     # another.  The level hits stand for the reference's, which the test
     # above matches.
     seen = {name: set() for name in LEVEL_REFERENCES}
@@ -650,7 +649,7 @@ def test_level_cases_cover_hits_and_misses():
                 hit = getattr(levels, f"scan_{name}")(
                     spec, nums, den, *kernel_args(name, bound, depth))
                 seen[name].add(hit is None)
-    can_hit = {"solvability_scan", "mixture"}
+    can_hit = {"solvability_scan", *PROBE_SCANS}
     assert {name for name, outcomes in seen.items() if outcomes == {True, False}} \
         == can_hit, seen
     assert all(seen[name] == {True} for name in seen if name not in can_hit)
@@ -687,6 +686,133 @@ def test_level_mixture_checks_every_probe_of_a_breakpoint():
             for a, b in ((0, 1), (1, 2 ** depth), (1, 2))] == [-1, 0, -1]
     assert levels.scan_mixture(spec, nums, den, stars, depth) is None
     assert pure.scan_mixture(spec, nums, den, stars, depth) is None
+
+
+def test_level_archimedean_reads_every_probe():
+    # Majority on 4 outcomes, grid 4 (den 12): p = (0,1/3,1/3,1/3),
+    # q = (1/2,0,1/4,1/4) and r = (1,0,0,0) have p > q > r.  The beta
+    # probe 1/2 puts q above mix(p, r, 1/2), and every deeper probe
+    # leaves them tied, so a kernel that read only the deepest probe
+    # would report beta; the alpha side holds from the probe 1/8 on.
+    spec = ("majority", ())
+    lots = enumerate_grid(GridSpec(OutcomeSpace.of_size(4), 4))
+    nums, den = kernels.encode_lotteries(lots)
+    p, q, r = (nums[i] for i in (13, 45, 3))
+    assert [lots[i].weights for i in (13, 45, 3)] == [
+        (0, F(1, 3), F(1, 3), F(1, 3)), (F(1, 2), 0, F(1, 4), F(1, 4)), (1, 0, 0, 0)]
+    cmp = pure.make_compare(spec)
+    assert cmp(p, den, q, den) == cmp(q, den, r, den) == 1
+    depth = kernels.separation_depth(spec, den, 1)
+    powers = [2 ** h for h in range(1, depth + 1)]
+    assert [cmp(q, den, pure._mix(p, r, 1, P), P * den) for P in powers] \
+        == [1] + [0] * (depth - 1)
+    assert [cmp(pure._mix(p, r, P - 1, P), P * den, q, den) for P in powers] \
+        == [-1, 0] + [1] * (depth - 2)
+    for scan in (levels.scan_archimedean, pure.scan_archimedean):
+        assert scan(spec, [p, q, r], den, depth) is None
+    assert ref_archimedean(Reference(MajorityOracle(OutcomeSpace.of_size(4)),
+                                     [lots[i] for i in (13, 45, 3)]), 4, depth) is None
+
+
+def test_level_archimedean_reports_beta_when_both_sides_fail():
+    # Majority on 4 outcomes, grid 3 (den 6): p = (0,1/3,1/3,1/3),
+    # q = (2/3,0,0,1/3) and r = (0,0,1,0) have p > q > r, and every
+    # probe ties q with both mixtures, so both sides fail at once; the
+    # pure scan tests beta first for each r, so the hit is beta.
+    spec = ("majority", ())
+    nums, den = [(0, 2, 2, 2), (4, 0, 0, 2), (0, 0, 6, 0)], 6
+    p, q, r = nums
+    cmp = pure.make_compare(spec)
+    assert cmp(p, den, q, den) == cmp(q, den, r, den) == 1
+    depth = kernels.separation_depth(spec, den, 1)
+    for P in (2 ** h for h in range(1, depth + 1)):
+        assert cmp(q, den, pure._mix(p, r, 1, P), P * den) == 0
+        assert cmp(pure._mix(p, r, P - 1, P), P * den, q, den) == 0
+    for scan in (levels.scan_archimedean, pure.scan_archimedean):
+        assert scan(spec, nums, den, depth) == (0, 1, 2, kernels.ARCH_SIDE_BETA)
+
+
+# row -> (thresholds, sign, comparison): for the fixed pair p, q, the
+# probe P and a grid point x, the comparison is the probe's; the probe
+# row holds its signs times sign, as alpha's and openness's coordinates
+# run x_c - t_c where beta's run t_c - x_c.
+PROBE_ROWS = {
+    "beta": (levels._beta_thresholds, 1, lambda p, q, x, P, den, cmp:
+             cmp(q, den, pure._mix(p, x, 1, P), P * den)),
+    "alpha": (levels._alpha_thresholds, -1, lambda p, q, x, P, den, cmp:
+              cmp(pure._mix(p, x, P - 1, P), P * den, q, den)),
+    "openness": (levels._openness_thresholds, -1, lambda p, q, x, P, den, cmp:
+                 cmp(pure._mix(x, q, 1, P), P * den, p, den)),
+}
+
+
+def assert_probe_row(spec, nums, den, row, i, j, h):
+    """The probe row equals the row of signs a comparison closure gives
+    against every grid point."""
+    thresholds, sign, compare = PROBE_ROWS[row]
+    p, q, P = nums[i], nums[j], 2 ** h
+    cmp = pure.make_compare(spec)
+    signs = [sign * compare(p, q, x, P, den, cmp) for x in nums]
+    assert (pure.signs_from_coordinates(spec, nums)(*thresholds(p, q, P, den))
+            == pure._masks(signs)), (row, i, j, h)
+
+
+@pytest.mark.parametrize("spec", [("lex", (2, 0, 1)), ("hybrid", ()), ("majority", ())],
+                         ids=lambda spec: spec[0])
+def test_probe_rows_match_closure_rows_on_a_whole_grid(spec):
+    # Every pair of the 3-outcome grid 3 (den 6) at the probes 1/2 to
+    # 1/16, where thresholds are fractional, land on grid values, leave
+    # [0, den], and, for hybrid, put the mixture on the plateau.
+    nums, den = kernels.encode_lotteries(
+        enumerate_grid(GridSpec(OutcomeSpace.of_size(3), 3)))
+    for row in PROBE_ROWS:
+        for i in range(len(nums)):
+            for j in range(len(nums)):
+                for h in range(1, 5):
+                    assert_probe_row(spec, nums, den, row, i, j, h)
+
+
+@settings(max_examples=60, deadline=None)
+@given(drawn=encoded_grids(), data=st.data(), h=st.integers(1, 12),
+       row=st.sampled_from(sorted(PROBE_ROWS)))
+def test_probe_rows_match_closure_rows(drawn, data, h, row):
+    # Each probe row, at any probe P = 2^h, shallow ones included, on
+    # drawn lex priorities, hybrid and majority over 2 to 5 outcomes:
+    # gt, eq and lt, the ceiling and floor of beta's fractional
+    # thresholds, and hybrid's plateau where the fixed side sits on it.
+    spec, size, bound = drawn
+    if spec[0] == "eu":
+        spec = ("majority", ())
+    nums, den = kernels.encode_lotteries(
+        enumerate_grid(GridSpec(OutcomeSpace.of_size(size), bound)))
+    i, j = (data.draw(st.integers(0, len(nums) - 1)) for _ in range(2))
+    assert_probe_row(spec, nums, den, row, i, j, h)
+
+
+PROBE_ROW_GRIDS = [(3, 4), (3, 5), (3, 6), (4, 3), (5, 2)]
+PROBE_ROW_SPECS = [("lex", (0, 1, 2)), ("lex", (2, 0, 1)), ("hybrid", ()),
+                   ("majority", ())]
+PROBE_ROW_CASES = [(size, bound, spec) for size, bound in PROBE_ROW_GRIDS
+                   for spec in PROBE_ROW_SPECS]
+
+
+@pytest.mark.parametrize(
+    "size,bound,spec", PROBE_ROW_CASES,
+    ids=[f"{spec[0]}{''.join(map(str, spec[1]))}-{size}x{bound}"
+         for size, bound, spec in PROBE_ROW_CASES])
+def test_level_probe_rows_match_pure_on_whole_grids(size, bound, spec):
+    # The archimedean and grid-openness probe rows on whole grids with
+    # denominators 12 to 60, at the checker's own depth: the thresholds
+    # leave [0, den] and repeat on the probes the rows skip, and the
+    # first hits, None included, stay the pure scans'.
+    if spec[0] == "lex":
+        spec = ("lex", spec[1] + tuple(range(3, size)))
+    nums, den = kernels.encode_lotteries(
+        enumerate_grid(GridSpec(OutcomeSpace.of_size(size), bound)))
+    depth = max(DEFAULT_DEPTH, kernels.separation_depth(spec, den, 2 * bound))
+    for name in ("archimedean", "openness"):
+        assert (getattr(levels, f"scan_{name}")(spec, nums, den, depth)
+                == getattr(pure, f"scan_{name}")(spec, nums, den, depth)), name
 
 
 WEIGHTED_SCANS = ("independence", "betweenness", "convexity", "mixture",
