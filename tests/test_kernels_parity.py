@@ -156,3 +156,47 @@ def test_unproven_rows_take_the_pure_path():
                         ("majority", "solvability_solve")}
     for kind, scan in unproven:
         assert kernels.backend_name(KIND_SPECS[kind], scan, den) == "pure"
+
+
+FOUR = OutcomeSpace.of_size(4)
+FOUR_SPECS = {"eu": ("eu", (0, 1, 1, 3)), "lex": ("lex", (3, 0, 2, 1)),
+              "hybrid": ("hybrid", ()), "majority": ("majority", ())}
+
+
+@pytest.mark.parametrize("kind,scan", PROVEN_ROWS,
+                         ids=[f"{kind}-{scan}" for kind, scan in PROVEN_ROWS])
+def test_proven_rows_agree_with_pure_on_four_outcomes(kind, scan):
+    # Each proven row, routed through the dispatcher on the 4-outcome
+    # grid 3, must give pure's first hit; the probe scans run at the
+    # separation depth of their candidates, as the checker runs them.
+    bound = 3
+    nums, den = kernels.encode_lotteries(enumerate_grid(GridSpec(FOUR, bound)))
+    spec = FOUR_SPECS[kind]
+    assert kernels.backend_name(spec, scan, den) == "level"
+    if scan == "solvability_solve":
+        levels_of = [sum(u * a for u, a in zip(spec[1], p)) for p in nums]
+
+        def weight(i, j, k):
+            span = levels_of[i] - levels_of[k]
+            alpha = F(levels_of[j] - levels_of[k], span) if span else F(1)
+            return alpha.numerator, alpha.denominator
+
+        assert kernels.scan_solvability_solve(list(spec[1]), nums, den) \
+            == pure.scan_solve_contract(spec, nums, den, weight)
+        return
+    max_b = 2 * bound if scan == "mixture" else 1
+    depth = max(8, kernels.separation_depth(spec, den, max_b))
+    alphas = pairs(dyadic_alphas(bound))
+    candidates = pairs(rationals_between(F(0), F(1), bound))
+    args = {
+        "independence": (alphas,),
+        "betweenness": (alphas,),
+        "convexity": (candidates,),
+        "line_order": (bound,),
+        "mixture": (candidates, depth),
+        "archimedean": (depth,),
+        "solvability_scan": (candidates,),
+        "openness": (depth,),
+    }.get(scan, ())
+    hit = getattr(kernels, f"scan_{scan}")(spec, nums, den, *args)
+    assert hit == getattr(pure, f"scan_{scan}")(spec, nums, den, *args)
