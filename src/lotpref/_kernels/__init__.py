@@ -1,15 +1,15 @@
-"""Scan kernel dispatch: one of two paths per call.
+"""Scan kernel dispatch: one of two paths per call, by oracle kind.
 
 Each ``scan_<name>`` here is built by ``_dispatcher`` from the scan's
 name.  It has the same signature and semantics as its twin in
 ``pure``.  ``backend_name`` makes the only decision, which path runs:
 
-* ``"level"``: the (kind, scan) rows in ``levels.PROVEN``: expected
-  utility on every scan, and lex, hybrid and majority where an
-  invariance identity answers, or where coordinate thresholds narrow
-  the search (mixture's breakpoints, archimedean's and openness's
-  probe rows).
-* ``"pure"``: everything else, through ``pure``'s comparison closures.
+* ``"pure"``: a callback spec, an oracle the encoder refuses, through
+  its comparison closure.
+* ``"level"``: every encoded spec (eu, lex, hybrid, majority).  Each
+  level scan answers each kind by proof, by coordinate-threshold rows,
+  or, where its docstring says why the kind has no shortcut, by the
+  ``pure`` sign-row walk.
 
 ``scan_solvability_solve`` takes a utility instead of an oracle
 encoding; it is the level kernel itself.
@@ -20,10 +20,6 @@ from __future__ import annotations
 from . import levels, pure
 from .encoding import encode_lotteries, encode_oracle, separation_depth
 from .levels import scan_solvability_solve
-from .pure import (
-    ARCH_SIDE_ALPHA, ARCH_SIDE_BETA, LINE_P_BEATS_POINT, LINE_POINT_BEATS_P,
-    LINE_POINT_BEATS_Q, LINE_Q_BEATS_POINT,
-)
 
 __all__ = [
     "encode_lotteries",
@@ -42,12 +38,6 @@ __all__ = [
     "scan_solvability_scan",
     "scan_solvability_solve",
     "scan_openness",
-    "LINE_Q_BEATS_POINT",
-    "LINE_P_BEATS_POINT",
-    "LINE_POINT_BEATS_Q",
-    "LINE_POINT_BEATS_P",
-    "ARCH_SIDE_BETA",
-    "ARCH_SIDE_ALPHA",
 ]
 
 
@@ -57,11 +47,11 @@ def have_compiled() -> bool:
 
 
 def backend_name(spec, scan: str, den: int, **limits) -> str:
-    """The path ``scan_<scan>(spec, nums, den, ...)`` takes: "level"
-    for a row ``levels.PROVEN`` names, else "pure".  den and the limits
-    the benchmark's tracer derives from a scan's trailing arguments do
-    not change it."""
-    return "level" if spec[0] in levels.PROVEN[scan] else "pure"
+    """The path ``scan_<scan>(spec, nums, den, ...)`` takes: "pure" for
+    a callback spec, else "level".  The scan, den and the limits the
+    benchmark's tracer derives from a scan's trailing arguments do not
+    change it."""
+    return "pure" if spec[0] == "callback" else "level"
 
 
 def _dispatcher(scan: str):
@@ -71,9 +61,9 @@ def _dispatcher(scan: str):
     level_scan = getattr(levels, f"scan_{scan}")
 
     def dispatch(spec, nums, den, *rest):
-        if backend_name(spec, scan, den) == "level":
-            return level_scan(spec, nums, den, *rest)
-        return pure_scan(spec, nums, den, *rest)
+        if backend_name(spec, scan, den) == "pure":
+            return pure_scan(spec, nums, den, *rest)
+        return level_scan(spec, nums, den, *rest)
 
     dispatch.__name__ = dispatch.__qualname__ = f"scan_{scan}"
     dispatch.__doc__ = pure_scan.__doc__

@@ -1,5 +1,6 @@
-"""Level kernels: the axiom scans answered by proof, or by a search a
-proof narrows.
+"""Level kernels: the axiom scans of every encoded oracle, answered by
+proof, by a search a proof narrows, or by the pure walk where no proof
+holds for the kind.
 
 Every encoded comparison but hybrid's is F(p - q), with F(λx) = F(x)
 for λ > 0 and F(-x) = -F(x): eu's sign of u·x, lex's first nonzero
@@ -9,9 +10,11 @@ each comparison differ by a multiple of one grid difference, so those
 identities hold by this invariance alone; transitivity and convexity
 hold for the orders their docstrings name.  Hybrid is lex in index
 order, except that two lotteries with x_0 = 1/2 (the plateau) are
-indifferent; a strict pair, a mixture or a line point puts both sides
-of a comparison on the plateau only where the identity holds anyway.
-``PROVEN`` names the kinds each scan proves; no other kind comes here.
+indifferent; in betweenness and line-order a strict pair, a mixture or
+a line point puts both sides of a comparison on the plateau only where
+the identity holds anyway.  Every encoded kind comes here, and a
+callback spec never does.  Where an identity fails for a kind, the
+scan's docstring says why, and that kind walks the ``pure`` scan.
 
 For ("eu", u) every comparison is also linear: grid point i sits at
 level L_i/den, L_i = u·nums[i], and mix(p, r, a/b) at
@@ -33,13 +36,13 @@ comparison is affine in that point's coordinate, so the points on each
 side form threshold bitsets, the ``pure._Thresholds`` bisections the
 sign rows use: one probe row settles a whole row of triples.
 
-Independence and betweenness hit only on weights outside [0, 1],
-which no checker passes, and read the hit off ``pure._SignTable`` rows.
-Each ``scan_<name>`` has the signature of its twin in ``pure`` and
-returns the same first hit in the same pinned order, None included,
-for any grid over ``den >= 1`` and any weights with positive
-denominators (the probe scans: from the separation depth on, and
-mixture candidates in [0, 1]).  tests/test_scan_reference.py holds
+Independence (hybrid's aside) and betweenness hit only on weights
+outside [0, 1], which no checker passes, and read the hit off
+``pure._SignTable`` rows.  Each ``scan_<name>`` has the signature of
+its twin in ``pure`` and returns the same first hit in the same pinned
+order, None included, for any grid over ``den >= 1`` and any weights
+with positive denominators (the probe scans: from the separation depth
+on, and mixture candidates in [0, 1]).  tests/test_scan_reference.py holds
 them to the Fraction-level reference and to ``pure``.
 """
 
@@ -48,14 +51,14 @@ from __future__ import annotations
 from functools import lru_cache
 from math import gcd
 
+from . import pure
 from .encoding import separation_depth
 from .pure import (
-    ARCH_SIDE_ALPHA, ARCH_SIDE_BETA, _bits, _mix, _mixture_side, _SignTable,
-    level_thresholds, make_compare, signs_from_coordinates,
+    _bits, _mix, _mixture_side, _SignTable, level_thresholds, make_compare,
+    signs_from_coordinates,
 )
 
 __all__ = [
-    "PROVEN",
     "scan_transitivity",
     "scan_independence",
     "scan_betweenness",
@@ -68,21 +71,6 @@ __all__ = [
     "scan_solvability_solve",
     "scan_openness",
 ]
-
-# scan -> the encoded kinds whose first hit its level scan proves.
-PROVEN = {
-    "transitivity": {"eu", "lex", "hybrid"},
-    "independence": {"eu", "lex", "majority"},
-    "betweenness": {"eu", "lex", "hybrid", "majority"},
-    "convexity": {"eu", "lex", "hybrid"},
-    "translation": {"eu", "lex", "majority"},
-    "line_order": {"eu", "lex", "hybrid", "majority"},
-    "mixture": {"eu", "lex", "hybrid", "majority"},
-    "archimedean": {"eu", "lex", "hybrid", "majority"},
-    "solvability_scan": {"eu"},
-    "solvability_solve": {"eu"},
-    "openness": {"eu", "lex", "hybrid", "majority"},
-}
 
 
 def _reduced(a, b):
@@ -97,8 +85,11 @@ def scan_transitivity(spec, nums, den):
     Never for eu, lex and hybrid, each a weak order: eu ranks by level,
     lex by coordinates in priority order, and hybrid is lex with the
     plateau joined into one class, which sits between x_0 < 1/2 and
-    x_0 > 1/2 on lex's first coordinate.
+    x_0 > 1/2 on lex's first coordinate.  Majority is no weak order:
+    its pairwise majorities can cycle, so it walks the pure scan.
     """
+    if spec[0] == "majority":
+        return pure.scan_transitivity(spec, nums, den)
     return None
 
 
@@ -109,8 +100,12 @@ def scan_independence(spec, nums, den, alphas):
     cancels, and the sign of i against j survives unless a·b <= 0 and
     i is not indifferent to j.  The first hit is the first i whose row
     has a bit outside eq, its lowest such bit, k = 0, and the first
-    weight with a·b <= 0.
+    weight with a·b <= 0.  Hybrid walks the pure scan: where i and j
+    share coordinate 0, an interior weight can put both mixtures on the
+    plateau, tying a strict pair.
     """
+    if spec[0] == "hybrid":
+        return pure.scan_independence(spec, nums, den, alphas)
     ai = next((ai for ai, (a, b) in enumerate(alphas) if a * b <= 0), None)
     if ai is None:
         return None
@@ -151,8 +146,11 @@ def scan_convexity(spec, nums, den, alphas):
     Never for eu, lex and hybrid, at any weight: j ~ i ~ k puts j and k
     at L_i, and mix(j, k, a/b) at (a·L_i + (b - a)·L_i)/b = L_i; lex
     ties only equal points, so j = k = i; hybrid ties equal points and
-    the plateau, an affine set.
+    the plateau, an affine set.  Majority's indifference classes need
+    not be convex, so it walks the pure scan.
     """
+    if spec[0] == "majority":
+        return pure.scan_convexity(spec, nums, den, alphas)
     return None
 
 
@@ -161,8 +159,12 @@ def scan_translation(spec, nums, den):
     it stays a lottery, is not indifferent to j.
 
     Never for eu, lex and majority: the translate minus j is k - i, so
-    it compares with j as k does with i, F(x_k - x_i) = 0.
+    it compares with j as k does with i, F(x_k - x_i) = 0.  Hybrid
+    walks the pure scan: k and i on the plateau tie, yet lex ranks the
+    translate against a j off it by k - i.
     """
+    if spec[0] == "hybrid":
+        return pure.scan_translation(spec, nums, den)
     return None
 
 
@@ -276,17 +278,21 @@ def scan_archimedean(spec, nums, den, depth):
             fail = beta | alpha
             if fail:
                 k = (fail & -fail).bit_length() - 1
-                return (i, j, k, ARCH_SIDE_BETA if beta >> k & 1 else ARCH_SIDE_ALPHA)
+                return (i, j, k, "beta" if beta >> k & 1 else "alpha")
     return None
 
 
 def scan_solvability_scan(spec, nums, den, alphas):
     """First (i, j, k) with p >= q >= r that no candidate weight solves.
 
-    mix(p, r, a/b) sits on q iff a·(L_p - L_r) = b·(L_q - L_r).  When
-    L_p = L_r every candidate solves; otherwise only the reduced
+    For eu, mix(p, r, a/b) sits on q iff a·(L_p - L_r) = b·(L_q - L_r).
+    When L_p = L_r every candidate solves; otherwise only the reduced
     (L_q - L_r)/(L_p - L_r) does, so each triple is one set lookup.
+    Lex, hybrid and majority have no levels, so no one ratio decides a
+    triple, and they walk the pure scan.
     """
+    if spec[0] != "eu":
+        return pure.scan_solvability_scan(spec, nums, den, alphas)
     levels = level_thresholds(spec, nums)
     solving = {_reduced(a, b) for a, b in alphas}
     for i, lp in enumerate(levels):

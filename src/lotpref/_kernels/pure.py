@@ -2,8 +2,8 @@
 
 Every scan has one pinned candidate order, spelled out by its loops,
 and returns the first hit in that order.  These scans serve callback
-oracles and the rows ``levels.PROVEN`` leaves out, and are the
-reference the level kernels must match: tests/test_scan_reference.py
+oracles and the encoded kinds a level scan has no shortcut for, and are
+the reference the level kernels must match: tests/test_scan_reference.py
 holds this module to a brute-force Fraction-level reference written
 from the docstrings, and the level kernels to both.
 
@@ -418,20 +418,16 @@ def scan_translation(spec, nums, den):
     return None
 
 
-# Relation codes for line-order witnesses.
-LINE_Q_BEATS_POINT = 0   # t < 0: expect q > point
-LINE_P_BEATS_POINT = 1   # 0 < t < 1: expect p > point
-LINE_POINT_BEATS_Q = 2   # 0 < t < 1: expect point > q
-LINE_POINT_BEATS_P = 3   # t > 1: expect point > p
-
-
 def scan_line_order(spec, nums, den, max_t_den):
     """First (i, j, tnum, tden, relation) violating the expected order
     along the line point(t) = q + t(p - q), given p > q.
 
     t runs over reduced rationals with denominator <= max_t_den inside
     the exact parameter interval where the point stays a lottery,
-    skipping t = 0 and t = 1 (the endpoints themselves).
+    skipping t = 0 and t = 1 (the endpoints themselves).  The relation
+    names the expected strict comparison that failed: "q-vs-point"
+    (t < 0), "p-vs-point" or "point-vs-q" (0 < t < 1), "point-vs-p"
+    (t > 1).
     """
     cmp = make_compare(spec)
     signs = _SignTable(spec, nums, den)
@@ -464,15 +460,15 @@ def scan_line_order(spec, nums, den, max_t_den):
                     pden = b * den
                     if a < 0:
                         if cmp(q, den, pt, pden) != 1:
-                            return (i, j, a, b, LINE_Q_BEATS_POINT)
+                            return (i, j, a, b, "q-vs-point")
                     elif a < b:
                         if cmp(p, den, pt, pden) != 1:
-                            return (i, j, a, b, LINE_P_BEATS_POINT)
+                            return (i, j, a, b, "p-vs-point")
                         if cmp(pt, pden, q, den) != 1:
-                            return (i, j, a, b, LINE_POINT_BEATS_Q)
+                            return (i, j, a, b, "point-vs-q")
                     else:
                         if cmp(pt, pden, p, den) != 1:
-                            return (i, j, a, b, LINE_POINT_BEATS_P)
+                            return (i, j, a, b, "point-vs-p")
     return None
 
 
@@ -514,13 +510,10 @@ def scan_mixture(spec, nums, den, alpha_stars, depth):
     return None
 
 
-ARCH_SIDE_BETA = 0
-ARCH_SIDE_ALPHA = 1
-
-
 def scan_archimedean(spec, nums, den, depth):
     """First (i, j, k, side) with p > q > r where one side of the
-    interior-weight requirement fails at every dyadic probe."""
+    interior-weight requirement fails at every dyadic probe: "beta" when
+    no probe keeps q above mix(p, r, 2^-h), else "alpha"."""
     cmp = make_compare(spec)
     signs = _SignTable(spec, nums, den)
     powers = [1 << h for h in range(1, depth + 1)]
@@ -530,10 +523,10 @@ def scan_archimedean(spec, nums, den, depth):
                 p, q, r = nums[i], nums[j], nums[k]
                 if not any(cmp(q, den, _mix(p, r, 1, P), P * den) > 0
                            for P in powers):
-                    return (i, j, k, ARCH_SIDE_BETA)
+                    return (i, j, k, "beta")
                 if not any(cmp(_mix(p, r, P - 1, P), P * den, q, den) > 0
                            for P in powers):
-                    return (i, j, k, ARCH_SIDE_ALPHA)
+                    return (i, j, k, "alpha")
     return None
 
 

@@ -6,12 +6,13 @@ with the exhausted budget.  A non-finding is evidence at that budget,
 never proof; the verdict says which budget it means.
 
 Witness integrity is double-route: the scans run on an integer-encoded
-copy of the grid (level kernels where they apply, else pure ones) and only
-find a hit.  The witness class's ``observe`` then confirms the hit
-through the oracle's own exact Fraction path, asking every question the
-witness records, and ``observe`` on the witness's own inputs is also
-its ``replay``: each violation is defined once.  A hit the oracle does
-not confirm is refused with UnconfirmedHit, a RuntimeError.
+copy of the grid (level kernels for built-in oracles, pure ones for
+callbacks) and only find a hit.  The witness class's ``observe`` then
+confirms the hit through the oracle's own exact Fraction path, asking
+every question the witness records, and ``observe`` on the witness's
+own inputs is also its ``replay``: each violation is defined once.  A
+hit the oracle does not confirm is refused with UnconfirmedHit, a
+RuntimeError.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from math import gcd
 
 from . import _kernels as kernels
 from ._kernels import pure
-from .errors import UnconfirmedHit
+from .errors import SpaceMismatch, UnconfirmedHit
 from .geometry import AffineBasis, affine_rank
 from .grids import GridSpec, dyadic_alphas, enumerate_grid, rationals_between
 from .lotteries import Lottery, embed, mix, unit_weight
@@ -47,7 +48,6 @@ __all__ = [
     "OpennessWitness",
     "IPFound",
     "IPExhausted",
-    "WITNESS_TYPES",
     "check_weak_order",
     "check_independence",
     "check_ip",
@@ -248,14 +248,6 @@ class TranslationWitness(_ScanWitness):
         return None
 
 
-_LINE_RELATIONS = {
-    kernels.LINE_Q_BEATS_POINT: "q-vs-point",
-    kernels.LINE_P_BEATS_POINT: "p-vs-point",
-    kernels.LINE_POINT_BEATS_Q: "point-vs-q",
-    kernels.LINE_POINT_BEATS_P: "point-vs-p",
-}
-
-
 @dataclass(frozen=True)
 class LineOrderWitness(_ScanWitness):
     """A point on the line through p > q compares the wrong way.
@@ -274,7 +266,8 @@ class LineOrderWitness(_ScanWitness):
     observed: ComparisonResult
 
     def __post_init__(self):
-        if self.relation not in _LINE_RELATIONS.values():
+        if self.relation not in ("q-vs-point", "p-vs-point", "point-vs-q",
+                                 "point-vs-p"):
             raise ValueError(f"unknown line-order relation {self.relation!r}")
 
     @classmethod
@@ -511,10 +504,14 @@ def _interned(space, lots, nums, den):
 
 
 def _encoded(oracle: PreferenceOracle, grid: GridSpec):
-    """(lots, nums, den, spec) for one check.  An oracle the encoder
-    refuses gets a ("callback", ...) spec whose closure asks
-    ``oracle.compare`` on interned lotteries (``_interned``), the same
-    questions in the same order as on fresh ones."""
+    """(lots, nums, den, spec) for one check, once the oracle and the
+    grid share an outcome space.  An oracle the encoder refuses gets a
+    ("callback", ...) spec whose closure asks ``oracle.compare`` on
+    interned lotteries (``_interned``), the same questions in the same
+    order as on fresh ones."""
+    if oracle.space is not grid.space and oracle.space != grid.space:
+        raise SpaceMismatch(f"oracle over {oracle.space.size} outcomes, "
+                            f"grid over {grid.space.size}")
     lots, nums, den = _grid(grid)
     spec = kernels.encode_oracle(oracle)
     if spec is None:
@@ -713,10 +710,7 @@ def check_continuity(oracle: PreferenceOracle, kind: str, grid: GridSpec,
     if kind == "archimedean":
         return _verdict(ArchimedeanWitness, oracle, Budget(grid=grid, depth=depth),
                         kernels.scan_archimedean(spec, nums, den, depth),
-                        lambda i, j, k, side: (
-                            lots[i], lots[j], lots[k],
-                            "beta" if side == kernels.ARCH_SIDE_BETA else "alpha",
-                            depth))
+                        lambda i, j, k, side: (lots[i], lots[j], lots[k], side, depth))
 
     if kind == "solvability":
         if oracle.has_solve:
@@ -771,4 +765,4 @@ def check_line_order(oracle: PreferenceOracle, grid: GridSpec) -> AxiomVerdict:
     return _verdict(LineOrderWitness, oracle, Budget(grid=grid, candidate_bound=d),
                     kernels.scan_line_order(spec, nums, den, d),
                     lambda i, j, a, b, relation: (
-                        lots[i], lots[j], Fraction(a, b), _LINE_RELATIONS[relation]))
+                        lots[i], lots[j], Fraction(a, b), relation))

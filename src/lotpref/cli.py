@@ -191,6 +191,8 @@ def _scenario(args) -> Scenario:
             if getattr(args, key, None) is not None}
     utility = getattr(args, "utility", None)
     utility = utility and utility.split(",")
+    if getattr(args, "priority", None) and args.oracle != "lexicographic":
+        raise ValueError("--priority needs --oracle lexicographic")
     if getattr(args, "oracle", None):
         block = keys["oracle"] = {"kind": args.oracle}
         if utility:

@@ -73,3 +73,7 @@ class UnorientedRepresentation(LotprefError):
 class UnconfirmedHit(LotprefError, RuntimeError):
     """A scan reported a hit that the oracle's own answers do not
     confirm: a kernel fault or an inconsistent oracle, not a verdict."""
+
+
+__all__ = [name for name, value in globals().items()
+           if isinstance(value, type) and issubclass(value, LotprefError)]

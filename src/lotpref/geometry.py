@@ -35,16 +35,9 @@ from .errors import (
 )
 
 __all__ = [
-    "dot",
-    "vec_sub",
-    "vec_add",
-    "vec_scale",
-    "rref",
     "kernel_basis",
     "affine_rank",
     "affine_coefficients",
-    "common_denominator",
-    "AffineBasis",
     "Hyperplane",
     "hyperplane_from_points",
 ]

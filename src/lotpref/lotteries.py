@@ -34,11 +34,9 @@ __all__ = [
     "degenerate",
     "uniform",
     "mix",
-    "unit_weight",
     "embed",
     "unembed",
     "as_fraction",
-    "require_exact",
 ]
 
 ONE = Fraction(1)

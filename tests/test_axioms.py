@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from lotpref import _kernels as kernels
 from lotpref.axioms import (
     CONTINUITY_KINDS,
+    DEFAULT_DEPTH,
     ArchimedeanWitness,
     BetweennessWitness,
     CycleWitness,
@@ -24,7 +25,8 @@ from lotpref.axioms import (
     check_translation,
     check_weak_order,
 )
-from lotpref.errors import AlphaOutOfRange
+from lotpref.cli import AXIOM_CHECKS
+from lotpref.errors import AlphaOutOfRange, SpaceMismatch
 from lotpref.geometry import Hyperplane
 from lotpref.grids import GridSpec, enumerate_grid
 from lotpref.lotteries import OutcomeSpace, make_lottery
@@ -248,6 +250,22 @@ def test_bad_variant_and_kind_rejected():
         check_independence(EU, GRID4, variant="monotonicity")
     with pytest.raises(ValueError):
         check_continuity(EU, "uniform-continuity", GRID4)
+
+
+class MajoritySubclass(MajorityOracle):
+    """Majority by subclass, which the encoder refuses: a callback."""
+
+
+@pytest.mark.parametrize("axiom", list(AXIOM_CHECKS))
+@pytest.mark.parametrize("oracle", [EU, LEX, HYBRID, MAJORITY, MajoritySubclass(SPACE)],
+                         ids=lambda oracle: type(oracle).__name__)
+def test_oracle_over_another_space_is_refused(axiom, oracle):
+    # A 3-outcome oracle on a 4-outcome grid once got a verdict: lex
+    # violated IP, and eu's 3 payoffs, zipped against 4 coordinates,
+    # found no weak-order violation.
+    grid = GridSpec(OutcomeSpace.of_size(4), 2)
+    with pytest.raises(SpaceMismatch, match="oracle over 3 outcomes, grid over 4"):
+        AXIOM_CHECKS[axiom](oracle, grid, None, DEFAULT_DEPTH)
 
 
 @pytest.mark.parametrize("depth", [0, -1])

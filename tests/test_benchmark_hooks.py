@@ -5,7 +5,6 @@ import importlib.util
 from pathlib import Path
 
 from lotpref import _kernels as kernels
-from lotpref._kernels import levels
 
 LAYERS = Path(__file__).resolve().parent.parent / "perfbench" / "layers.py"
 
@@ -43,7 +42,8 @@ SCAN_ARGS = {
 def test_backend_name_takes_the_tracers_limits():
     # The tracer names each traced call's path by passing backend_name
     # the limits it derives from the scan's trailing arguments; every
-    # (kind, scan) pair must accept them and name its path.  The
+    # (kind, scan) pair must accept them and name its path, pure for a
+    # callback spec and level for an encoded one.  The
     # benchmark records have_compiled(), False with no compiled path.
     layers = load_layers()
     specs = [("eu", (0, 1, 2)), ("lex", (2, 0, 1)), ("hybrid", ()),
@@ -51,6 +51,6 @@ def test_backend_name_takes_the_tracers_limits():
     for scan in layers.SCANS:
         limits = layers._scan_limits(scan, SCAN_ARGS.get(scan, ()))
         for spec in specs:
-            path = "level" if spec[0] in levels.PROVEN[scan] else "pure"
+            path = "pure" if spec[0] == "callback" else "level"
             assert kernels.backend_name(spec, scan, 4, **limits) == path, (scan, spec)
     assert kernels.have_compiled() is False

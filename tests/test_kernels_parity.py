@@ -1,9 +1,9 @@
 """The level and pure scan paths must agree hit for hit.
 
 Every scan is run on the same encoded grid through the dispatcher and
-directly against the pure kernels.  The rows in ``levels.PROVEN`` take
-the level path; every other row, and every callback spec, takes the
-pure one.  First hits are compared exactly, None included.
+directly against the pure kernels.  Every encoded spec takes the level
+path, and every callback spec the pure one.  First hits are compared
+exactly, None included.
 """
 
 from fractions import Fraction
@@ -95,7 +95,7 @@ def test_callback_spec_runs_pure():
             == pure.scan_transitivity(eu_spec, nums, den))
 
 
-def test_oversized_payoffs_fall_back_to_pure():
+def test_oversized_payoffs_take_the_level_path():
     # Payoffs beyond 64 bits take the level kernels, like every eu
     # spec: they compare over unbounded ints, so nothing overflows.
     nums, den = encoded(2)
@@ -106,56 +106,33 @@ def test_oversized_payoffs_fall_back_to_pure():
         == kernels.scan_transitivity(small, nums, den)
 
 
-def test_backend_name_names_each_path():
-    # level for every row levels.PROVEN names, whatever the payoffs,
-    # else pure; the limits the benchmark passes change nothing, and no
-    # row is compiled.
+SCANS = [name[len("scan_"):] for name in kernels.__all__ if name.startswith("scan_")]
+KIND_SPECS = {"eu": ("eu", (0, 1, 2)), "lex": ("lex", (2, 0, 1)),
+              "hybrid": ("hybrid", ()), "majority": ("majority", ()),
+              "callback": ("callback", (None,))}
+CELLS = [(kind, scan) for scan in SCANS for kind in KIND_SPECS]
+
+
+@pytest.mark.parametrize("kind,scan", CELLS,
+                         ids=[f"{kind}-{scan}" for kind, scan in CELLS])
+def test_every_cell_routes_by_kind(kind, scan):
+    # A callback spec takes the pure path and every encoded spec the
+    # level path, on every scan; the payoffs and the limits the
+    # benchmark passes change nothing, and no path is compiled.
     _, den = encoded(2)
-    big = ("eu", (0, 1, 1 << 125))
-    expected = {
-        (("eu", (0, 1, 2)), "archimedean"): "level",
-        (big, "transitivity"): "level",
-        (("lex", (0, 1, 2)), "archimedean"): "level",
-        (("majority", ()), "openness"): "level",
-        (("lex", (0, 1, 2)), "solvability_scan"): "pure",
-        (("hybrid", ()), "independence"): "pure",
-        (("callback", (None,)), "archimedean"): "pure",
-    }
-    for (spec, scan), name in expected.items():
-        assert kernels.backend_name(spec, scan, den) == name, (spec, scan)
-        assert kernels.backend_name(spec, scan, den, max_alpha_den=4,
-                                    depth=8) == name, (spec, scan)
+    path = "pure" if kind == "callback" else "level"
+    assert kernels.backend_name(KIND_SPECS[kind], scan, den) == path
+    assert kernels.backend_name(KIND_SPECS[kind], scan, den, max_alpha_den=4,
+                                depth=8) == path
+    if kind == "eu":
+        assert kernels.backend_name(("eu", (0, 1, 1 << 125)), scan, den) == path
     assert not kernels.have_compiled()
 
 
-PROVEN_ROWS = [(kind, scan) for scan, kinds in levels.PROVEN.items()
-               for kind in sorted(kinds)]
-KIND_SPECS = {"eu": ("eu", (0, 1, 2)), "lex": ("lex", (2, 0, 1)),
-              "hybrid": ("hybrid", ()), "majority": ("majority", ())}
-
-
-@pytest.mark.parametrize("kind,scan", PROVEN_ROWS,
-                         ids=[f"{kind}-{scan}" for kind, scan in PROVEN_ROWS])
-def test_proven_rows_take_the_level_path(kind, scan):
-    _, den = encoded(2)
-    assert kernels.backend_name(KIND_SPECS[kind], scan, den) == "level"
-
-
-def test_unproven_rows_take_the_pure_path():
-    # What levels.PROVEN leaves out: majority transitivity and
-    # convexity, hybrid independence and translation, and
-    # solvability-scan outside eu.
-    _, den = encoded(2)
-    unproven = {(kind, scan) for scan in levels.PROVEN for kind in KIND_SPECS
-                if kind not in levels.PROVEN[scan]}
-    assert unproven == {("majority", "transitivity"), ("majority", "convexity"),
-                        ("hybrid", "independence"), ("hybrid", "translation"),
-                        ("lex", "solvability_scan"), ("hybrid", "solvability_scan"),
-                        ("majority", "solvability_scan"),
-                        ("lex", "solvability_solve"), ("hybrid", "solvability_solve"),
-                        ("majority", "solvability_solve")}
-    for kind, scan in unproven:
-        assert kernels.backend_name(KIND_SPECS[kind], scan, den) == "pure"
+# Every (kind, scan) cell a checker can reach on an encoded oracle: the
+# solve-contract scan takes a utility, so eu alone.
+ENCODED_CELLS = [(kind, scan) for kind, scan in CELLS if kind != "callback"
+                 and (scan != "solvability_solve" or kind == "eu")]
 
 
 FOUR = OutcomeSpace.of_size(4)
@@ -163,10 +140,10 @@ FOUR_SPECS = {"eu": ("eu", (0, 1, 1, 3)), "lex": ("lex", (3, 0, 2, 1)),
               "hybrid": ("hybrid", ()), "majority": ("majority", ())}
 
 
-@pytest.mark.parametrize("kind,scan", PROVEN_ROWS,
-                         ids=[f"{kind}-{scan}" for kind, scan in PROVEN_ROWS])
-def test_proven_rows_agree_with_pure_on_four_outcomes(kind, scan):
-    # Each proven row, routed through the dispatcher on the 4-outcome
+@pytest.mark.parametrize("kind,scan", ENCODED_CELLS,
+                         ids=[f"{kind}-{scan}" for kind, scan in ENCODED_CELLS])
+def test_encoded_cells_agree_with_pure_on_four_outcomes(kind, scan):
+    # Each encoded cell, routed through the dispatcher on the 4-outcome
     # grid 3, must give pure's first hit; the probe scans run at the
     # separation depth of their candidates, as the checker runs them.
     bound = 3

@@ -8,15 +8,15 @@ lotteries built with ``lotteries.mix``.  It shares no code with the
 kernels beyond the grid and weight enumerations, so the first hit the
 two agree on (None included) is computed twice, independently.
 
-The pure kernels run every oracle; the level kernels run each kind on
-the scans ``levels.PROVEN`` lists for it: eu and represented oracles,
-including payoffs beyond 2^121, on every scan, and lex, hybrid and
-majority on their proven rows.  Hypothesis tests then hold the
-level kernels to the pure ones on drawn payoffs, priorities, weights
-and sub-grids, the pure kernels to the reference on drawn lex, hybrid,
-majority and callback oracles, the sign rows built from thresholds to
-the rows a comparison closure fills, and the pure probe scans' first
-hits to stay put from the separation depth on.  The level probe scans
+The pure kernels run every oracle; the level kernels run every encoded
+kind on every scan: eu and represented oracles, including payoffs
+beyond 2^121, and lex, hybrid and majority, on the scans their proofs
+answer and on those they hand to the pure walk.  Hypothesis tests then
+hold the level kernels to the pure ones on drawn payoffs, priorities,
+weights and sub-grids, the pure kernels to the reference on drawn lex,
+hybrid, majority and callback oracles, the sign rows built from
+thresholds to the rows a comparison closure fills, and the pure probe
+scans' first hits to stay put from the separation depth on.  The level probe scans
 run only from their separation depth; below it they refuse.
 """
 
@@ -249,15 +249,14 @@ def ref_line_order(ref, bound, depth):
                 point = Lottery(p.space, tuple(
                     qw + t * dw for qw, dw in zip(q.weights, d)))
                 if t < 0:
-                    checks = [(q, point, kernels.LINE_Q_BEATS_POINT)]
+                    checks = [(q, point, "q-vs-point")]
                 elif t < 1:
-                    checks = [(p, point, kernels.LINE_P_BEATS_POINT),
-                              (point, q, kernels.LINE_POINT_BEATS_Q)]
+                    checks = [(p, point, "p-vs-point"), (point, q, "point-vs-q")]
                 else:
-                    checks = [(point, p, kernels.LINE_POINT_BEATS_P)]
-                for first, second, code in checks:
+                    checks = [(point, p, "point-vs-p")]
+                for first, second, relation in checks:
                     if s(first, second) != 1:
-                        return (i, j, t.numerator, t.denominator, code)
+                        return (i, j, t.numerator, t.denominator, relation)
     return None
 
 
@@ -293,9 +292,9 @@ def ref_archimedean(ref, bound, depth):
         if g[i][j] <= 0 or g[j][k] <= 0:
             continue
         if not any(s(q, mix(p, r, step)) > 0 for step in steps):
-            return (i, j, k, kernels.ARCH_SIDE_BETA)
+            return (i, j, k, "beta")
         if not any(s(mix(p, r, 1 - step), q) > 0 for step in steps):
-            return (i, j, k, kernels.ARCH_SIDE_ALPHA)
+            return (i, j, k, "alpha")
     return None
 
 
@@ -566,20 +565,21 @@ def probe_floor(name, spec, den, bound):
     return kernels.separation_depth(spec, den, 2 * bound if name == "mixture" else 1)
 
 
-def proven_scans(spec):
-    """The scans the level path proves for spec's kind."""
-    return [name for name, kinds in levels.PROVEN.items() if spec[0] in kinds]
+def level_scans(spec):
+    """The scans a checker runs on the level path for spec's kind: each
+    with a reference, and the solve contract's closed form for eu."""
+    return [*LEVEL_REFERENCES, *(["solvability_solve"] if spec[0] == "eu" else [])]
 
 
 def level_hits(oracle, grid):
     """{scan: (level hit, reference hit)} for every scan the level path
-    proves for the oracle's kind, the probe scans at their separation
+    runs for the oracle's kind, the probe scans at their separation
     depth."""
     lots, nums, den, spec = _encoded(oracle, grid)
     ref = Reference(oracle, lots)
     bound = grid.denominator_bound
     out = {}
-    for name in proven_scans(spec):
+    for name in level_scans(spec):
         if name == "solvability_solve":
             out[name] = (levels.scan_solvability_solve(list(spec[1]), nums, den),
                          ref_solve_contract(ref))
@@ -598,8 +598,8 @@ def test_level_scans_match_reference(size, bound, oracle_name):
     space = OutcomeSpace.of_size(size)
     oracle = LEVEL_ORACLES[size][oracle_name](space)
     hits = level_hits(oracle, GridSpec(space, bound))
-    # eu proves all eleven scans; README's table gives the others' rows.
-    assert len(hits) == {"lex": 9, "hybrid": 7, "majority": 7}.get(oracle_name, 11)
+    # Ten scans for every kind, and eu's solve contract.
+    assert len(hits) == (10 if oracle_name in INVARIANT_KINDS else 11)
     for name, (hit, expected) in hits.items():
         assert hit == expected, f"level {name} diverged"
 
@@ -616,7 +616,7 @@ def test_level_probe_scans_refuse_depths_below_separation(size, bound, oracle_na
     space = OutcomeSpace.of_size(size)
     _, nums, den, spec = _encoded(LEVEL_ORACLES[size][oracle_name](space),
                                   GridSpec(space, bound))
-    for name in (name for name in PROBE_SCANS if spec[0] in levels.PROVEN[name]):
+    for name in PROBE_SCANS:
         scan = getattr(levels, f"scan_{name}")
         floor = probe_floor(name, spec, den, bound)
         for depth in {1, floor - 1}:
@@ -632,27 +632,26 @@ def test_level_probe_scans_refuse_depths_below_separation(size, bound, oracle_na
 
 
 def test_level_cases_cover_hits_and_misses():
-    # On the checkers' arguments only the candidate scan can hit an eu
-    # oracle, and of the other kinds' proven rows only the probe scans
-    # can (eu never does); each must hit in some level case and miss in
-    # another.  The level hits stand for the reference's, which the test
-    # above matches.
+    # On the checkers' arguments betweenness and line-order never hit,
+    # and every other scan must hit in some level case and miss in
+    # another: eu hits only the candidate scan, and lex, hybrid and
+    # majority the probe scans and the scans they hand to the pure walk.
+    # The level hits stand for the reference's, which the test above
+    # matches.
     seen = {name: set() for name in LEVEL_REFERENCES}
     for size, bound in ((3, 2), (4, 2)):
         space = OutcomeSpace.of_size(size)
         for make in LEVEL_ORACLES[size].values():
             _, nums, den, spec = _encoded(make(space), GridSpec(space, bound))
-            for name in proven_scans(spec):
-                if name == "solvability_solve":
-                    continue
+            for name in LEVEL_REFERENCES:
                 depth = probe_floor(name, spec, den, bound)
                 hit = getattr(levels, f"scan_{name}")(
                     spec, nums, den, *kernel_args(name, bound, depth))
                 seen[name].add(hit is None)
-    can_hit = {"solvability_scan", *PROBE_SCANS}
+    never = {"betweenness", "line_order"}
     assert {name for name, outcomes in seen.items() if outcomes == {True, False}} \
-        == can_hit, seen
-    assert all(seen[name] == {True} for name in seen if name not in can_hit)
+        == set(LEVEL_REFERENCES) - never, seen
+    assert all(seen[name] == {True} for name in never)
 
 
 def test_level_first_hits_on_pinned_weights():
@@ -729,7 +728,7 @@ def test_level_archimedean_reports_beta_when_both_sides_fail():
         assert cmp(q, den, pure._mix(p, r, 1, P), P * den) == 0
         assert cmp(pure._mix(p, r, P - 1, P), P * den, q, den) == 0
     for scan in (levels.scan_archimedean, pure.scan_archimedean):
-        assert scan(spec, nums, den, depth) == (0, 1, 2, kernels.ARCH_SIDE_BETA)
+        assert scan(spec, nums, den, depth) == (0, 1, 2, "beta")
 
 
 # row -> (thresholds, sign, comparison): for the fixed pair p, q, the
@@ -834,7 +833,7 @@ LEVEL_SPECS = {
        weights=st.lists(st.tuples(st.integers(-3, 6), st.integers(1, 4)), max_size=4))
 def test_level_scans_match_pure(size, bound, data, extra, weights):
     # eu with drawn payoffs, lex with a drawn priority, hybrid and
-    # majority, each on its proven scans, over a drawn sub-grid of 3 to
+    # majority, each on every scan, over a drawn sub-grid of 3 to
     # 5 outcomes: the checkers' own arguments, the probe scans from
     # their separation depth on, then the weighted scans on drawn
     # weights, which include a = 0, a < 0 and a > b, where independence
@@ -848,15 +847,14 @@ def test_level_scans_match_pure(size, bound, data, extra, weights):
         enumerate_grid(GridSpec(OutcomeSpace.of_size(size), bound)))
     keep = data.draw(st.lists(st.booleans(), min_size=len(nums), max_size=len(nums)))
     nums = [x for x, kept in zip(nums, keep) if kept]
-    proven = [name for name in proven_scans(spec) if name in LEVEL_REFERENCES]
     calls = [(name, kernel_args(name, bound,
                                 probe_floor(name, spec, den, bound) + extra))
-             for name in proven]
+             for name in LEVEL_REFERENCES]
     stars = [(a, b) for a, b in weights if 0 <= a <= b]
     stars = data.draw(st.permutations(stars + [(2 * a, 2 * b) for a, b in stars]))
     star_floor = kernels.separation_depth(spec, den, max((b for _, b in stars), default=1))
     calls += [(name, (stars, star_floor + extra) if name == "mixture" else (weights,))
-              for name in WEIGHTED_SCANS if name in proven]
+              for name in WEIGHTED_SCANS]
     for name, args in calls:
         assert (getattr(levels, f"scan_{name}")(spec, nums, den, *args)
                 == getattr(pure, f"scan_{name}")(spec, nums, den, *args)), name

@@ -813,6 +813,22 @@ def test_cli_oracle_flags_reach_the_oracle(capsys):
         assert doc["verdict"] == verdict_to_json(verdict)
 
 
+@pytest.mark.parametrize("flags", [
+    ["--oracle", "eu", "--utility", "0,1,2"],
+    ["--oracle", "hybrid"],
+    ["--oracle", "majority"],
+    ["--utility", "0,1,2"],
+], ids=["eu", "hybrid", "majority", "no-oracle"])
+def test_cli_priority_needs_the_lexicographic_oracle(capsys, flags):
+    # --priority once vanished silently with any other oracle.
+    code = cli.main(["check", *flags, "--priority", "2,1,0",
+                     "--axiom", "weak-order"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert "--priority" in err
+
+
 def test_cli_rejects_unknown_axiom():
     proc = run_cli("check", "--oracle", "hybrid", "--axiom", "continuity")
     assert proc.returncode == 2

@@ -77,10 +77,10 @@ UNCONFIRMED = [
     (kernels, "scan_betweenness", (0, 1, 0), betweenness, EU),
     (kernels, "scan_convexity", (0, 1, 2, 0), check_convexity, EU),
     (kernels, "scan_translation", (2, 0, 1), check_translation, EU),
-    (kernels, "scan_line_order", (0, 1, 3, 1, kernels.LINE_POINT_BEATS_P),
+    (kernels, "scan_line_order", (0, 1, 3, 1, "point-vs-p"),
      check_line_order, EU),
     (kernels, "scan_mixture", (0, 1, 2, 0, 1), continuity("mixture"), EU),
-    (kernels, "scan_archimedean", (0, 1, 2, kernels.ARCH_SIDE_BETA),
+    (kernels, "scan_archimedean", (0, 1, 2, "beta"),
      continuity("archimedean"), EU),
     (kernels, "scan_solvability_scan", (0, 2, 2), continuity("solvability"),
      LexicographicOracle(SPACE)),
