@@ -36,14 +36,16 @@ comparison is affine in that point's coordinate, so the points on each
 side form threshold bitsets, the ``pure._Thresholds`` bisections the
 sign rows use: one probe row settles a whole row of triples.
 
-Independence (hybrid's aside) and betweenness hit only on weights
-outside [0, 1], which no checker passes, and read the hit off
-``pure._SignTable`` rows.  Each ``scan_<name>`` has the signature of
-its twin in ``pure`` and returns the same first hit in the same pinned
-order, None included, for any grid over ``den >= 1`` and any weights
-with positive denominators (the probe scans: from the separation depth
-on, and mixture candidates in [0, 1]).  tests/test_scan_reference.py holds
-them to the Fraction-level reference and to ``pure``.
+Independence and betweenness answer only the weights their proofs
+cover, those the checkers pass: independence positive ones, betweenness
+those in [0, 1]; any other raises ValueError naming the scan and the
+weight.  Solvability-scan is the pure walk for every kind.  Each
+``scan_<name>`` has the signature of its twin in ``pure`` and returns
+the same first hit in the same pinned order, None included, for any
+grid over ``den >= 1`` and any weights with positive denominators that
+it accepts (the probe scans: from the separation depth on, and mixture
+candidates in [0, 1]).  tests/test_scan_reference.py holds them to the
+Fraction-level reference and to ``pure``.
 """
 
 from __future__ import annotations
@@ -54,8 +56,7 @@ from math import gcd
 from . import pure
 from .encoding import separation_depth
 from .pure import (
-    _bits, _mix, _mixture_side, _SignTable, level_thresholds, make_compare,
-    signs_from_coordinates,
+    _bits, _mix, _mixture_side, _SignTable, make_compare, signs_from_coordinates,
 )
 
 __all__ = [
@@ -71,12 +72,6 @@ __all__ = [
     "scan_solvability_solve",
     "scan_openness",
 ]
-
-
-def _reduced(a, b):
-    """a/b in lowest terms, as a pair; b > 0."""
-    common = gcd(a, b)
-    return a // common, b // common
 
 
 def scan_transitivity(spec, nums, den):
@@ -96,24 +91,18 @@ def scan_transitivity(spec, nums, den):
 def scan_independence(spec, nums, den, alphas):
     """First (i, j, k, alpha index) where mixing with k flips i-vs-j.
 
-    mix(i, k, a/b) against mix(j, k, a/b) is F(a·(x_i - x_j)), so k
-    cancels, and the sign of i against j survives unless a·b <= 0 and
-    i is not indifferent to j.  The first hit is the first i whose row
-    has a bit outside eq, its lowest such bit, k = 0, and the first
-    weight with a·b <= 0.  Hybrid walks the pure scan: where i and j
-    share coordinate 0, an interior weight can put both mixtures on the
-    plateau, tying a strict pair.
+    Never for eu, lex and majority, on positive weights: mix(i, k, a/b)
+    against mix(j, k, a/b) is F(a·(x_i - x_j)), so k cancels, and the
+    sign of i against j survives.  Hybrid walks the pure scan: where i
+    and j share coordinate 0, an interior weight can put both mixtures
+    on the plateau, tying a strict pair.
     """
+    bad = next(((a, b) for a, b in alphas if a * b <= 0), None)
+    if bad is not None:
+        raise ValueError(f"level independence weight {bad[0]}/{bad[1]} "
+                         f"is not positive")
     if spec[0] == "hybrid":
         return pure.scan_independence(spec, nums, den, alphas)
-    ai = next((ai for ai, (a, b) in enumerate(alphas) if a * b <= 0), None)
-    if ai is None:
-        return None
-    signs = _SignTable(spec, nums, den)
-    for i in range(len(nums)):
-        gt, _, lt = signs.row(i)
-        if gt | lt:
-            return (i, next(_bits(gt | lt)), 0, ai)
     return None
 
 
@@ -121,21 +110,16 @@ def scan_betweenness(spec, nums, den, alphas):
     """First (i, j, alpha index) where i >= j but the mixture escapes
     the closed preference interval [j, i].
 
-    i against m = mix(i, j, a/b) is F((b - a)·(x_i - x_j)), and m
-    against j is F(a·(x_i - x_j)): an indifferent pair never escapes,
-    and a strict one escapes exactly on a weight outside [0, 1].  (For
-    hybrid, i and m both on the plateau put j there too, unless m = i;
-    likewise for m and j.)  The first hit is the first i with gt bits,
-    its lowest gt bit, and the first weight with a < 0 or a > b.
+    Never, on weights in [0, 1]: i against m = mix(i, j, a/b) is
+    F((b - a)·(x_i - x_j)), and m against j is F(a·(x_i - x_j)), so an
+    indifferent pair never escapes, and a strict one escapes only on a
+    weight outside [0, 1].  (For hybrid, i and m both on the plateau put
+    j there too, unless m = i; likewise for m and j.)
     """
-    ai = next((ai for ai, (a, b) in enumerate(alphas) if a < 0 or a > b), None)
-    if ai is None:
-        return None
-    signs = _SignTable(spec, nums, den)
-    for i in range(len(nums)):
-        gt = signs.row(i)[0]
-        if gt:
-            return (i, next(_bits(gt)), ai)
+    bad = next(((a, b) for a, b in alphas if not 0 <= a <= b), None)
+    if bad is not None:
+        raise ValueError(f"level betweenness weight {bad[0]}/{bad[1]} "
+                         f"is outside [0, 1]")
     return None
 
 
@@ -215,8 +199,8 @@ def scan_mixture(spec, nums, den, alpha_stars, depth):
     # by_den[b][a]: the indices of the candidates equal to a/b in lowest terms.
     by_den = {}
     for si, (a, b) in enumerate(alpha_stars):
-        a, b = _reduced(a, b)
-        by_den.setdefault(b, {}).setdefault(a, []).append(si)
+        common = gcd(a, b)
+        by_den.setdefault(b // common, {}).setdefault(a // common, []).append(si)
 
     for i, p in enumerate(nums):
         # lines[k]: (c, r_c, s, s·(p_c - r_c)) for each coordinate where p
@@ -282,28 +266,10 @@ def scan_archimedean(spec, nums, den, depth):
     return None
 
 
-def scan_solvability_scan(spec, nums, den, alphas):
-    """First (i, j, k) with p >= q >= r that no candidate weight solves.
-
-    For eu, mix(p, r, a/b) sits on q iff a·(L_p - L_r) = b·(L_q - L_r).
-    When L_p = L_r every candidate solves; otherwise only the reduced
-    (L_q - L_r)/(L_p - L_r) does, so each triple is one set lookup.
-    Lex, hybrid and majority have no levels, so no one ratio decides a
-    triple, and they walk the pure scan.
-    """
-    if spec[0] != "eu":
-        return pure.scan_solvability_scan(spec, nums, den, alphas)
-    levels = level_thresholds(spec, nums)
-    solving = {_reduced(a, b) for a, b in alphas}
-    for i, lp in enumerate(levels):
-        for j in _bits(levels.at_most(lp)):
-            lq = levels[j]
-            for k in _bits(levels.at_most(lq)):
-                span, rise = lp - levels[k], lq - levels[k]
-                solved = bool(solving) if span == 0 else _reduced(rise, span) in solving
-                if not solved:
-                    return (i, j, k)
-    return None
+# Every kind walks the pure scan.  Lex, hybrid and majority have no
+# levels, so no one ratio decides a triple; every eu-encoded oracle has
+# solve, so check_continuity runs the solve contract for it instead.
+scan_solvability_scan = pure.scan_solvability_scan
 
 
 def scan_solvability_solve(utility, nums, den):
@@ -328,7 +294,8 @@ def scan_openness(spec, nums, den, depth):
 
     lex, hybrid and majority read probe rows: coordinate c of
     mix(w, q, 1/P) - p has the sign of w_c + (P - 1)·q_c - P·p_c, so w_c
-    is compared with P·p_c - (P - 1)·q_c.  For a pair (i, j) the hits are
+    is compared with P·p_c - (P - 1)·q_c, alpha's threshold with p and q
+    swapped, as is the plateau's.  For a pair (i, j) the hits are
     the points on w's side that every probe keeps there: the
     intersection of the probe rows, of which the lowest is the first.
     """
@@ -336,15 +303,16 @@ def scan_openness(spec, nums, den, depth):
     if spec[0] == "eu":
         return None
     signs = _SignTable(spec, nums, den)
-    rows = _ProbeRows(spec, nums, den, depth, _openness_thresholds)
+    rows = _ProbeRows(spec, nums, den, depth, _alpha_thresholds)
     for i, p in enumerate(nums):
         gt_i, _, lt_i = signs.col(i)
         for j in _bits(gt_i | lt_i):
-            # The k with w below p when q is above it, and the converse.
+            # The k with w below p when q is above it, and the converse;
+            # the rows are alpha's with the pair swapped.
             if gt_i >> j & 1:
-                kept = rows.narrow(p, nums[j], lt_i, 0, True)
+                kept = rows.narrow(nums[j], p, lt_i, 0, True)
             else:
-                kept = rows.narrow(p, nums[j], gt_i, 2, True)
+                kept = rows.narrow(nums[j], p, gt_i, 2, True)
             if kept:
                 return (i, j, (kept & -kept).bit_length() - 1)
     return None
@@ -419,16 +387,6 @@ def _alpha_thresholds(p, q, power, den):
     plateau = None
     if 2 * q[0] == den:
         plateau = _clamp(p[0] + power * (den // 2 - p[0]), den)
-    return t, t, plateau
-
-
-def _openness_thresholds(p, q, power, den):
-    """w against mix(w, q, 1/P) vs p: w_c against P·p_c - (P - 1)·q_c;
-    the plateau holds p, and holds the mixture at one w_0."""
-    t = tuple([_clamp(qc + power * (pc - qc), den) for pc, qc in zip(p, q)])
-    plateau = None
-    if 2 * p[0] == den:
-        plateau = _clamp(q[0] + power * (den // 2 - q[0]), den)
     return t, t, plateau
 
 

@@ -136,19 +136,14 @@ class _Thresholds(list):
 
 @lru_cache(maxsize=8)
 def _level_thresholds(utility, nums):
+    """The levels u·x of a grid as ``_Thresholds``, built once per grid
+    and payoffs and shared by every caller, which only reads it."""
     return _Thresholds(sum(u * x for u, x in zip(utility, xs)) for xs in nums)
 
 
 @lru_cache(maxsize=8)
 def _coordinate_thresholds(nums):
     return tuple(_Thresholds(column) for column in zip(*nums))
-
-
-def level_thresholds(spec, nums):
-    """The levels u·x of an ``("eu", u)`` grid as ``_Thresholds``,
-    built once per grid and payoffs and shared by every caller, which
-    only reads it."""
-    return _level_thresholds(tuple(spec[1]), tuple(nums))
 
 
 def _threshold_row(spec, nums, den):
@@ -164,7 +159,7 @@ def _threshold_row(spec, nums, den):
     kind = spec[0]
     if kind == "eu":
         full = (1 << len(nums)) - 1
-        levels = level_thresholds(spec, nums)
+        levels = _level_thresholds(tuple(spec[1]), tuple(nums))
 
         def eu_row(i):
             gt, lt = levels.below(levels[i]), levels.above(levels[i])

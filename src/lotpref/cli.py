@@ -3,11 +3,14 @@
 One subcommand per public operation: elicit, generate, classify,
 certify, construct-ip, check.  Every input is a scenario key: each flag
 replaces the key of the same name in the --scenario file (or in an
-empty scenario), --p/--q/--r and --axiom/--variant/--grid/--depth one
-key inside the construct or check block, and the result is decoded
-once by ``load_scenario``.  Output is a short human-readable header
-followed by one JSON document, all rationals in canonical string form;
---out mirrors stdout byte for byte.
+empty scenario), --p/--q/--r and --axiom/--grid/--depth one key
+inside the construct or check block, and the result is decoded once by
+``load_scenario``, which refuses any key nothing reads.  --utility is
+the eu oracle's payoffs with --oracle eu and the scenario's utility
+without --oracle, and --priority the lexicographic oracle's; either
+flag with another --oracle kind is refused.  Output is a short
+human-readable header followed by one JSON document, all rationals in
+canonical string form; --out mirrors stdout byte for byte.
 
 Exit codes: 0 success (including NoViolationFound), 1 a check found a
 violation, 2 invalid input with the failed invariant named on stderr,
@@ -59,20 +62,19 @@ from .scenario import (
     verdict_to_json,
 )
 
-# --axiom name -> check run as (oracle, grid, variant, depth).  Each row
+# --axiom name -> check run as (oracle, grid, depth).  Each row
 # looks its check_* name up in this module when it runs, so rebinding a
 # name (as perfbench/layers.py does to time it) reaches the CLI too.
 AXIOM_CHECKS = {
-    "weak-order": lambda o, g, v, d: check_weak_order(o, g),
-    "independence": lambda o, g, v, d: check_independence(
-        o, g, v or "independence"),
-    "betweenness": lambda o, g, v, d: check_independence(o, g, "betweenness"),
-    "ip": lambda o, g, v, d: check_ip(o, g),
-    **{kind: lambda o, g, v, d, kind=kind: check_continuity(o, kind, g, d)
+    "weak-order": lambda o, g, d: check_weak_order(o, g),
+    "independence": lambda o, g, d: check_independence(o, g),
+    "betweenness": lambda o, g, d: check_independence(o, g, "betweenness"),
+    "ip": lambda o, g, d: check_ip(o, g),
+    **{kind: lambda o, g, d, kind=kind: check_continuity(o, kind, g, d)
        for kind in CONTINUITY_KINDS},
-    "convexity": lambda o, g, v, d: check_convexity(o, g),
-    "translation": lambda o, g, v, d: check_translation(o, g),
-    "line-order": lambda o, g, v, d: check_line_order(o, g),
+    "convexity": lambda o, g, d: check_convexity(o, g),
+    "translation": lambda o, g, d: check_translation(o, g),
+    "line-order": lambda o, g, d: check_line_order(o, g),
 }
 
 DEFAULT_OUTCOMES = 3
@@ -132,9 +134,6 @@ def build_parser() -> argparse.ArgumentParser:
     _oracle_flags(p)
     p.add_argument("--axiom", dest="check.axiom", choices=tuple(AXIOM_CHECKS),
                    help="axiom to falsify")
-    p.add_argument("--variant", dest="check.variant",
-                   choices=("independence", "betweenness"),
-                   help="independence variant (with --axiom independence)")
     p.add_argument("--grid", dest="check.grid", type=int, metavar="D",
                    help="grid denominator bound (default 4)")
     p.add_argument("--depth", dest="check.depth", type=int, metavar="H",
@@ -152,7 +151,8 @@ def _oracle_flags(p):
                         "'represented')")
     p.add_argument("--utility", metavar="CSV",
                    help="comma-separated utility values: the eu oracle's "
-                        "with --oracle eu, else the scenario's utility")
+                        "with --oracle eu, the scenario's utility without "
+                        "--oracle")
     p.add_argument("--priority", metavar="CSV",
                    help="comma-separated outcome priority for "
                         "--oracle lexicographic")
@@ -180,8 +180,7 @@ def main(argv=None) -> int:
 # Flag dests that are scenario keys; "block.key" is one key inside the
 # construct or check block.
 KEY_FLAGS = ("reference", "queries", "target", "construct.p", "construct.q",
-             "construct.r", "check.axiom", "check.variant", "check.grid",
-             "check.depth")
+             "construct.r", "check.axiom", "check.grid", "check.depth")
 
 
 def _scenario(args) -> Scenario:
@@ -191,10 +190,14 @@ def _scenario(args) -> Scenario:
             if getattr(args, key, None) is not None}
     utility = getattr(args, "utility", None)
     utility = utility and utility.split(",")
-    if getattr(args, "priority", None) and args.oracle != "lexicographic":
+    oracle = getattr(args, "oracle", None)
+    if getattr(args, "priority", None) and oracle != "lexicographic":
         raise ValueError("--priority needs --oracle lexicographic")
-    if getattr(args, "oracle", None):
-        block = keys["oracle"] = {"kind": args.oracle}
+    if utility and oracle not in (None, "eu"):
+        raise ValueError(f"--utility needs --oracle eu or no --oracle, "
+                         f"got --oracle {oracle}")
+    if oracle:
+        block = keys["oracle"] = {"kind": oracle}
         if utility:
             block["utility"] = utility
         if args.priority:
@@ -339,7 +342,7 @@ def _cmd_check(args) -> tuple[str, int]:
         raise ValueError(f"unknown axiom {check.axiom!r}")
     grid = GridSpec(scenario.space, 4 if check.grid is None else check.grid)
     depth = DEFAULT_DEPTH if check.depth is None else check.depth
-    verdict = AXIOM_CHECKS[check.axiom](oracle, grid, check.variant, depth)
+    verdict = AXIOM_CHECKS[check.axiom](oracle, grid, depth)
 
     text = "axiom = %s\nverdict = %s\n" % (
         verdict.axiom, "violated" if verdict.violated else "no-violation-found")

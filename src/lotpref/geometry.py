@@ -59,17 +59,6 @@ def vec_sub(a, b) -> Vector:
     return tuple(x - y for x, y in zip(a, b))
 
 
-def vec_add(a, b) -> Vector:
-    if len(a) != len(b):
-        raise DimensionMismatch(f"sum of lengths {len(a)} and {len(b)}")
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def vec_scale(c, a) -> Vector:
-    c = Fraction(c)
-    return tuple(c * x for x in a)
-
-
 # ---- the integer core ---------------------------------------------------------
 
 
@@ -158,23 +147,6 @@ def _int_matrix(matrix) -> list[list[int]]:
     return rows
 
 
-def rref(matrix) -> tuple[tuple[Vector, ...], tuple[int, ...]]:
-    """Reduced row echelon form with deterministic pivoting.
-
-    Scans columns left to right; the pivot for a column is the first
-    not-yet-used row with a nonzero entry there.  Returns the reduced
-    rows and the tuple of pivot column indices.
-    """
-    rows = _int_matrix(matrix)
-    if not rows:
-        return (), ()
-    pivots = _eliminate(rows)
-    reduced = [tuple(ZERO if not x else Fraction(x, row[c]) for x in row)
-               for row, c in zip(rows, pivots)]
-    reduced += [(ZERO,) * len(rows[0])] * (len(rows) - len(pivots))
-    return tuple(reduced), tuple(pivots)
-
-
 def _kernel_ints(rows, pivots, ncols) -> tuple[list[list[int]], int]:
     """One integer kernel vector per free column of Gauss-Jordan reduced
     rows, and the scale: each vector is the canonical Fraction basis
@@ -195,7 +167,8 @@ def kernel_basis(matrix, width: int | None = None) -> tuple[Vector, ...]:
 
     One basis vector per free column, in ascending column order; each
     has a 1 in its own free position and 0 in every other free position,
-    so the result is unique given the pivoting rule of ``rref``.
+    so the result is unique given the deterministic pivoting of the
+    elimination: the first unused row with a nonzero entry.
     """
     rows = _int_matrix(matrix)
     if not rows:

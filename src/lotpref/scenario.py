@@ -5,9 +5,10 @@ outcome space plus whatever a subcommand needs: a utility, an oracle,
 elicitation data, queries, a certificate target, a construction triple,
 or a check request.  ``Scenario`` has one field per key and is decoded
 by ``from_json`` like any other dataclass, so a wrongly shaped value
-fails with ValueError naming its key.  Every rational travels as a
-canonical string ("a/b" or "a"); floats are never accepted, so
-exactness survives the round trip.
+fails with ValueError naming its key, and so does a key that no field
+reads (a misspelt "gird" is refused, not run as the default).  Every
+rational travels as a canonical string ("a/b" or "a"); floats are
+never accepted, so exactness survives the round trip.
 
 Every dataclass (certificates, constructions, replays, budgets, found
 sets, hyperplanes, witnesses) has one wire format: one key per field in
@@ -126,10 +127,23 @@ def oracle_to_json(oracle: PreferenceOracle) -> dict:
     raise ValueError(f"cannot serialize oracle kind {oracle.kind!r}")
 
 
+# kind -> the keys its oracle block may hold besides "kind".
+_ORACLE_KEYS = {
+    "eu": ("utility",),
+    "lexicographic": ("priority",),
+    "hybrid": (),
+    "majority": (),
+    "represented": ("normal", "base", "orientation"),
+}
+
+
 def oracle_from_json(space: OutcomeSpace, data: dict) -> PreferenceOracle:
     if not isinstance(data, dict) or "kind" not in data:
         raise ValueError("oracle block needs a 'kind' field")
-    kind = data["kind"]
+    kind = _shaped(data["kind"], str, "kind")
+    if kind not in _ORACLE_KEYS:
+        raise ValueError(f"unknown oracle kind {kind!r}")
+    _refuse_unread(data, ("kind", *_ORACLE_KEYS[kind]), f"{kind} oracle block")
     if kind == "eu":
         if "utility" not in data:
             raise ValueError("eu oracle needs 'utility'")
@@ -143,13 +157,11 @@ def oracle_from_json(space: OutcomeSpace, data: dict) -> PreferenceOracle:
         return HybridExampleOracle(space)
     if kind == "majority":
         return MajorityOracle(space)
-    if kind == "represented":
-        plane = from_json(Hyperplane, space, data)
-        if "orientation" not in data:
-            raise ValueError("represented oracle needs 'orientation'")
-        return RepresentedOracle(
-            space, plane, _shaped(data["orientation"], int, "orientation"))
-    raise ValueError(f"unknown oracle kind {kind!r}")
+    plane = from_json(Hyperplane, space, data, ("kind", "orientation"))
+    if "orientation" not in data:
+        raise ValueError("represented oracle needs 'orientation'")
+    return RepresentedOracle(
+        space, plane, _shaped(data["orientation"], int, "orientation"))
 
 
 # ---- dataclass documents ----------------------------------------------------
@@ -249,13 +261,26 @@ def _layout(cls) -> tuple:
                  for f in fields(cls))
 
 
-def from_json(cls, space: OutcomeSpace, data):
+def _refuse_unread(data: dict, keys, what: str):
+    """ValueError naming the keys of data outside keys, which nothing
+    would read."""
+    unread = [key for key in data if key not in keys]
+    if unread:
+        raise ValueError(f"{what} has unknown key(s) "
+                         f"{', '.join(map(repr, unread))}")
+
+
+def from_json(cls, space: OutcomeSpace, data, framing=()):
     """Rebuild dataclass ``cls`` from the object ``to_json`` wrote.
-    Raises ValueError on a missing required key or a wrongly shaped
-    value; keys that name no field are ignored."""
+    Raises ValueError on a missing required key, a wrongly shaped value
+    or a key that names no field; ``framing`` names the keys the caller
+    reads itself."""
     _shaped(data, dict, cls.__name__)
+    layout = _layout(cls)
+    _refuse_unread(data, {name for name, _, _ in layout}.union(framing),
+                   f"{cls.__name__} document")
     values = {}
-    for name, decode, required in _layout(cls):
+    for name, decode, required in layout:
         if decode is None:
             values[name] = space
         elif name in data:
@@ -296,12 +321,12 @@ def witness_to_json(witness) -> dict:
 
 
 def witness_from_json(space: OutcomeSpace, data: dict):
-    kind = _shaped(data, dict, "witness").get("kind")
-    cls = _WITNESS_BY_KEY.get((kind, data.get("route")),
-                              _WITNESS_BY_KEY.get((kind, None)))
+    kind, route = _shaped(data, dict, "witness").get("kind"), data.get("route")
+    cls = _WITNESS_BY_KEY.get((kind, route))
     if cls is None:
-        raise ValueError(f"unknown witness kind {kind!r}")
-    return from_json(cls, space, data)
+        raise ValueError(f"unknown witness kind {kind!r}" if route is None
+                         else f"unknown witness route {route!r} for kind {kind!r}")
+    return from_json(cls, space, data, ("kind", "route"))
 
 
 def verdict_to_json(verdict: AxiomVerdict) -> dict:
@@ -345,14 +370,10 @@ class Construct:
 @dataclass(frozen=True)
 class CheckRequest:
     axiom: str | None = None
-    variant: str | None = None
     grid: int | None = None
     depth: int | None = None
 
     def __post_init__(self):
-        if self.variant is not None and self.axiom != "independence":
-            raise ValueError(f"check variant {self.variant!r} applies only to "
-                             f"axiom 'independence', got {self.axiom!r}")
         if self.depth is not None and (type(self.depth) is not int or self.depth < 1):
             raise ValueError(f"check depth must be an int >= 1, got {self.depth!r}")
 
@@ -386,7 +407,12 @@ class Scenario:
 
 def _space_of(data: dict) -> OutcomeSpace:
     if "labels" in data:
-        return OutcomeSpace(_decoder(tuple[str, ...])(None, data["labels"], "labels"))
+        space = OutcomeSpace(_decoder(tuple[str, ...])(None, data["labels"], "labels"))
+        if ("outcomes" in data
+                and _shaped(data["outcomes"], int, "outcomes") != space.size):
+            raise ValueError(f"outcomes is {data['outcomes']} but labels "
+                             f"name {space.size} outcomes")
+        return space
     if "outcomes" in data:
         return OutcomeSpace.of_size(_shaped(data["outcomes"], int, "outcomes"))
     # fall back to whatever sized data is present
@@ -407,7 +433,8 @@ def scenario_from_dict(data: dict) -> Scenario:
     if version != SCHEMA_VERSION or type(version) is not int:
         raise ValueError(
             f"unsupported scenario version {version!r}; expected {SCHEMA_VERSION}")
-    return from_json(Scenario, _space_of(data), data)
+    return from_json(Scenario, _space_of(data), data,
+                     ("version", "outcomes", "labels"))
 
 
 def load_scenario(path: str | None, keys: dict | None = None,

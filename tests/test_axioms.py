@@ -265,7 +265,7 @@ def test_oracle_over_another_space_is_refused(axiom, oracle):
     # found no weak-order violation.
     grid = GridSpec(OutcomeSpace.of_size(4), 2)
     with pytest.raises(SpaceMismatch, match="oracle over 3 outcomes, grid over 4"):
-        AXIOM_CHECKS[axiom](oracle, grid, None, DEFAULT_DEPTH)
+        AXIOM_CHECKS[axiom](oracle, grid, DEFAULT_DEPTH)
 
 
 @pytest.mark.parametrize("depth", [0, -1])

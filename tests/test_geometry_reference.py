@@ -21,7 +21,6 @@ from lotpref.geometry import (
     affine_rank,
     hyperplane_from_points,
     kernel_basis,
-    rref,
 )
 
 F = Fraction
@@ -145,8 +144,7 @@ def matrices(draw, nrows=None, ncols=None):
 
 
 @given(matrices())
-def test_rref_kernel_and_rank_match_reference(matrix):
-    assert rref(matrix) == ref_rref(matrix)
+def test_kernel_and_rank_match_reference(matrix):
     assert kernel_basis(matrix) == ref_kernel(matrix, len(matrix[0]))
     assert affine_rank(matrix) == ref_affine_rank(matrix)
 

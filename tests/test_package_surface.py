@@ -1,8 +1,15 @@
 """The package's public names: ``lotpref.__all__`` is built from the
 modules' own ``__all__`` lists, so a name added to or dropped from one
-of them changes the package surface; this test pins it."""
+of them changes the package surface; this test pins it.  Every other
+top-level function and class must have a caller in the package."""
+
+import ast
+import importlib
+from pathlib import Path
 
 import lotpref
+
+SRC = Path(lotpref.__file__).parent
 
 PUBLIC = [
     "AlphaOutOfRange", "ArchimedeanWitness", "AxiomVerdict", "BetweennessWitness",
@@ -45,3 +52,29 @@ def test_star_import_binds_exactly_the_public_names():
     exec("from lotpref import *", namespace)
     del namespace["__builtins__"]
     assert sorted(namespace) == PUBLIC
+
+
+def test_every_top_level_definition_is_public_or_referenced():
+    # A top-level def or class that no module exports and no code in
+    # the package names is dead: nothing can reach it but a test.
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.rglob("*.py"))}
+    referenced = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.alias):
+                referenced.update(filter(None, (node.name, node.asname)))
+    dead = []
+    for path, tree in trees.items():
+        parts = path.relative_to(SRC.parent).with_suffix("").parts
+        module = importlib.import_module(
+            ".".join(parts[:-1] if parts[-1] == "__init__" else parts))
+        exported = set(getattr(module, "__all__", ()))
+        dead += [f"{module.__name__}.{node.name}" for node in tree.body
+                 if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                 and node.name not in exported and node.name not in referenced]
+    assert dead == []

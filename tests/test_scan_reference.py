@@ -631,6 +631,30 @@ def test_level_probe_scans_refuse_depths_below_separation(size, bound, oracle_na
         levels.scan_mixture(spec, nums, den, [(3, 2)], 200)
 
 
+@pytest.mark.parametrize(
+    "size,bound,oracle_name", LEVEL_CASES,
+    ids=[f"{oracle}-{size}x{bound}" for size, bound, oracle in LEVEL_CASES])
+def test_level_weighted_scans_refuse_weights_outside_their_proofs(
+        size, bound, oracle_name):
+    # Independence's proof covers positive weights and betweenness's
+    # those in [0, 1]; the checkers pass dyadic weights in (0, 1] and
+    # (0, 1).  Outside them pure can hit where the level proof says
+    # nothing, so the level scans refuse such a weight by name, wherever
+    # it sits in the list, and answer as pure does on the checkers' own.
+    space = OutcomeSpace.of_size(size)
+    _, nums, den, spec = _encoded(LEVEL_ORACLES[size][oracle_name](space),
+                                  GridSpec(space, bound))
+    for name, bad in (("independence", [(0, 1), (-1, 2)]),
+                      ("betweenness", [(-1, 2), (3, 2), (5, 4)])):
+        scan = getattr(levels, f"scan_{name}")
+        (args,) = kernel_args(name, bound)
+        for a, b in bad:
+            with pytest.raises(ValueError, match=f"level {name} weight {a}/{b} "):
+                scan(spec, nums, den, [*args, (a, b)])
+        assert scan(spec, nums, den, args) \
+            == getattr(pure, f"scan_{name}")(spec, nums, den, args)
+
+
 def test_level_cases_cover_hits_and_misses():
     # On the checkers' arguments betweenness and line-order never hit,
     # and every other scan must hit in some level case and miss in
@@ -658,15 +682,21 @@ def test_level_first_hits_on_pinned_weights():
     # Majority ties the vertex e_0 to every point on an edge from it, so
     # on this sub-grid rows 0 and 1 are all ties and the first
     # independence hit sits in row 2.  The weight 0 and a weight above 1
-    # are the first to escape.
+    # are the first to escape: pure finds them, and the level scans,
+    # whose proofs cover only the checkers' weights, refuse them.
     nums, den = [(2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0)], 2
     spec = ("majority", ())
-    for name, weights, expected in (
-            ("independence", [(1, 2), (0, 1), (-1, 2)], (2, 3, 0, 1)),
-            ("betweenness", [(1, 2), (1, 1), (3, 2), (-1, 2)], (3, 2, 2))):
-        hit = getattr(levels, f"scan_{name}")(spec, nums, den, weights)
-        assert hit == getattr(pure, f"scan_{name}")(spec, nums, den, weights) \
-            == expected, name
+    for name, weights, expected, refused in (
+            ("independence", [(1, 2), (0, 1), (-1, 2)], (2, 3, 0, 1),
+             "independence weight 0/1 is not positive"),
+            ("betweenness", [(1, 2), (1, 1), (3, 2), (-1, 2)], (3, 2, 2),
+             r"betweenness weight 3/2 is outside \[0, 1\]")):
+        assert getattr(pure, f"scan_{name}")(spec, nums, den, weights) == expected, name
+        with pytest.raises(ValueError, match=refused):
+            getattr(levels, f"scan_{name}")(spec, nums, den, weights)
+        kept = weights[:1]
+        assert getattr(levels, f"scan_{name}")(spec, nums, den, kept) \
+            == getattr(pure, f"scan_{name}")(spec, nums, den, kept) is None, name
 
 
 def test_level_mixture_checks_every_probe_of_a_breakpoint():
@@ -734,13 +764,15 @@ def test_level_archimedean_reports_beta_when_both_sides_fail():
 # row -> (thresholds, sign, comparison): for the fixed pair p, q, the
 # probe P and a grid point x, the comparison is the probe's; the probe
 # row holds its signs times sign, as alpha's and openness's coordinates
-# run x_c - t_c where beta's run t_c - x_c.
+# run x_c - t_c where beta's run t_c - x_c.  Openness reads alpha's
+# thresholds with the pair swapped, as scan_openness does.
 PROBE_ROWS = {
     "beta": (levels._beta_thresholds, 1, lambda p, q, x, P, den, cmp:
              cmp(q, den, pure._mix(p, x, 1, P), P * den)),
     "alpha": (levels._alpha_thresholds, -1, lambda p, q, x, P, den, cmp:
               cmp(pure._mix(p, x, P - 1, P), P * den, q, den)),
-    "openness": (levels._openness_thresholds, -1, lambda p, q, x, P, den, cmp:
+    "openness": (lambda p, q, P, den: levels._alpha_thresholds(q, p, P, den), -1,
+                 lambda p, q, x, P, den, cmp:
                  cmp(pure._mix(x, q, 1, P), P * den, p, den)),
 }
 
@@ -816,6 +848,9 @@ def test_level_probe_rows_match_pure_on_whole_grids(size, bound, spec):
 
 WEIGHTED_SCANS = ("independence", "betweenness", "convexity", "mixture",
                   "solvability_scan")
+# scan -> the weights (a, b), b > 0, its level proof covers.
+WEIGHT_RANGES = {"independence": lambda ab: ab[0] > 0,
+                 "betweenness": lambda ab: 0 <= ab[0] <= ab[1]}
 LEVEL_SPECS = {
     size: st.one_of(
         st.lists(st.integers(-(1 << 40), 1 << 40), min_size=size, max_size=size)
@@ -836,10 +871,12 @@ def test_level_scans_match_pure(size, bound, data, extra, weights):
     # majority, each on every scan, over a drawn sub-grid of 3 to
     # 5 outcomes: the checkers' own arguments, the probe scans from
     # their separation depth on, then the weighted scans on drawn
-    # weights, which include a = 0, a < 0 and a > b, where independence
-    # and betweenness hit.  The mixture's candidates stay in [0, 1],
-    # where its proof holds, and each comes twice, as a/b and 2a/2b, in
-    # a drawn order: the breakpoint kernel must let the first index win.
+    # weights, which include a = 0, a < 0 and a > b.  Independence and
+    # betweenness must match pure where their proofs hold (positive
+    # weights, weights in [0, 1]) and refuse the rest, where pure can
+    # hit.  The mixture's candidates stay in [0, 1], where its proof
+    # holds, and each comes twice, as a/b and 2a/2b, in a drawn order:
+    # the breakpoint kernel must let the first index win.
     if size > 3:
         bound = 2
     spec = data.draw(LEVEL_SPECS[size])
@@ -856,6 +893,10 @@ def test_level_scans_match_pure(size, bound, data, extra, weights):
     calls += [(name, (stars, star_floor + extra) if name == "mixture" else (weights,))
               for name in WEIGHTED_SCANS]
     for name, args in calls:
+        if name in WEIGHT_RANGES and not all(map(WEIGHT_RANGES[name], args[0])):
+            with pytest.raises(ValueError, match=f"level {name} weight"):
+                getattr(levels, f"scan_{name}")(spec, nums, den, *args)
+            continue
         assert (getattr(levels, f"scan_{name}")(spec, nums, den, *args)
                 == getattr(pure, f"scan_{name}")(spec, nums, den, *args)), name
 

@@ -202,6 +202,12 @@ def test_unknown_witness_kind_rejected():
                  "candidate_bound": 3}
     assert witness_from_json(SPACE, routeless) == SolvabilityScanWitness(
         p=lot(0, 0, 1), q=lot(0, 1, 0), r=lot(1, 0, 0), candidate_bound=3)
+    # A route its kind does not have, or a key no field reads, is refused.
+    for doc, key in (({**routeless, "route": "bogus"}, "bogus"),
+                     ({**routeless, "colour": 1}, "colour"),
+                     ({"kind": "translation", "route": "alpha-scan"}, "alpha-scan")):
+        with pytest.raises(ValueError, match=key):
+            witness_from_json(SPACE, doc)
 
 
 def test_witness_with_unknown_case_rejected():
@@ -623,9 +629,6 @@ def test_cli_zero_grid_or_depth_exits_two(tmp_path):
 
 # (check flags, the check key the error must name)
 UNREAD_CHECK_KEYS = [
-    (("--axiom", "ip", "--variant", "betweenness", "--depth", "-5", "--grid", "2"),
-     "variant"),
-    (("--axiom", "betweenness", "--variant", "independence"), "variant"),
     (("--axiom", "ip", "--depth", "-5", "--grid", "2"), "depth"),
     (("--axiom", "weak-order", "--depth", "0"), "depth"),
 ]
@@ -634,8 +637,7 @@ UNREAD_CHECK_KEYS = [
 @pytest.mark.parametrize("flags,key", UNREAD_CHECK_KEYS,
                          ids=[" ".join(flags) for flags, _ in UNREAD_CHECK_KEYS])
 def test_cli_check_block_fails_at_load(flags, key, capsys):
-    # A variant only independence reads, or a depth below 1, once ran
-    # silently: the first as another axiom, the second ignored.
+    # A depth below 1 once ran silently, ignored.
     code = cli.main(["check", "--oracle", "eu", "--utility", "0,1,2", *flags])
     out, err = capsys.readouterr()
     assert code == 2
@@ -691,7 +693,18 @@ MALFORMED = [
     ("depth", {"check": {"axiom": "mixture", "depth": [6]}}),
     ("depth", {"check": {"axiom": "mixture", "depth": "6"}}),
     ("depth", {"check": {"axiom": "ip", "depth": -5}}),
-    ("variant", {"check": {"axiom": "ip", "variant": "betweenness"}}),
+    # Keys nothing reads, each once run as if absent: a misspelt key, a
+    # key the oracle's kind does not read, a check variant (betweenness
+    # is its own axiom), and an outcome count the labels contradict.
+    ("'gird'", {"check": {"axiom": "ip", "gird": 9}}),
+    ("'utilty'", {"utilty": ["0", "1", "3"]}),
+    ("'priority'", {"oracle": {"kind": "hybrid", "priority": [2, 1, 0]}}),
+    ("'utility'", {"oracle": {"kind": "hybrid", "utility": ["0", "1", "2"]}}),
+    ("'priority'", {"oracle": {"kind": "eu", "utility": ["0", "1", "2"],
+                               "priority": [2, 1, 0]}}),
+    ("'route'", {"oracle": {"kind": "majority", "route": "alpha-scan"}}),
+    ("'variant'", {"check": {"axiom": "ip", "variant": "betweenness"}}),
+    ("labels", {"outcomes": 4, "labels": ["a", "b", "c"]}),
 ]
 
 
@@ -775,21 +788,15 @@ CLI_CHECKS = {
     "translation": ("hybrid", lambda g: check_translation(HYBRID, g)),
     "line-order": ("hybrid", lambda g: check_line_order(HYBRID, g)),
 }
-# (--axiom, extra flags, CLI_CHECKS entry the run must match)
-CLI_CASES = [(axiom, (), axiom) for axiom in CLI_CHECKS] + [
-    ("independence", ("--variant", "betweenness"), "betweenness")]
-
-
 def test_cli_check_covers_every_axiom():
     assert list(CLI_CHECKS) == list(cli.AXIOM_CHECKS)
 
 
-@pytest.mark.parametrize("axiom,extra,expected", CLI_CASES,
-                         ids=[" ".join((a,) + e) for a, e, _ in CLI_CASES])
-def test_cli_check_matches_api(axiom, extra, expected, capsys):
-    oracle, direct = CLI_CHECKS[expected]
+@pytest.mark.parametrize("axiom", list(CLI_CHECKS))
+def test_cli_check_matches_api(axiom, capsys):
+    oracle, direct = CLI_CHECKS[axiom]
     code = cli.main(["check", "--oracle", oracle, "--axiom", axiom,
-                     "--grid", "3", "--depth", "8", *extra])
+                     "--grid", "3", "--depth", "8"])
     verdict = direct(GridSpec(SPACE, 3))
     header, doc = split_output(capsys.readouterr().out)
     assert code == (1 if verdict.violated else 0)
@@ -827,6 +834,29 @@ def test_cli_priority_needs_the_lexicographic_oracle(capsys, flags):
     assert code == 2
     assert out == ""
     assert "--priority" in err
+
+
+def test_cli_has_one_spelling_per_check(capsys):
+    # Betweenness is --axiom betweenness; the --variant spelling of the
+    # same run is gone.
+    code = cli.main(["check", "--oracle", "hybrid", "--axiom", "independence",
+                     "--variant", "betweenness"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments: --variant betweenness" in err
+
+
+@pytest.mark.parametrize("oracle", ["lexicographic", "hybrid", "majority"])
+def test_cli_utility_needs_the_eu_oracle(capsys, oracle):
+    # --utility once vanished silently with any other oracle, yet set
+    # the outcome count: hybrid ran on 4 outcomes here.
+    code = cli.main(["check", "--oracle", oracle, "--utility", "5,1,2,7",
+                     "--axiom", "weak-order", "--grid", "2"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert "--utility" in err
 
 
 def test_cli_rejects_unknown_axiom():
