@@ -11,15 +11,15 @@ name.  It has the same signature and semantics as its twin in
   or, where its docstring says why the kind has no shortcut, by the
   ``pure`` sign-row walk.
 
-``scan_solvability_solve`` takes a utility instead of an oracle
-encoding; it is the level kernel itself.
+Both paths compare with one closure per kind, ``pure.make_compare``:
+the callback, or the integer rule the kind's oracle compares with
+(``oracles.integer_rule``).
 """
 
 from __future__ import annotations
 
 from . import levels, pure
 from .encoding import encode_lotteries, encode_oracle, separation_depth
-from .levels import scan_solvability_solve
 
 __all__ = [
     "encode_lotteries",
@@ -79,4 +79,5 @@ scan_line_order = _dispatcher("line_order")
 scan_mixture = _dispatcher("mixture")
 scan_archimedean = _dispatcher("archimedean")
 scan_solvability_scan = _dispatcher("solvability_scan")
+scan_solvability_solve = _dispatcher("solvability_solve")
 scan_openness = _dispatcher("openness")

@@ -25,6 +25,10 @@ __all__ = [
     "separation_depth",
 ]
 
+_BUILT_IN = (ExpectedUtilityOracle, RepresentedOracle, LexicographicOracle,
+             HybridExampleOracle, MajorityOracle)
+
+
 def encode_lotteries(lotteries) -> tuple[list[tuple[int, ...]], int]:
     """Rescale lotteries to one common denominator; returns (nums, den)."""
     den = 1
@@ -39,7 +43,9 @@ def encode_lotteries(lotteries) -> tuple[list[tuple[int, ...]], int]:
 
 
 def encode_oracle(oracle: PreferenceOracle):
-    """(kind, params) integer recipe, or None when not encodable.
+    """(kind, params) integer recipe, or None when not encodable: the
+    built-in oracle's ``encoding``, from which ``oracles.integer_rule``
+    builds the rule it compares with.
 
     eu: params are the oracle's ``gauge``, its integer payoffs (common
     denominator cleared; scale does not change comparisons).  A
@@ -52,14 +58,8 @@ def encode_oracle(oracle: PreferenceOracle):
     answer for the wrong ranking.  Unknown types run through the
     callback path instead.
     """
-    if type(oracle) in (ExpectedUtilityOracle, RepresentedOracle):
-        return ("eu", oracle.gauge)
-    if type(oracle) is HybridExampleOracle:
-        return ("hybrid", ())
-    if type(oracle) is LexicographicOracle:
-        return ("lex", tuple(oracle.priority))
-    if type(oracle) is MajorityOracle:
-        return ("majority", ())
+    if type(oracle) in _BUILT_IN:
+        return oracle.encoding
     return None
 
 

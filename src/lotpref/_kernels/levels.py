@@ -39,7 +39,8 @@ sign rows use: one probe row settles a whole row of triples.
 Independence and betweenness answer only the weights their proofs
 cover, those the checkers pass: independence positive ones, betweenness
 those in [0, 1]; any other raises ValueError naming the scan and the
-weight.  Solvability-scan is the pure walk for every kind.  Each
+weight.  Solvability-scan is the pure walk for every kind, and the
+solve contract for every kind but eu.  Each
 ``scan_<name>`` has the signature of its twin in ``pure`` and returns
 the same first hit in the same pinned order, None included, for any
 grid over ``den >= 1`` and any weights with positive denominators that
@@ -188,12 +189,17 @@ def scan_mixture(spec, nums, den, alpha_stars, depth):
     below q whenever the candidate is.  Each triple tests only the
     candidates a breakpoint sits on, in candidate order, with the body
     of ``pure.scan_mixture``.
+
+    Never for majority on 3 outcomes: at a breakpoint one coordinate of
+    m0 - q is 0, where m0 = mix(p, r, a/b).  Both are lotteries, so the
+    coordinates of m0 - q sum to 0, and the other two are (x, -x):
+    majority ties, and the gate m0 < q never holds.
     """
     if any(not 0 <= a <= b for a, b in alpha_stars):
         raise ValueError(f"level mixture candidates must lie in [0, 1]: {alpha_stars}")
     _require_separation(spec, den, max((b for _, b in alpha_stars), default=1),
                         depth)
-    if spec[0] == "eu":
+    if spec[0] == "eu" or (spec[0] == "majority" and len(nums[0]) == 3):
         return None
     cmp = make_compare(spec)
     # by_den[b][a]: the indices of the candidates equal to a/b in lowest terms.
@@ -272,15 +278,19 @@ def scan_archimedean(spec, nums, den, depth):
 scan_solvability_scan = pure.scan_solvability_scan
 
 
-def scan_solvability_solve(utility, nums, den):
-    """Contract check for linear oracles: the closed-form weight must
-    land exactly on q.  Returns (i, j, k, a, b) on the first failure.
+def scan_solvability_solve(spec, nums, den, weight):
+    """First (i, j, k, a, b) with p >= q >= r where a/b = weight(i, j, k),
+    the oracle's own solution, does not mix p and r onto q.
 
-    Never fails: for L_p >= L_q >= L_r the closed form is
-    a/b = (L_q - L_r)/(L_p - L_r), or 1 when L_p = L_r, and it puts
-    mix(p, r, a/b) at (a·L_p + (b - a)·L_r)/b = L_q.
+    Never for eu, whose oracles solve in closed form: for
+    L_p >= L_q >= L_r the weight is a/b = (L_q - L_r)/(L_p - L_r), or 1
+    when L_p = L_r, and it puts mix(p, r, a/b) at
+    (a·L_p + (b - a)·L_r)/b = L_q.  No other built-in oracle solves, so
+    any other kind walks the pure scan.
     """
-    return None
+    if spec[0] == "eu":
+        return None
+    return pure.scan_solvability_solve(spec, nums, den, weight)
 
 
 def scan_openness(spec, nums, den, depth):

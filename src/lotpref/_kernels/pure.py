@@ -16,7 +16,9 @@ operations on ``_Thresholds``, the per-coordinate (or, for eu,
 per-level) threshold bitsets of the grid, built once per grid.  Only a
 callback oracle fills rows by calling its closure.  Comparisons with
 points off the grid (mixtures, translates, dyadic probes, line points)
-are made directly.
+are made directly, by ``make_compare``: for an encoded kind that is the
+integer rule its oracle compares with, so a scan and the witness
+confirmation ask one ordering.
 
 Conventions shared by every scan:
 
@@ -32,6 +34,8 @@ from bisect import bisect_left, bisect_right
 from functools import lru_cache
 from math import gcd
 
+from ..oracles import integer_rule
+
 __all__ = [
     "make_compare",
     "scan_transitivity",
@@ -43,69 +47,19 @@ __all__ = [
     "scan_mixture",
     "scan_archimedean",
     "scan_solvability_scan",
-    "scan_solve_contract",
+    "scan_solvability_solve",
     "scan_openness",
 ]
 
 
 def make_compare(spec):
-    """Closure comparing (pnums, pden, qnums, qden) -> sign."""
+    """Closure comparing (pnums, pden, qnums, qden) -> sign: a callback
+    spec's own closure, else the encoded kind's rule from
+    ``oracles.integer_rule``, the one its oracle compares with."""
     kind, params = spec
-
-    if kind == "eu":
-        utility = params
-
-        def cmp_eu(pn, pd, qn, qd):
-            dp = sum(u * a for u, a in zip(utility, pn))
-            dq = sum(u * a for u, a in zip(utility, qn))
-            diff = dp * qd - dq * pd
-            return (diff > 0) - (diff < 0)
-
-        return cmp_eu
-
-    if kind == "lex":
-        priority = params
-
-        def cmp_lex(pn, pd, qn, qd):
-            for i in priority:
-                diff = pn[i] * qd - qn[i] * pd
-                if diff != 0:
-                    return 1 if diff > 0 else -1
-            return 0
-
-        return cmp_lex
-
-    if kind == "hybrid":
-
-        def cmp_hybrid(pn, pd, qn, qd):
-            if 2 * pn[0] == pd and 2 * qn[0] == qd:
-                return 0
-            for i in range(len(pn)):
-                diff = pn[i] * qd - qn[i] * pd
-                if diff != 0:
-                    return 1 if diff > 0 else -1
-            return 0
-
-        return cmp_hybrid
-
-    if kind == "majority":
-
-        def cmp_majority(pn, pd, qn, qd):
-            wins = losses = 0
-            for i in range(len(pn)):
-                diff = pn[i] * qd - qn[i] * pd
-                if diff > 0:
-                    wins += 1
-                elif diff < 0:
-                    losses += 1
-            return (wins > losses) - (wins < losses)
-
-        return cmp_majority
-
     if kind == "callback":
         return params[0]
-
-    raise ValueError(f"unknown oracle encoding {kind!r}")
+    return integer_rule(kind, params)
 
 
 class _Thresholds(list):
@@ -555,10 +509,9 @@ def scan_solvability_scan(spec, nums, den, alphas):
     return None
 
 
-def scan_solve_contract(spec, nums, den, weight):
+def scan_solvability_solve(spec, nums, den, weight):
     """First (i, j, k, a, b) with p >= q >= r where a/b = weight(i, j, k),
-    the oracle's own solution, does not mix p and r onto q.  For oracles
-    that solve but do not encode."""
+    the oracle's own solution, does not mix p and r onto q."""
     cmp = make_compare(spec)
     signs = _SignTable(spec, nums, den)
     for i in range(len(nums)):

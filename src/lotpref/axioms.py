@@ -714,17 +714,14 @@ def check_continuity(oracle: PreferenceOracle, kind: str, grid: GridSpec,
 
     if kind == "solvability":
         if oracle.has_solve:
-            if spec[0] == "eu":
-                hit = kernels.scan_solvability_solve(list(spec[1]), nums, den)
-            else:
-                def weight(i, j, k):
-                    alpha = unit_weight(oracle.solve(lots[i], lots[j], lots[k]))
-                    return alpha.numerator, alpha.denominator
+            def weight(i, j, k):
+                alpha = unit_weight(oracle.solve(lots[i], lots[j], lots[k]))
+                return alpha.numerator, alpha.denominator
 
-                hit = pure.scan_solve_contract(spec, nums, den, weight)
             # observe asks solve() itself; the hit's weight a/b only led
             # the scan to the triple.
-            return _verdict(SolveContractWitness, oracle, Budget(grid=grid), hit,
+            return _verdict(SolveContractWitness, oracle, Budget(grid=grid),
+                            kernels.scan_solvability_solve(spec, nums, den, weight),
                             lambda i, j, k, a, b: (lots[i], lots[j], lots[k]))
 
         alphas = rationals_between(Fraction(0), Fraction(1), d)

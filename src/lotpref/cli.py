@@ -189,25 +189,29 @@ def _scenario(args) -> Scenario:
     keys = {key: getattr(args, key) for key in KEY_FLAGS
             if getattr(args, key, None) is not None}
     utility = getattr(args, "utility", None)
-    utility = utility and utility.split(",")
+    priority = getattr(args, "priority", None)
     oracle = getattr(args, "oracle", None)
-    if getattr(args, "priority", None) and oracle != "lexicographic":
+    for flag, value in (("--utility", utility), ("--priority", priority)):
+        if value == "":
+            raise ValueError(f"{flag} needs a value")
+    if priority is not None and oracle != "lexicographic":
         raise ValueError("--priority needs --oracle lexicographic")
-    if utility and oracle not in (None, "eu"):
+    if utility is not None and oracle not in (None, "eu"):
         raise ValueError(f"--utility needs --oracle eu or no --oracle, "
                          f"got --oracle {oracle}")
-    if oracle:
-        block = keys["oracle"] = {"kind": oracle}
-        if utility:
-            block["utility"] = utility
-        if args.priority:
-            block["priority"] = [int(i) for i in args.priority.split(",")]
-    elif utility:
-        keys["utility"] = utility
-    if utility:
+    if utility is not None:
+        utility = utility.split(",")
         outcomes = len(utility)
     else:
         outcomes = DEFAULT_OUTCOMES if args.outcomes is None else args.outcomes
+    if oracle:
+        block = keys["oracle"] = {"kind": oracle}
+        if utility is not None:
+            block["utility"] = utility
+        if priority is not None:
+            block["priority"] = [int(i) for i in priority.split(",")]
+    elif utility is not None:
+        keys["utility"] = utility
     return load_scenario(args.scenario, keys, outcomes)
 
 

@@ -7,12 +7,16 @@ mix(p, r, alpha) indifferent to q.  The linear oracles here can solve
 in closed form; the lexicographic family cannot solve at all, which is
 precisely what the continuity falsifiers are designed to expose.
 
-The linear oracles (expected utility and the represented hyperplane)
-keep one integer payoff vector, their ``gauge``, built once from the
-utility.  Comparisons and solves compute on it in
-Python ints and build no Fraction but the solved weight; ``level``
-still returns the exact Fraction score.  The scan kernels encode these
-oracles by the same gauge.
+Each built-in ordering is written once, as an integer rule:
+``integer_rule(kind, params)`` is a closure sign(pn, pd, qn, qd) on two
+lotteries pn/pd and qn/qd given as integer weights over their
+denominators.  A built-in oracle builds its rule once and compares the
+``integer_form`` of two lotteries with it, and the scan kernels compare
+grid points with the same closure, so no Fraction is built and the two
+cannot drift apart.  The linear oracles (expected utility and the
+represented hyperplane) rank by one integer payoff vector, their
+``gauge``, built once from the utility; their solves compute on it too
+and build no Fraction but the solved weight.
 
 The majority oracle is deliberately intransitive (a Condorcet-style
 cycle appears already on the denominator-3 grid) and exists so the
@@ -34,7 +38,7 @@ from .errors import (
     UnorientedRepresentation,
 )
 from .geometry import Hyperplane, common_denominator
-from .lotteries import Lottery, OutcomeSpace, as_fraction, embed, require_exact
+from .lotteries import Lottery, OutcomeSpace, as_fraction, require_exact
 
 __all__ = [
     "ComparisonResult",
@@ -132,41 +136,101 @@ class PreferenceOracle:
             raise PreconditionViolated("q must be at least as good as r")
 
 
-class _LevelOracle(PreferenceOracle):
+def integer_rule(kind: str, params):
+    """sign(pn, pd, qn, qd) of the built-in ordering ``kind``: the sign
+    of p against q for lotteries with weights pn/pd and qn/qd.
+
+    "eu" ranks by u·p for the integer payoffs ``params``, "lex" by the
+    first coordinate, in the priority order ``params``, where p and q
+    differ, "hybrid" as ascending lex except that two lotteries at
+    x_0 = 1/2 tie, and "majority" by coordinates won minus coordinates
+    lost; hybrid and majority take params ().
+    """
+    if kind == "eu":
+        def cmp_eu(pn, pd, qn, qd):
+            diff = sum(map(mul, params, pn)) * qd - sum(map(mul, params, qn)) * pd
+            return (diff > 0) - (diff < 0)
+
+        return cmp_eu
+
+    if kind == "lex":
+        def cmp_lex(pn, pd, qn, qd):
+            for i in params:
+                diff = pn[i] * qd - qn[i] * pd
+                if diff != 0:
+                    return 1 if diff > 0 else -1
+            return 0
+
+        return cmp_lex
+
+    if kind == "hybrid":
+        def cmp_hybrid(pn, pd, qn, qd):
+            if 2 * pn[0] == pd and 2 * qn[0] == qd:
+                return 0
+            for i in range(len(pn)):
+                diff = pn[i] * qd - qn[i] * pd
+                if diff != 0:
+                    return 1 if diff > 0 else -1
+            return 0
+
+        return cmp_hybrid
+
+    if kind == "majority":
+        def cmp_majority(pn, pd, qn, qd):
+            wins = losses = 0
+            for i in range(len(pn)):
+                diff = pn[i] * qd - qn[i] * pd
+                if diff > 0:
+                    wins += 1
+                elif diff < 0:
+                    losses += 1
+            return (wins > losses) - (wins < losses)
+
+        return cmp_majority
+
+    raise ValueError(f"unknown oracle encoding {kind!r}")
+
+
+class _RuleOracle(PreferenceOracle):
+    """A built-in oracle: compares by one integer rule on the lotteries'
+    ``integer_form``.  ``encoding`` is its (kind, params), the recipe the
+    scan kernels build the same rule from."""
+
+    def __init__(self, space: OutcomeSpace, kind: str, params):
+        super().__init__(space)
+        self.encoding = (kind, params)
+        self._sign = integer_rule(kind, params)
+
+    def compare(self, p: Lottery, q: Lottery) -> ComparisonResult:
+        self._check_pair(p, q)
+        (pn, pd), (qn, qd) = p.integer_form, q.integer_form
+        return ComparisonResult.from_sign(self._sign(pn, pd, qn, qd))
+
+
+class _LevelOracle(_RuleOracle):
     """Shared machinery for oracles ranked by one linear score.
 
-    ``level`` is that score as a Fraction.  Comparisons and solves read
-    ``gauge`` instead: integer payoffs whose expected value is a
-    positive multiple of ``level`` plus a constant.  A lottery's gauge
-    level is the integer S over the lcm B of its denominators, read off
-    its ``integer_form``, so two levels compare by the sign of
-    S_p·B_q − S_q·B_p and no Fraction is built.
+    ``gauge`` holds integer payoffs whose expected value is a positive
+    multiple of the score plus a constant.  A lottery's gauge level is
+    the integer S over the lcm B of its denominators, read off its
+    ``integer_form``, so two levels compare by the sign of
+    S_p·B_q − S_q·B_p (the "eu" rule) and no Fraction is built.
     """
 
     has_solve = True
 
     def __init__(self, space: OutcomeSpace, payoffs):
-        super().__init__(space)
         require_exact(payoffs)
         # The payoffs times their denominators' lcm: a positive
         # rescaling, so it ranks as they do and keeps every ratio of
-        # differences.  The scan kernels encode the oracle by it too.
+        # differences.
         self.gauge = tuple(common_denominator(payoffs)[0])
-
-    def level(self, p: Lottery) -> Fraction:
-        raise NotImplementedError
+        super().__init__(space, "eu", self.gauge)
 
     def _gauge_level(self, p: Lottery) -> tuple[int, int]:
         """(S, B) with the gauge level of p equal to S / B."""
         nums, den = p.integer_form
         return sum(map(mul, self.gauge, nums)), den
-
-    def compare(self, p: Lottery, q: Lottery) -> ComparisonResult:
-        self._check_pair(p, q)
-        sp, bp = self._gauge_level(p)
-        sq, bq = self._gauge_level(q)
-        d = sp * bq - sq * bp
-        return ComparisonResult.from_sign((d > 0) - (d < 0))
 
     def solve(self, p: Lottery, q: Lottery, r: Lottery) -> Fraction:
         self._check_pair(p, r)
@@ -189,9 +253,6 @@ class ExpectedUtilityOracle(_LevelOracle):
     def __init__(self, utility: UtilityFunction):
         super().__init__(utility.space, utility.values)
         self.utility = utility
-
-    def level(self, p: Lottery) -> Fraction:
-        return expected_utility(self.utility, p)
 
 
 class RepresentedOracle(_LevelOracle):
@@ -217,11 +278,8 @@ class RepresentedOracle(_LevelOracle):
         self.hyperplane = hyperplane
         self.orientation = orientation
 
-    def level(self, p: Lottery) -> Fraction:
-        return self.orientation * self.hyperplane.level(embed(p).coords)
 
-
-class LexicographicOracle(PreferenceOracle):
+class LexicographicOracle(_RuleOracle):
     """Compares outcome weights one coordinate at a time.
 
     priority lists outcome indices from most to least important; the
@@ -232,25 +290,16 @@ class LexicographicOracle(PreferenceOracle):
     kind = "lexicographic"
 
     def __init__(self, space: OutcomeSpace, priority: tuple[int, ...] | None = None):
-        super().__init__(space)
         if priority is None:
             priority = tuple(range(space.size))
         if sorted(priority) != list(range(space.size)):
             raise LengthMismatch(
                 f"priority must permute 0..{space.size - 1}, got {priority!r}")
         self.priority = tuple(priority)
-
-    def compare(self, p: Lottery, q: Lottery) -> ComparisonResult:
-        self._check_pair(p, q)
-        (pn, pd), (qn, qd) = p.integer_form, q.integer_form
-        for i in self.priority:
-            diff = pn[i] * qd - qn[i] * pd
-            if diff:
-                return ComparisonResult.from_sign(diff)
-        return ComparisonResult.INDIFFERENT
+        super().__init__(space, "lex", self.priority)
 
 
-class HybridExampleOracle(PreferenceOracle):
+class HybridExampleOracle(_RuleOracle):
     """Indifference plateau at weight 1/2 on outcome 0, lexicographic
     everywhere else.
 
@@ -264,18 +313,10 @@ class HybridExampleOracle(PreferenceOracle):
     kind = "hybrid"
 
     def __init__(self, space: OutcomeSpace):
-        super().__init__(space)
-        self._lex = LexicographicOracle(space)
-
-    def compare(self, p: Lottery, q: Lottery) -> ComparisonResult:
-        self._check_pair(p, q)
-        (pn, pd), (qn, qd) = p.integer_form, q.integer_form
-        if 2 * pn[0] == pd and 2 * qn[0] == qd:
-            return ComparisonResult.INDIFFERENT
-        return self._lex.compare(p, q)
+        super().__init__(space, "hybrid", ())
 
 
-class MajorityOracle(PreferenceOracle):
+class MajorityOracle(_RuleOracle):
     """Prefers the lottery that wins on more coordinates.
 
     Intentionally intransitive; used as the test fixture the weak-order
@@ -284,12 +325,5 @@ class MajorityOracle(PreferenceOracle):
 
     kind = "majority"
 
-    def compare(self, p: Lottery, q: Lottery) -> ComparisonResult:
-        self._check_pair(p, q)
-        (pn, pd), (qn, qd) = p.integer_form, q.integer_form
-        wins = losses = 0
-        for a, b in zip(pn, qn):
-            diff = a * qd - b * pd
-            wins += diff > 0
-            losses += diff < 0
-        return ComparisonResult.from_sign(wins - losses)
+    def __init__(self, space: OutcomeSpace):
+        super().__init__(space, "majority", ())

@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from lotpref import _kernels as kernels
-from lotpref._kernels import levels, pure
+from lotpref._kernels import pure
 from lotpref.grids import GridSpec, dyadic_alphas, enumerate_grid, rationals_between
 from lotpref.lotteries import OutcomeSpace
 
@@ -63,14 +63,31 @@ def test_triple_scans_agree(spec, bound):
         assert hit == pure_hit, f"{path} {name} diverged on {spec}"
 
 
+def solve_weight(spec, nums):
+    """weight(i, j, k) for the solve contract: the closed form of an eu
+    spec, which solves every triple, and 1/2 for any other kind."""
+    if spec[0] != "eu":
+        return lambda i, j, k: (1, 2)
+    levels_of = [sum(u * a for u, a in zip(spec[1], p)) for p in nums]
+
+    def weight(i, j, k):
+        span = levels_of[i] - levels_of[k]
+        alpha = F(levels_of[j] - levels_of[k], span) if span else F(1)
+        return alpha.numerator, alpha.denominator
+
+    return weight
+
+
 @pytest.mark.parametrize("utility", [(0, 1, 2), (5, 5, 5), (-2, 7, 1)])
 def test_solvability_solve_agrees(utility):
     nums, den = encoded(3)
-    assert kernels.backend_name(("eu", utility), "solvability_solve", den) \
-        == "level"
-    assert kernels.scan_solvability_solve is levels.scan_solvability_solve
-    # A linear payoff always solves, so the honest answer is no hit.
-    assert kernels.scan_solvability_solve(list(utility), nums, den) is None
+    spec = ("eu", utility)
+    assert kernels.backend_name(spec, "solvability_solve", den) == "level"
+    # A linear payoff always solves, so the honest answer is no hit,
+    # and the pure walk with the same weights agrees.
+    weight = solve_weight(spec, nums)
+    assert kernels.scan_solvability_solve(spec, nums, den, weight) is None
+    assert pure.scan_solvability_solve(spec, nums, den, weight) is None
 
 
 def test_callback_spec_runs_pure():
@@ -129,10 +146,8 @@ def test_every_cell_routes_by_kind(kind, scan):
     assert not kernels.have_compiled()
 
 
-# Every (kind, scan) cell a checker can reach on an encoded oracle: the
-# solve-contract scan takes a utility, so eu alone.
-ENCODED_CELLS = [(kind, scan) for kind, scan in CELLS if kind != "callback"
-                 and (scan != "solvability_solve" or kind == "eu")]
+# Every (kind, scan) cell of an encoded oracle.
+ENCODED_CELLS = [(kind, scan) for kind, scan in CELLS if kind != "callback"]
 
 
 FOUR = OutcomeSpace.of_size(4)
@@ -150,17 +165,6 @@ def test_encoded_cells_agree_with_pure_on_four_outcomes(kind, scan):
     nums, den = kernels.encode_lotteries(enumerate_grid(GridSpec(FOUR, bound)))
     spec = FOUR_SPECS[kind]
     assert kernels.backend_name(spec, scan, den) == "level"
-    if scan == "solvability_solve":
-        levels_of = [sum(u * a for u, a in zip(spec[1], p)) for p in nums]
-
-        def weight(i, j, k):
-            span = levels_of[i] - levels_of[k]
-            alpha = F(levels_of[j] - levels_of[k], span) if span else F(1)
-            return alpha.numerator, alpha.denominator
-
-        assert kernels.scan_solvability_solve(list(spec[1]), nums, den) \
-            == pure.scan_solve_contract(spec, nums, den, weight)
-        return
     max_b = 2 * bound if scan == "mixture" else 1
     depth = max(8, kernels.separation_depth(spec, den, max_b))
     alphas = pairs(dyadic_alphas(bound))
@@ -173,6 +177,7 @@ def test_encoded_cells_agree_with_pure_on_four_outcomes(kind, scan):
         "mixture": (candidates, depth),
         "archimedean": (depth,),
         "solvability_scan": (candidates,),
+        "solvability_solve": (solve_weight(spec, nums),),
         "openness": (depth,),
     }.get(scan, ())
     hit = getattr(kernels, f"scan_{scan}")(spec, nums, den, *args)

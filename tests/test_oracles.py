@@ -4,6 +4,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from lotpref._kernels import encode_oracle, pure
 from lotpref.errors import (
     LengthMismatch,
     NoSolveCapability,
@@ -315,10 +316,15 @@ def test_builtin_compares_match_fraction_references(data):
     lots = [data.draw(mixed_lotteries(size)) for _ in range(3)]
     lots.append(mix(lots[0], lots[1], F(data.draw(st.integers(0, 7)), 7)))
     for oracle, reference in references:
+        # The scan kernels' comparison for the oracle's encoding, on the
+        # lotteries' own integer forms over unequal denominators.
+        kernel_cmp = pure.make_compare(encode_oracle(oracle))
         for p in lots:
             for q in lots:
                 assert oracle.compare(p, q) is ComparisonResult.from_sign(
                     reference(p, q))
+                assert kernel_cmp(*p.integer_form, *q.integer_form) \
+                    == reference(p, q)
 
 
 @pytest.mark.parametrize("make", [

@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 
 from lotpref import _kernels as kernels
 from lotpref._kernels import levels, pure
-from lotpref.axioms import DEFAULT_DEPTH, _encoded
+from lotpref.axioms import DEFAULT_DEPTH, _encoded, check_continuity
 from lotpref.geometry import Hyperplane
 from lotpref.grids import GridSpec, dyadic_alphas, enumerate_grid, rationals_between
 from lotpref.lotteries import Lottery, OutcomeSpace, mix
@@ -423,6 +423,16 @@ SOLVERS = {
     }
     for size in (3, 4)
 }
+def solved_weight(oracle, lots):
+    """weight(i, j, k) from the oracle's own solve(), as check_continuity
+    passes it to the solve-contract scan."""
+    def weight(i, j, k):
+        alpha = oracle.solve(lots[i], lots[j], lots[k])
+        return alpha.numerator, alpha.denominator
+
+    return weight
+
+
 SOLVE_CASES = [(size, bound, name)
                for size, bound in GRIDS for name in SOLVERS[size]]
 
@@ -431,19 +441,12 @@ SOLVE_CASES = [(size, bound, name)
     "size,bound,solver", SOLVE_CASES,
     ids=[f"{name}-{size}x{bound}" for size, bound, name in SOLVE_CASES])
 def test_solve_contract_scans_match_reference(size, bound, solver):
-    # eu takes the closed form; the callback solvers take the walk with
-    # the weight from the oracle's own solve(), as check_continuity does.
+    # eu takes the level proof, and the callback solvers the pure walk.
     space = OutcomeSpace.of_size(size)
     oracle = SOLVERS[size][solver](space)
     lots, nums, den, spec = _encoded(oracle, GridSpec(space, bound))
-    if spec[0] == "eu":
-        hit = levels.scan_solvability_solve(list(spec[1]), nums, den)
-    else:
-        def weight(i, j, k):
-            alpha = oracle.solve(lots[i], lots[j], lots[k])
-            return alpha.numerator, alpha.denominator
-
-        hit = pure.scan_solve_contract(spec, nums, den, weight)
+    hit = kernels.scan_solvability_solve(spec, nums, den,
+                                         solved_weight(oracle, lots))
     expected = ref_solve_contract(Reference(oracle, lots))
     assert hit == expected
     assert (expected is None) == (solver == "eu")
@@ -581,8 +584,9 @@ def level_hits(oracle, grid):
     out = {}
     for name in level_scans(spec):
         if name == "solvability_solve":
-            out[name] = (levels.scan_solvability_solve(list(spec[1]), nums, den),
-                         ref_solve_contract(ref))
+            out[name] = (levels.scan_solvability_solve(
+                spec, nums, den, solved_weight(oracle, lots)),
+                ref_solve_contract(ref))
             continue
         depth = probe_floor(name, spec, den, bound) if name in PROBE_SCANS else DEPTH
         hit = getattr(levels, f"scan_{name}")(
@@ -715,6 +719,36 @@ def test_level_mixture_checks_every_probe_of_a_breakpoint():
             for a, b in ((0, 1), (1, 2 ** depth), (1, 2))] == [-1, 0, -1]
     assert levels.scan_mixture(spec, nums, den, stars, depth) is None
     assert pure.scan_mixture(spec, nums, den, stars, depth) is None
+
+
+@pytest.mark.parametrize("bound", [2, 3, 4])
+def test_majority_mixture_on_three_outcomes_is_a_proof(bound):
+    # At a breakpoint one coordinate of the mixture minus q is 0 and the
+    # other two sum to 0, so majority ties there: the level scan returns
+    # None unwalked, and pure's walk over every candidate agrees.
+    space = OutcomeSpace.of_size(3)
+    nums, den = kernels.encode_lotteries(enumerate_grid(GridSpec(space, bound)))
+    spec = ("majority", ())
+    stars = pairs(rationals_between(F(0), F(1), 2 * bound))
+    depth = kernels.separation_depth(spec, den, 2 * bound)
+    assert levels.scan_mixture(spec, nums, den, stars, depth) is None
+    assert pure.scan_mixture(spec, nums, den, stars, depth) is None
+
+
+def test_majority_mixture_on_four_outcomes_still_hits():
+    # The lemma needs 3 outcomes: on 4, a breakpoint leaves three
+    # nonzero coordinates, which need not tie, and the check finds a
+    # violation, pure's first hit.
+    space = OutcomeSpace.of_size(4)
+    grid = GridSpec(space, 4)
+    verdict = check_continuity(MajorityOracle(space), "mixture", grid)
+    assert verdict.violated
+    _, nums, den, spec = _encoded(MajorityOracle(space), grid)
+    stars = pairs(rationals_between(F(0), F(1), 8))
+    depth = verdict.budget.depth
+    hit = levels.scan_mixture(spec, nums, den, stars, depth)
+    assert hit is not None
+    assert hit == pure.scan_mixture(spec, nums, den, stars, depth)
 
 
 def test_level_archimedean_reads_every_probe():

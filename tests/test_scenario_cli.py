@@ -821,15 +821,19 @@ def test_cli_oracle_flags_reach_the_oracle(capsys):
 
 
 @pytest.mark.parametrize("flags", [
-    ["--oracle", "eu", "--utility", "0,1,2"],
-    ["--oracle", "hybrid"],
-    ["--oracle", "majority"],
-    ["--utility", "0,1,2"],
-], ids=["eu", "hybrid", "majority", "no-oracle"])
+    ["--oracle", "eu", "--utility", "0,1,2", "--priority", "2,1,0"],
+    ["--oracle", "hybrid", "--priority", "2,1,0"],
+    ["--oracle", "majority", "--priority", "2,1,0"],
+    ["--utility", "0,1,2", "--priority", "2,1,0"],
+    ["--oracle", "majority", "--priority="],
+    ["--oracle", "lexicographic", "--priority="],
+], ids=["eu", "hybrid", "majority", "no-oracle", "majority-empty",
+        "lexicographic-empty"])
 def test_cli_priority_needs_the_lexicographic_oracle(capsys, flags):
-    # --priority once vanished silently with any other oracle.
-    code = cli.main(["check", *flags, "--priority", "2,1,0",
-                     "--axiom", "weak-order"])
+    # --priority once vanished silently with any other oracle, and an
+    # empty one was taken for no flag: majority ran, and lexicographic
+    # ran its default priority.
+    code = cli.main(["check", *flags, "--axiom", "weak-order", "--grid", "2"])
     out, err = capsys.readouterr()
     assert code == 2
     assert out == ""
@@ -847,11 +851,18 @@ def test_cli_has_one_spelling_per_check(capsys):
     assert "unrecognized arguments: --variant betweenness" in err
 
 
-@pytest.mark.parametrize("oracle", ["lexicographic", "hybrid", "majority"])
-def test_cli_utility_needs_the_eu_oracle(capsys, oracle):
+@pytest.mark.parametrize("oracle,utility", [
+    ("lexicographic", "5,1,2,7"),
+    ("hybrid", "5,1,2,7"),
+    ("majority", "5,1,2,7"),
+    ("hybrid", ""),
+    ("eu", ""),
+], ids=["lexicographic", "hybrid", "majority", "hybrid-empty", "eu-empty"])
+def test_cli_utility_needs_the_eu_oracle(capsys, oracle, utility):
     # --utility once vanished silently with any other oracle, yet set
-    # the outcome count: hybrid ran on 4 outcomes here.
-    code = cli.main(["check", "--oracle", oracle, "--utility", "5,1,2,7",
+    # the outcome count: hybrid ran on 4 outcomes here.  An empty one
+    # was taken for no flag, and hybrid ran.
+    code = cli.main(["check", "--oracle", oracle, f"--utility={utility}",
                      "--axiom", "weak-order", "--grid", "2"])
     out, err = capsys.readouterr()
     assert code == 2

@@ -14,7 +14,6 @@ from fractions import Fraction
 import pytest
 
 from lotpref import _kernels as kernels
-from lotpref._kernels import pure
 from lotpref.axioms import (
     WITNESS_TYPES,
     IPExhausted,
@@ -65,38 +64,40 @@ def betweenness(oracle, grid):
 
 # ---- every unconfirmed hit raises the same RuntimeError --------------------
 
-# (owner, scan, hit, checker, oracle): a hit on the 3-outcome grid at
+# (scan, hit, checker, oracle): a hit on the 3-outcome grid at
 # bound 2 that the oracle denies.  Its lotteries, by index: (0,0,1),
 # (0,1,0), (1,0,0), (0,1/2,1/2), (1/2,0,1/2), (1/2,1/2,0).  Before
 # observe, the grid-openness, translation, line-order and solve-contract
 # hits raised ValueError, NegativeWeight, NegativeWeight and
 # PreconditionViolated.
 UNCONFIRMED = [
-    (kernels, "scan_transitivity", (0, 1, 2), check_weak_order, EU),
-    (kernels, "scan_independence", (0, 1, 2, 0), check_independence, EU),
-    (kernels, "scan_betweenness", (0, 1, 0), betweenness, EU),
-    (kernels, "scan_convexity", (0, 1, 2, 0), check_convexity, EU),
-    (kernels, "scan_translation", (2, 0, 1), check_translation, EU),
-    (kernels, "scan_line_order", (0, 1, 3, 1, "point-vs-p"),
+    ("scan_transitivity", (0, 1, 2), check_weak_order, EU),
+    ("scan_independence", (0, 1, 2, 0), check_independence, EU),
+    ("scan_betweenness", (0, 1, 0), betweenness, EU),
+    ("scan_convexity", (0, 1, 2, 0), check_convexity, EU),
+    ("scan_translation", (2, 0, 1), check_translation, EU),
+    ("scan_line_order", (0, 1, 3, 1, "point-vs-p"),
      check_line_order, EU),
-    (kernels, "scan_mixture", (0, 1, 2, 0, 1), continuity("mixture"), EU),
-    (kernels, "scan_archimedean", (0, 1, 2, "beta"),
+    ("scan_mixture", (0, 1, 2, 0, 1), continuity("mixture"), EU),
+    ("scan_archimedean", (0, 1, 2, "beta"),
      continuity("archimedean"), EU),
-    (kernels, "scan_solvability_scan", (0, 2, 2), continuity("solvability"),
+    ("scan_solvability_scan", (0, 2, 2), continuity("solvability"),
      LexicographicOracle(SPACE)),
-    (kernels, "scan_openness", (0, 0, 0), continuity("grid-openness"), EU),
-    (kernels, "scan_solvability_solve", (0, 2, 1, 1, 2),
+    ("scan_openness", (0, 0, 0), continuity("grid-openness"), EU),
+    ("scan_solvability_solve", (0, 2, 1, 1, 2),
      continuity("solvability"), EU),
-    (pure, "scan_solve_contract", (0, 2, 1, 1, 2), continuity("solvability"),
-     EUSubclass(EU.utility)),
+    ("scan_solvability_solve", (0, 2, 1, 1, 2),
+     continuity("solvability"), EUSubclass(EU.utility)),
 ]
 
 
-@pytest.mark.parametrize("owner,scan,hit,check,oracle", UNCONFIRMED,
-                         ids=[row[1] for row in UNCONFIRMED])
-def test_unconfirmed_hit_raises_runtime_error(monkeypatch, owner, scan, hit,
-                                              check, oracle):
-    monkeypatch.setattr(owner, scan, lambda *args: hit)
+@pytest.mark.parametrize(
+    "scan,hit,check,oracle", UNCONFIRMED,
+    ids=[row[0] + ("" if kernels.encode_oracle(row[3]) else "-callback")
+         for row in UNCONFIRMED])
+def test_unconfirmed_hit_raises_runtime_error(monkeypatch, scan, hit, check,
+                                              oracle):
+    monkeypatch.setattr(kernels, scan, lambda *args: hit)
     with pytest.raises(RuntimeError, match="scan backend and oracle disagree"):
         check(oracle, GRID2)
 
