@@ -18,13 +18,13 @@ RuntimeError.
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
 from . import _kernels as kernels
 from ._kernels import pure
+from ._record import Record
 from .errors import SpaceMismatch, UnconfirmedHit
 from .geometry import AffineBasis, affine_rank
 from .grids import GridSpec, dyadic_alphas, enumerate_grid, rationals_between
@@ -72,8 +72,7 @@ INDIFF = ComparisonResult.INDIFFERENT
 BETTER = ComparisonResult.STRICTLY_BETTER
 
 
-@dataclass(frozen=True)
-class Budget:
+class Budget(Record):
     """What the scan exhausted: the grid, and where applicable the
     candidate-weight denominator bound and the dyadic probe depth."""
 
@@ -82,8 +81,12 @@ class Budget:
     depth: int | None = None
 
 
-@dataclass(frozen=True)
-class AxiomVerdict:
+class AxiomVerdict(Record):
+    """One checker's answer: the axiom, whether it was violated, and the
+    budget scanned; a violation carries its witness, an IP check that
+    passed its spanning set as ``found``, and ``route`` names how a
+    solvability check was decided."""
+
     axiom: str
     violated: bool
     budget: Budget
@@ -139,8 +142,7 @@ def _dyadic_steps(depth: int):
     return (Fraction(1, 2 ** e) for e in range(1, depth + 1))
 
 
-@dataclass(frozen=True)
-class CycleWitness(_ScanWitness):
+class CycleWitness(_ScanWitness, Record):
     """Transitivity failure: p >= q and q >= r but p < r."""
 
     kind = "weak-order"
@@ -159,8 +161,7 @@ class CycleWitness(_ScanWitness):
         return None
 
 
-@dataclass(frozen=True)
-class IndependenceWitness(_ScanWitness):
+class IndependenceWitness(_ScanWitness, Record):
     """Common mixing with r at weight alpha changes how p ranks vs q."""
 
     kind = "independence"
@@ -180,8 +181,7 @@ class IndependenceWitness(_ScanWitness):
         return None
 
 
-@dataclass(frozen=True)
-class BetweennessWitness(_ScanWitness):
+class BetweennessWitness(_ScanWitness, Record):
     """p >= q, yet their mixture escapes the preference interval."""
 
     kind = "betweenness"
@@ -202,8 +202,7 @@ class BetweennessWitness(_ScanWitness):
         return None
 
 
-@dataclass(frozen=True)
-class ConvexityWitness(_ScanWitness):
+class ConvexityWitness(_ScanWitness, Record):
     """Two members of an indifference class mix to a non-member."""
 
     kind = "convexity"
@@ -223,8 +222,7 @@ class ConvexityWitness(_ScanWitness):
         return None
 
 
-@dataclass(frozen=True)
-class TranslationWitness(_ScanWitness):
+class TranslationWitness(_ScanWitness, Record):
     """r ~ p, but shifting r by (q - p) leaves q's indifference class."""
 
     kind = "translation"
@@ -248,8 +246,7 @@ class TranslationWitness(_ScanWitness):
         return None
 
 
-@dataclass(frozen=True)
-class LineOrderWitness(_ScanWitness):
+class LineOrderWitness(_ScanWitness, Record):
     """A point on the line through p > q compares the wrong way.
 
     relation names which of the expected strict comparisons failed;
@@ -292,8 +289,7 @@ def _check_side(kind: str, side: int):
         raise ValueError(f"{kind} side must be -1 or 1, got {side!r}")
 
 
-@dataclass(frozen=True)
-class MixtureWitness(_ScanWitness):
+class MixtureWitness(_ScanWitness, Record):
     """The weak upper set {alpha : mix(p, r, alpha) >= q} excludes
     alpha_star although every dyadic probe on one side belongs to it."""
 
@@ -324,8 +320,7 @@ class MixtureWitness(_ScanWitness):
         return None
 
 
-@dataclass(frozen=True)
-class ArchimedeanWitness(_ScanWitness):
+class ArchimedeanWitness(_ScanWitness, Record):
     """p > q > r, but no probed interior weight works on one side."""
 
     kind = "archimedean"
@@ -354,8 +349,7 @@ class ArchimedeanWitness(_ScanWitness):
         return cls(p=p, q=q, r=r, side=side, depth=depth)
 
 
-@dataclass(frozen=True)
-class SolvabilityScanWitness(_ScanWitness):
+class SolvabilityScanWitness(_ScanWitness, Record):
     """p >= q >= r, and no candidate weight up to the bound solves."""
 
     kind = "solvability"
@@ -376,8 +370,7 @@ class SolvabilityScanWitness(_ScanWitness):
         return cls(p=p, q=q, r=r, candidate_bound=candidate_bound)
 
 
-@dataclass(frozen=True)
-class SolveContractWitness(_ScanWitness):
+class SolveContractWitness(_ScanWitness, Record):
     """The oracle's own solve() returned a weight that does not solve."""
 
     kind = "solvability"
@@ -401,8 +394,7 @@ class SolveContractWitness(_ScanWitness):
         return None
 
 
-@dataclass(frozen=True)
-class OpennessWitness(_ScanWitness):
+class OpennessWitness(_ScanWitness, Record):
     """q compares strictly against p, yet every dyadic step from q
     toward w (which sits strictly on the other side) stays on w's side:
     the strict set containing q is not open at q along this segment."""
@@ -428,16 +420,14 @@ class OpennessWitness(_ScanWitness):
         return cls(p=p, q=q, w=w, side=side, depth=depth)
 
 
-@dataclass(frozen=True)
-class IPFound:
+class IPFound(Record):
     """A spanning indifferent set: n points of embedded affine rank n-1."""
 
     points: tuple[Lottery, ...]
     rank: int
 
 
-@dataclass(frozen=True)
-class IPExhausted:
+class IPExhausted(Record):
     """The grid holds no spanning indifferent set; search evidence."""
 
     kind = "ip-exhausted"

@@ -13,9 +13,10 @@ human-readable header followed by one JSON document, all rationals in
 canonical string form; --out mirrors stdout byte for byte.
 
 Exit codes: 0 success (including NoViolationFound), 1 a check found a
-violation, 2 invalid input with the failed invariant named on stderr,
-or a scan hit the oracle did not confirm (``UnconfirmedHit``), which
-is no verdict at all.
+violation, 2 invalid input with the failed invariant named on stderr
+(an --out file that cannot be written among it), or a scan hit the
+oracle did not confirm (``UnconfirmedHit``), which is no verdict at
+all.
 """
 
 from __future__ import annotations
@@ -165,13 +166,15 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         text, code = args.run(args)
+        # An unwritable --out is invalid input like any other: exit 1
+        # would read as a violation.
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
     except (LotprefError, ValueError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     sys.stdout.write(text)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
     return code
 
 

@@ -22,10 +22,10 @@ for callers that add points one at a time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
+from ._record import Record
 from .errors import (
     DimensionMismatch,
     EmptyInput,
@@ -275,8 +275,7 @@ class AffineBasis:
         return False
 
 
-@dataclass(frozen=True)
-class Hyperplane:
+class Hyperplane(Record):
     """An affine hyperplane given by a base point and a normal vector."""
 
     normal: Vector

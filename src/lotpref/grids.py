@@ -16,10 +16,10 @@ change.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
+from ._record import Record
 from .lotteries import Lottery, OutcomeSpace
 
 __all__ = [
@@ -31,8 +31,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(Record):
     """All lotteries over ``space`` with some common denominator <= bound."""
 
     space: OutcomeSpace

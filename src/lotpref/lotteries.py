@@ -11,9 +11,9 @@ nonempty interior.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record
 from .errors import (
     AlphaOutOfRange,
     EmptyInput,
@@ -42,8 +42,7 @@ __all__ = [
 ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
-class OutcomeSpace:
+class OutcomeSpace(Record):
     """An ordered, finite set of outcome labels."""
 
     labels: tuple[str, ...]
@@ -87,8 +86,7 @@ def as_fraction(value) -> Fraction:
     raise ValueError(f"not an exact rational: {value!r}")
 
 
-@dataclass(frozen=True)
-class Lottery:
+class Lottery(Record):
     """A probability vector over an outcome space, validated on creation.
 
     Validation puts the weights over their least common denominator,
@@ -118,8 +116,7 @@ class Lottery:
         return self.weights[index]
 
 
-@dataclass(frozen=True)
-class EmbeddedPoint:
+class EmbeddedPoint(Record):
     """A lottery seen through the embedding: coordinates 1..n only."""
 
     space: OutcomeSpace

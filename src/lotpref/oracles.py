@@ -26,10 +26,10 @@ weak-order checker has a guaranteed failure case to find.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
+from ._record import Record
 from .errors import (
     LengthMismatch,
     NoSolveCapability,
@@ -81,8 +81,7 @@ class ComparisonResult(enum.Enum):
         return self is not ComparisonResult.STRICTLY_WORSE
 
 
-@dataclass(frozen=True)
-class UtilityFunction:
+class UtilityFunction(Record):
     """One exact payoff per outcome."""
 
     space: OutcomeSpace

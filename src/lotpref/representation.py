@@ -18,10 +18,10 @@ of inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
+from ._record import Record
 from .errors import (
     EmptyInput,
     InconsistentStrictPair,
@@ -70,8 +70,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ElicitationInput:
+class ElicitationInput(Record):
     """n lotteries claimed mutually indifferent, plus an optional
     (better, worse) pair fixing which side of their hyperplane wins."""
 
@@ -95,8 +94,7 @@ class ElicitationInput:
         return self.indifferent[0].space
 
 
-@dataclass(frozen=True)
-class Representation:
+class Representation(Record):
     """A hyperplane through the indifference data plus a direction.
 
     The utility is pinned to the gauge u(x0) = 0 with primitive integer
@@ -124,8 +122,7 @@ class Representation:
             raise ValueError("utility does not match orientation x normal gauge")
 
 
-@dataclass(frozen=True)
-class KernelConstruction:
+class KernelConstruction(Record):
     """Work record of generate_indifferent_points.
 
     matrix is the 2 x (n+1) system (utility row, ones row); base is the
@@ -141,8 +138,7 @@ class KernelConstruction:
     step: Fraction
 
 
-@dataclass(frozen=True)
-class MixStep:
+class MixStep(Record):
     """One recorded binary mixture: result = alpha*left + (1-alpha)*right."""
 
     left: Lottery
@@ -151,8 +147,7 @@ class MixStep:
     result: Lottery
 
 
-@dataclass(frozen=True)
-class IndifferenceCertificate:
+class IndifferenceCertificate(Record):
     """Replayable evidence that target is indifferent to the points.
 
     branch "convex": target is a convex combination, and ``steps`` s a
@@ -177,8 +172,7 @@ class IndifferenceCertificate:
     ia_rhs: Lottery | None = None
 
 
-@dataclass(frozen=True)
-class CertificateReplay:
+class CertificateReplay(Record):
     """Outcome of re-checking a certificate against an oracle."""
 
     ok: bool

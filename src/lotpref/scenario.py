@@ -23,12 +23,13 @@ field names in declaration order.
 from __future__ import annotations
 
 import json
-from dataclasses import MISSING, dataclass, fields, is_dataclass
+from dataclasses import MISSING, fields, is_dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from types import UnionType
 from typing import Annotated, Union, get_args, get_origin, get_type_hints
 
+from ._record import Record
 from .axioms import WITNESS_TYPES, AxiomVerdict
 from .errors import EmptyInput
 from .geometry import Hyperplane
@@ -352,14 +353,14 @@ def verdict_to_json(verdict: AxiomVerdict) -> dict:
 LotteryField = Annotated[Lottery, parse_lottery_field]
 
 
-@dataclass(frozen=True)
-class StrictPair:
+class StrictPair(Record):
+    """A strict judgment: ``better`` is preferred to ``worse``."""
+
     better: Lottery
     worse: Lottery
 
 
-@dataclass(frozen=True)
-class Construct:
+class Construct(Record):
     """The best, middle and worst lottery of a construction."""
 
     p: LotteryField
@@ -367,8 +368,10 @@ class Construct:
     r: LotteryField
 
 
-@dataclass(frozen=True)
-class CheckRequest:
+class CheckRequest(Record):
+    """The check block: the axiom to check, the grid's denominator bound
+    and the probe depth, each None where the scenario leaves it out."""
+
     axiom: str | None = None
     grid: int | None = None
     depth: int | None = None
@@ -378,8 +381,7 @@ class CheckRequest:
             raise ValueError(f"check depth must be an int >= 1, got {self.depth!r}")
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(Record):
     """Everything a scenario file declared, already validated: one
     field per scenario key, decoded by ``from_json``."""
 

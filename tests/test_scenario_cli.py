@@ -589,6 +589,28 @@ def test_cli_out_mirrors_stdout(tmp_path, scenario_file):
     assert out.read_text(encoding="utf-8") == proc.stdout
 
 
+UNWRITABLE_OUT = {
+    "check-pass": ["check", "--oracle", "eu", "--utility", "0,1,2",
+                   "--axiom", "weak-order", "--grid", "2"],
+    "check-violated": ["check", "--oracle", "hybrid", "--axiom", "independence"],
+    "generate": ["generate", "--utility", "0,1,2"],
+}
+
+
+@pytest.mark.parametrize("argv", UNWRITABLE_OUT.values(), ids=UNWRITABLE_OUT)
+def test_cli_unwritable_out_exits_two(argv, tmp_path, capsys):
+    # The --out write once escaped as a traceback with exit 1, which
+    # reads as a violation whatever the check found.
+    code = cli.main([*argv, "--out", str(tmp_path / "missing" / "doc.json")])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: FileNotFoundError: ")
+    code = cli.main([*argv, "--out", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: IsADirectoryError: ")
+
+
 def test_cli_input_errors_exit_two(tmp_path):
     proc = run_cli("elicit")
     assert proc.returncode == 2
