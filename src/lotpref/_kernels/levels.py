@@ -1,6 +1,6 @@
 """Level kernels: the axiom scans of every encoded oracle, answered by
-proof, by a search a proof narrows, or by the pure walk where no proof
-holds for the kind.
+proof, by threshold rows, by a search a proof narrows, or by the pure
+walk where none of these holds for the kind.
 
 Every encoded comparison but hybrid's is F(p - q), with F(λx) = F(x)
 for λ > 0 and F(-x) = -F(x): eu's sign of u·x, lex's first nonzero
@@ -14,7 +14,12 @@ indifferent; in betweenness and line-order a strict pair, a mixture or
 a line point puts both sides of a comparison on the plateau only where
 the identity holds anyway.  Every encoded kind comes here, and a
 callback spec never does.  Where an identity fails for a kind, the
-scan's docstring says why, and that kind walks the ``pure`` scan.
+scan's docstring says why, and either reads the hits as threshold rows
+or walks the ``pure`` scan.  Hybrid translation and majority convexity
+read rows: fix i, j and, for convexity, the weight, and whether the
+third point k hits turns on one threshold per coordinate of k, so the k
+that hit form a bitset of one ``pure._Thresholds`` bisection per
+coordinate, joined by the kind's rule; the lowest bit is the first hit.
 
 For ("eu", u) every comparison is also linear: grid point i sits at
 level L_i/den, L_i = u·nums[i], and mix(p, r, a/b) at
@@ -57,7 +62,8 @@ from math import gcd
 from . import pure
 from .encoding import separation_depth
 from .pure import (
-    _bits, _mix, _mixture_side, _SignTable, make_compare, signs_from_coordinates,
+    _bits, _coordinate_thresholds, _mix, _mixture_side, _SignTable, make_compare,
+    signs_from_coordinates,
 )
 
 __all__ = [
@@ -132,10 +138,42 @@ def scan_convexity(spec, nums, den, alphas):
     at L_i, and mix(j, k, a/b) at (a·L_i + (b - a)·L_i)/b = L_i; lex
     ties only equal points, so j = k = i; hybrid ties equal points and
     the plateau, an affine set.  Majority's indifference classes need
-    not be convex, so it walks the pure scan.
+    not be convex, so it reads tie rows.  Fix i, j ~ i and the weight
+    a/b: coordinate c of mix(j, k, a/b) - i has the sign of
+    (b - a)·(k_c - t_c), t_c = (b·i_c - a·j_c)/(b - a), so the k whose
+    mixture ties with i are the ties of one ``signs_from_coordinates``
+    row, built from the ceiling and floor of t.  That row's signs are
+    those of t_c - k_c, and flipping every sign keeps majority's ties,
+    so this holds for b < a too; a = b mixes onto j, which ties, and
+    j = i puts t at x_i, whose ties are i's class.  The hit is the
+    lowest k of the class outside the ties of some weight, at the lowest
+    such weight.
     """
-    if spec[0] == "majority":
-        return pure.scan_convexity(spec, nums, den, alphas)
+    if spec[0] != "majority":
+        return None
+    signs = signs_from_coordinates(spec, nums)
+    for i, x in enumerate(nums):
+        members = signs(x, x, None)[1]
+        for j in _bits(members):
+            if j == i:
+                continue
+            y = nums[j]
+            union, fails = 0, []
+            for a, b in alphas:
+                fail = 0
+                if a != b:
+                    lows, highs = [], []
+                    for xc, yc in zip(x, y):
+                        high, rest = divmod(b * xc - a * yc, b - a)
+                        lows.append(high + (rest != 0))
+                        highs.append(high)
+                    fail = members & ~signs(lows, highs, None)[1]
+                fails.append(fail)
+                union |= fail
+            if union:
+                k = (union & -union).bit_length() - 1
+                return (i, j, k, next(ai for ai, fail in enumerate(fails)
+                                      if fail >> k & 1))
     return None
 
 
@@ -144,12 +182,30 @@ def scan_translation(spec, nums, den):
     it stays a lottery, is not indifferent to j.
 
     Never for eu, lex and majority: the translate minus j is k - i, so
-    it compares with j as k does with i, F(x_k - x_i) = 0.  Hybrid
-    walks the pure scan: k and i on the plateau tie, yet lex ranks the
-    translate against a j off it by k - i.
+    it compares with j as k does with i, F(x_k - x_i) = 0.  Hybrid reads
+    threshold rows.  An i off the plateau ties only itself, whose
+    translate is j.  The translate keeps j's coordinate 0, so it ties a
+    j on the plateau; against a j off it, lex separates the two by the
+    first nonzero coordinate of k - i.  So the hits are the plateau i
+    and the j off it, with k any other plateau point whose translate
+    stays >= 0: k_c >= i_c - j_c, one threshold per coordinate.  The
+    first is the lowest such k of the first such (i, j); an odd den has
+    no plateau and no hit.
     """
-    if spec[0] == "hybrid":
-        return pure.scan_translation(spec, nums, den)
+    if spec[0] != "hybrid" or den % 2:
+        return None
+    coords = _coordinate_thresholds(tuple(nums))
+    plateau = coords[0].at(den // 2)
+    off = ((1 << len(nums)) - 1) ^ plateau
+    for i in _bits(plateau):
+        x = nums[i]
+        for j in _bits(off):
+            kept = plateau & ~(1 << i)
+            for t, xc, yc in zip(coords, x, nums[j]):
+                if xc > yc:
+                    kept &= ~t.below(xc - yc)
+            if kept:
+                return (i, j, (kept & -kept).bit_length() - 1)
     return None
 
 

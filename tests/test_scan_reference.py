@@ -21,6 +21,7 @@ run only from their separation depth; below it they refuse.
 """
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -663,7 +664,8 @@ def test_level_cases_cover_hits_and_misses():
     # On the checkers' arguments betweenness and line-order never hit,
     # and every other scan must hit in some level case and miss in
     # another: eu hits only the candidate scan, and lex, hybrid and
-    # majority the probe scans and the scans they hand to the pure walk.
+    # majority the probe scans and the scans they read as rows or hand
+    # to the pure walk.
     # The level hits stand for the reference's, which the test above
     # matches.
     seen = {name: set() for name in LEVEL_REFERENCES}
@@ -701,6 +703,98 @@ def test_level_first_hits_on_pinned_weights():
         kept = weights[:1]
         assert getattr(levels, f"scan_{name}")(spec, nums, den, kept) \
             == getattr(pure, f"scan_{name}")(spec, nums, den, kept) is None, name
+
+
+# (outcomes, bound, hybrid translation hit, majority convexity hit) on
+# the benchmark's falsify-early grids.
+WORKLOAD_HITS = [(3, 12, (4, 0, 5), (0, 1, 2, 2)),
+                 (4, 8, (7, 0, 8), (0, 1, 2, 2)),
+                 (5, 6, (11, 0, 12), (0, 1, 2, 2))]
+
+
+@pytest.mark.parametrize("size,bound,translation,convexity", WORKLOAD_HITS,
+                         ids=[f"{size}x{bound}" for size, bound, *_ in WORKLOAD_HITS])
+def test_row_reads_pin_the_workload_first_hits(size, bound, translation, convexity):
+    # Hybrid translation and majority convexity read threshold rows: the
+    # level scans, the pure walk and the Fraction reference give the same
+    # first hit on whole grids with denominators 60 to 27720.
+    space = OutcomeSpace.of_size(size)
+    grid = GridSpec(space, bound)
+    for oracle, name, expected in ((HybridExampleOracle(space), "translation", translation),
+                                   (MajorityOracle(space), "convexity", convexity)):
+        lots, nums, den, spec = _encoded(oracle, grid)
+        args = kernel_args(name, bound)
+        assert getattr(levels, f"scan_{name}")(spec, nums, den, *args) == expected, name
+        assert getattr(pure, f"scan_{name}")(spec, nums, den, *args) == expected, name
+        assert REFERENCES[name](Reference(oracle, lots), bound, DEPTH) == expected, name
+
+
+def test_row_reads_neither_walk_nor_compare(monkeypatch):
+    # The rows cost no pure walk and no comparison of a mixture or a
+    # translate, whatever the machine's speed: with both refused, the
+    # level scans still find the workload's first hits.
+    def refuse(*args):
+        raise AssertionError("a row read walked the pure scan or compared")
+
+    for module, name in ((pure, "scan_translation"), (pure, "scan_convexity"),
+                         (levels, "make_compare")):
+        monkeypatch.setattr(module, name, refuse)
+    nums, den = kernels.encode_lotteries(
+        enumerate_grid(GridSpec(OutcomeSpace.of_size(5), 6)))
+    assert levels.scan_translation(("hybrid", ()), nums, den) == (11, 0, 12)
+    nums, den = kernels.encode_lotteries(
+        enumerate_grid(GridSpec(OutcomeSpace.of_size(3), 12)))
+    assert levels.scan_convexity(("majority", ()), nums, den,
+                                 kernel_args("convexity", 12)[0]) == (0, 1, 2, 2)
+
+
+def simplex(size, den):
+    """Every point of the simplex over den, as weight numerators."""
+    return [x for x in product(range(den + 1), repeat=size) if sum(x) == den]
+
+
+def reference_over(oracle, nums, den):
+    """The reference for oracle on the lotteries nums/den."""
+    space = oracle.space
+    return Reference(oracle, [Lottery(space, tuple(F(x, den) for x in xs))
+                              for xs in nums])
+
+
+@pytest.mark.parametrize("nums,den,expected", [
+    # An odd den puts no point on the plateau.
+    (simplex(3, 3), 3, None),
+    (simplex(4, 5), 5, None),
+    # The plateau holds one point, whose class is itself.  With a second
+    # one, (1, 0, 1)/2 ~ (1, 1, 0)/2 translates by e_1 - (1, 1, 0)/2 to
+    # (0, 1, 1)/2, which lex ranks below e_1.
+    ([(2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (0, 1, 1)], 2, None),
+    ([(2, 0, 0), (0, 2, 0), (1, 0, 1), (1, 1, 0)], 2, (3, 1, 2)),
+    # Two plateau points, and every j off the plateau lacks the mass a
+    # translate between them takes away from coordinate 1 or 2.
+    ([(4, 0, 0), (3, 1, 0), (3, 0, 1), (2, 2, 0), (2, 0, 2)], 4, None),
+], ids=["den3", "den5", "one-plateau-point", "two-plateau-points", "no-translate"])
+def test_hybrid_translation_edges(nums, den, expected):
+    spec = ("hybrid", ())
+    assert levels.scan_translation(spec, nums, den) == expected
+    assert pure.scan_translation(spec, nums, den) == expected
+    oracle = HybridExampleOracle(OutcomeSpace.of_size(len(nums[0])))
+    assert ref_translation(reference_over(oracle, nums, den), None, None) == expected
+
+
+def test_majority_convexity_reads_any_weight():
+    # The rows hold for every weight a/b with b > 0: a = 0 and a = b mix
+    # onto a member and never hit, while a < 0 and a > b flip every sign
+    # of the mixture minus i, which keeps majority's ties.  The first hit
+    # takes the lowest failing k, then the lowest weight failing there.
+    nums, den = kernels.encode_lotteries(
+        enumerate_grid(GridSpec(OutcomeSpace.of_size(3), 4)))
+    spec = ("majority", ())
+    for weights, expected in (([(0, 1)], None), ([(1, 1)], None),
+                              ([(3, 2)], (0, 1, 2, 0)), ([(-1, 2)], (0, 1, 2, 0)),
+                              ([(0, 1), (1, 1), (3, 2), (-1, 2)], (0, 1, 2, 2)),
+                              ([(1, 1), (-1, 2), (3, 2)], (0, 1, 2, 1))):
+        assert levels.scan_convexity(spec, nums, den, weights) == expected, weights
+        assert pure.scan_convexity(spec, nums, den, weights) == expected, weights
 
 
 def test_level_mixture_checks_every_probe_of_a_breakpoint():
