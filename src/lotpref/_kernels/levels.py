@@ -189,10 +189,10 @@ def scan_translation(spec, nums, den):
     first nonzero coordinate of k - i.  So the hits are the plateau i
     and the j off it, with k any other plateau point whose translate
     stays >= 0: k_c >= i_c - j_c, one threshold per coordinate.  The
-    first is the lowest such k of the first such (i, j); an odd den has
-    no plateau and no hit.
+    first is the lowest such k of the first such (i, j); an odd den, or
+    an empty grid, has no plateau and no hit.
     """
-    if spec[0] != "hybrid" or den % 2:
+    if spec[0] != "hybrid" or den % 2 or not nums:
         return None
     coords = _coordinate_thresholds(tuple(nums))
     plateau = coords[0].at(den // 2)
@@ -244,7 +244,10 @@ def scan_mixture(spec, nums, den, alpha_stars, depth):
     in [0, 1] has its nearest one in the candidate's own interval,
     below q whenever the candidate is.  Each triple tests only the
     candidates a breakpoint sits on, in candidate order, with the body
-    of ``pure.scan_mixture``.
+    of ``pure.scan_mixture``.  The row j = i is skipped: with q = p,
+    coordinate c of mix(p, r, alpha) - p is (1 - alpha)·(r_c - p_c), so
+    every breakpoint sits at alpha = 1, where the mixture is p itself
+    and ties q, and the row never hits.
 
     Never for majority on 3 outcomes: at a breakpoint one coordinate of
     m0 - q is 0, where m0 = mix(p, r, a/b).  Both are lotteries, so the
@@ -255,7 +258,7 @@ def scan_mixture(spec, nums, den, alpha_stars, depth):
         raise ValueError(f"level mixture candidates must lie in [0, 1]: {alpha_stars}")
     _require_separation(spec, den, max((b for _, b in alpha_stars), default=1),
                         depth)
-    if spec[0] == "eu" or (spec[0] == "majority" and len(nums[0]) == 3):
+    if not nums or spec[0] == "eu" or (spec[0] == "majority" and len(nums[0]) == 3):
         return None
     cmp = make_compare(spec)
     # by_den[b][a]: the indices of the candidates equal to a/b in lowest terms.
@@ -271,6 +274,8 @@ def scan_mixture(spec, nums, den, alpha_stars, depth):
                   for c, (pc, rc) in enumerate(zip(p, r)) if pc != rc]
                  for r in nums]
         for j, q in enumerate(nums):
+            if j == i:
+                continue
             for k, (r, line) in enumerate(zip(nums, lines)):
                 found = set()
                 for c, rc, s, span in line:

@@ -478,7 +478,7 @@ def _interned(space, lots, nums, den):
 
     @lru_cache(maxsize=_INTERNED)
     def build(xn, xd):
-        return Lottery(space, tuple(Fraction(a, xd) for a in xn))
+        return Lottery.from_integers(space, xn, xd)
 
     def lottery(xn, xd):
         if xd != den:
@@ -576,12 +576,15 @@ def _greedy_classes(oracle, lots, nums, den, spec):
     representative, its first member, the lot is indifferent to, or a
     new class.
 
-    An encoded oracle reads indifference off the sign table's eq bits,
-    with no oracle call: each new representative claims, in one bitset
-    operation, every later unclaimed lot indifferent to it, which is
-    the lot's first such representative.  A callback oracle is asked
-    lazily instead, one lot at a time, so an early exit saves the
-    comparisons of the lots after it.
+    Lex ties only equal weight vectors, and the grid lists each lottery
+    once, so under lex every class is a singleton: lot i is class i,
+    read with no sign table.  Any other encoded oracle reads
+    indifference off the sign table's eq bits, with no oracle call:
+    each new representative claims, in one bitset operation, every
+    later unclaimed lot indifferent to it, which is the lot's first
+    such representative.  A callback oracle is asked lazily instead,
+    one lot at a time, so an early exit saves the comparisons of the
+    lots after it.
     """
     if spec[0] == "callback":
         reps: list[Lottery] = []
@@ -591,6 +594,9 @@ def _greedy_classes(oracle, lots, nums, den, spec):
             if k == len(reps):
                 reps.append(lot)
             yield k
+        return
+    if spec[0] == "lex":
+        yield from range(len(lots))
         return
     signs = pure._SignTable(spec, nums, den)
     owner: list[int | None] = [None] * len(lots)

@@ -12,6 +12,10 @@ enumeration here has one pinned deterministic order:
 
 "First violation found" is only meaningful because these orders never
 change.
+
+Every bound here must be an int (not a bool) of at least 1; anything
+else raises ValueError naming the parameter.  Grid lotteries are built
+from their integer numerators by ``Lottery.from_integers``.
 """
 
 from __future__ import annotations
@@ -31,6 +35,14 @@ __all__ = [
 ]
 
 
+def _require_bound(name: str, value) -> None:
+    """ValueError naming ``name`` unless value is an int >= 1."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be positive, got {value}")
+
+
 class GridSpec(Record):
     """All lotteries over ``space`` with some common denominator <= bound."""
 
@@ -38,12 +50,7 @@ class GridSpec(Record):
     denominator_bound: int
 
     def __post_init__(self):
-        if type(self.denominator_bound) is not int:
-            raise ValueError(
-                f"denominator bound must be an int, got {self.denominator_bound!r}")
-        if self.denominator_bound < 1:
-            raise ValueError(
-                f"denominator bound must be positive, got {self.denominator_bound}")
+        _require_bound("denominator bound", self.denominator_bound)
 
 
 def _compositions(total: int, parts: int):
@@ -68,7 +75,7 @@ def enumerate_grid(spec: GridSpec) -> tuple[Lottery, ...]:
                 g = gcd(g, a)
             if g != 1:
                 continue  # already emitted at denominator k/g
-            out.append(Lottery(spec.space, tuple(Fraction(a, k) for a in nums)))
+            out.append(Lottery.from_integers(spec.space, nums, k))
     return tuple(out)
 
 
@@ -79,11 +86,9 @@ def fixed_denominator_lattice(space: OutcomeSpace, denominator: int) -> tuple[Lo
     (1,0,0) appears here even though its reduced denominator is 1), so
     the count is the full lattice size.
     """
-    if denominator < 1:
-        raise ValueError(f"denominator must be positive, got {denominator}")
-    return tuple(
-        Lottery(space, tuple(Fraction(a, denominator) for a in nums))
-        for nums in _compositions(denominator, space.size))
+    _require_bound("denominator", denominator)
+    return tuple(Lottery.from_integers(space, nums, denominator)
+                 for nums in _compositions(denominator, space.size))
 
 
 def dyadic_alphas(bound: int, *, interior_only: bool = False) -> tuple[Fraction, ...]:
@@ -91,6 +96,7 @@ def dyadic_alphas(bound: int, *, interior_only: bool = False) -> tuple[Fraction,
 
     With ``interior_only`` the endpoint 1 is dropped, leaving (0, 1).
     """
+    _require_bound("bound", bound)
     vals = set()
     power = 1
     while power <= bound:
@@ -105,8 +111,7 @@ def dyadic_alphas(bound: int, *, interior_only: bool = False) -> tuple[Fraction,
 def rationals_between(lo: Fraction, hi: Fraction, max_denominator: int) -> tuple[Fraction, ...]:
     """Reduced rationals in [lo, hi] with denominator <= max_denominator,
     ordered by ascending denominator then ascending numerator."""
-    if max_denominator < 1:
-        raise ValueError(f"denominator bound must be positive, got {max_denominator}")
+    _require_bound("max_denominator", max_denominator)
     out = []
     for b in range(1, max_denominator + 1):
         a = -(-(lo.numerator * b) // lo.denominator)  # ceil(lo*b)

@@ -7,11 +7,19 @@ coordinates; ``embed`` drops coordinate 0 and ``unembed`` restores it.
 All geometric reasoning downstream (affine hulls, hyperplanes, kernels)
 happens in the embedded n-dimensional picture, where the simplex has
 nonempty interior.
+
+A lottery keeps its weights over their least common denominator as
+``integer_form``.  ``Lottery.from_integers`` builds one from that form
+directly, validating in ints: ``mix``, the grid enumerations and the
+axiom checkers' callback interner compute their numerators in ints and
+build each lottery through it, with no Fraction arithmetic beyond the
+weights themselves.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from ._record import Record
 from .errors import (
@@ -86,6 +94,22 @@ def as_fraction(value) -> Fraction:
     raise ValueError(f"not an exact rational: {value!r}")
 
 
+def _lowest_form(nums, den: int) -> tuple[tuple[int, ...], int]:
+    """(nums, den) for weights nums[i]/den, den >= 1, reduced by
+    gcd(den, *nums), which puts them over their least common
+    denominator; NegativeWeight or SumNotOne unless the weights are
+    nonnegative and sum to one."""
+    for num in nums:
+        if num < 0:
+            raise NegativeWeight(f"weight {Fraction(num, den)} is negative")
+    if sum(nums) != den:
+        raise SumNotOne(f"weights sum to {Fraction(sum(nums), den)}, not 1")
+    common = gcd(den, *nums)
+    if common == 1:
+        return tuple(nums), den
+    return tuple([a // common for a in nums]), den // common
+
+
 class Lottery(Record):
     """A probability vector over an outcome space, validated on creation.
 
@@ -93,7 +117,8 @@ class Lottery(Record):
     and the lottery keeps that as ``integer_form``, (nums, den) with
     weights[i] == nums[i] / den, for callers that compare or combine
     lotteries in ints.  It is an attribute, not a field: equality, hash,
-    repr and the JSON form see the weights only.
+    repr and the JSON form see the weights only.  ``from_integers``
+    builds the lottery from such a form, in any common denominator.
     """
 
     space: OutcomeSpace
@@ -104,13 +129,31 @@ class Lottery(Record):
             raise LengthMismatch(
                 f"{len(self.weights)} weights for {self.space.size} outcomes")
         require_exact(self.weights)
-        nums, den = common_denominator(self.weights)
-        for w, num in zip(self.weights, nums):
-            if num < 0:
-                raise NegativeWeight(f"weight {w} is negative")
-        if sum(nums) != den:
-            raise SumNotOne(f"weights sum to {Fraction(sum(nums), den)}, not 1")
-        object.__setattr__(self, "integer_form", (tuple(nums), den))
+        object.__setattr__(self, "integer_form",
+                           _lowest_form(*common_denominator(self.weights)))
+
+    @classmethod
+    def from_integers(cls, space: OutcomeSpace, nums, den: int) -> "Lottery":
+        """The lottery with weights nums[i]/den, validated in ints with
+        the error classes of ``Lottery(space, weights)``: LengthMismatch,
+        ValueError for an entry or a den that is not an int (bool
+        included) and for den < 1, NegativeWeight, SumNotOne.  The form
+        is reduced onto the weights' least common denominator, so it is
+        ``integer_form`` as is, and the weights are built from it once."""
+        nums = tuple(nums)
+        if len(nums) != space.size:
+            raise LengthMismatch(f"{len(nums)} weights for {space.size} outcomes")
+        for value in (*nums, den):
+            if type(value) is not int:
+                raise ValueError(f"not an int: {value!r}")
+        if den < 1:
+            raise ValueError(f"denominator must be positive, got {den}")
+        nums, den = _lowest_form(nums, den)
+        lot = object.__new__(cls)
+        object.__setattr__(lot, "space", space)
+        object.__setattr__(lot, "weights", tuple([Fraction(a, den) for a in nums]))
+        object.__setattr__(lot, "integer_form", (nums, den))
+        return lot
 
     def __getitem__(self, index: int) -> Fraction:
         return self.weights[index]
@@ -150,7 +193,7 @@ def uniform(space: OutcomeSpace) -> Lottery:
 def unit_weight(alpha) -> Fraction:
     """alpha as an exact rational; AlphaOutOfRange outside [0, 1]."""
     a = as_fraction(alpha)
-    if not 0 <= a <= 1:
+    if not 0 <= a.numerator <= a.denominator:
         raise AlphaOutOfRange(f"alpha {a} outside [0, 1]")
     return a
 
@@ -159,9 +202,10 @@ def mix(p: Lottery, q: Lottery, alpha) -> Lottery:
     """The convex combination alpha*p + (1-alpha)*q.
 
     alpha must be an exact rational in [0, 1]; the endpoints are allowed
-    and return q and p respectively.
+    and return q and p respectively.  The numerators are computed in
+    ints over one denominator and built by ``Lottery.from_integers``.
     """
-    if p.space != q.space:
+    if p.space is not q.space and p.space != q.space:
         raise SpaceMismatch("cannot mix lotteries over different spaces")
     a = unit_weight(alpha)
     pn, pd = p.integer_form
@@ -170,8 +214,8 @@ def mix(p: Lottery, q: Lottery, alpha) -> Lottery:
     den = a.denominator * pd * qd
     kp = a.numerator * qd
     kq = (a.denominator - a.numerator) * pd
-    return Lottery(p.space, tuple(
-        Fraction(kp * x + kq * y, den) for x, y in zip(pn, qn)))
+    return Lottery.from_integers(
+        p.space, [kp * x + kq * y for x, y in zip(pn, qn)], den)
 
 
 def embed(p: Lottery) -> EmbeddedPoint:

@@ -6,14 +6,18 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lotpref import _kernels as kernels
+from lotpref._kernels import pure
 from lotpref.axioms import (
     CONTINUITY_KINDS,
     DEFAULT_DEPTH,
     ArchimedeanWitness,
+    AxiomVerdict,
     BetweennessWitness,
+    Budget,
     CycleWitness,
     IndependenceWitness,
     IPExhausted,
+    IPFound,
     MixtureWitness,
     OpennessWitness,
     SolvabilityScanWitness,
@@ -40,6 +44,7 @@ from lotpref.oracles import (
     UtilityFunction,
 )
 from lotpref.representation import ElicitationInput, elicit
+from lotpref.scenario import verdict_to_json
 
 F = Fraction
 SPACE = OutcomeSpace.of_size(3)
@@ -203,6 +208,54 @@ def test_lex_ip_exhausted():
     assert w.grid_size == 55
     assert w.classes == 55
     assert w.best_size == 1
+
+
+class CallbackLex(LexicographicOracle):
+    """Lex through the callback path: the encoder refuses a subclass,
+    so check_ip asks compare for every class it builds."""
+
+
+LEX_IP_GRIDS = ([(3, d) for d in range(2, 13)] + [(4, d) for d in range(2, 9)]
+                + [(5, d) for d in range(2, 7)])
+
+
+def refuse_sign_table(*args):
+    raise AssertionError("lex check_ip built a sign table")
+
+
+@pytest.mark.parametrize("size,bound", LEX_IP_GRIDS,
+                         ids=[f"{size}x{bound}" for size, bound in LEX_IP_GRIDS])
+def test_lex_ip_reads_singleton_classes(monkeypatch, size, bound):
+    # Lex ties only equal points and the grid lists each once, so its IP
+    # classes are singletons, read with no sign table: on 3 or more
+    # outcomes every grid is exhausted with g classes of size 1, under
+    # every priority.  The small grids also take the callback path,
+    # whose classes come from compare alone, to the same verdict.
+    monkeypatch.setattr(pure, "_SignTable", refuse_sign_table)
+    space = OutcomeSpace.of_size(size)
+    grid = GridSpec(space, bound)
+    g = len(enumerate_grid(grid))
+    expected = verdict_to_json(AxiomVerdict(
+        "ip", True, Budget(grid=grid), witness=IPExhausted(g, g, 1)))
+    for priority in (None, tuple(reversed(range(size)))):
+        oracle = LexicographicOracle(space, priority)
+        assert verdict_to_json(check_ip(oracle, grid)) == expected
+        if g <= 60:
+            assert verdict_to_json(check_ip(CallbackLex(space, priority), grid)) \
+                == expected
+
+
+def test_lex_ip_on_two_outcomes_finds_a_point(monkeypatch):
+    # On 2 outcomes a single point spans the hyperplane (rank 0): the
+    # first grid point is found, again with no sign table.
+    monkeypatch.setattr(pure, "_SignTable", refuse_sign_table)
+    two = OutcomeSpace.of_size(2)
+    grid = GridSpec(two, 6)
+    for priority in ((0, 1), (1, 0)):
+        verdict = check_ip(LexicographicOracle(two, priority), grid)
+        assert verdict == AxiomVerdict(
+            "ip", False, Budget(grid=grid),
+            found=IPFound((enumerate_grid(grid)[0],), 0))
 
 
 def test_lex_violates_solvability_by_scan():

@@ -76,6 +76,31 @@ def test_fixed_denominator_lattice():
         fixed_denominator_lattice(SPACE, 0)
 
 
+BAD_BOUNDS = [(2.5, "must be an int"), (True, "must be an int"),
+              (Fraction(2), "must be an int"), ("3", "must be an int"),
+              (0, "must be positive"), (-1, "must be positive")]
+
+
+@pytest.mark.parametrize("bad,message", BAD_BOUNDS)
+def test_fixed_denominator_lattice_refuses_bad_denominators(bad, message):
+    with pytest.raises(ValueError, match=f"denominator {message}"):
+        fixed_denominator_lattice(SPACE, bad)
+
+
+@pytest.mark.parametrize("bad,message", BAD_BOUNDS)
+def test_dyadic_alphas_refuses_bad_bounds(bad, message):
+    # 2.5 used to give (1/2, 1) and 0 an empty tuple.
+    for interior_only in (False, True):
+        with pytest.raises(ValueError, match=f"bound {message}"):
+            dyadic_alphas(bad, interior_only=interior_only)
+
+
+@pytest.mark.parametrize("bad,message", BAD_BOUNDS)
+def test_rationals_between_refuses_bad_bounds(bad, message):
+    with pytest.raises(ValueError, match=f"max_denominator {message}"):
+        rationals_between(F(0), F(1), bad)
+
+
 def test_dyadic_alphas():
     assert dyadic_alphas(6) == (F(1, 4), F(1, 2), F(3, 4), F(1))
     assert dyadic_alphas(6, interior_only=True) == (F(1, 4), F(1, 2), F(3, 4))

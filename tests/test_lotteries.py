@@ -1,5 +1,6 @@
 from dataclasses import FrozenInstanceError, fields
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given
@@ -15,6 +16,7 @@ from lotpref.errors import (
     SumNotOne,
 )
 from lotpref.geometry import common_denominator
+from lotpref.grids import GridSpec, enumerate_grid, fixed_denominator_lattice
 from lotpref.lotteries import (
     EmbeddedPoint,
     Lottery,
@@ -181,5 +183,70 @@ def test_mix_matches_fraction_reference(p, q, data):
     b = data.draw(st.integers(1, 12))
     alpha = Fraction(data.draw(st.integers(0, b)), b)
     m = mix(p, q, alpha)
-    assert m.weights == tuple(alpha * x + (1 - alpha) * y
-                              for x, y in zip(p.weights, q.weights))
+    # mix builds its lottery from ints; the Fraction formula through the
+    # public constructor must give the same record, form, hash and repr.
+    expected = Lottery(p.space, tuple(alpha * x + (1 - alpha) * y
+                                      for x, y in zip(p.weights, q.weights)))
+    assert m.weights == expected.weights
+    assert m.integer_form == expected.integer_form
+    assert hash(m) == hash(expected) and repr(m) == repr(expected)
+
+
+@given(mixed_lotteries(size=4), st.integers(1, 6))
+def test_from_integers_matches_the_public_constructor(lot, scale):
+    # Any common denominator gives the lottery Lottery(space, weights)
+    # gives, kept over the least common one.
+    nums, den = lot.integer_form
+    built = Lottery.from_integers(lot.space, [a * scale for a in nums], den * scale)
+    assert built == lot and hash(built) == hash(lot) and repr(built) == repr(lot)
+    assert built.weights == lot.weights
+    assert built.integer_form == lot.integer_form == (nums, den)
+
+
+@pytest.mark.parametrize("nums,den,error", [
+    ((1, 0), 1, LengthMismatch),
+    ((1, 0, 0, 0), 1, LengthMismatch),
+    ((Fraction(1), 0, 0), 1, ValueError),
+    ((0.5, 0.5, 0), 1, ValueError),
+    (("1", 0, 0), 1, ValueError),
+    ((True, False, False), 1, ValueError),
+    ((1, 0, 0), True, ValueError),
+    ((2, 0, 0), 2.0, ValueError),
+    ((0, 0, 0), 0, ValueError),
+    ((1, -2, 0), -1, ValueError),
+    ((3, -1, 0), 2, NegativeWeight),
+    ((1, 1, 1), 2, SumNotOne),
+    ((0, 0, 0), 1, SumNotOne),
+])
+def test_from_integers_refusals(nums, den, error):
+    with pytest.raises(error):
+        Lottery.from_integers(SPACE, nums, den)
+
+
+def fraction_grid(space, bound):
+    """enumerate_grid written over Fractions: each lottery of a grid
+    denominator k <= bound, in lexicographic numerator order, at the
+    first k that expresses it."""
+    out, seen = [], set()
+    for k in range(1, bound + 1):
+        for nums in product(range(k + 1), repeat=space.size):
+            weights = tuple(Fraction(a, k) for a in nums)
+            if sum(nums) == k and weights not in seen:
+                seen.add(weights)
+                out.append(Lottery(space, weights))
+    return out
+
+
+@pytest.mark.parametrize("size,bound", [(3, d) for d in range(2, 9)]
+                         + [(4, d) for d in range(2, 6)])
+def test_grids_match_fraction_built_enumeration(size, bound):
+    space = OutcomeSpace.of_size(size)
+    for built, expected in (
+            (enumerate_grid(GridSpec(space, bound)), fraction_grid(space, bound)),
+            (fixed_denominator_lattice(space, bound),
+             [Lottery(space, tuple(Fraction(a, bound) for a in nums))
+              for nums in product(range(bound + 1), repeat=size)
+              if sum(nums) == bound])):
+        assert len(built) == len(expected)
+        for lot, twin in zip(built, expected):
+            assert lot == twin and lot.integer_form == twin.integer_form

@@ -21,6 +21,7 @@ run only from their separation depth; below it they refuse.
 """
 
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 
 import pytest
@@ -144,13 +145,18 @@ GRIDS = [(3, 2), (3, 3), (3, 4), (4, 2), (4, 3)]
 
 class Reference:
     """One oracle on one grid.  ``grid[i][j]`` is the sign of
-    compare(lots[i], lots[j]), asked once per ordered pair; ``sign``
-    asks the oracle about any other pair."""
+    compare(lots[i], lots[j]), asked once per ordered pair when a
+    reference first reads it; ``sign`` asks the oracle about any other
+    pair."""
 
     def __init__(self, oracle, lots):
         self.oracle = oracle
         self.lots = lots
-        self.grid = [[oracle.compare(p, q).sign for q in lots] for p in lots]
+
+    @cached_property
+    def grid(self):
+        lots, oracle = self.lots, self.oracle
+        return [[oracle.compare(p, q).sign for q in lots] for p in lots]
 
     def sign(self, p, q):
         return self.oracle.compare(p, q).sign
@@ -746,6 +752,46 @@ def test_row_reads_neither_walk_nor_compare(monkeypatch):
         enumerate_grid(GridSpec(OutcomeSpace.of_size(3), 12)))
     assert levels.scan_convexity(("majority", ()), nums, den,
                                  kernel_args("convexity", 12)[0]) == (0, 1, 2, 2)
+
+
+def test_level_mixture_skips_the_row_j_equals_i(monkeypatch):
+    # With q = p every coordinate breakpoint of mix(p, r, alpha) - q sits
+    # at alpha = 1, where the mixture is p and ties q, so the row j = i
+    # never hits and the level scan mixes nothing in it.  Each mixture
+    # the scan body builds (``levels._mix``; the probes mix through
+    # ``pure._mix``) is compared with q next: record the pair, and p must
+    # never be q.  The first hit stays pure's and the reference's.
+    pending, pairs_seen = [], []
+    mix_numerators, make = levels._mix, levels.make_compare
+
+    def recording_mix(p, r, a, b):
+        pending.append(p)
+        return mix_numerators(p, r, a, b)
+
+    def recording_compare(spec):
+        cmp = make(spec)
+
+        def compare(x, xd, y, yd):
+            if pending:
+                pairs_seen.append((pending.pop(), y))
+            return cmp(x, xd, y, yd)
+        return compare
+
+    monkeypatch.setattr(levels, "_mix", recording_mix)
+    monkeypatch.setattr(levels, "make_compare", recording_compare)
+    space = OutcomeSpace.of_size(5)
+    grid = GridSpec(space, 6)
+    args = kernel_args("mixture", 6)
+    for oracle in (HybridExampleOracle(space), LexicographicOracle(space)):
+        lots, nums, den, spec = _encoded(oracle, grid)
+        depth = probe_floor("mixture", spec, den, 6)
+        pairs_seen.clear()
+        hit = levels.scan_mixture(spec, nums, den, args[0], depth)
+        assert pairs_seen and not pending
+        assert all(p != q for p, q in pairs_seen), spec
+        assert hit == (0, 1, 2, 1, -1)
+        assert pure.scan_mixture(spec, nums, den, args[0], depth) == hit
+        assert ref_mixture(Reference(oracle, lots), 6, depth) == hit
 
 
 def simplex(size, den):
