@@ -30,15 +30,13 @@ _BUILT_IN = (ExpectedUtilityOracle, RepresentedOracle, LexicographicOracle,
 
 
 def encode_lotteries(lotteries) -> tuple[list[tuple[int, ...]], int]:
-    """Rescale lotteries to one common denominator; returns (nums, den)."""
-    den = 1
-    for lot in lotteries:
-        for w in lot.weights:
-            den = lcm(den, w.denominator)
-    nums = [
-        tuple(int(w * den) for w in lot.weights)
-        for lot in lotteries
-    ]
+    """Rescale lotteries to one common denominator; returns (nums, den).
+
+    Read off each lottery's ``integer_form``, whose denominator is the
+    lcm of its weights' denominators, so no Fraction weight is built."""
+    forms = [lot.integer_form for lot in lotteries]
+    den = lcm(*(d for _, d in forms))
+    nums = [tuple([a * (den // d) for a in lot_nums]) for lot_nums, d in forms]
     return nums, den
 
 

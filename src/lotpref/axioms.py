@@ -8,11 +8,13 @@ never proof; the verdict says which budget it means.
 Witness integrity is double-route: the scans run on an integer-encoded
 copy of the grid (level kernels for built-in oracles, pure ones for
 callbacks) and only find a hit.  The witness class's ``observe`` then
-confirms the hit through the oracle's own exact Fraction path, asking
-every question the witness records, and ``observe`` on the witness's
-own inputs is also its ``replay``: each violation is defined once.  A
-hit the oracle does not confirm is refused with UnconfirmedHit, a
-RuntimeError.
+confirms the hit by asking ``oracle.compare`` every question the
+witness records, on Lottery objects built by ``mix`` and the other
+public constructors rather than on the scan's encoded rows; a built-in
+oracle answers from the lotteries' ``integer_form``, any other oracle
+by its own code.  ``observe`` on the witness's own inputs is also its
+``replay``: each violation is defined once.  A hit the oracle does not
+confirm is refused with UnconfirmedHit, a RuntimeError.
 """
 
 from __future__ import annotations
@@ -137,9 +139,10 @@ def _simplex_point(space, weights) -> Lottery | None:
     return None if min(weights) < 0 else Lottery(space, weights)
 
 
-def _dyadic_steps(depth: int):
-    """The probe steps 1/2, 1/4, ..., 2^-depth."""
-    return (Fraction(1, 2 ** e) for e in range(1, depth + 1))
+@lru_cache(maxsize=64, typed=True)
+def _dyadic_steps(depth: int) -> tuple[Fraction, ...]:
+    """The probe steps 1/2, 1/4, ..., 2^-depth, built once per depth."""
+    return tuple([Fraction(1, 2 ** e) for e in range(1, depth + 1)])
 
 
 class CycleWitness(_ScanWitness, Record):

@@ -33,6 +33,7 @@ from .errors import (
     RankDeficient,
     WrongCount,
 )
+from .rationals import require_exact
 
 __all__ = [
     "kernel_basis",
@@ -276,7 +277,10 @@ class AffineBasis:
 
 
 class Hyperplane(Record):
-    """An affine hyperplane given by a base point and a normal vector."""
+    """An affine hyperplane given by a base point and a normal vector.
+
+    Every entry must be an int or a Fraction (not a bool), and each is
+    stored as a Fraction, so the JSON form writes rational strings."""
 
     normal: Vector
     base: Vector
@@ -285,6 +289,10 @@ class Hyperplane(Record):
         if len(self.normal) != len(self.base):
             raise DimensionMismatch(
                 f"normal of length {len(self.normal)}, base of length {len(self.base)}")
+        for name in ("normal", "base"):
+            values = getattr(self, name)
+            require_exact(values)
+            object.__setattr__(self, name, _fractions(values))
         if all(c == 0 for c in self.normal):
             raise RankDeficient("hyperplane normal must be nonzero")
 
@@ -323,4 +331,4 @@ def hyperplane_from_points(points) -> Hyperplane:
     normal = _primitive(normals[0])
     if next(x for x in normal if x) < 0:
         normal = [-x for x in normal]
-    return Hyperplane(tuple(Fraction(x) for x in normal), _fractions(pts[0]))
+    return Hyperplane(tuple(normal), _fractions(pts[0]))

@@ -15,12 +15,17 @@ change.
 
 Every bound here must be an int (not a bool) of at least 1; anything
 else raises ValueError naming the parameter.  Grid lotteries are built
-from their integer numerators by ``Lottery.from_integers``.
+from their integer numerators by ``Lottery.from_integers``.  The
+candidate-weight lists are built once per bound and shared: each public
+function checks its bound and then reads a cached private builder, so a
+bad bound that hashes like a good one (True like 1, 2.0 like 2) is
+still refused.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 from ._record import Record
@@ -97,6 +102,11 @@ def dyadic_alphas(bound: int, *, interior_only: bool = False) -> tuple[Fraction,
     With ``interior_only`` the endpoint 1 is dropped, leaving (0, 1).
     """
     _require_bound("bound", bound)
+    return _dyadic_alphas(bound, bool(interior_only))
+
+
+@lru_cache(maxsize=64)
+def _dyadic_alphas(bound: int, interior_only: bool) -> tuple[Fraction, ...]:
     vals = set()
     power = 1
     while power <= bound:
@@ -112,6 +122,12 @@ def rationals_between(lo: Fraction, hi: Fraction, max_denominator: int) -> tuple
     """Reduced rationals in [lo, hi] with denominator <= max_denominator,
     ordered by ascending denominator then ascending numerator."""
     _require_bound("max_denominator", max_denominator)
+    return _rationals_between(lo, hi, max_denominator)
+
+
+@lru_cache(maxsize=64, typed=True)
+def _rationals_between(lo: Fraction, hi: Fraction,
+                       max_denominator: int) -> tuple[Fraction, ...]:
     out = []
     for b in range(1, max_denominator + 1):
         a = -(-(lo.numerator * b) // lo.denominator)  # ceil(lo*b)

@@ -12,8 +12,10 @@ A lottery keeps its weights over their least common denominator as
 ``integer_form``.  ``Lottery.from_integers`` builds one from that form
 directly, validating in ints: ``mix``, the grid enumerations and the
 axiom checkers' callback interner compute their numerators in ints and
-build each lottery through it, with no Fraction arithmetic beyond the
-weights themselves.
+build each lottery through it.  Such a lottery holds only its integer
+form; its Fraction ``weights`` are built on first read.  The built-in
+oracles compare ``integer_form``, so mixing and comparing builds no
+Fraction weight at all.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .errors import (
     SumNotOne,
 )
 from .geometry import common_denominator
-from .rationals import parse_rational
+from .rationals import parse_rational, require_exact
 
 __all__ = [
     "OutcomeSpace",
@@ -75,19 +77,12 @@ class OutcomeSpace(Record):
         return len(self.labels) - 1
 
 
-def require_exact(values) -> None:
-    """ValueError naming the first value that is not an int or a
-    Fraction, so no float or string gets into exact arithmetic."""
-    for value in values:
-        if not isinstance(value, (int, Fraction)):
-            raise ValueError(f"not an exact rational: {value!r}")
-
-
 def as_fraction(value) -> Fraction:
-    """Coerce ints, Fractions, and "a/b" strings; reject floats."""
+    """Coerce ints, Fractions, and "a/b" strings; reject floats and
+    bools."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         return parse_rational(value)
@@ -118,7 +113,10 @@ class Lottery(Record):
     weights[i] == nums[i] / den, for callers that compare or combine
     lotteries in ints.  It is an attribute, not a field: equality, hash,
     repr and the JSON form see the weights only.  ``from_integers``
-    builds the lottery from such a form, in any common denominator.
+    builds the lottery from such a form, in any common denominator, and
+    sets no weights: the first read of ``weights`` builds them from
+    ``integer_form`` and keeps them, so equality, hash, repr, pickling
+    and ``dataclasses.replace`` see the same Fractions either way.
     """
 
     space: OutcomeSpace
@@ -139,7 +137,8 @@ class Lottery(Record):
         ValueError for an entry or a den that is not an int (bool
         included) and for den < 1, NegativeWeight, SumNotOne.  The form
         is reduced onto the weights' least common denominator, so it is
-        ``integer_form`` as is, and the weights are built from it once."""
+        ``integer_form`` as is; the weights are built from it when first
+        read."""
         nums = tuple(nums)
         if len(nums) != space.size:
             raise LengthMismatch(f"{len(nums)} weights for {space.size} outcomes")
@@ -151,9 +150,21 @@ class Lottery(Record):
         nums, den = _lowest_form(nums, den)
         lot = object.__new__(cls)
         object.__setattr__(lot, "space", space)
-        object.__setattr__(lot, "weights", tuple([Fraction(a, den) for a in nums]))
         object.__setattr__(lot, "integer_form", (nums, den))
         return lot
+
+    def __getattr__(self, name):
+        # Reached only for an attribute the instance does not hold: the
+        # weights of a lottery from ``from_integers`` before their first
+        # read.  Any other name is missing as usual, which pickling's
+        # probes for hooks rely on.
+        if name != "weights":
+            raise AttributeError(
+                f"{type(self).__qualname__!r} object has no attribute {name!r}")
+        nums, den = self.integer_form
+        weights = tuple([Fraction(a, den) for a in nums])
+        object.__setattr__(self, "weights", weights)
+        return weights
 
     def __getitem__(self, index: int) -> Fraction:
         return self.weights[index]

@@ -38,7 +38,8 @@ from .errors import (
     UnorientedRepresentation,
 )
 from .geometry import Hyperplane, common_denominator
-from .lotteries import Lottery, OutcomeSpace, as_fraction, require_exact
+from .lotteries import Lottery, OutcomeSpace, as_fraction
+from .rationals import require_exact
 
 __all__ = [
     "ComparisonResult",
@@ -266,7 +267,7 @@ class RepresentedOracle(_LevelOracle):
     kind = "represented"
 
     def __init__(self, space: OutcomeSpace, hyperplane: Hyperplane, orientation: int):
-        if orientation not in (-1, 1):
+        if type(orientation) is not int or orientation not in (-1, 1):
             raise UnorientedRepresentation(
                 f"orientation must be +1 or -1, got {orientation!r}")
         if len(hyperplane.normal) != space.n:
@@ -291,6 +292,9 @@ class LexicographicOracle(_RuleOracle):
     def __init__(self, space: OutcomeSpace, priority: tuple[int, ...] | None = None):
         if priority is None:
             priority = tuple(range(space.size))
+        for index in priority:
+            if type(index) is not int:
+                raise ValueError(f"priority entries must be ints, got {index!r}")
         if sorted(priority) != list(range(space.size)):
             raise LengthMismatch(
                 f"priority must permute 0..{space.size - 1}, got {priority!r}")

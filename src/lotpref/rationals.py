@@ -42,3 +42,11 @@ def format_rational(value: Fraction) -> str:
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
+
+
+def require_exact(values) -> None:
+    """ValueError naming the first value that is not an int or a
+    Fraction, so no float, string or bool gets into exact arithmetic."""
+    for value in values:
+        if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+            raise ValueError(f"not an exact rational: {value!r}")

@@ -152,6 +152,22 @@ def test_hyperplane_validation():
         Hyperplane((F(1),), (F(1), F(1)))
 
 
+@pytest.mark.parametrize("bad", [1.5, True, "1"])
+def test_hyperplane_refuses_inexact_entries(bad):
+    with pytest.raises(ValueError, match=f"not an exact rational: {bad!r}"):
+        Hyperplane((bad, F(2)), (F(0), F(0)))
+    with pytest.raises(ValueError, match=f"not an exact rational: {bad!r}"):
+        Hyperplane((F(1), F(2)), (F(0), bad))
+
+
+def test_hyperplane_stores_fractions():
+    # Int entries were kept as ints, which the JSON form wrote as JSON
+    # numbers its own loader refused.
+    plane = Hyperplane((1, F(2)), [0, F(1, 3)])
+    assert plane.normal == (F(1), F(2)) and plane.base == (F(0), F(1, 3))
+    assert all(type(x) is F for x in plane.normal + plane.base)
+
+
 def test_hyperplane_from_points_frozen():
     plane = hyperplane_from_points([(F(1, 3), F(1, 3)), (F(1, 6), F(5, 12))])
     assert plane.normal == (F(1), F(2))

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given
@@ -148,3 +149,45 @@ def test_rationals_between_complete(a, b, den, bound):
         while F(p, q) <= hi:
             assert F(p, q) in vals
             p += 1
+
+
+def dyadic_reference(bound, interior_only):
+    """Every a/b in (0, 1] with b <= bound whose reduced denominator is
+    a power of two, ascending; without 1 when interior_only."""
+    vals = {F(a, b) for b in range(1, bound + 1) for a in range(1, b + 1)}
+    return tuple(sorted(v for v in vals if v.denominator & (v.denominator - 1) == 0
+                        and not (interior_only and v == 1)))
+
+
+def unit_rationals_reference(bound):
+    return tuple(F(a, b) for b in range(1, bound + 1) for a in range(b + 1)
+                 if gcd(a, b) == 1)
+
+
+@pytest.mark.parametrize("bound", range(1, 25))
+def test_candidate_lists_are_built_once(bound):
+    # Each list is cached: a repeated call hands back the same tuple,
+    # equal to one built afresh.
+    for interior_only in (False, True):
+        first = dyadic_alphas(bound, interior_only=interior_only)
+        assert dyadic_alphas(bound, interior_only=interior_only) is first
+        assert first == dyadic_reference(bound, interior_only)
+    first = rationals_between(F(0), F(1), bound)
+    assert rationals_between(F(0), F(1), bound) is first
+    assert first == unit_rationals_reference(bound)
+
+
+@pytest.mark.parametrize("good", [1, 2])
+@pytest.mark.parametrize("bad,message", [
+    (True, "must be an int"), (2.0, "must be an int"), (0, "must be positive")])
+def test_cached_lists_still_refuse_bad_bounds(good, bad, message):
+    # True hashes like 1 and 2.0 like 2, so a cache on the public
+    # functions would answer them with the good bound's list.
+    dyadic_alphas(good)
+    dyadic_alphas(good, interior_only=True)
+    rationals_between(F(0), F(1), good)
+    for interior_only in (False, True):
+        with pytest.raises(ValueError, match=f"bound {message}"):
+            dyadic_alphas(bad, interior_only=interior_only)
+    with pytest.raises(ValueError, match=f"max_denominator {message}"):
+        rationals_between(F(0), F(1), bad)

@@ -1,5 +1,7 @@
-from dataclasses import FrozenInstanceError, fields
+import pickle
+from dataclasses import FrozenInstanceError, fields, replace
 from fractions import Fraction
+from functools import cmp_to_key
 from itertools import product
 
 import pytest
@@ -16,6 +18,7 @@ from lotpref.errors import (
     SumNotOne,
 )
 from lotpref.geometry import common_denominator
+from lotpref.geometry import Hyperplane
 from lotpref.grids import GridSpec, enumerate_grid, fixed_denominator_lattice
 from lotpref.lotteries import (
     EmbeddedPoint,
@@ -28,6 +31,14 @@ from lotpref.lotteries import (
     mix,
     unembed,
     uniform,
+)
+from lotpref.oracles import (
+    ExpectedUtilityOracle,
+    HybridExampleOracle,
+    LexicographicOracle,
+    MajorityOracle,
+    RepresentedOracle,
+    UtilityFunction,
 )
 from lotpref.scenario import lottery_to_json
 
@@ -78,7 +89,7 @@ def test_as_fraction_rejects_floats():
         as_fraction(0.5)
 
 
-@pytest.mark.parametrize("bad", [0.5, "1/2"])
+@pytest.mark.parametrize("bad", [0.5, "1/2", True])
 def test_lottery_rejects_inexact_weights(bad):
     # Without the check a float weight summed to 1 and every expected
     # utility over the lottery came out a float.
@@ -86,6 +97,18 @@ def test_lottery_rejects_inexact_weights(bad):
         Lottery(OutcomeSpace.of_size(2), (bad, bad))
     with pytest.raises(ValueError, match=repr(bad)):
         Lottery(SPACE, (Fraction(1, 2), bad, Fraction(0)))
+
+
+def test_bools_are_not_exact_rationals():
+    # Each of these once built, as the lottery (1, 0) whose repr read
+    # weights=(True, False); mix ran True as the weight 1.
+    two = OutcomeSpace.of_size(2)
+    with pytest.raises(ValueError, match="not an exact rational: True"):
+        as_fraction(True)
+    with pytest.raises(ValueError, match="not an exact rational: True"):
+        make_lottery(two, (True, False))
+    with pytest.raises(ValueError, match="not an exact rational: True"):
+        mix(degenerate(two, 0), degenerate(two, 1), True)
 
 
 def test_lottery_validation_order():
@@ -250,3 +273,88 @@ def test_grids_match_fraction_built_enumeration(size, bound):
         assert len(built) == len(expected)
         for lot, twin in zip(built, expected):
             assert lot == twin and lot.integer_form == twin.integer_form
+
+
+def fraction_formula(lot):
+    """Lottery(space, weights) with the weights built as Fractions from
+    the integer form, the way the lazy weights are."""
+    nums, den = lot.integer_form
+    return Lottery(lot.space, tuple(Fraction(a, den) for a in nums))
+
+
+def built_from_integers(draw_lots, data):
+    """Lotteries from each integer-form route: from_integers, mix and a
+    grid enumeration."""
+    p, q = draw_lots
+    nums, den = p.integer_form
+    b = data.draw(st.integers(1, 12))
+    alpha = Fraction(data.draw(st.integers(0, b)), b)
+    grid = enumerate_grid(GridSpec(p.space, data.draw(st.integers(1, 5))))
+    return [Lottery.from_integers(p.space, nums, den), mix(p, q, alpha),
+            grid[data.draw(st.integers(0, len(grid) - 1))]]
+
+
+@given(mixed_lotteries(), mixed_lotteries(), st.data())
+def test_weights_are_built_on_first_read(p, q, data):
+    for lot in built_from_integers((p, q), data):
+        assert "weights" not in vars(lot)
+        twin = fraction_formula(lot)
+        weights = lot.weights
+        assert vars(lot)["weights"] is weights is lot.weights
+        assert weights == twin.weights
+        assert lot == twin and hash(lot) == hash(twin) and repr(lot) == repr(twin)
+        assert lot.integer_form == twin.integer_form
+        with pytest.raises(FrozenInstanceError):
+            lot.weights = twin.weights
+        with pytest.raises(AttributeError, match="no attribute 'weight'"):
+            lot.weight
+
+
+@given(mixed_lotteries(), mixed_lotteries(), st.data())
+def test_unread_weights_survive_pickling_and_replace(p, q, data):
+    for lot in built_from_integers((p, q), data):
+        twin = fraction_formula(lot)
+        back = pickle.loads(pickle.dumps(lot))
+        assert "weights" not in vars(lot)
+        assert back == twin and hash(back) == hash(twin) and repr(back) == repr(twin)
+        assert back.integer_form == twin.integer_form
+        again = replace(lot)
+        assert again == twin and again.integer_form == twin.integer_form
+        assert replace(lot, weights=q.weights) == q
+
+
+def test_mixing_and_comparing_builds_no_weights(monkeypatch):
+    # The built-in oracles compare integer forms and mix combines them,
+    # so no Fraction weight is built: count every build through the
+    # lazy builder, and check that none was set eagerly either.
+    built = []
+    lazy = Lottery.__getattr__
+
+    def counting(self, name):
+        built.append(name)
+        return lazy(self, name)
+
+    monkeypatch.setattr(Lottery, "__getattr__", counting)
+    space = OutcomeSpace.of_size(3)
+    oracles = [
+        ExpectedUtilityOracle(UtilityFunction.of(space, (0, 1, 3))),
+        RepresentedOracle(space, Hyperplane((1, 2), (0, 0)), -1),
+        LexicographicOracle(space, (2, 0, 1)),
+        HybridExampleOracle(space),
+        MajorityOracle(space),
+    ]
+    lots = enumerate_grid(GridSpec(space, 3))
+    alphas = (Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1))
+    mixes = [mix(p, q, alpha) for p in lots for q in lots for alpha in alphas]
+    for oracle in oracles:
+        for p in lots:
+            for m in mixes[::7]:
+                oracle.compare(p, m)
+                oracle.compare(m, p)
+        if oracle.has_solve:
+            top, mid, bottom = sorted(
+                lots[:3], reverse=True,
+                key=cmp_to_key(lambda a, b: oracle.compare(a, b).sign))
+            oracle.solve(top, mid, bottom)
+    assert built == []
+    assert not any("weights" in vars(lot) for lot in (*lots, *mixes))

@@ -85,9 +85,11 @@ def test_utility_function_validation():
     with pytest.raises(LengthMismatch):
         UtilityFunction.of(SPACE, [0, 1])
     assert UtilityFunction.of(SPACE, ["1/2", 1, 2]).values == (F(1, 2), F(1), F(2))
+    with pytest.raises(ValueError, match="not an exact rational: True"):
+        UtilityFunction.of(SPACE, (True, 0, 1))
 
 
-@pytest.mark.parametrize("bad", [0.1, "1"])
+@pytest.mark.parametrize("bad", [0.1, "1", True])
 def test_utility_function_rejects_inexact_payoffs(bad):
     space = OutcomeSpace.of_size(2)
     with pytest.raises(ValueError, match=f"not an exact rational: {bad!r}"):
@@ -173,6 +175,11 @@ def test_represented_oracle_validation():
         RepresentedOracle(OutcomeSpace.of_size(4), plane, 1)
     with pytest.raises(ValueError, match="not an exact rational: 0.5"):
         RepresentedOracle(SPACE, Hyperplane((F(1), 0.5), (F(0), F(0))), 1)
+    # True once passed as +1, and the loader refused the JSON true it
+    # was written as.
+    for orientation in (True, 1.0):
+        with pytest.raises(UnorientedRepresentation):
+            RepresentedOracle(SPACE, plane, orientation)
 
 
 def test_lexicographic_compare():
@@ -196,6 +203,12 @@ def test_lexicographic_priority_validation():
         LexicographicOracle(SPACE, (0, 1))
     with pytest.raises(LengthMismatch):
         LexicographicOracle(SPACE, (0, 1, 1))
+    # (True, False) once built, and the loader refused the JSON bools it
+    # was written as.
+    with pytest.raises(ValueError, match="priority entries must be ints, got True"):
+        LexicographicOracle(OutcomeSpace.of_size(2), (True, False))
+    with pytest.raises(ValueError, match="priority entries must be ints, got 2.0"):
+        LexicographicOracle(SPACE, (2.0, 0, 1))
 
 
 def test_hybrid_plateau_and_fallback():

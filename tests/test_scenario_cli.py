@@ -109,6 +109,18 @@ def test_oracle_round_trips():
                 assert back.compare(a, b) is oracle.compare(a, b)
 
 
+def test_represented_oracle_with_int_entries_round_trips():
+    # An int normal was written as JSON numbers, which the loader
+    # refused as "expected a rational string, got int".
+    oracle = RepresentedOracle(SPACE, Hyperplane((1, 2), (0, 0)), 1)
+    doc = oracle_to_json(oracle)
+    assert doc == {"kind": "represented", "normal": ["1", "2"],
+                   "base": ["0", "0"], "orientation": 1}
+    back = oracle_from_json(SPACE, json.loads(json.dumps(doc)))
+    assert back.hyperplane == oracle.hyperplane
+    assert oracle_to_json(back) == doc
+
+
 def test_oracle_from_json_errors():
     with pytest.raises(ValueError):
         oracle_from_json(SPACE, {})
