@@ -559,6 +559,8 @@ def check_independence(oracle: PreferenceOracle, grid: GridSpec,
     must not change their ranking.  betweenness: a mixture of p >= q
     must stay weakly between them.
     """
+    if variant not in ("independence", "betweenness"):
+        raise ValueError(f"unknown independence variant {variant!r}")
     lots, nums, den, spec = _encoded(oracle, grid)
     budget = Budget(grid=grid, candidate_bound=grid.denominator_bound)
     if variant == "independence":
@@ -566,12 +568,10 @@ def check_independence(oracle: PreferenceOracle, grid: GridSpec,
         return _verdict(IndependenceWitness, oracle, budget,
                         kernels.scan_independence(spec, nums, den, _pairs(alphas)),
                         lambda i, j, k, ai: (lots[i], lots[j], lots[k], alphas[ai]))
-    if variant == "betweenness":
-        alphas = dyadic_alphas(grid.denominator_bound, interior_only=True)
-        return _verdict(BetweennessWitness, oracle, budget,
-                        kernels.scan_betweenness(spec, nums, den, _pairs(alphas)),
-                        lambda i, j, ai: (lots[i], lots[j], alphas[ai]))
-    raise ValueError(f"unknown independence variant {variant!r}")
+    alphas = dyadic_alphas(grid.denominator_bound, interior_only=True)
+    return _verdict(BetweennessWitness, oracle, budget,
+                    kernels.scan_betweenness(spec, nums, den, _pairs(alphas)),
+                    lambda i, j, ai: (lots[i], lots[j], alphas[ai]))
 
 
 def _greedy_classes(oracle, lots, nums, den, spec):
@@ -688,6 +688,9 @@ def check_continuity(oracle: PreferenceOracle, kind: str, grid: GridSpec,
         raise ValueError(f"probe depth must be an int, got {depth!r}")
     if depth < 1:
         raise ValueError(f"probe depth must be at least 1, got {depth}")
+    if kind not in CONTINUITY_KINDS:
+        raise ValueError(f"unknown continuity kind {kind!r}; "
+                         f"expected one of {CONTINUITY_KINDS}")
     lots, nums, den, spec = _encoded(oracle, grid)
     d = grid.denominator_bound
     if kind in _PROBE_KINDS and spec[0] != "callback":
@@ -711,26 +714,23 @@ def check_continuity(oracle: PreferenceOracle, kind: str, grid: GridSpec,
                         kernels.scan_archimedean(spec, nums, den, depth),
                         lambda i, j, k, side: (lots[i], lots[j], lots[k], side, depth))
 
-    if kind == "solvability":
-        if oracle.has_solve:
-            def weight(i, j, k):
-                alpha = unit_weight(oracle.solve(lots[i], lots[j], lots[k]))
-                return alpha.numerator, alpha.denominator
+    # The one kind left: solvability.
+    if oracle.has_solve:
+        def weight(i, j, k):
+            alpha = unit_weight(oracle.solve(lots[i], lots[j], lots[k]))
+            return alpha.numerator, alpha.denominator
 
-            # observe asks solve() itself; the hit's weight a/b only led
-            # the scan to the triple.
-            return _verdict(SolveContractWitness, oracle, Budget(grid=grid),
-                            kernels.scan_solvability_solve(spec, nums, den, weight),
-                            lambda i, j, k, a, b: (lots[i], lots[j], lots[k]))
+        # observe asks solve() itself; the hit's weight a/b only led
+        # the scan to the triple.
+        return _verdict(SolveContractWitness, oracle, Budget(grid=grid),
+                        kernels.scan_solvability_solve(spec, nums, den, weight),
+                        lambda i, j, k, a, b: (lots[i], lots[j], lots[k]))
 
-        alphas = rationals_between(Fraction(0), Fraction(1), d)
-        return _verdict(SolvabilityScanWitness, oracle,
-                        Budget(grid=grid, candidate_bound=d),
-                        kernels.scan_solvability_scan(spec, nums, den, _pairs(alphas)),
-                        lambda i, j, k: (lots[i], lots[j], lots[k], d))
-
-    raise ValueError(f"unknown continuity kind {kind!r}; "
-                     f"expected one of {CONTINUITY_KINDS}")
+    alphas = rationals_between(Fraction(0), Fraction(1), d)
+    return _verdict(SolvabilityScanWitness, oracle,
+                    Budget(grid=grid, candidate_bound=d),
+                    kernels.scan_solvability_scan(spec, nums, den, _pairs(alphas)),
+                    lambda i, j, k: (lots[i], lots[j], lots[k], d))
 
 
 def check_convexity(oracle: PreferenceOracle, grid: GridSpec) -> AxiomVerdict:

@@ -38,7 +38,7 @@ from .axioms import (
 )
 from .errors import LotprefError
 from .grids import GridSpec
-from .oracles import ExpectedUtilityOracle, RepresentedOracle
+from .oracles import ExpectedUtilityOracle
 from .rationals import format_rational
 from .representation import (
     construct_ip_via_solvability,
@@ -301,9 +301,9 @@ def _cmd_certify(args) -> tuple[str, int]:
 
     if scenario.oracle is None and scenario.utility is None:
         # The indifference data itself pins the class: orientation does
-        # not matter for ~, so +1 serves even without a strict pair.
-        rep = elicit(scenario.elicitation)
-        oracle = RepresentedOracle(scenario.space, rep.hyperplane, 1)
+        # not matter for ~, so the elicited utility serves even without
+        # a strict pair.
+        oracle = ExpectedUtilityOracle(elicit(scenario.elicitation).utility)
     else:
         oracle = _oracle(scenario)
 

@@ -1,10 +1,10 @@
 """Exact affine geometry over rational vectors.
 
-Inputs and results are Fractions (ints and anything ``Fraction`` accepts
-are read as rationals), but the elimination runs on Python ints: each
-row is scaled to integers by its denominators' lcm, reduced
-fraction-free (cross-multiply, then divide the row by its gcd), and
-Fractions are built only for the entries returned.  The reduced row
+Inputs are ints and Fractions (a float, string or bool is refused with
+``ValueError``) and results are Fractions, but the elimination runs on
+Python ints: each row is scaled to integers by its denominators' lcm,
+reduced fraction-free (cross-multiply, then divide the row by its gcd),
+and Fractions are built only for the entries returned.  The reduced row
 echelon form of a matrix is unique, so this gives exactly what
 elimination over Fractions gives.
 
@@ -64,9 +64,10 @@ def vec_sub(a, b) -> Vector:
 
 
 def _rationals(values) -> list:
-    """The values as ints and Fractions; anything else goes through
-    ``Fraction`` once."""
-    return [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in values]
+    """The values as a list, each checked to be an int or a Fraction."""
+    values = list(values)
+    require_exact(values)
+    return values
 
 
 def _fractions(values) -> Vector:
@@ -296,9 +297,15 @@ class Hyperplane(Record):
         if all(c == 0 for c in self.normal):
             raise RankDeficient("hyperplane normal must be nonzero")
 
+    def gauge(self, orientation: int) -> Vector:
+        """The utility (0, orientation·normal) that ranks lotteries as the
+        plane's oriented offset does, up to a constant: embedding drops
+        outcome 0, so u(x0) = 0."""
+        return (ZERO,) + tuple(orientation * c for c in self.normal)
+
     def level(self, point) -> Fraction:
         """Signed offset of ``point`` along the normal, zero on the plane."""
-        return dot(vec_sub(tuple(point), self.base), self.normal)
+        return dot(vec_sub(_rationals(point), self.base), self.normal)
 
     def side(self, point) -> int:
         """-1, 0, or +1 according to the sign of ``level``."""
@@ -314,7 +321,7 @@ def hyperplane_from_points(points) -> Hyperplane:
     integer entries, first nonzero positive) and the base point is the
     first input point, so equal inputs give equal hyperplanes.
     """
-    pts = [_rationals(p) for p in points]
+    pts = [tuple(p) for p in points]
     if not pts:
         raise EmptyInput("no points given")
     dim = len(pts[0])

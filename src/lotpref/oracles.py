@@ -16,7 +16,8 @@ grid points with the same closure, so no Fraction is built and the two
 cannot drift apart.  The linear oracles (expected utility and the
 represented hyperplane) rank by one integer payoff vector, their
 ``gauge``, built once from the utility; their solves compute on it too
-and build no Fraction but the solved weight.
+and build no Fraction but the solved weight.  A fitted hyperplane
+ranks by the same "eu" rule, over ``Hyperplane.gauge(orientation)``.
 
 The majority oracle is deliberately intransitive (a Condorcet-style
 cycle appears already on the denominator-3 grid) and exists so the
@@ -220,7 +221,6 @@ class _LevelOracle(_RuleOracle):
     has_solve = True
 
     def __init__(self, space: OutcomeSpace, payoffs):
-        require_exact(payoffs)
         # The payoffs times their denominators' lcm: a positive
         # rescaling, so it ranks as they do and keeps every ratio of
         # differences.
@@ -273,8 +273,7 @@ class RepresentedOracle(_LevelOracle):
         if len(hyperplane.normal) != space.n:
             raise SpaceMismatch(
                 f"hyperplane in dimension {len(hyperplane.normal)}, space has {space.n}")
-        super().__init__(space, (Fraction(0),) + tuple(
-            orientation * c for c in hyperplane.normal))
+        super().__init__(space, hyperplane.gauge(orientation))
         self.hyperplane = hyperplane
         self.orientation = orientation
 

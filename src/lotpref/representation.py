@@ -39,10 +39,8 @@ from .geometry import (
     affine_coefficients,
     affine_rank,
     common_denominator,
-    dot,
     hyperplane_from_points,
     kernel_basis,
-    vec_sub,
 )
 from .lotteries import (
     Lottery,
@@ -52,7 +50,12 @@ from .lotteries import (
     mix,
     uniform,
 )
-from .oracles import ComparisonResult, PreferenceOracle, UtilityFunction
+from .oracles import (
+    ComparisonResult,
+    ExpectedUtilityOracle,
+    PreferenceOracle,
+    UtilityFunction,
+)
 
 __all__ = [
     "ElicitationInput",
@@ -116,9 +119,7 @@ class Representation(Record):
                 f"orientation must be +1 or -1, got {self.orientation!r}")
         if self.utility.space != self.space:
             raise SpaceMismatch("utility over a different space")
-        expected = (Fraction(0),) + tuple(
-            self.orientation * c for c in self.hyperplane.normal)
-        if self.utility.values != expected:
+        if self.utility.values != self.hyperplane.gauge(self.orientation):
             raise ValueError("utility does not match orientation x normal gauge")
 
 
@@ -189,9 +190,9 @@ def elicit(data: ElicitationInput) -> Representation:
     """Fit the hyperplane through the indifference data and orient it.
 
     Needs exactly n points of embedded affine rank n-1.  With a strict
-    (better, worse) pair the orientation is chosen so that better wins;
-    a pair that touches the hyperplane, or sits at one common offset
-    from it, contradicts the indifference data and is rejected.
+    (better, worse) pair the orientation is the sign of better against
+    worse under the +1 gauge's expected utility; a pair that ties the
+    indifference data, or ties itself, contradicts it and is rejected.
     """
     space = data.space
     n = space.n
@@ -206,21 +207,22 @@ def elicit(data: ElicitationInput) -> Representation:
         orientation, oriented = 1, False
     else:
         better, worse = data.strict
-        lv_better = plane.level(embed(better).coords)
-        lv_worse = plane.level(embed(worse).coords)
-        if lv_better == 0 or lv_worse == 0:
+        compare = ExpectedUtilityOracle(
+            UtilityFunction(space, plane.gauge(1))).compare
+        # The plane's base is the first indifferent lottery.
+        base, tie = data.indifferent[0], ComparisonResult.INDIFFERENT
+        if compare(better, base) is tie or compare(worse, base) is tie:
             raise InconsistentStrictPair(
                 "a strict endpoint lies on the indifference hyperplane")
-        if lv_better == lv_worse:
+        orientation = compare(better, worse).sign
+        if not orientation:
             raise InconsistentStrictPair(
                 "strict endpoints sit at the same offset; no direction fits")
-        orientation = 1 if lv_better > lv_worse else -1
         oriented = True
 
-    values = (Fraction(0),) + tuple(orientation * c for c in plane.normal)
     return Representation(
         space=space,
-        utility=UtilityFunction(space, values),
+        utility=UtilityFunction(space, plane.gauge(orientation)),
         hyperplane=plane,
         orientation=orientation,
         oriented=oriented,
@@ -228,21 +230,14 @@ def elicit(data: ElicitationInput) -> Representation:
 
 
 def classify(rep: Representation, reference: Lottery, query: Lottery) -> ComparisonResult:
-    """How the query ranks against the reference under the representation.
-
-    Slides the elicited hyperplane to pass through the reference and
-    reads off which side the query falls on, times the orientation.
+    """How the query ranks against the reference under the representation:
+    by the expected utility of ``rep.utility``, the rule its
+    ``ExpectedUtilityOracle`` compares with.
     """
     if not rep.oriented:
         raise UnorientedRepresentation(
             "no strict pair was given; both directions are admissible")
-    if reference.space != rep.space or query.space != rep.space:
-        raise SpaceMismatch("lottery from a different outcome space")
-    offset = dot(
-        vec_sub(embed(query).coords, embed(reference).coords),
-        rep.hyperplane.normal)
-    sign = rep.orientation * ((offset > 0) - (offset < 0))
-    return ComparisonResult.from_sign(sign)
+    return ExpectedUtilityOracle(rep.utility).compare(query, reference)
 
 
 # ---- generation from a utility --------------------------------------------
@@ -297,17 +292,12 @@ def generate_indifferent_points(
 def _on_segment(q: Lottery, p: Lottery, r: Lottery) -> bool:
     """Exact test for q in the closed segment [p, r]."""
     try:
-        a, b = affine_coefficients(
+        a, _ = affine_coefficients(
             embed(q).coords, [embed(p).coords, embed(r).coords])
     except NotInAffineHull:
         return False
-    # a + b = 1 is guaranteed; the combination must also reproduce q,
-    # which affine_coefficients only promises when the system was
-    # consistent, and it must be convex.
-    if not (0 <= a <= 1):
-        return False
-    combo = tuple(a * pw + b * rw for pw, rw in zip(p.weights, r.weights))
-    return combo == q.weights
+    # The combination must be convex, and it must reproduce q.
+    return 0 <= a <= 1 and mix(p, r, a) == q
 
 
 def construct_ip_via_solvability(

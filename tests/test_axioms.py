@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lotpref import _kernels as kernels
+from lotpref import axioms
 from lotpref._kernels import pure
 from lotpref.axioms import (
     CONTINUITY_KINDS,
@@ -298,11 +299,20 @@ def test_majority_ip_does_not_crash_on_pseudo_classes():
 # ---- plumbing -----------------------------------------------------------------
 
 
-def test_bad_variant_and_kind_rejected():
-    with pytest.raises(ValueError):
-        check_independence(EU, GRID4, variant="monotonicity")
-    with pytest.raises(ValueError):
-        check_continuity(EU, "uniform-continuity", GRID4)
+def test_bad_variant_and_kind_rejected(monkeypatch):
+    # An unknown kind once failed only after enumerating and encoding
+    # the grid: 0.76 s for majority on 4 outcomes at grid 40.
+    def no_grid(grid):
+        raise AssertionError("grid built before the parameters were checked")
+
+    monkeypatch.setattr(axioms, "_grid", no_grid)
+    grid = GridSpec(OutcomeSpace.of_size(4), 40)
+    eu = ExpectedUtilityOracle(UtilityFunction.of(grid.space, [0, 1, 2, 3]))
+    for oracle in (eu, MajorityOracle(grid.space)):
+        with pytest.raises(ValueError, match="unknown independence variant"):
+            check_independence(oracle, grid, variant="monotonicity")
+        with pytest.raises(ValueError, match="unknown continuity kind"):
+            check_continuity(oracle, "uniform-continuity", grid)
 
 
 class MajoritySubclass(MajorityOracle):

@@ -193,6 +193,42 @@ def test_hyperplane_from_points_rejections():
         hyperplane_from_points([(0, 0), (1, 0, 0)])
 
 
+@pytest.mark.parametrize("bad", [0.5, "1/2", True])
+def test_geometry_refuses_inexact_entries(bad):
+    # A float was read through Fraction(), so hyperplane_from_points on
+    # (0.1, 0.2), (0.3, 0.5) returned the normal
+    # (10808639105689190, -7205759403792793); a string or bool was read
+    # as the rational it spells.
+    refused = pytest.raises(ValueError, match=f"not an exact rational: {bad!r}")
+    with refused:
+        kernel_basis([(bad, 1, 1)])
+    with refused:
+        affine_rank([(F(1, 3), F(1, 3)), (F(0), bad)])
+    with refused:
+        affine_coefficients((bad, F(0)), [(0, 0), (1, 0)])
+    with refused:
+        affine_coefficients((F(1, 2), 0), [(0, 0), (bad, 0)])
+    with refused:
+        hyperplane_from_points([(bad, F(1, 3)), (F(1, 6), F(5, 12))])
+    with refused:
+        hyperplane_from_points([(F(1, 3), F(1, 3)), (F(1, 6), bad)])
+    with refused:
+        Hyperplane((F(1), F(2)), (F(0), F(0))).side((F(0), bad))
+
+
+def test_geometry_reads_ints_and_fractions_alike():
+    assert kernel_basis([(1, 2, 3)]) == kernel_basis([(F(1), F(2), F(3))]) \
+        == ((F(-2), F(1), F(0)), (F(-3), F(0), F(1)))
+    assert affine_rank([(0, 0), (1, 1), (2, 2)]) \
+        == affine_rank([(F(0), F(0)), (F(1), F(1)), (F(2), F(2))]) == 1
+    assert affine_coefficients((F(1, 2), 0), [(0, 0), (1, 0)]) \
+        == affine_coefficients((F(1, 2), F(0)), [(F(0), F(0)), (F(1), F(0))]) \
+        == (F(1, 2), F(1, 2))
+    plane = hyperplane_from_points([(0, 1), (1, 0)])
+    assert plane == hyperplane_from_points([(F(0), F(1)), (F(1), F(0))])
+    assert plane.normal == (F(1), F(1)) and plane.base == (F(0), F(1))
+
+
 @given(st.data())
 def test_hyperplane_normal_is_primitive(data):
     dim = data.draw(st.integers(2, 3))
