@@ -466,7 +466,7 @@ def _grid(grid: GridSpec):
 
 
 # How many off-grid lotteries (mixtures, translates, probes, line
-# points) one callback check keeps built.
+# points) one callback check keeps built, and how many answers it keeps.
 _INTERNED = 1 << 12
 
 
@@ -500,8 +500,11 @@ def _encoded(oracle: PreferenceOracle, grid: GridSpec):
     """(lots, nums, den, spec) for one check, once the oracle and the
     grid share an outcome space.  An oracle the encoder refuses gets a
     ("callback", ...) spec whose closure asks ``oracle.compare`` on
-    interned lotteries (``_interned``), the same questions in the same
-    order as on fresh ones."""
+    interned lotteries (``_interned``).  The closure keeps the answers
+    to its _INTERNED most recent distinct questions, keyed by their
+    integer arguments, so the oracle is asked each of those once; the
+    memo is built here and lives for one check.  Witness confirmation
+    asks the oracle itself, never the memo."""
     if oracle.space is not grid.space and oracle.space != grid.space:
         raise SpaceMismatch(f"oracle over {oracle.space.size} outcomes, "
                             f"grid over {grid.space.size}")
@@ -510,6 +513,7 @@ def _encoded(oracle: PreferenceOracle, grid: GridSpec):
     if spec is None:
         lottery = _interned(oracle.space, lots, nums, den)
 
+        @lru_cache(maxsize=_INTERNED)
         def callback(pn, pd, qn, qd):
             return oracle.compare(lottery(pn, pd), lottery(qn, qd)).sign
 

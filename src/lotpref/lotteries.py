@@ -10,9 +10,10 @@ nonempty interior.
 
 A lottery keeps its weights over their least common denominator as
 ``integer_form``.  ``Lottery.from_integers`` builds one from that form
-directly, validating in ints: ``mix``, the grid enumerations and the
-axiom checkers' callback interner compute their numerators in ints and
-build each lottery through it.  Such a lottery holds only its integer
+directly, validating in ints: the grid enumerations and the axiom
+checkers' callback interner compute their numerators in ints and build
+each lottery through it, and ``mix``, whose numerators are valid by
+construction, only reduces them.  Such a lottery holds only its integer
 form; its Fraction ``weights`` are built on first read.  The built-in
 oracles compare ``integer_form``, so mixing and comparing builds no
 Fraction weight at all.
@@ -99,6 +100,11 @@ def _lowest_form(nums, den: int) -> tuple[tuple[int, ...], int]:
             raise NegativeWeight(f"weight {Fraction(num, den)} is negative")
     if sum(nums) != den:
         raise SumNotOne(f"weights sum to {Fraction(sum(nums), den)}, not 1")
+    return _reduced(nums, den)
+
+
+def _reduced(nums, den: int) -> tuple[tuple[int, ...], int]:
+    """(nums, den) reduced by gcd(den, *nums)."""
     common = gcd(den, *nums)
     if common == 1:
         return tuple(nums), den
@@ -147,10 +153,16 @@ class Lottery(Record):
                 raise ValueError(f"not an int: {value!r}")
         if den < 1:
             raise ValueError(f"denominator must be positive, got {den}")
-        nums, den = _lowest_form(nums, den)
+        return cls._of_form(space, _lowest_form(nums, den))
+
+    @classmethod
+    def _of_form(cls, space: OutcomeSpace, form) -> "Lottery":
+        """The lottery whose ``integer_form`` is form, which the caller
+        has already put in lowest terms over nonnegative ints summing to
+        its denominator; nothing is checked."""
         lot = object.__new__(cls)
         object.__setattr__(lot, "space", space)
-        object.__setattr__(lot, "integer_form", (nums, den))
+        object.__setattr__(lot, "integer_form", form)
         return lot
 
     def __getattr__(self, name):
@@ -180,6 +192,7 @@ class EmbeddedPoint(Record):
         if len(self.coords) != self.space.n:
             raise LengthMismatch(
                 f"{len(self.coords)} coordinates for dimension {self.space.n}")
+        require_exact(self.coords)
 
 
 def make_lottery(space: OutcomeSpace, weights) -> Lottery:
@@ -214,7 +227,10 @@ def mix(p: Lottery, q: Lottery, alpha) -> Lottery:
 
     alpha must be an exact rational in [0, 1]; the endpoints are allowed
     and return q and p respectively.  The numerators are computed in
-    ints over one denominator and built by ``Lottery.from_integers``.
+    ints over one denominator.  Two valid integer forms and a weight in
+    [0, 1] give nonnegative ints that sum to it, so the result skips
+    ``Lottery.from_integers``'s checks and is only reduced to lowest
+    terms, which is the form that constructor would give.
     """
     if p.space is not q.space and p.space != q.space:
         raise SpaceMismatch("cannot mix lotteries over different spaces")
@@ -225,8 +241,8 @@ def mix(p: Lottery, q: Lottery, alpha) -> Lottery:
     den = a.denominator * pd * qd
     kp = a.numerator * qd
     kq = (a.denominator - a.numerator) * pd
-    return Lottery.from_integers(
-        p.space, [kp * x + kq * y for x, y in zip(pn, qn)], den)
+    return Lottery._of_form(
+        p.space, _reduced([kp * x + kq * y for x, y in zip(pn, qn)], den))
 
 
 def embed(p: Lottery) -> EmbeddedPoint:

@@ -124,6 +124,13 @@ class PreferenceOracle:
             raise SpaceMismatch("lottery from a different outcome space")
 
     def compare(self, p: Lottery, q: Lottery) -> ComparisonResult:
+        """How p ranks against q.
+
+        compare must be a function of its two lotteries: the same pair
+        gets the same answer, however often or in whatever order it is
+        asked.  A witness's ``replay`` rests on this, and a check may
+        ask a repeated question once and reuse the answer.
+        """
         raise NotImplementedError
 
     def solve(self, p: Lottery, q: Lottery, r: Lottery) -> Fraction:

@@ -1,22 +1,39 @@
-"""A callback oracle is asked the same questions on interned lotteries.
+"""A callback oracle's scans ask the same questions; the oracle hears
+a repeated one once while the check's memo keeps its answer.
 
 An oracle the encoder refuses (here, subclasses of two built-in
-oracles) reaches every scan through ``oracle.compare``.  Within one
-check, ``axioms._encoded`` hands it the grid's own lotteries and builds
-each other lottery once.  The questions, their order and their number
-must not depend on that: the counts and the digests of the ordered
-questions below were recorded on fresh, per-call lotteries, before
-interning, with the same oracles, grid and checks.
+oracles) reaches every scan through the closure of a ("callback", ...)
+spec.  Within one check, ``axioms._encoded`` hands the oracle the grid's
+own lotteries, builds each other lottery once, and answers a question
+its memo still holds without asking the oracle again.
+
+The questions the scans ask, their order and their number must not
+depend on any of that: with the questions ``solve`` and witness
+confirmation ask the oracle directly, they are the stream whose counts
+and digests below were recorded on fresh, per-call lotteries, before
+interning or the memo, with the same oracles, grid and checks.  What
+reaches the oracle is that stream through a least-recently-used memo of
+``axioms._INTERNED`` answers keyed by the closure's integer arguments;
+the oracle-level counts below were simulated that way from the stream
+recorded before the memo.
 """
 
 import hashlib
+from collections import OrderedDict
+from fractions import Fraction
 
 import pytest
 
 from lotpref import axioms
+from lotpref.errors import UnconfirmedHit
 from lotpref.grids import GridSpec
-from lotpref.lotteries import OutcomeSpace
-from lotpref.oracles import ExpectedUtilityOracle, MajorityOracle, UtilityFunction
+from lotpref.lotteries import OutcomeSpace, degenerate
+from lotpref.oracles import (
+    ComparisonResult,
+    ExpectedUtilityOracle,
+    MajorityOracle,
+    UtilityFunction,
+)
 
 SPACE = OutcomeSpace.of_size(3)
 GRID = GridSpec(SPACE, 4)
@@ -32,7 +49,8 @@ CHECKS = {
     "independence": axioms.check_independence,
 }
 
-# (oracle, check) -> (compare calls, violated, digest of the questions).
+# (oracle, check) -> (questions, violated, digest of the questions in
+# order): the scan's, solve's and witness confirmation's together.
 PINNED = {
     ("eu", "weak-order"): (484, False, "856385568b7ff406"),
     ("eu", "translation"): (1029, False, "edc59fa6854df96c"),
@@ -52,16 +70,65 @@ PINNED = {
     ("majority", "independence"): (43076, False, "937ab0b1ad866559"),
 }
 
+# Of those questions, the ones asked of the oracle itself rather than
+# through the closure: eu's solve checks its preconditions with
+# compare, and a hit's observe and replay confirm the witness.
+# (solve's, confirmation's); every other check asks none.
+DIRECT = {
+    ("eu", "solvability"): (4340, 0),
+    ("majority", "weak-order"): (0, 6),
+    ("majority", "solvability"): (0, 18),
+}
+
+# (oracle, check) -> compare calls the oracle receives: the closure's
+# questions through an LRU of _INTERNED = 4,096 answers, plus DIRECT.
+ORACLE_CALLS = {
+    ("eu", "weak-order"): 484,
+    ("eu", "translation"): 519,
+    ("eu", "line-order"): 3442,
+    ("eu", "grid-openness"): 3131,
+    ("eu", "solvability"): 5835,
+    ("eu", "mixture"): 431042,
+    ("eu", "archimedean"): 4734,
+    ("eu", "independence"): 29825,
+    ("majority", "weak-order"): 50,
+    ("majority", "translation"): 760,
+    ("majority", "line-order"): 2005,
+    ("majority", "grid-openness"): 1561,
+    ("majority", "solvability"): 724,
+    ("majority", "mixture"): 412156,
+    ("majority", "archimedean"): 2548,
+    ("majority", "independence"): 29825,
+}
+
 
 def recording(base):
     class Recording(base):
+        """Keeps the compare calls the oracle receives, ``calls``, and
+        the questions in the order they are asked, ``stream``: the
+        closure's, as ("closure", its integer arguments, how many
+        compare calls answering it made), and each compare call not made
+        through the closure, as ("direct", p, q, whether solve made
+        it)."""
+
         def __init__(self, *args):
             super().__init__(*args)
             self.calls = []
+            self.stream = []
+            self.in_closure = self.solving = False
 
         def compare(self, p, q):
-            self.calls.append((p, q))
+            self.calls.append((p, q, self.in_closure))
+            if not self.in_closure:
+                self.stream.append(("direct", p, q, self.solving))
             return super().compare(p, q)
+
+        def solve(self, p, q, r):
+            self.solving = True
+            try:
+                return super().solve(p, q, r)
+            finally:
+                self.solving = False
 
     return Recording
 
@@ -72,11 +139,29 @@ ORACLES = {
 }
 
 
-@pytest.mark.parametrize("label, check", sorted(PINNED))
-def test_callback_questions_unchanged_by_interning(label, check, monkeypatch):
-    oracle = ORACLES[label]()
-    # The scan ends where the verdict starts: witness confirmation builds
-    # its own lotteries with mix, outside the check's interning.
+def run_recorded(oracle, check, monkeypatch):
+    """The verdict, and how many compare calls the oracle had received
+    when the scan ended and the verdict began.  The closure the check's
+    spec holds is wrapped, so each question it is asked enters
+    ``oracle.stream``, whether or not its memo answers."""
+    encoded = axioms._encoded
+
+    def recording_encoded(*args):
+        lots, nums, den, spec = encoded(*args)
+        assert spec[0] == "callback"
+        closure = spec[1][0]
+
+        def callback(*key):
+            asked = len(oracle.calls)
+            oracle.in_closure = True
+            try:
+                return closure(*key)
+            finally:
+                oracle.in_closure = False
+                oracle.stream.append(("closure", key, len(oracle.calls) - asked))
+
+        return lots, nums, den, ("callback", (callback,))
+
     scan_end = []
     verdict = axioms._verdict
 
@@ -84,30 +169,114 @@ def test_callback_questions_unchanged_by_interning(label, check, monkeypatch):
         scan_end.append(len(oracle.calls))
         return verdict(*args)
 
+    monkeypatch.setattr(axioms, "_encoded", recording_encoded)
     monkeypatch.setattr(axioms, "_verdict", marking_verdict)
+    return CHECKS[check](oracle, GRID), scan_end[0]
+
+
+def lru_misses(keys, size):
+    """The keys, in order, that an LRU memo of size entries does not
+    hold when they arrive."""
+    memo = OrderedDict()
+    misses = []
+    for key in keys:
+        if key in memo:
+            memo.move_to_end(key)
+            continue
+        misses.append(key)
+        memo[key] = None
+        if len(memo) > size:
+            memo.popitem(last=False)
+    return misses
+
+
+@pytest.mark.parametrize("label, check", sorted(PINNED))
+def test_callback_questions_unchanged_by_interning(label, check, monkeypatch):
+    oracle = ORACLES[label]()
     if check == "mixture":
         # About 12,000 distinct off-grid lotteries at depth 24, more than
         # the default bound keeps; with room for all, none is rebuilt.
         monkeypatch.setattr(axioms, "_INTERNED", 1 << 14)
-    result = CHECKS[check](oracle, GRID)
+    result, scan_end = run_recorded(oracle, check, monkeypatch)
 
-    # Each lottery object once: its weights' repr for the digest, and
-    # the identity checks while the scan runs.
+    # Each lottery's weights as text once, for the digests.
     texts = {}
-    grid_lots = {lot.weights: lot for lot in axioms._grid(GRID)[0]}
-    first = {}
-    for n, (p, q) in enumerate(oracle.calls):
-        for x in (p, q):
-            if id(x) not in texts:
-                texts[id(x)] = repr(x.weights)
-                if n < scan_end[0]:
-                    assert first.setdefault(x.weights, x) is x
-                    assert grid_lots.get(x.weights, x) is x
+
+    def text(nums, den):
+        if (nums, den) not in texts:
+            texts[nums, den] = repr(tuple(Fraction(x, den) for x in nums))
+        return texts[nums, den]
+
+    def question(entry):
+        if entry[0] == "closure":
+            pn, pd, qn, qd = entry[1]
+            return text(pn, pd), text(qn, qd)
+        return tuple(text(*x.integer_form) for x in entry[1:3])
+
+    # The questions are the ones recorded before interning, in order.
     digest = hashlib.sha256()
-    for p, q in oracle.calls:
-        digest.update(f"({texts[id(p)]}, {texts[id(q)]})".encode())
-    assert (len(oracle.calls), result.violated,
+    for entry in oracle.stream:
+        digest.update("({}, {})".format(*question(entry)).encode())
+    assert (len(oracle.stream), result.violated,
             digest.hexdigest()[:16]) == PINNED[label, check]
+
+    # The direct ones: solve's during the scan, confirmation's after it.
+    direct = [n for n, (_, _, in_closure) in enumerate(oracle.calls) if not in_closure]
+    solving = sum(entry[-1] for entry in oracle.stream if entry[0] == "direct")
+    confirming = sum(n >= scan_end for n in direct)
+    assert solving + confirming == len(direct)
+    assert (solving, confirming) == DIRECT.get((label, check), (0, 0))
+
+    # The oracle hears, in order, the closure's questions that an LRU of
+    # _INTERNED answers misses, once each, and the direct ones: at the
+    # default bound, the pinned count.
+    closure = [entry[1:] for entry in oracle.stream if entry[0] == "closure"]
+    keys = [key for key, _ in closure]
+    assert {calls for _, calls in closure} <= {0, 1}
+    assert [key for key, calls in closure if calls] == lru_misses(keys, axioms._INTERNED)
+    assert len(lru_misses(keys, 1 << 12)) + len(direct) == ORACLE_CALLS[label, check]
+
+    # While the scan runs, each weight vector is one lottery object,
+    # and a grid point is the grid's own.  The lowest-terms integer
+    # form stands for the weights.
+    grid_lots = {lot.integer_form: lot for lot in axioms._grid(GRID)[0]}
+    first = {}
+    for p, q, _ in oracle.calls[:scan_end]:
+        for x in (p, q):
+            assert first.setdefault(x.integer_form, x) is x
+            assert grid_lots.get(x.integer_form, x) is x
+
+
+@pytest.mark.parametrize("label", sorted(ORACLES))
+def test_no_answer_outlives_its_check(label):
+    oracle = ORACLES[label]()
+    asked = []
+    for _ in range(2):
+        del oracle.calls[:]
+        assert not axioms.check_translation(oracle, GRID).violated
+        asked.append([(p.weights, q.weights) for p, q, _ in oracle.calls])
+    assert len(asked[0]) == ORACLE_CALLS[label, "translation"]
+    assert asked[1] == asked[0]
+
+
+def test_an_answer_the_oracle_takes_back_is_refused():
+    # The scan keeps the first answer; observe and replay ask the
+    # oracle itself, which no longer gives it, so the hit is refused.
+    top, bottom = degenerate(SPACE, 2), degenerate(SPACE, 0)
+
+    class TakesBack(ExpectedUtilityOracle):
+        taken_back = False
+
+        def compare(self, p, q):
+            if (p, q) == (top, bottom) and not self.taken_back:
+                self.taken_back = True
+                return ComparisonResult.STRICTLY_WORSE
+            return super().compare(p, q)
+
+    oracle = TakesBack(UtilityFunction.of(SPACE, (0, 1, 3)))
+    with pytest.raises(UnconfirmedHit, match="weak-order"):
+        axioms.check_weak_order(oracle, GRID)
+    assert oracle.taken_back
 
 
 def test_interned_lottery_keys_equal_weights_once():

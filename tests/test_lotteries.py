@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from lotpref.errors import (
     AlphaOutOfRange,
+    LotprefError,
     EmptyInput,
     LengthMismatch,
     NegativeWeight,
@@ -31,6 +32,7 @@ from lotpref.lotteries import (
     mix,
     unembed,
     uniform,
+    unit_weight,
 )
 from lotpref.oracles import (
     ExpectedUtilityOracle,
@@ -213,6 +215,42 @@ def test_mix_matches_fraction_reference(p, q, data):
     assert m.weights == expected.weights
     assert m.integer_form == expected.integer_form
     assert hash(m) == hash(expected) and repr(m) == repr(expected)
+
+
+def validating_mix(p, q, alpha):
+    """mix built through the validating ``Lottery.from_integers``."""
+    if p.space is not q.space and p.space != q.space:
+        raise SpaceMismatch("cannot mix lotteries over different spaces")
+    a = unit_weight(alpha)
+    (pn, pd), (qn, qd) = p.integer_form, q.integer_form
+    kp, kq = a.numerator * qd, (a.denominator - a.numerator) * pd
+    return Lottery.from_integers(
+        p.space, [kp * x + kq * y for x, y in zip(pn, qn)], a.denominator * pd * qd)
+
+
+def integer_form_or_error(build, *args):
+    try:
+        return build(*args).integer_form
+    except (ValueError, LotprefError) as error:
+        return type(error), str(error)
+
+
+@given(mixed_lotteries(), st.one_of(mixed_lotteries(), mixed_lotteries(size=4)),
+       st.one_of(st.fractions(-1, 2, max_denominator=12), st.integers(-1, 2),
+                 st.floats(0, 1), st.booleans(), st.sampled_from(["1/3", "4/3", "x"])))
+def test_mix_gives_the_validating_constructors_form_and_errors(p, q, alpha):
+    assert (integer_form_or_error(mix, p, q, alpha)
+            == integer_form_or_error(validating_mix, p, q, alpha))
+
+
+@pytest.mark.parametrize("bad", [0.5, "1/2", True])
+def test_embedded_point_rejects_inexact_coords(bad):
+    # A float point used to build, and unembed then named the computed
+    # weight 1 - 0.75 instead of the coordinate.
+    for coords in ((bad, Fraction(1, 4)), (Fraction(1, 4), bad)):
+        with pytest.raises(ValueError, match=f"not an exact rational: {bad!r}"):
+            EmbeddedPoint(SPACE, coords)
+    assert EmbeddedPoint(SPACE, (1, Fraction(0))).coords == (1, 0)
 
 
 @given(mixed_lotteries(size=4), st.integers(1, 6))
