@@ -22,7 +22,6 @@ from __future__ import annotations
 import inspect
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
 
 from . import _kernels as kernels
 from ._kernels import pure
@@ -471,12 +470,11 @@ _INTERNED = 1 << 12
 
 
 def _interned(space, lots, nums, den):
-    """lottery(xn, xd): the Lottery with weights xn[c]/xd.  A grid
-    point is the grid's own lot.  Any other point is built through the
-    validating constructor and then reused while it stays among the
-    _INTERNED most recently used.  Its key is the weights over den when
-    their reduced denominator divides den, else in lowest terms, so
-    equal weights written over different denominators share one."""
+    """lottery(xn, xd): the Lottery with weights xn[c]/xd, keyed by the
+    integers that spell it, as the answer memo keys its questions.  A
+    grid point spelled over den is the grid's own lot.  Any other
+    spelling is built through the validating constructor and then
+    reused while it stays among the _INTERNED most recently used."""
     on_grid = dict(zip(nums, lots))
 
     @lru_cache(maxsize=_INTERNED)
@@ -484,14 +482,8 @@ def _interned(space, lots, nums, den):
         return Lottery.from_integers(space, xn, xd)
 
     def lottery(xn, xd):
-        if xd != den:
-            common = gcd(xd, *xn)
-            scale, rest = divmod(den * common, xd)
-            if rest:
-                return build(tuple(a // common for a in xn), xd // common)
-            xn = tuple(a * scale // common for a in xn)
-        lot = on_grid.get(xn)
-        return build(xn, den) if lot is None else lot
+        lot = on_grid.get(xn) if xd == den else None
+        return build(xn, xd) if lot is None else lot
 
     return lottery
 
@@ -578,38 +570,39 @@ def check_independence(oracle: PreferenceOracle, grid: GridSpec,
                     lambda i, j, ai: (lots[i], lots[j], alphas[ai]))
 
 
-def _greedy_classes(oracle, lots, nums, den, spec):
-    """Each lot's class index, in lot order: the first class whose
-    representative, its first member, the lot is indifferent to, or a
-    new class.
+def _greedy_classes(nums, den, spec):
+    """Each grid point's class index, in grid order: the first class
+    whose representative, its first member, the point is indifferent
+    to, or a new class.
 
     Lex ties only equal weight vectors, and the grid lists each lottery
-    once, so under lex every class is a singleton: lot i is class i,
+    once, so under lex every class is a singleton: point i is class i,
     read with no sign table.  Any other encoded oracle reads
-    indifference off the sign table's eq bits, with no oracle call:
-    each new representative claims, in one bitset operation, every
-    later unclaimed lot indifferent to it, which is the lot's first
-    such representative.  A callback oracle is asked lazily instead,
-    one lot at a time, so an early exit saves the comparisons of the
-    lots after it.
+    indifference off the sign table's eq bits, with no comparison: each
+    new representative claims, in one bitset operation, every later
+    unclaimed point indifferent to it, which is the point's first such
+    representative.  A callback spec's closure is asked lazily instead,
+    one point at a time, as a scan asks it, so an early exit saves the
+    comparisons of the points after it.
     """
     if spec[0] == "callback":
-        reps: list[Lottery] = []
-        for lot in lots:
+        cmp = pure.make_compare(spec)
+        reps: list[tuple[int, ...]] = []
+        for p in nums:
             k = next((k for k, rep in enumerate(reps)
-                      if oracle.compare(lot, rep) is INDIFF), len(reps))
+                      if cmp(p, den, rep, den) == 0), len(reps))
             if k == len(reps):
-                reps.append(lot)
+                reps.append(p)
             yield k
         return
     if spec[0] == "lex":
-        yield from range(len(lots))
+        yield from range(len(nums))
         return
     signs = pure._SignTable(spec, nums, den)
-    owner: list[int | None] = [None] * len(lots)
-    unclaimed = (1 << len(lots)) - 1
+    owner: list[int | None] = [None] * len(nums)
+    unclaimed = (1 << len(nums)) - 1
     founded = 0
-    for i in range(len(lots)):
+    for i in range(len(nums)):
         if owner[i] is None:
             owner[i] = founded
             unclaimed ^= 1 << i
@@ -644,7 +637,7 @@ def check_ip(oracle: PreferenceOracle, grid: GridSpec) -> AxiomVerdict:
     classes: list[list[Lottery]] = []
     hulls: dict[int, AffineBasis] = {}
     best_size = 0
-    for lot, k in zip(lots, _greedy_classes(oracle, lots, nums, den, spec)):
+    for lot, k in zip(lots, _greedy_classes(nums, den, spec)):
         if k == len(classes):
             span = [lot]
             classes.append(span)

@@ -212,10 +212,17 @@ def _scenario(args) -> Scenario:
         if utility is not None:
             block["utility"] = utility
         if priority is not None:
-            block["priority"] = [int(i) for i in priority.split(",")]
+            block["priority"] = [_priority_entry(i) for i in priority.split(",")]
     elif utility is not None:
         keys["utility"] = utility
     return load_scenario(args.scenario, keys, outcomes)
+
+
+def _priority_entry(entry: str) -> int:
+    try:
+        return int(entry)
+    except ValueError:
+        raise ValueError(f"--priority entries must be ints, got {entry!r}") from None
 
 
 def _oracle(scenario: Scenario):

@@ -15,9 +15,10 @@ denominators.  A built-in oracle builds its rule once and compares the
 grid points with the same closure, so no Fraction is built and the two
 cannot drift apart.  The linear oracles (expected utility and the
 represented hyperplane) rank by one integer payoff vector, their
-``gauge``, built once from the utility; their solves compute on it too
-and build no Fraction but the solved weight.  A fitted hyperplane
-ranks by the same "eu" rule, over ``Hyperplane.gauge(orientation)``.
+``gauge``, built once from the utility; their solves check their
+premise and compute on it too, and build no Fraction but the solved
+weight.  A fitted hyperplane ranks by the same "eu" rule, over
+``Hyperplane.gauge(orientation)``.
 
 The majority oracle is deliberately intransitive (a Condorcet-style
 cycle appears already on the denominator-3 grid) and exists so the
@@ -134,14 +135,13 @@ class PreferenceOracle:
         raise NotImplementedError
 
     def solve(self, p: Lottery, q: Lottery, r: Lottery) -> Fraction:
-        """Alpha in [0, 1] with mix(p, r, alpha) indifferent to q."""
-        raise NoSolveCapability(f"{self.kind} oracle cannot solve")
+        """Alpha in [0, 1] with mix(p, r, alpha) indifferent to q.
 
-    def _solve_precondition(self, p: Lottery, q: Lottery, r: Lottery):
-        if not self.compare(p, q).weakly_better:
-            raise PreconditionViolated("p must be at least as good as q")
-        if not self.compare(q, r).weakly_better:
-            raise PreconditionViolated("q must be at least as good as r")
+        The answer is owed only for p >= q >= r: an oracle that solves
+        checks that premise on its own ranking and raises
+        PreconditionViolated when it fails.
+        """
+        raise NoSolveCapability(f"{self.kind} oracle cannot solve")
 
 
 def integer_rule(kind: str, params):
@@ -240,9 +240,14 @@ class _LevelOracle(_RuleOracle):
         return sum(map(mul, self.gauge, nums)), den
 
     def solve(self, p: Lottery, q: Lottery, r: Lottery) -> Fraction:
-        self._check_pair(p, r)
-        self._solve_precondition(p, q, r)
+        self._check_pair(p, q)
+        self._check_pair(q, r)
         (sp, bp), (sq, bq), (sr, br) = map(self._gauge_level, (p, q, r))
+        # The premise p >= q >= r, on the levels the "eu" rule compares.
+        if sp * bq < sq * bp:
+            raise PreconditionViolated("p must be at least as good as q")
+        if sq * br < sr * bq:
+            raise PreconditionViolated("q must be at least as good as r")
         # (mid - bot) / (top - bot) over the levels S/B; the ratio does
         # not see the gauge's scale or offset.
         span = (sp * br - sr * bp) * bq

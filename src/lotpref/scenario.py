@@ -417,13 +417,6 @@ def _space_of(data: dict) -> OutcomeSpace:
         return space
     if "outcomes" in data:
         return OutcomeSpace.of_size(_shaped(data["outcomes"], int, "outcomes"))
-    # fall back to whatever sized data is present
-    for key in ("utility", "indifferent", "queries"):
-        seq = data.get(key)
-        if seq and isinstance(seq, list):
-            first = seq[0] if key != "utility" else seq
-            if isinstance(first, list):
-                return OutcomeSpace.of_size(len(first))
     raise EmptyInput("scenario declares no outcome space "
                      "(need 'outcomes' or 'labels')")
 

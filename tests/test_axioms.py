@@ -331,6 +331,23 @@ def test_oracle_over_another_space_is_refused(axiom, oracle):
         AXIOM_CHECKS[axiom](oracle, grid, DEFAULT_DEPTH)
 
 
+ONE = OutcomeSpace.of_size(1)
+
+
+@pytest.mark.parametrize("axiom", list(AXIOM_CHECKS))
+@pytest.mark.parametrize("oracle", [
+    ExpectedUtilityOracle(UtilityFunction.of(ONE, [0])), LexicographicOracle(ONE),
+    HybridExampleOracle(ONE), MajorityOracle(ONE), MajoritySubclass(ONE)],
+    ids=lambda oracle: type(oracle).__name__)
+def test_one_outcome_space_violates_nothing(axiom, oracle):
+    # The grid is the one degenerate lottery, and its embedded simplex
+    # is a point: the empty set spans it, at rank -1.
+    verdict = AXIOM_CHECKS[axiom](oracle, GridSpec(ONE, 3), DEFAULT_DEPTH)
+    assert not verdict.violated
+    assert verdict.witness is None
+    assert verdict.found == (IPFound((), -1) if axiom == "ip" else None)
+
+
 @pytest.mark.parametrize("depth", [0, -1])
 def test_probe_depth_below_one_rejected(depth):
     # With no probes an expected-utility oracle used to "violate"

@@ -4,18 +4,21 @@ a repeated one once while the check's memo keeps its answer.
 An oracle the encoder refuses (here, subclasses of two built-in
 oracles) reaches every scan through the closure of a ("callback", ...)
 spec.  Within one check, ``axioms._encoded`` hands the oracle the grid's
-own lotteries, builds each other lottery once, and answers a question
-its memo still holds without asking the oracle again.
+own lotteries, builds each other spelling of a lottery once, and
+answers a question its memo still holds without asking the oracle
+again.  Lotteries and answers are both keyed by the integers the
+question spells them with.
 
 The questions the scans ask, their order and their number must not
-depend on any of that: with the questions ``solve`` and witness
-confirmation ask the oracle directly, they are the stream whose counts
-and digests below were recorded on fresh, per-call lotteries, before
-interning or the memo, with the same oracles, grid and checks.  What
-reaches the oracle is that stream through a least-recently-used memo of
-``axioms._INTERNED`` answers keyed by the closure's integer arguments;
-the oracle-level counts below were simulated that way from the stream
-recorded before the memo.
+depend on any of that: with the questions witness confirmation asks
+the oracle directly, they are the stream whose counts and digests below
+were recorded on fresh, per-call lotteries, before interning or the
+memo, with the same oracles, grid and checks, less the questions an
+expected-utility ``solve`` then asked to check its premise (it now reads
+the premise off its gauge levels).  What reaches the oracle is that
+stream through a least-recently-used memo of ``axioms._INTERNED``
+answers keyed by the closure's integer arguments; the oracle-level
+counts below were simulated that way from the recorded stream.
 """
 
 import hashlib
@@ -25,7 +28,7 @@ from fractions import Fraction
 import pytest
 
 from lotpref import axioms
-from lotpref.errors import UnconfirmedHit
+from lotpref.errors import SumNotOne, UnconfirmedHit
 from lotpref.grids import GridSpec
 from lotpref.lotteries import OutcomeSpace, degenerate
 from lotpref.oracles import (
@@ -56,7 +59,7 @@ PINNED = {
     ("eu", "translation"): (1029, False, "edc59fa6854df96c"),
     ("eu", "line-order"): (4319, False, "a14fee19ee6b4e98"),
     ("eu", "grid-openness"): (5225, False, "7261a82468fcc4e9"),
-    ("eu", "solvability"): (6994, False, "5ee96c119fc9cf24"),
+    ("eu", "solvability"): (2654, False, "e6c27c2cc5e8b1ca"),
     ("eu", "mixture"): (520500, False, "4eda7d929ec7e48a"),
     ("eu", "archimedean"): (5662, False, "90d9d9739bfbc873"),
     ("eu", "independence"): (43076, False, "937ab0b1ad866559"),
@@ -71,11 +74,10 @@ PINNED = {
 }
 
 # Of those questions, the ones asked of the oracle itself rather than
-# through the closure: eu's solve checks its preconditions with
-# compare, and a hit's observe and replay confirm the witness.
-# (solve's, confirmation's); every other check asks none.
+# through the closure, as (solve's, confirmation's): a hit's observe and
+# replay confirm the witness, and solve asks none, since eu's reads its
+# premise off its gauge.  Every other check asks none.
 DIRECT = {
-    ("eu", "solvability"): (4340, 0),
     ("majority", "weak-order"): (0, 6),
     ("majority", "solvability"): (0, 18),
 }
@@ -87,7 +89,7 @@ ORACLE_CALLS = {
     ("eu", "translation"): 519,
     ("eu", "line-order"): 3442,
     ("eu", "grid-openness"): 3131,
-    ("eu", "solvability"): 5835,
+    ("eu", "solvability"): 1495,
     ("eu", "mixture"): 431042,
     ("eu", "archimedean"): 4734,
     ("eu", "independence"): 29825,
@@ -193,10 +195,6 @@ def lru_misses(keys, size):
 @pytest.mark.parametrize("label, check", sorted(PINNED))
 def test_callback_questions_unchanged_by_interning(label, check, monkeypatch):
     oracle = ORACLES[label]()
-    if check == "mixture":
-        # About 12,000 distinct off-grid lotteries at depth 24, more than
-        # the default bound keeps; with room for all, none is rebuilt.
-        monkeypatch.setattr(axioms, "_INTERNED", 1 << 14)
     result, scan_end = run_recorded(oracle, check, monkeypatch)
 
     # Each lottery's weights as text once, for the digests.
@@ -236,15 +234,28 @@ def test_callback_questions_unchanged_by_interning(label, check, monkeypatch):
     assert [key for key, calls in closure if calls] == lru_misses(keys, axioms._INTERNED)
     assert len(lru_misses(keys, 1 << 12)) + len(direct) == ORACLE_CALLS[label, check]
 
-    # While the scan runs, each weight vector is one lottery object,
-    # and a grid point is the grid's own.  The lowest-terms integer
-    # form stands for the weights.
-    grid_lots = {lot.integer_form: lot for lot in axioms._grid(GRID)[0]}
-    first = {}
-    for p, q, _ in oracle.calls[:scan_end]:
-        for x in (p, q):
-            assert first.setdefault(x.integer_form, x) is x
-            assert grid_lots.get(x.integer_form, x) is x
+    # Each lottery the closure hands the oracle is keyed by its
+    # spelling: a grid point spelled over den is the grid's own lot,
+    # and any other spelling is one object while an LRU of _INTERNED
+    # spellings keeps it.
+    lots, nums, den = axioms._grid(GRID)
+    grid_lots = dict(zip(nums, lots))
+    spellings = [x for key, calls in closure if calls for x in (key[:2], key[2:])]
+    handed = [x for p, q, in_closure in oracle.calls if in_closure for x in (p, q)]
+    assert len(spellings) == len(handed)
+    kept = OrderedDict()
+    for (xn, xd), lot in zip(spellings, handed):
+        ln, ld = lot.integer_form
+        assert [a * xd for a in ln] == [x * ld for x in xn]
+        if xd == den and xn in grid_lots:
+            assert lot is grid_lots[xn]
+        elif (xn, xd) in kept:
+            assert kept[xn, xd] is lot
+            kept.move_to_end((xn, xd))
+        else:
+            kept[xn, xd] = lot
+            if len(kept) > axioms._INTERNED:
+                kept.popitem(last=False)
 
 
 @pytest.mark.parametrize("label", sorted(ORACLES))
@@ -279,22 +290,29 @@ def test_an_answer_the_oracle_takes_back_is_refused():
     assert oracle.taken_back
 
 
-def test_interned_lottery_keys_equal_weights_once():
+def test_interned_lottery_keys_each_spelling_once(monkeypatch):
     lots, nums, den = axioms._grid(GRID)
+    monkeypatch.setattr(axioms, "_INTERNED", 3)
     lottery = axioms._interned(SPACE, lots, nums, den)
-    weights = {lot.weights: lot for lot in lots}
-    # A grid point over den, over a multiple of den, and over a
-    # denominator that den is a multiple of.
-    assert lottery(nums[5], den) is lots[5]
-    assert lottery(tuple(6 * x for x in nums[5]), 6 * den) is lots[5]
-    third = lottery((1, 1, 1), 3)
-    assert third is weights[third.weights]
-    # Off-grid points on den's lattice and off it, each over two
-    # denominators.
-    fine = lottery((1, 1, den - 2), den)
-    assert fine.weights not in weights
-    assert lottery((2, 2, 2 * den - 4), 2 * den) is fine
-    off = lottery((1, 2, 2), 5)
-    assert off.weights not in weights
-    assert lottery((3, 6, 6), 15) is off
-    assert lottery((1, 2, 2), 5) is off
+    # A grid point spelled over den is the grid's own lot.
+    assert all(lottery(x, den) is lot for x, lot in zip(nums, lots))
+    # Any other spelling is built once and kept: a grid point over a
+    # multiple of den, an off-grid point on den's lattice, one off it.
+    spellings = [(tuple(6 * x for x in nums[5]), 6 * den),
+                 ((1, 1, den - 2), den), ((1, 2, 2), 5)]
+    built = [lottery(*x) for x in spellings]
+    assert built[0] == lots[5] and built[0] is not lots[5]
+    assert built[1].weights == (Fraction(1, den), Fraction(1, den),
+                                Fraction(den - 2, den))
+    assert built[2].weights == (Fraction(1, 5), Fraction(2, 5), Fraction(2, 5))
+    assert [lottery(*x) for x in spellings] == built
+    assert all(lottery(*x) is lot for x, lot in zip(spellings, built))
+    # Another spelling of the same weights is another object; it is the
+    # fourth kept, so the least recently used, the first, is rebuilt.
+    again = lottery((3, 6, 6), 15)
+    assert again == built[2] and again is not built[2]
+    assert lottery(*spellings[0]) is not built[0]
+    assert lottery(*spellings[2]) is built[2]
+    # Every spelling off the grid is validated.
+    with pytest.raises(SumNotOne):
+        lottery((1, 1, 1), 2)

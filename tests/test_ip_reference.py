@@ -134,10 +134,11 @@ def test_bitset_classes_match_the_lazy_classes(size, bound):
     space = OutcomeSpace.of_size(size)
     for name in ENCODED:
         oracle = ORACLES[name](space)
-        lots, nums, den, spec = _encoded(oracle, GridSpec(space, bound))
+        _, nums, den, spec = _encoded(oracle, GridSpec(space, bound))
         assert spec[0] != "callback"
-        bitsets = list(_greedy_classes(oracle, lots, nums, den, spec))
-        lazy = list(_greedy_classes(oracle, lots, nums, den, ("callback", ())))
+        bitsets = list(_greedy_classes(nums, den, spec))
+        callback = ("callback", (pure.make_compare(spec),))
+        lazy = list(_greedy_classes(nums, den, callback))
         assert bitsets == lazy, name
 
 

@@ -166,7 +166,7 @@ def test_checker_witnesses_survive_round_trip():
 def test_solve_contract_witness_round_trip():
     class LyingOracle(ExpectedUtilityOracle):
         def solve(self, p, q, r):
-            self._solve_precondition(p, q, r)
+            super().solve(p, q, r)
             return F(1, 7)
 
     liar = LyingOracle(UtilityFunction.of(SPACE, [0, 1, 2]))
@@ -451,6 +451,24 @@ def test_scenario_version_and_space_required():
         scenario_from_dict({"version": 2, "outcomes": 3})
     with pytest.raises(EmptyInput):
         scenario_from_dict({"version": 1})
+
+
+@pytest.mark.parametrize("key,value", [
+    ("utility", ["0", "1", "2"]),
+    ("indifferent", [["1/3", "1/3", "1/3"]]),
+    ("queries", [["0", "0", "1"]]),
+])
+def test_scenario_space_is_declared_not_inferred(tmp_path, capsys, key, value):
+    # A scenario with neither outcomes nor labels was once sized from
+    # the first of these keys it held.
+    path = write_scenario(tmp_path, {"version": 1, key: value})
+    code = cli.main(["check", "--scenario", path, "--oracle", "majority",
+                     "--axiom", "ip"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err == ("error: EmptyInput: scenario declares no outcome space "
+                   "(need 'outcomes' or 'labels')\n")
 
 
 def test_scenario_utility_length_checked():
@@ -872,6 +890,28 @@ def test_cli_priority_needs_the_lexicographic_oracle(capsys, flags):
     assert code == 2
     assert out == ""
     assert "--priority" in err
+
+
+@pytest.mark.parametrize("priority,entry", [("a,b,c", "a"), ("2.0,1,0", "2.0"),
+                                            ("2,,0", "")],
+                         ids=["letter", "float", "empty-entry"])
+def test_cli_priority_names_its_bad_entry(capsys, priority, entry):
+    # These once exited with int()'s "invalid literal ... 'a'", which
+    # named neither the flag nor the entry.
+    code = cli.main(["check", "--oracle", "lexicographic", "--priority", priority,
+                     "--axiom", "weak-order", "--grid", "2"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err == f"error: ValueError: --priority entries must be ints, got {entry!r}\n"
+
+
+def test_cli_one_outcome_ip_exits_zero(capsys):
+    code = cli.main(["check", "--oracle", "majority", "--axiom", "ip",
+                     "--outcomes", "1"])
+    out, err = capsys.readouterr()
+    assert code == 0
+    assert split_output(out)[1]["verdict"]["found"] == {"points": [], "rank": -1}
 
 
 def test_cli_has_one_spelling_per_check(capsys):

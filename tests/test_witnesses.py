@@ -9,6 +9,7 @@ not confirm raises the one RuntimeError.
 
 import dataclasses
 import inspect
+import json
 from fractions import Fraction
 
 import pytest
@@ -16,9 +17,16 @@ import pytest
 from lotpref import _kernels as kernels
 from lotpref.axioms import (
     WITNESS_TYPES,
+    Budget,
+    ConvexityWitness,
     IPExhausted,
     LineOrderWitness,
+    MixtureWitness,
+    OpennessWitness,
+    SolvabilityScanWitness,
+    SolveContractWitness,
     TranslationWitness,
+    _verdict,
     check_continuity,
     check_convexity,
     check_independence,
@@ -27,7 +35,8 @@ from lotpref.axioms import (
     check_weak_order,
 )
 from lotpref.grids import GridSpec, enumerate_grid
-from lotpref.lotteries import Lottery, OutcomeSpace
+from lotpref.errors import UnconfirmedHit
+from lotpref.lotteries import Lottery, OutcomeSpace, make_lottery
 from lotpref.oracles import (
     ComparisonResult,
     ExpectedUtilityOracle,
@@ -36,8 +45,15 @@ from lotpref.oracles import (
     MajorityOracle,
     UtilityFunction,
 )
-from lotpref.scenario import witness_from_json
-from test_scan_reference import RoundingSolver, skewed
+from lotpref.scenario import witness_from_json, witness_to_json
+from test_scan_reference import (
+    Reference,
+    RoundingSolver,
+    ScoredOracle,
+    ref_archimedean,
+    ref_line_order,
+    skewed,
+)
 
 F = Fraction
 SPACE = OutcomeSpace.of_size(3)
@@ -122,6 +138,77 @@ def test_an_oracle_alone_reaches_the_unconfirmed_path():
     oracle = DriftingOracle(UtilityFunction.of(SPACE, [0, 1, 10**7]))
     with pytest.raises(RuntimeError, match="scan backend and oracle disagree"):
         check_continuity(oracle, "grid-openness", GRID3, 3)
+
+
+# ---- a hit that meets its premise but violates nothing is refused ----------
+
+U012 = ExpectedUtilityOracle(UtilityFunction.of(SPACE, [0, 1, 2]))
+TOP, MID, BOTTOM, HALVES, CENTRE = (
+    make_lottery(SPACE, w) for w in ((0, 0, 1), (0, 1, 0), (1, 0, 0),
+                                     ("1/2", 0, "1/2"), ("1/3", "1/3", "1/3")))
+
+# (witness class, observe's inputs) under U012, whose levels are 0, 1
+# and 2 at BOTTOM, MID and TOP, and 1 at HALVES and CENTRE.  Each case
+# reaches the return None that stands for "no violation here": the
+# mixture, translate or line point ranks as the axiom asks, a candidate
+# or solve() weight solves, a probe leaves the far side, or (the first
+# line-order case) p is not above q.
+NOT_VIOLATED = [
+    ("convexity", ConvexityWitness, (MID, HALVES, CENTRE, F(1, 2))),
+    ("translation", TranslationWitness,
+     (CENTRE, make_lottery(SPACE, ("1/3", "2/3", 0)), HALVES)),
+    ("line-order-premise", LineOrderWitness, (BOTTOM, TOP, F(1, 2), "p-vs-point")),
+    ("line-order", LineOrderWitness, (TOP, BOTTOM, F(1, 2), "p-vs-point")),
+    ("mixture", MixtureWitness, (TOP, MID, BOTTOM, F(1, 2), 1, 4)),
+    ("solvability-scan", SolvabilityScanWitness, (TOP, MID, BOTTOM, 2)),
+    ("solve-contract", SolveContractWitness, (TOP, MID, BOTTOM)),
+    ("grid-openness", OpennessWitness, (MID, TOP, BOTTOM, 4)),
+]
+
+
+@pytest.mark.parametrize("cls,inputs", [case[1:] for case in NOT_VIOLATED],
+                         ids=[case[0] for case in NOT_VIOLATED])
+def test_a_hit_that_violates_nothing_is_refused(cls, inputs):
+    assert cls.observe(U012, *inputs) is None
+    with pytest.raises(UnconfirmedHit, match="scan backend and oracle disagree"):
+        _verdict(cls, U012, Budget(grid=GRID2), inputs, lambda *hit: hit)
+
+
+# ---- witness branches a 2-outcome scored oracle reaches ---------------------
+
+PAIR = OutcomeSpace.of_size(2)
+
+# (oracle's left and right scores, bound, depth, the hit's last entry):
+# the archimedean alpha side, and the two line-order relations the
+# built-in oracles never fail.
+BRANCHES = [
+    ((-3, 1), (-2, 1), 3, 4, "alpha"),
+    ((-3, 0), (-3, 3), 2, None, "p-vs-point"),
+    ((3, -3), (-1, -3), 2, None, "point-vs-p"),
+]
+
+
+@pytest.mark.parametrize("left,right,bound,depth,branch", BRANCHES,
+                         ids=[case[-1] for case in BRANCHES])
+def test_scored_oracle_reaches_the_rare_branches(left, right, bound, depth, branch):
+    oracle = ScoredOracle(PAIR, left, right)
+    grid = GridSpec(PAIR, bound)
+    lots = enumerate_grid(grid)
+    if depth is None:
+        i, j, a, b, relation = ref_line_order(Reference(oracle, lots), bound, depth)
+        witness = check_line_order(oracle, grid).witness
+        assert (witness.p, witness.q, witness.t, witness.relation) == (
+            lots[i], lots[j], F(a, b), relation)
+        assert relation == branch
+    else:
+        i, j, k, side = ref_archimedean(Reference(oracle, lots), bound, depth)
+        witness = check_continuity(oracle, "archimedean", grid, depth).witness
+        assert (witness.p, witness.q, witness.r, witness.side, witness.depth) == (
+            lots[i], lots[j], lots[k], side, depth)
+        assert side == branch
+    assert witness.replay(oracle)
+    doc = json.loads(json.dumps(witness_to_json(witness)))
+    assert witness_from_json(PAIR, doc) == witness
 
 
 # ---- replay checks every recorded answer ------------------------------------
