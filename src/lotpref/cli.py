@@ -39,7 +39,7 @@ from .axioms import (
 from .errors import LotprefError
 from .grids import GridSpec
 from .oracles import ExpectedUtilityOracle
-from .rationals import format_rational
+from .rationals import format_rational, parse_rational
 from .representation import (
     construct_ip_via_solvability,
     elicit,
@@ -204,6 +204,13 @@ def _scenario(args) -> Scenario:
                          f"got --oracle {oracle}")
     if utility is not None:
         utility = utility.split(",")
+        for entry in utility:
+            try:
+                parse_rational(entry)
+            except ValueError:
+                raise ValueError(
+                    f"--utility entries must be exact rationals such as 2 "
+                    f"or -1/3, got {entry!r}") from None
         outcomes = len(utility)
     else:
         outcomes = DEFAULT_OUTCOMES if args.outcomes is None else args.outcomes

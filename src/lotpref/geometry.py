@@ -16,6 +16,9 @@ which the rest of the package relies on for replayable witnesses.
 
 Vectors are plain tuples of Fraction; matrices are sequences of such
 rows.  Callers that hold embedded lottery points pass their ``coords``.
+Affine questions (rank, coefficients, hyperplanes) eliminate on the
+points' differences from the first point, not on the points with a row
+of ones appended, which would fill every row it is eliminated against.
 ``AffineBasis`` keeps a growing affine hull as an integer echelon basis,
 for callers that add points one at a time.
 """
@@ -200,8 +203,9 @@ def affine_rank(points) -> int:
 def affine_coefficients(target, points) -> tuple[Fraction, ...]:
     """Weights summing to 1 that combine ``points`` into ``target``.
 
-    Solves the linear system column-by-column with the affine constraint
-    appended; free weights are fixed at 0, so the answer is canonical.
+    Solves for weights 1..m-1 on the differences from the first point,
+    sum w_j·(p_j − p_0) = target − p_0, and sets weight 0 to one minus
+    their sum; free weights are fixed at 0, so the answer is canonical.
     Raises NotInAffineHull when the system is inconsistent.
     """
     points = list(points)
@@ -214,20 +218,27 @@ def affine_coefficients(target, points) -> tuple[Fraction, ...]:
             raise DimensionMismatch(
                 f"point of length {len(p)} against target of length {dim}")
     *pts, tgt_ints = _int_points(points + [tgt])
+    base = pts[0]
     m = len(pts)
-    # Rows: one per coordinate plus the sum-to-one row; last column is
-    # the augment.
-    aug = [_primitive([p[i] for p in pts] + [tgt_ints[i]]) for i in range(dim)]
-    aug.append([1] * (m + 1))
+    # Rows: one per coordinate of the differences from the first point;
+    # last column is the augment.  This gives exactly the weights of the
+    # system with the sum-to-one row appended, [P; 1 | t; 1]: its column
+    # 0 is always a pivot, and column j > 0 is one exactly when p_j − p_0
+    # leaves the span of the earlier pivot differences, so its pivot set
+    # is {0} ∪ (1 + the pivots here), and with the free weights at 0 the
+    # solution on those columns is unique.
+    aug = [_primitive([p[i] - b for p in pts[1:]] + [tgt_ints[i] - b])
+           for i, b in enumerate(base)]
     pivots = _eliminate(aug)
-    if m in pivots:
+    if m - 1 in pivots:
         raise NotInAffineHull(
             f"{_fractions(tgt)} is not an affine combination "
             "of the points")
     coeffs = [ZERO] * m
     for r, c in enumerate(pivots):
-        if aug[r][m]:
-            coeffs[c] = Fraction(aug[r][m], aug[r][c])
+        if aug[r][m - 1]:
+            coeffs[c + 1] = Fraction(aug[r][m - 1], aug[r][c])
+    coeffs[0] = 1 - sum(coeffs, ZERO)
     return tuple(coeffs)
 
 

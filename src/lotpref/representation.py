@@ -260,22 +260,23 @@ def generate_indifferent_points(
     matrix = (tuple(u.values), (Fraction(1),) * space.size)
     basis = kernel_basis(matrix)[: max(n - 1, 0)]
 
-    if basis:
-        base_w = Fraction(1, space.size)
-        limits = [
-            base_w / -b
-            for vec in basis
-            for b in vec
-            if b < 0
-        ]
-        step = min(limits) / 2
+    size = space.size
+    forms = [common_denominator(vec) for vec in basis]
+    if forms:
+        # Each direction sums to zero, so it has a negative entry; 1/size
+        # over the largest -v_i is the longest step that keeps every
+        # weight nonnegative, and the walk takes half of it.
+        step = Fraction(1, size) / (
+            2 * max(Fraction(-min(nums), den) for nums, den in forms))
     else:
         step = Fraction(0)
 
+    # Weight i is 1/size + step·v_i, summed in ints over one denominator.
     points = [base]
-    for vec in basis:
-        points.append(Lottery(space, tuple(
-            w + step * b for w, b in zip(base.weights, vec))))
+    sn, sd = step.numerator, step.denominator
+    for nums, den in forms:
+        points.append(Lottery.from_integers(
+            space, [sd * den + size * sn * x for x in nums], size * sd * den))
     construction = KernelConstruction(
         matrix=matrix,
         mean_utility=mean,
@@ -420,9 +421,7 @@ def indifference_certificate(
     k_star = min(i for i, c in enumerate(coeffs) if -c == lambda_star)
     alpha_star = (m * lambda_star) / (1 + m * lambda_star)
     inv_m = Fraction(1, m)
-    mean = Lottery(space, tuple(
-        sum((pt.weights[i] for pt in points), Fraction(0)) * inv_m
-        for i in range(space.size)))
+    mean = Lottery(space, _affine_combination(points, (inv_m,) * m, space))
     reduced = mix(mean, target, alpha_star)
     reduced_coeffs = tuple(
         alpha_star * inv_m + (1 - alpha_star) * c for c in coeffs)

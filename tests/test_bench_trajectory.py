@@ -19,8 +19,9 @@ def test_trajectory_follows_the_benchmark():
     assert len(workloads) == 4 and len(metrics) == 5
     assert trajectory["metrics"] == metrics
     assert trajectory["entries"]
+    # One entry per change, none missing: the numbers run without a gap.
     numbers = [entry["pr"] for entry in trajectory["entries"]]
-    assert numbers == sorted(set(numbers))
+    assert numbers == list(range(numbers[0], numbers[0] + len(numbers)))
     for entry in trajectory["entries"]:
         claim = entry["claim"]
         assert claim is None or (claim["workload"] in workloads

@@ -8,9 +8,11 @@ drawn matrices with zero rows and columns, rank deficiency, negative
 entries and large denominators.
 """
 
+import random
 from fractions import Fraction
 from math import gcd, lcm
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -22,6 +24,9 @@ from lotpref.geometry import (
     hyperplane_from_points,
     kernel_basis,
 )
+from lotpref.lotteries import OutcomeSpace, degenerate, embed
+from lotpref.oracles import UtilityFunction
+from lotpref.representation import generate_indifferent_points
 
 F = Fraction
 
@@ -190,3 +195,56 @@ def test_affine_basis_tracks_affine_rank(points, data):
         for a in (F(2), F(1, 3), F(-5, 7)):
             assert hull.contains(tuple(
                 a * x + (1 - a) * y for x, y in zip(points[k], points[0])))
+
+
+# ---- the elimination on differences ---------------------------------------------
+#
+# affine_coefficients solves on the differences from the first point, not
+# on the homogenised system the reference solves; the two agree exactly,
+# on independent and dependent point sets alike.
+
+
+def combination(points, coeffs):
+    return tuple(sum((c * p[i] for c, p in zip(coeffs, points)), F(0))
+                 for i in range(len(points[0])))
+
+
+@pytest.mark.parametrize("size", [8, 16, 32])
+def test_affine_coefficients_on_generated_points(size):
+    rng = random.Random(size)
+    space = OutcomeSpace.of_size(size)
+    # The last outcome pays most, so its vertex lies off the level set.
+    values = [rng.randint(-9, 9) for _ in range(size - 1)] + [10]
+    points, _ = generate_indifferent_points(UtilityFunction.of(space, values))
+    emb = [embed(p).coords for p in points]
+    weights = [rng.randint(1, 4) for _ in emb]
+    convex = combination(emb, [F(w, sum(weights)) for w in weights])
+    negative = combination(emb, [F(3, 2), F(-1, 2)] + [F(0)] * (len(emb) - 2))
+    outside = embed(degenerate(space, size - 1)).coords
+    want = [ref_affine_coefficients(t, emb) for t in (convex, negative)]
+    assert min(want[0]) > 0 and min(want[1]) < 0
+    for target, coeffs in zip((convex, negative), want):
+        assert affine_coefficients(target, emb) == coeffs
+    assert outcome(affine_coefficients, outside, emb) is NotInAffineHull
+    assert outcome(ref_affine_coefficients, outside, emb) is NotInAffineHull
+
+
+@pytest.mark.parametrize("target,points,want", [
+    # A zero-dimensional space: every weight but the first is free.
+    ((), [()], (1,)),
+    ((), [(), ()], (1, 0)),
+    # A repeated first point: its copy is a free weight, fixed at 0.
+    ((F(1, 2), F(1, 2)), [(1, 0), (1, 0), (0, 1)], (F(1, 2), 0, F(1, 2))),
+    ((1, 0), [(1, 0), (1, 0), (0, 1)], (1, 0, 0)),
+    ((3, 0), [(0, 0), (0, 0), (1, 0), (2, 0)], (-2, 0, 3, 0)),
+    ((0, 1), [(0, 0), (0, 0), (1, 0), (2, 0)], NotInAffineHull),
+    # A later point repeating an earlier one: the later copy is free.
+    ((2, -1), [(0, 0), (1, 0), (0, 1), (1, 0)], (0, 2, -1, 0)),
+    ((F(1, 3), F(1, 3)), [(0, 0), (1, 0), (0, 1), (1, 0)],
+     (F(1, 3), F(1, 3), F(1, 3), 0)),
+], ids=["zero-dim-one", "zero-dim-two", "repeated-first", "repeated-first-at-it",
+        "repeated-first-on-a-line", "repeated-first-off-the-line",
+        "repeated-later", "repeated-later-convex"])
+def test_affine_coefficients_on_dependent_points(target, points, want):
+    assert outcome(affine_coefficients, target, points) == want
+    assert outcome(ref_affine_coefficients, target, points) == want

@@ -1,4 +1,5 @@
 import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
@@ -286,6 +287,58 @@ def test_generate_then_elicit_round_trip(values):
             assert v[i] * shifted[j] == v[j] * shifted[i]
     lead = next((i for i in range(len(values)) if shifted[i] != 0))
     assert (v[lead] > 0) == (shifted[lead] > 0)
+
+
+# The Fraction formulas the integer forms replaced: point k is uniform +
+# step·basis[k], step half the least 1/size ÷ −b over negative entries b,
+# and a reduction certificate's mean the per-coordinate average.
+
+
+def fraction_points(u, basis):
+    base_w = F(1, u.space.size)
+    step = min((base_w / -b for vec in basis for b in vec if b < 0),
+               default=F(0)) / 2
+    return step, (uniform(u.space), *(
+        Lottery(u.space, tuple(base_w + step * b for b in vec))
+        for vec in basis))
+
+
+def fraction_mean(points):
+    m, space = len(points), points[0].space
+    return Lottery(space, tuple(
+        sum((pt.weights[i] for pt in points), F(0)) * F(1, m)
+        for i in range(space.size)))
+
+
+def seeded_utilities(size):
+    rng = random.Random(size)
+    space = OutcomeSpace.of_size(size)
+    return [UtilityFunction.of(space, values) for values in (
+        [rng.randint(0, 40) for _ in range(size)],
+        [rng.randint(-30, -1) for _ in range(size)],
+        [7] * size)]
+
+
+@pytest.mark.parametrize("size", range(2, 34))
+def test_generated_points_and_mean_match_the_fraction_formulas(size):
+    for u in seeded_utilities(size):
+        points, construction = generate_indifferent_points(u)
+        step, want = fraction_points(u, construction.basis)
+        assert construction.step == step
+        assert points == want
+        for got in points:
+            assert got.integer_form == Lottery(u.space, got.weights).integer_form
+        if size < 3:
+            continue
+        # A target past points[0] away from points[1], as the benchmark
+        # builds its reduction target: coefficient 1 + s on points[0].
+        base, other = points[0].weights, points[1].weights
+        s = min(b / (o - b) for b, o in zip(base, other) if o > b) / 2
+        target = Lottery(u.space, tuple(b + s * (b - o) for b, o in zip(base, other)))
+        cert = indifference_certificate(target, points)
+        assert cert.branch == "reduction"
+        assert cert.mean == fraction_mean(points)
+        assert replay_certificate(cert, ExpectedUtilityOracle(u)).ok
 
 
 # ---- construction via solvability -------------------------------------------

@@ -906,6 +906,26 @@ def test_cli_priority_names_its_bad_entry(capsys, priority, entry):
     assert err == f"error: ValueError: --priority entries must be ints, got {entry!r}\n"
 
 
+@pytest.mark.parametrize("command", [
+    ["check", "--oracle", "eu", "--axiom", "weak-order", "--grid", "2"],
+    ["check", "--axiom", "weak-order", "--grid", "2"],
+    ["generate"],
+], ids=["check-eu", "check-no-oracle", "generate"])
+@pytest.mark.parametrize("utility,entry", [("0,x,2", "x"), ("0,1.5,2", "1.5"),
+                                           ("0,,2", "")],
+                         ids=["letter", "decimal", "empty-entry"])
+def test_cli_utility_names_its_bad_entry(capsys, command, utility, entry):
+    # These once exited with the parser's "not a rational: 'x'" or
+    # "decimal notation is not exact: '1.5'", which named the entry but
+    # not the flag.
+    code = cli.main([*command, "--utility", utility])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err == ("error: ValueError: --utility entries must be exact rationals "
+                   f"such as 2 or -1/3, got {entry!r}\n")
+
+
 def test_cli_one_outcome_ip_exits_zero(capsys):
     code = cli.main(["check", "--oracle", "majority", "--axiom", "ip",
                      "--outcomes", "1"])
