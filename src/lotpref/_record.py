@@ -7,7 +7,8 @@ class, each by its own ``exec``, which was about a third of the
 package's uncached import.  A record class compiles one source instead,
 holding the three methods that run often: ``__init__``, ``__eq__`` and
 ``__hash__``, spelled as the dataclass ones are, so they cost the same
-per call.  The repr and the frozen setters are written once here.
+per call.  A method the class body defines itself is kept, not
+compiled.  The repr and the frozen setters are written once here.
 """
 
 from __future__ import annotations
@@ -18,12 +19,15 @@ from dataclasses import MISSING, FrozenInstanceError
 
 def _add_methods(cls, fields):
     """Compile ``__init__``, ``__eq__`` and ``__hash__`` of a record
-    class from one source and set them on the class.
+    class from one source and set on the class each one its body does
+    not define.
 
     ``__init__`` takes the fields with their defaults, sets each through
     ``object.__setattr__`` and then calls ``__post_init__`` where the
     class has one.  ``__eq__`` holds only within the exact class and
     compares the field tuples; ``__hash__`` is the field tuple's hash.
+    A body that defines ``__eq__`` alone gets ``__hash__ = None`` from
+    Python, which counts as not defined here.
     """
     namespace = {"_set": object.__setattr__, "__name__": cls.__module__}
     params, body = [], []
@@ -47,6 +51,8 @@ def _add_methods(cls, fields):
          "def __hash__(self):\n"
          f"    return hash(({mine}))\n", namespace)
     for name in ("__init__", "__eq__", "__hash__"):
+        if cls.__dict__.get(name) is not None:
+            continue
         method = namespace[name]
         method.__qualname__ = f"{cls.__qualname__}.{name}"
         setattr(cls, name, method)

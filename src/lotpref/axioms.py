@@ -630,30 +630,32 @@ def check_ip(oracle: PreferenceOracle, grid: GridSpec) -> AxiomVerdict:
     if n == 0:
         return AxiomVerdict("ip", False, budget, found=IPFound((), -1))
 
-    # Each class is its span: affinely independent members, the first
-    # one its representative, so its affine rank is len(span) - 1.  A
-    # class gets the echelon basis of its hull when a second member
-    # arrives; singleton classes never need one.
-    classes: list[list[Lottery]] = []
+    # Each class is its span: the grid indices of affinely independent
+    # members, the first one its representative, so its affine rank is
+    # len(span) - 1.  A class gets the echelon basis of its hull when a
+    # second member arrives; singleton classes never need one.  The
+    # geometry reads the grid rows, which share the denominator den,
+    # with coordinate 0 dropped: the embedded points scaled by den.
+    classes: list[list[int]] = []
     hulls: dict[int, AffineBasis] = {}
     best_size = 0
-    for lot, k in zip(lots, _greedy_classes(nums, den, spec)):
+    for i, k in enumerate(_greedy_classes(nums, den, spec)):
         if k == len(classes):
-            span = [lot]
+            span = [i]
             classes.append(span)
         else:
             span = classes[k]
             if k not in hulls:
-                hulls[k] = AffineBasis(embed(span[0]).coords)
-            if hulls[k].add(embed(lot).coords):
-                span.append(lot)
+                hulls[k] = AffineBasis(nums[span[0]][1:])
+            if hulls[k].add(nums[i][1:]):
+                span.append(i)
         best_size = max(best_size, len(span))
         if len(span) == n:
-            points = tuple(span)
+            points = tuple(lots[j] for j in span)
             pairwise = all(
                 oracle.compare(points[a], points[b]) is INDIFF
                 for a in range(n) for b in range(a + 1, n))
-            if pairwise and affine_rank([embed(x).coords for x in points]) == n - 1:
+            if pairwise and affine_rank([nums[j][1:] for j in span]) == n - 1:
                 return AxiomVerdict(
                     "ip", False, budget, found=IPFound(points, n - 1))
             # An intransitive oracle can assemble a pseudo-class that

@@ -243,14 +243,14 @@ def _oracle(scenario: Scenario):
                      "block)")
 
 
-def _tuple_str(values) -> str:
-    return "(" + ", ".join(format_rational(v) for v in values) + ")"
+def _tuple_str(texts) -> str:
+    return "(" + ", ".join(texts) + ")"
 
 
 def _points_block(points) -> str:
     lines = ["points:"]
     for p in points:
-        lines.append("  " + _tuple_str(p.weights))
+        lines.append("  " + _tuple_str(lottery_to_json(p)))
     return "\n".join(lines) + "\n"
 
 
@@ -263,7 +263,8 @@ def _cmd_elicit(args) -> tuple[str, int]:
         raise ValueError("elicit needs a scenario with 'indifferent' data")
     rep = elicit(scenario.elicitation)
     text = "u = %s\noriented = %s\n" % (
-        _tuple_str(rep.utility.values), "true" if rep.oriented else "false")
+        _tuple_str(map(format_rational, rep.utility.values)),
+        "true" if rep.oriented else "false")
     doc = {"version": SCHEMA_VERSION,
            "representation": representation_to_json(rep)}
     return text + dump_document(doc), 0

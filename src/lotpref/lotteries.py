@@ -12,11 +12,14 @@ A lottery keeps its weights over their least common denominator as
 ``integer_form``.  ``Lottery.from_integers`` builds one from that form
 directly, validating in ints: the grid enumerations and the axiom
 checkers' callback interner compute their numerators in ints and build
-each lottery through it, and ``mix``, whose numerators are valid by
-construction, only reduces them.  Such a lottery holds only its integer
-form; its Fraction ``weights`` are built on first read.  The built-in
-oracles compare ``integer_form``, so mixing and comparing builds no
-Fraction weight at all.
+each lottery through it, and so does the scenario reader, which parses
+weights as integer pairs.  ``mix``, whose numerators are valid by
+construction, only reduces them, and ``degenerate`` and ``uniform``
+write theirs in lowest terms directly.  Such a lottery
+holds only its integer form; its Fraction ``weights`` are built on
+first read.  The built-in oracles and ``Lottery ==`` compare
+``integer_form``, so mixing and comparing builds no Fraction weight at
+all.
 """
 
 from __future__ import annotations
@@ -117,12 +120,15 @@ class Lottery(Record):
     Validation puts the weights over their least common denominator,
     and the lottery keeps that as ``integer_form``, (nums, den) with
     weights[i] == nums[i] / den, for callers that compare or combine
-    lotteries in ints.  It is an attribute, not a field: equality, hash,
-    repr and the JSON form see the weights only.  ``from_integers``
-    builds the lottery from such a form, in any common denominator, and
-    sets no weights: the first read of ``weights`` builds them from
-    ``integer_form`` and keeps them, so equality, hash, repr, pickling
-    and ``dataclasses.replace`` see the same Fractions either way.
+    lotteries in ints.  It is an attribute, not a field.  That form is
+    canonical (lowest terms over the lcm), so equality compares
+    ``(space, integer_form)``: two lotteries are equal exactly when
+    their weights are.  The hash is the hash of the fields, as for any
+    record.  ``from_integers`` builds the lottery from such a form, in
+    any common denominator, and sets no weights: the first read of
+    ``weights`` builds them from ``integer_form`` and keeps them, so
+    hash, repr, pickling and ``dataclasses.replace`` see the same
+    Fractions either way.
     """
 
     space: OutcomeSpace
@@ -165,6 +171,12 @@ class Lottery(Record):
         object.__setattr__(lot, "integer_form", form)
         return lot
 
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.space, self.integer_form)
+                    == (other.space, other.integer_form))
+        return NotImplemented
+
     def __getattr__(self, name):
         # Reached only for an attribute the instance does not hold: the
         # weights of a lottery from ``from_integers`` before their first
@@ -204,14 +216,13 @@ def degenerate(space: OutcomeSpace, index: int) -> Lottery:
     """The lottery that yields outcome ``index`` with certainty."""
     if not 0 <= index < space.size:
         raise LengthMismatch(f"no outcome {index} in a space of {space.size}")
-    return Lottery(space, tuple(
-        ONE if i == index else Fraction(0) for i in range(space.size)))
+    return Lottery._of_form(
+        space, (tuple([int(i == index) for i in range(space.size)]), 1))
 
 
 def uniform(space: OutcomeSpace) -> Lottery:
     """The lottery placing equal weight on every outcome."""
-    w = Fraction(1, space.size)
-    return Lottery(space, (w,) * space.size)
+    return Lottery._of_form(space, ((1,) * space.size, space.size))
 
 
 def unit_weight(alpha) -> Fraction:

@@ -1,47 +1,75 @@
 """Canonical string form for exact rationals.
 
-All numbers in this package are ``fractions.Fraction`` values, which
-keeps every quantity in lowest terms with a positive denominator.  The
-wire format used in JSON files and command line arguments is the string
-``"a/b"`` for non-integers and plain ``"a"`` for integers, mirroring
-that canonical form.  Floats are rejected everywhere: a decimal string
-would silently smuggle binary rounding into paths that must stay exact.
+The wire format used in JSON files and command line arguments is the
+string ``"a/b"`` for non-integers and plain ``"a"`` for integers.
+``_parse_pair`` reads such a token as an integer pair (num, den) with
+den > 0, not reduced; callers that hold several weights put the pairs
+over their lcm and stay in ints, and ``parse_rational`` is the pair as
+a ``fractions.Fraction``, which is in lowest terms with a positive
+denominator.  ``_format_pair`` writes num/den in lowest terms, so
+``"a/b"`` is the canonical form on output.  Floats are rejected
+everywhere: a decimal string would silently smuggle binary rounding
+into paths that must stay exact.
 """
 
 from fractions import Fraction
+from math import gcd
 
 __all__ = ["parse_rational", "format_rational"]
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse "a/b" or "a" into a Fraction.
+def _is_int(part: str) -> bool:
+    """Whether part is ASCII ``[+-]?[0-9]+``: int() alone would also
+    take inner whitespace ("1 "), digit separators ("1_0") and non-ASCII
+    digits."""
+    digits = part[1:] if part[:1] in "+-" else part
+    return digits.isascii() and digits.isdigit()
 
-    Raises ValueError for anything else, including decimal notation,
-    whitespace padding inside the token, or a zero denominator.
+
+def _parse_pair(text: str) -> tuple[int, int]:
+    """(num, den) for "a/b" or "a", each part an ASCII ``[+-]?[0-9]+``
+    after the token's outer whitespace is stripped; the sign is moved
+    onto num so den > 0, and the pair is not reduced.
+
+    Raises ValueError naming the token for anything else, including
+    decimal notation, whitespace or "_" inside the token, non-ASCII
+    digits, or a zero denominator.
     """
     if not isinstance(text, str):
         raise ValueError(f"expected a rational string, got {type(text).__name__}")
     s = text.strip()
     if not s:
         raise ValueError("empty rational string")
-    if "." in s or "e" in s or "E" in s:
-        raise ValueError(f"decimal notation is not exact: {text!r}")
     num, slash, den = s.partition("/")
-    try:
-        n = int(num)
-        d = int(den) if slash else 1
-    except ValueError:
-        raise ValueError(f"not a rational: {text!r}") from None
+    if not (_is_int(num) and (not slash or _is_int(den))):
+        if "." in s or "e" in s or "E" in s:
+            raise ValueError(f"decimal notation is not exact: {text!r}")
+        raise ValueError(f"not a rational: {text!r}")
+    if not slash:
+        return int(num), 1
+    d = int(den)
     if d == 0:
         raise ValueError(f"zero denominator: {text!r}")
-    return Fraction(n, d)
+    return (int(num), d) if d > 0 else (-int(num), -d)
+
+
+def parse_rational(text: str) -> Fraction:
+    """Parse "a/b" or "a" into a Fraction; ValueError as ``_parse_pair``."""
+    return Fraction(*_parse_pair(text))
+
+
+def _format_pair(num: int, den: int) -> str:
+    """num/den, den > 0, in lowest terms as "a/b", or "a" when that
+    denominator is 1."""
+    g = gcd(num, den)
+    if g == den:
+        return str(num // g)
+    return f"{num // g}/{den // g}"
 
 
 def format_rational(value: Fraction) -> str:
     """Render a Fraction as "a/b", or "a" when the denominator is 1."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    return _format_pair(value.numerator, value.denominator)
 
 
 def require_exact(values) -> None:

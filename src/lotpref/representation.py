@@ -21,6 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
+from ._kernels.encoding import encode_lotteries
 from ._record import Record
 from .errors import (
     EmptyInput,
@@ -45,6 +46,7 @@ from .geometry import (
 from .lotteries import (
     Lottery,
     OutcomeSpace,
+    _reduced,
     degenerate,
     embed,
     mix,
@@ -186,6 +188,16 @@ class CertificateReplay(Record):
 # ---- elicitation ----------------------------------------------------------
 
 
+def _rows(lots) -> list[tuple[int, ...]]:
+    """The embedded coordinates of the lotteries as integer rows: their
+    integer forms over one common denominator, coordinate 0 dropped.
+    Affine rank, affine coefficients and the primitive normal of a
+    hyperplane do not change when every point is scaled by the same
+    positive factor, so geometry answers on these rows what it answers
+    on ``embed(p).coords``, without building a Fraction."""
+    return [row[1:] for row in encode_lotteries(lots)[0]]
+
+
 def elicit(data: ElicitationInput) -> Representation:
     """Fit the hyperplane through the indifference data and orient it.
 
@@ -201,7 +213,11 @@ def elicit(data: ElicitationInput) -> Representation:
     if len(data.indifferent) != n:
         raise WrongCount(
             f"need exactly {n} indifferent lotteries, got {len(data.indifferent)}")
-    plane = hyperplane_from_points([embed(p).coords for p in data.indifferent])
+    # The normal through the integer rows is the normal through the
+    # points; the base is the first point's own coordinates.
+    plane = Hyperplane(
+        hyperplane_from_points(_rows(data.indifferent)).normal,
+        embed(data.indifferent[0]).coords)
 
     if data.strict is None:
         orientation, oriented = 1, False
@@ -292,9 +308,9 @@ def generate_indifferent_points(
 
 def _on_segment(q: Lottery, p: Lottery, r: Lottery) -> bool:
     """Exact test for q in the closed segment [p, r]."""
+    qrow, *prows = _rows((q, p, r))
     try:
-        a, _ = affine_coefficients(
-            embed(q).coords, [embed(p).coords, embed(r).coords])
+        a, _ = affine_coefficients(qrow, prows)
     except NotInAffineHull:
         return False
     # The combination must be convex, and it must reproduce q.
@@ -335,10 +351,12 @@ def construct_ip_via_solvability(
 
     # A vertex inside the hull stays inside as the hull grows, so each
     # search for the first vertex outside resumes where the last stopped.
+    # A vertex's integer form has denominator 1, so its numerators after
+    # coordinate 0 are its embedded coordinates.
     vertex = 0
     while len(points) < n:
         while vertex < space.size and hull.contains(
-                embed(degenerate(space, vertex)).coords):
+                degenerate(space, vertex).integer_form[0][1:]):
             vertex += 1
         if vertex == space.size:
             # The hull of k < n points plus the p-r line has affine
@@ -355,12 +373,12 @@ def construct_ip_via_solvability(
         points.append(new_point)
         hull.add(embed(new_point).coords)
 
-    embedded = [embed(x).coords for x in points]
+    *embedded, prow, rrow = _rows((*points, p, r))
     if affine_rank(embedded) != n - 1:
         raise RankDeficient("construction lost affine independence")
-    for excluded in (p, r):
+    for excluded in (prow, rrow):
         try:
-            affine_coefficients(embed(excluded).coords, embedded)
+            affine_coefficients(excluded, embedded)
         except NotInAffineHull:
             continue
         raise RankDeficient("an endpoint landed inside the constructed hull")
@@ -389,8 +407,13 @@ def indifference_certificate(
     for pt in points:
         if pt.space != space:
             raise SpaceMismatch("points over a different outcome space")
-    coeffs = affine_coefficients(
-        embed(target).coords, [embed(pt).coords for pt in points])
+    trow, *prows = _rows((target, *points))
+    try:
+        coeffs = affine_coefficients(trow, prows)
+    except NotInAffineHull:
+        # Name the target's coordinates, not its scaled row.
+        raise NotInAffineHull(f"{embed(target).coords} is not an affine "
+                              "combination of the points") from None
 
     if all(c >= 0 for c in coeffs):
         steps = []
@@ -421,7 +444,8 @@ def indifference_certificate(
     k_star = min(i for i, c in enumerate(coeffs) if -c == lambda_star)
     alpha_star = (m * lambda_star) / (1 + m * lambda_star)
     inv_m = Fraction(1, m)
-    mean = Lottery(space, _affine_combination(points, (inv_m,) * m, space))
+    mean = Lottery.from_integers(
+        space, *_affine_combination(points, (inv_m,) * m, space))
     reduced = mix(mean, target, alpha_star)
     reduced_coeffs = tuple(
         alpha_star * inv_m + (1 - alpha_star) * c for c in coeffs)
@@ -443,8 +467,10 @@ def indifference_certificate(
     )
 
 
-def _affine_combination(points, coeffs, space) -> tuple[Fraction, ...]:
-    """The weights of sum c·point, summed in ints over one denominator."""
+def _affine_combination(points, coeffs, space) -> tuple[tuple[int, ...], int]:
+    """The weights of sum c·point, summed in ints over one denominator
+    and reduced, so it equals a lottery's ``integer_form`` exactly when
+    it spells that lottery's weights."""
     cnums, cden = common_denominator(coeffs)
     rows = [pt.integer_form for pt in points]
     den = lcm(*(d for _, d in rows))
@@ -453,7 +479,7 @@ def _affine_combination(points, coeffs, space) -> tuple[Fraction, ...]:
         k = c * (den // d)
         if k:
             total = [t + k * x for t, x in zip(total, nums)]
-    return tuple(Fraction(t, cden * den) for t in total)
+    return _reduced(total, cden * den)
 
 
 def _mixes_to(left, right, alpha, result) -> bool:
@@ -479,7 +505,7 @@ def replay_certificate(
                    sum(cert.coefficients, Fraction(0)) == 1))
     checks.append(("coefficients combine to the target",
                    _affine_combination(pts, cert.coefficients, space)
-                   == cert.target.weights))
+                   == cert.target.integer_form))
     if not pts:
         # Every later check compares against the class's first point.
         checks.append(("certificate lists the indifferent points", False))
@@ -511,7 +537,7 @@ def replay_certificate(
                        and cert.lambda_star == -low
                        and cert.k_star == cert.coefficients.index(low)))
         checks.append(("mean is the equal-weight average",
-                       cert.mean is not None and cert.mean.weights
+                       cert.mean is not None and cert.mean.integer_form
                        == _affine_combination(pts, (inv_m,) * m, space)))
         ok_alpha = (
             cert.lambda_star is not None and cert.lambda_star > 0
@@ -526,7 +552,7 @@ def replay_certificate(
             and cert.k_star in range(len(rc))
             and rc[cert.k_star] == 0
             and all(c >= 0 for c in rc)
-            and _affine_combination(pts, rc, space) == reduced.weights)
+            and _affine_combination(pts, rc, space) == reduced.integer_form)
         checks.append(("reduced coefficients convex with a zero at k*", rc_ok))
         checks.append(("reduced point indifferent to the class",
                        reduced is not None

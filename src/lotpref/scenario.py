@@ -8,7 +8,10 @@ by ``from_json`` like any other dataclass, so a wrongly shaped value
 fails with ValueError naming its key, and so does a key that no field
 reads (a misspelt "gird" is refused, not run as the default).  Every
 rational travels as a canonical string ("a/b" or "a"); floats are
-never accepted, so exactness survives the round trip.
+never accepted, so exactness survives the round trip.  A lottery is
+read as integer pairs over their lcm (``Lottery.from_integers``) and
+written from its ``integer_form``, so neither direction builds its
+Fraction weights.
 
 Every dataclass (certificates, constructions, replays, budgets, found
 sets, hyperplanes, witnesses) has one wire format: one key per field in
@@ -26,6 +29,7 @@ import json
 from dataclasses import MISSING, fields, is_dataclass
 from fractions import Fraction
 from functools import cache, cached_property
+from math import lcm
 from types import UnionType
 from typing import Annotated, Union, get_args, get_origin, get_type_hints
 
@@ -45,7 +49,7 @@ from .oracles import (
     RepresentedOracle,
     UtilityFunction,
 )
-from .rationals import format_rational, parse_rational
+from .rationals import _format_pair, _parse_pair, format_rational, parse_rational
 from .representation import (
     ElicitationInput,
     IndifferenceCertificate,
@@ -91,12 +95,23 @@ def _parse_fractions(items, what: str) -> tuple[Fraction, ...]:
 
 
 def lottery_to_json(lot: Lottery) -> list[str]:
-    return fractions_to_json(lot.weights)
+    """The weights as rational strings, written from ``integer_form``."""
+    nums, den = lot.integer_form
+    return [_format_pair(a, den) for a in nums]
+
+
+def _lottery_of(space: OutcomeSpace, tokens) -> Lottery:
+    """The lottery spelled by rational tokens: each read as an integer
+    pair, all put over the lcm of their denominators and validated in
+    ints, with the errors ``Lottery(space, weights)`` raises."""
+    pairs = [_parse_pair(token) for token in tokens]
+    den = lcm(*(d for _, d in pairs))
+    return Lottery.from_integers(space, [n * (den // d) for n, d in pairs], den)
 
 
 def parse_point(space: OutcomeSpace, items, what: str = "lottery") -> Lottery:
     """A lottery from a JSON list of rational strings."""
-    return Lottery(space, _parse_fractions(items, what))
+    return _lottery_of(space, _shaped(items, list, what))
 
 
 def parse_lottery_field(space: OutcomeSpace, value, what: str = "lottery") -> Lottery:
@@ -105,8 +120,7 @@ def parse_lottery_field(space: OutcomeSpace, value, what: str = "lottery") -> Lo
     if value == "uniform":
         return uniform(space)
     if isinstance(value, str):
-        return Lottery(space, tuple(
-            parse_rational(part.strip()) for part in value.split(",")))
+        return _lottery_of(space, value.split(","))
     return parse_point(space, value, what)
 
 

@@ -36,6 +36,7 @@ from lotpref.axioms import (
     SolveContractWitness,
     TranslationWitness,
 )
+from lotpref._record import Record
 from lotpref.errors import EmptyInput, RankDeficient, SumNotOne
 from lotpref.geometry import Hyperplane
 from lotpref.grids import GridSpec
@@ -298,3 +299,22 @@ def test_startup_compiles_at_most_one_source_per_record():
     strings, records = json.loads(proc.stdout)
     assert records == 31
     assert strings <= records
+
+
+def test_a_method_the_class_body_defines_is_kept():
+    # Record compiles only the methods a class body leaves out.  A body
+    # that defines __eq__ alone gets __hash__ = None from Python, which
+    # Record replaces with the field-tuple hash, as Lottery relies on.
+    class Pair(Record):
+        a: int
+        b: int
+
+        def __eq__(self, other):
+            return isinstance(other, Pair) and self.a == other.a
+
+    assert Pair(1, 2) == Pair(1, 3)
+    assert hash(Pair(1, 2)) == hash((1, 2))
+    space = lotpref.OutcomeSpace.of_size(2)
+    lot = lotpref.Lottery.from_integers(space, (1, 1), 2)
+    assert "__eq__" in vars(lotpref.Lottery)
+    assert hash(lot) == hash((space, (F(1, 2), F(1, 2))))
