@@ -29,7 +29,7 @@ from ._record import Record
 from .errors import SpaceMismatch, UnconfirmedHit
 from .geometry import AffineBasis, affine_rank
 from .grids import GridSpec, dyadic_alphas, enumerate_grid, rationals_between
-from .lotteries import Lottery, embed, mix, unit_weight
+from .lotteries import Lottery, mix, unit_weight
 from .oracles import ComparisonResult, PreferenceOracle
 
 __all__ = [
@@ -91,9 +91,9 @@ class AxiomVerdict(Record):
     axiom: str
     violated: bool
     budget: Budget
+    route: str | None = None
     witness: object | None = None
     found: "IPFound | None" = None
-    route: str | None = None
 
     @property
     def no_violation_found(self) -> bool:

@@ -8,9 +8,12 @@ inside the construct or check block, and the result is decoded once by
 ``load_scenario``, which refuses any key nothing reads.  --utility is
 the eu oracle's payoffs with --oracle eu and the scenario's utility
 without --oracle, and --priority the lexicographic oracle's; either
-flag with another --oracle kind is refused.  Output is a short
-human-readable header followed by one JSON document, all rationals in
-canonical string form; --out mirrors stdout byte for byte.
+flag with another --oracle kind is refused.  ``main`` loads the
+scenario once and hands it to the subcommand, which returns a short
+human-readable header and the body of its JSON document; main writes
+the envelope, the header followed by the document with its "version"
+key first, all rationals in canonical string form, to stdout and to
+--out, which mirrors stdout byte for byte.
 
 Exit codes: 0 success (including NoViolationFound), 1 a check found a
 violation, 2 invalid input with the failed invariant named on stderr
@@ -165,7 +168,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        text, code = args.run(args)
+        header, body, code = args.run(_scenario(args))
+        text = header + dump_document({"version": SCHEMA_VERSION, **body})
         # An unwritable --out is invalid input like any other: exit 1
         # would read as a violation.
         if args.out:
@@ -257,34 +261,27 @@ def _points_block(points) -> str:
 # ---- subcommands ------------------------------------------------------------
 
 
-def _cmd_elicit(args) -> tuple[str, int]:
-    scenario = _scenario(args)
+def _cmd_elicit(scenario: Scenario) -> tuple[str, dict, int]:
     if scenario.elicitation is None:
         raise ValueError("elicit needs a scenario with 'indifferent' data")
     rep = elicit(scenario.elicitation)
-    text = "u = %s\noriented = %s\n" % (
+    header = "u = %s\noriented = %s\n" % (
         _tuple_str(map(format_rational, rep.utility.values)),
         "true" if rep.oriented else "false")
-    doc = {"version": SCHEMA_VERSION,
-           "representation": representation_to_json(rep)}
-    return text + dump_document(doc), 0
+    return header, {"representation": representation_to_json(rep)}, 0
 
 
-def _cmd_generate(args) -> tuple[str, int]:
-    scenario = _scenario(args)
+def _cmd_generate(scenario: Scenario) -> tuple[str, dict, int]:
     if scenario.utility is None:
         raise ValueError("generate needs --utility or a scenario 'utility'")
     points, construction = generate_indifferent_points(scenario.utility)
-    doc = {
-        "version": SCHEMA_VERSION,
+    return _points_block(points), {
         "points": [lottery_to_json(p) for p in points],
         "construction": construction_to_json(construction),
-    }
-    return _points_block(points) + dump_document(doc), 0
+    }, 0
 
 
-def _cmd_classify(args) -> tuple[str, int]:
-    scenario = _scenario(args)
+def _cmd_classify(scenario: Scenario) -> tuple[str, dict, int]:
     if scenario.elicitation is None:
         raise ValueError("classify needs a scenario with 'indifferent' data")
     rep = elicit(scenario.elicitation)
@@ -295,20 +292,16 @@ def _cmd_classify(args) -> tuple[str, int]:
     if not queries:
         raise ValueError("classify needs --query or scenario 'queries'")
     results = [classify(rep, reference, q) for q in queries]
-    text = "".join(res.value + "\n" for res in results)
-    doc = {
-        "version": SCHEMA_VERSION,
+    return "".join(res.value + "\n" for res in results), {
         "reference": lottery_to_json(reference),
         "results": [
             {"query": lottery_to_json(q), "result": res.value}
             for q, res in zip(queries, results)
         ],
-    }
-    return text + dump_document(doc), 0
+    }, 0
 
 
-def _cmd_certify(args) -> tuple[str, int]:
-    scenario = _scenario(args)
+def _cmd_certify(scenario: Scenario) -> tuple[str, dict, int]:
     if scenario.elicitation is None:
         raise ValueError("certify needs a scenario with 'indifferent' data")
     if scenario.target is None:
@@ -324,38 +317,31 @@ def _cmd_certify(args) -> tuple[str, int]:
 
     cert = indifference_certificate(scenario.target, scenario.indifferent)
     replay = replay_certificate(cert, oracle)
-    text = "branch = %s\nreplay = %s\n" % (
+    header = "branch = %s\nreplay = %s\n" % (
         cert.branch, "ok" if replay.ok else "failed")
-    doc = {
-        "version": SCHEMA_VERSION,
-        "certificate": certificate_to_json(cert),
-        "replay": replay_to_json(replay),
-    }
     if not replay.ok:
         first = replay.failures()[0]
         print(f"error: CertificateReplayFailed: {first}", file=sys.stderr)
-        return text + dump_document(doc), 2
-    return text + dump_document(doc), 0
+    return header, {
+        "certificate": certificate_to_json(cert),
+        "replay": replay_to_json(replay),
+    }, 0 if replay.ok else 2
 
 
-def _cmd_construct_ip(args) -> tuple[str, int]:
-    scenario = _scenario(args)
+def _cmd_construct_ip(scenario: Scenario) -> tuple[str, dict, int]:
     oracle = _oracle(scenario)
     triple = scenario.construct
     if triple is None:
         raise ValueError("construct-ip needs --p/--q/--r or a scenario "
                          "'construct' block")
     points = construct_ip_via_solvability(oracle, triple.p, triple.q, triple.r)
-    doc = {
-        "version": SCHEMA_VERSION,
+    return _points_block(points), {
         "oracle": oracle_to_json(oracle),
         "points": [lottery_to_json(p) for p in points],
-    }
-    return _points_block(points) + dump_document(doc), 0
+    }, 0
 
 
-def _cmd_check(args) -> tuple[str, int]:
-    scenario = _scenario(args)
+def _cmd_check(scenario: Scenario) -> tuple[str, dict, int]:
     oracle = _oracle(scenario)
     check = scenario.check
     if check is None or check.axiom is None:
@@ -366,14 +352,12 @@ def _cmd_check(args) -> tuple[str, int]:
     depth = DEFAULT_DEPTH if check.depth is None else check.depth
     verdict = AXIOM_CHECKS[check.axiom](oracle, grid, depth)
 
-    text = "axiom = %s\nverdict = %s\n" % (
+    header = "axiom = %s\nverdict = %s\n" % (
         verdict.axiom, "violated" if verdict.violated else "no-violation-found")
-    doc = {
-        "version": SCHEMA_VERSION,
+    return header, {
         "oracle": oracle_to_json(oracle),
         "verdict": verdict_to_json(verdict),
-    }
-    return text + dump_document(doc), 1 if verdict.violated else 0
+    }, 1 if verdict.violated else 0
 
 
 if __name__ == "__main__":

@@ -62,11 +62,24 @@ class OutcomeSpace(Record):
     labels: tuple[str, ...]
 
     def __post_init__(self):
-        if len(self.labels) == 0:
+        labels = self.labels
+        if type(labels) is not tuple:
+            raise ValueError(f"outcome labels must be a tuple, got {labels!r}")
+        if len(labels) == 0:
             raise EmptyInput("an outcome space needs at least one outcome")
+        seen = set()
+        for label in labels:
+            if not isinstance(label, str):
+                raise ValueError(f"outcome labels must be strings, got {label!r}")
+            if label in seen:
+                raise ValueError(f"outcome labels must be distinct, "
+                                 f"got {label!r} twice")
+            seen.add(label)
 
     @classmethod
     def of_size(cls, size: int) -> "OutcomeSpace":
+        if type(size) is not int:
+            raise ValueError(f"outcome count must be an int, got {size!r}")
         if size < 1:
             raise EmptyInput("an outcome space needs at least one outcome")
         return cls(tuple(f"x{i}" for i in range(size)))

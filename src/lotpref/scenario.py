@@ -13,12 +13,12 @@ read as integer pairs over their lcm (``Lottery.from_integers``) and
 written from its ``integer_form``, so neither direction builds its
 Fraction weights.
 
-Every dataclass (certificates, constructions, replays, budgets, found
-sets, hyperplanes, witnesses) has one wire format: one key per field in
-declaration order, None fields left out, lotteries as lists of
-rationals, comparison results as their values.  ``to_json`` writes it;
-``from_json`` reads it back by the declared field types.  A witness
-starts with "kind" (and "route" where its class has one).  Verdicts,
+Every dataclass (verdicts, certificates, constructions, replays,
+budgets, found sets, hyperplanes, witnesses) has one wire format: one
+key per field in declaration order, None fields left out, lotteries as
+lists of rationals, comparison results as their values.  ``to_json``
+writes it; ``from_json`` reads it back by the declared field types.  A
+witness starts with "kind" (and "route" where its class has one).  Only
 representations and oracles are framed by hand: their keys are not
 field names in declaration order.
 """
@@ -34,7 +34,7 @@ from types import UnionType
 from typing import Annotated, Union, get_args, get_origin, get_type_hints
 
 from ._record import Record
-from .axioms import WITNESS_TYPES, AxiomVerdict
+from .axioms import WITNESS_TYPES
 from .errors import EmptyInput
 from .geometry import Hyperplane
 from .grids import GridSpec
@@ -197,7 +197,8 @@ def to_json(value):
     its canonical string, a comparison result as its value, a grid as
     its outcome count and bound, a tuple as a list, a dataclass as one
     key per field in declaration order with None fields left out, and
-    any other value (int, str, bool) as itself."""
+    any other value (int, str, bool) as itself.  A witness writes its
+    "kind", and "route" where its class has one, ahead of its fields."""
     if isinstance(value, Lottery):
         return lottery_to_json(value)
     if isinstance(value, Fraction):
@@ -210,16 +211,23 @@ def to_json(value):
     if isinstance(value, (tuple, list)):
         return [to_json(item) for item in value]
     if is_dataclass(value):
-        return _fields_to_json(value, type(value))
+        return _fields_to_json(value)
     return value
 
 
-def _fields_to_json(value, cls) -> dict:
-    return {f.name: to_json(item) for f in fields(cls)
-            if (item := getattr(value, f.name)) is not None}
+def _fields_to_json(value) -> dict:
+    # Kept out of to_json: this comprehension reads value and binds
+    # item, which would make every to_json call, mostly on Fractions,
+    # build two cells (about 15% slower on a 32-outcome construction).
+    cls = type(value)
+    keys = ("kind", "route") if isinstance(value, WITNESS_TYPES) else ()
+    head = {key: getattr(cls, key) for key in keys if hasattr(cls, key)}
+    return head | {f.name: to_json(item) for f in fields(cls)
+                   if (item := getattr(value, f.name)) is not None}
 
 
 certificate_to_json = construction_to_json = replay_to_json = to_json
+verdict_to_json = to_json
 
 
 def _shaped(value, json_type, key):
@@ -323,16 +331,10 @@ _WITNESS_BY_KEY = {
 
 
 def witness_to_json(witness) -> dict:
-    """"kind", then "route" where the class has one, then the fields of
-    the witness's class in WITNESS_TYPES (a subclass adds none)."""
-    cls = next((c for c in type(witness).__mro__ if c in WITNESS_TYPES), None)
-    if cls is None:
+    """``to_json`` of a witness; ValueError for any other value."""
+    if not isinstance(witness, WITNESS_TYPES):
         raise ValueError(f"cannot serialize witness {witness!r}")
-    doc = {"kind": cls.kind}
-    if hasattr(cls, "route"):
-        doc["route"] = cls.route
-    doc.update(_fields_to_json(witness, cls))
-    return doc
+    return to_json(witness)
 
 
 def witness_from_json(space: OutcomeSpace, data: dict):
@@ -342,21 +344,6 @@ def witness_from_json(space: OutcomeSpace, data: dict):
         raise ValueError(f"unknown witness kind {kind!r}" if route is None
                          else f"unknown witness route {route!r} for kind {kind!r}")
     return from_json(cls, space, data, ("kind", "route"))
-
-
-def verdict_to_json(verdict: AxiomVerdict) -> dict:
-    doc = {
-        "axiom": verdict.axiom,
-        "violated": verdict.violated,
-        "budget": to_json(verdict.budget),
-    }
-    if verdict.route is not None:
-        doc["route"] = verdict.route
-    if verdict.witness is not None:
-        doc["witness"] = witness_to_json(verdict.witness)
-    if verdict.found is not None:
-        doc["found"] = to_json(verdict.found)
-    return doc
 
 
 # ---- scenario files ---------------------------------------------------------
@@ -411,6 +398,10 @@ class Scenario(Record):
     check: CheckRequest | None = None
 
     def __post_init__(self):
+        # Only the elicitation reads the strict pair.
+        if self.strict is not None and self.indifferent is None:
+            raise ValueError("scenario key 'strict' needs 'indifferent' data; "
+                             "nothing else reads it")
         self.elicitation  # built now, so bad indifference data fails at load
 
     @cached_property

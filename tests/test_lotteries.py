@@ -80,6 +80,23 @@ def test_outcome_space_basics():
         OutcomeSpace(())
 
 
+@pytest.mark.parametrize("build,message", [
+    (lambda: OutcomeSpace(("a", "a", "b")),
+     "outcome labels must be distinct, got 'a' twice"),
+    (lambda: OutcomeSpace((1, 2)), "outcome labels must be strings, got 1"),
+    (lambda: OutcomeSpace("ab"), "outcome labels must be a tuple, got 'ab'"),
+    (lambda: OutcomeSpace.of_size(True), "outcome count must be an int, got True"),
+    (lambda: OutcomeSpace.of_size(2.0), "outcome count must be an int, got 2.0"),
+    (lambda: OutcomeSpace.of_size("3"), "outcome count must be an int, got '3'"),
+], ids=["repeated", "int-labels", "str-labels", "bool", "float", "str"])
+def test_outcome_space_refuses_what_is_no_label_set(build, message):
+    # Each was once accepted (of_size(True) as one outcome) or escaped
+    # as a TypeError (of_size(2.0), of_size("3")).
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message
+
+
 def test_as_fraction_accepts_exact_forms():
     assert as_fraction("1/3") == Fraction(1, 3)
     assert as_fraction(2) == Fraction(2)

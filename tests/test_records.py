@@ -112,7 +112,7 @@ SIGNATURES = {
     UtilityFunction: "space, values",
     Hyperplane: "normal, base",
     Budget: "grid, candidate_bound=None, depth=None",
-    AxiomVerdict: "axiom, violated, budget, witness=None, found=None, route=None",
+    AxiomVerdict: "axiom, violated, budget, route=None, witness=None, found=None",
     CycleWitness: "p, q, r, pq, qr, pr",
     IndependenceWitness: "p, q, r, alpha, before, after",
     BetweennessWitness: "p, q, alpha, pq, upper, lower",

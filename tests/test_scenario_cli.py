@@ -747,7 +747,8 @@ MALFORMED = [
     ("depth", {"check": {"axiom": "ip", "depth": -5}}),
     # Keys nothing reads, each once run as if absent: a misspelt key, a
     # key the oracle's kind does not read, a check variant (betweenness
-    # is its own axiom), and an outcome count the labels contradict.
+    # is its own axiom), an outcome count the labels contradict, and a
+    # strict pair with no indifferent data to orient.
     ("'gird'", {"check": {"axiom": "ip", "gird": 9}}),
     ("'utilty'", {"utilty": ["0", "1", "3"]}),
     ("'priority'", {"oracle": {"kind": "hybrid", "priority": [2, 1, 0]}}),
@@ -757,6 +758,9 @@ MALFORMED = [
     ("'route'", {"oracle": {"kind": "majority", "route": "alpha-scan"}}),
     ("'variant'", {"check": {"axiom": "ip", "variant": "betweenness"}}),
     ("labels", {"outcomes": 4, "labels": ["a", "b", "c"]}),
+    ("'strict' needs 'indifferent'", {"strict": SCENARIO["strict"]}),
+    # Repeated labels once made a space of repeated outcomes.
+    ("'a' twice", {"labels": ["a", "a", "b"]}),
 ]
 
 
