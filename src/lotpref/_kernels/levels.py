@@ -15,11 +15,14 @@ a line point puts both sides of a comparison on the plateau only where
 the identity holds anyway.  Every encoded kind comes here, and a
 callback spec never does.  Where an identity fails for a kind, the
 scan's docstring says why, and either reads the hits as threshold rows
-or walks the ``pure`` scan.  Hybrid translation and majority convexity
-read rows: fix i, j and, for convexity, the weight, and whether the
-third point k hits turns on one threshold per coordinate of k, so the k
-that hit form a bitset of one ``pure._Thresholds`` bisection per
-coordinate, joined by the kind's rule; the lowest bit is the first hit.
+or walks the ``pure`` scan.  A threshold row fixes every point of a
+candidate but one, k, and whether k hits turns on one threshold per
+coordinate of k, so the k that hit form a bitset of one
+``pure._Thresholds`` bisection per coordinate, joined by the kind's
+rule; the lowest bit is the first hit.  Hybrid translation thresholds
+k's coordinates directly.  Every other row compares a fixed lottery x
+with mix(y, k, b/a) for every grid point k, and is the one
+``_thresholds(x, y, a, b, den)`` call its scan names.
 
 For ("eu", u) every comparison is also linear: grid point i sits at
 level L_i/den, L_i = u·nums[i], and mix(p, r, a/b) at
@@ -36,10 +39,9 @@ constant between those weights, and from the separation depth on a
 candidate off them cannot hit: each triple tests the at most n
 candidates a breakpoint sits on, with the exact body of
 ``pure.scan_mixture``.  The archimedean and openness probes fix a pair
-and a probe and vary one grid point, and each coordinate of the probe
-comparison is affine in that point's coordinate, so the points on each
-side form threshold bitsets, the ``pure._Thresholds`` bisections the
-sign rows use: one probe row settles a whole row of triples.
+and a probe and vary one grid point, the mixture's other end, so each
+probe is one ``_thresholds`` row, and one probe row settles a whole row
+of triples.
 
 Independence and betweenness answer only the weights their proofs
 cover, those the checkers pass: independence positive ones, betweenness
@@ -65,21 +67,6 @@ from .pure import (
     _bits, _coordinate_thresholds, _mix, _mixture_side, _SignTable, make_compare,
     signs_from_coordinates,
 )
-
-__all__ = [
-    "scan_transitivity",
-    "scan_independence",
-    "scan_betweenness",
-    "scan_convexity",
-    "scan_translation",
-    "scan_line_order",
-    "scan_mixture",
-    "scan_archimedean",
-    "scan_solvability_scan",
-    "scan_solvability_solve",
-    "scan_openness",
-]
-
 
 def scan_transitivity(spec, nums, den):
     """First (i, j, k) with i >= j >= k but i < k.
@@ -139,15 +126,12 @@ def scan_convexity(spec, nums, den, alphas):
     ties only equal points, so j = k = i; hybrid ties equal points and
     the plateau, an affine set.  Majority's indifference classes need
     not be convex, so it reads tie rows.  Fix i, j ~ i and the weight
-    a/b: coordinate c of mix(j, k, a/b) - i has the sign of
-    (b - a)·(k_c - t_c), t_c = (b·i_c - a·j_c)/(b - a), so the k whose
-    mixture ties with i are the ties of one ``signs_from_coordinates``
-    row, built from the ceiling and floor of t.  That row's signs are
-    those of t_c - k_c, and flipping every sign keeps majority's ties,
-    so this holds for b < a too; a = b mixes onto j, which ties, and
-    j = i puts t at x_i, whose ties are i's class.  The hit is the
-    lowest k of the class outside the ties of some weight, at the lowest
-    such weight.
+    a/b: the k whose mixture ties with i are the ties of the row
+    ``_thresholds(x_i, x_j, b, a, den)``.  Flipping every sign keeps
+    majority's ties, so this holds for b < a too; a = b mixes onto j,
+    which ties, and j = i puts every threshold at x_i, whose ties are
+    i's class.  The hit is the lowest k of the class outside the ties of
+    some weight, at the lowest such weight.
     """
     if spec[0] != "majority":
         return None
@@ -160,14 +144,7 @@ def scan_convexity(spec, nums, den, alphas):
             y = nums[j]
             union, fails = 0, []
             for a, b in alphas:
-                fail = 0
-                if a != b:
-                    lows, highs = [], []
-                    for xc, yc in zip(x, y):
-                        high, rest = divmod(b * xc - a * yc, b - a)
-                        lows.append(high + (rest != 0))
-                        highs.append(high)
-                    fail = members & ~signs(lows, highs, None)[1]
+                fail = members & ~signs(*_thresholds(x, y, b, a, den))[1] if a != b else 0
                 fails.append(fail)
                 union |= fail
             if union:
@@ -306,10 +283,9 @@ def scan_archimedean(spec, nums, den, depth):
 
     lex, hybrid and majority read probe rows: for a pair (i, j) and a
     probe P, the points r that the probe settles, as a bitset.  Beta's
-    coordinate c has the sign of P·q_c - p_c - (P - 1)·r_c, so r_c is
-    compared with (P·q_c - p_c)/(P - 1); alpha's has the sign of
-    (P - 1)·p_c + r_c - P·q_c, so r_c is compared with
-    P·q_c - (P - 1)·p_c.  Beta fails at the k in gt(j) that no probe
+    row is ``_thresholds(q, p, P, 1, den)``, q against mix(p, r, 1/P),
+    and alpha's ``_thresholds(q, p, P, P - 1, den)``, q against
+    mix(p, r, 1 - 1/P).  Beta fails at the k in gt(j) that no probe
     settles, alpha likewise, and the first hit is the lowest failing k,
     on the beta side when beta fails there, as the pure scan tests beta
     first for each k.
@@ -318,14 +294,14 @@ def scan_archimedean(spec, nums, den, depth):
     if spec[0] == "eu":
         return None
     signs = _SignTable(spec, nums, den)
-    beta_rows = _ProbeRows(spec, nums, den, depth, _beta_thresholds)
-    alpha_rows = _ProbeRows(spec, nums, den, depth, _alpha_thresholds)
+    beta_rows = _ProbeRows(spec, nums, den, depth, lambda P: (P, 1))
+    alpha_rows = _ProbeRows(spec, nums, den, depth, lambda P: (P, P - 1))
     for i, p in enumerate(nums):
         for j in _bits(signs.row(i)[0]):
             q = nums[j]
             below_q = signs.row(j)[0]
-            beta = beta_rows.narrow(p, q, below_q, 0, False)
-            alpha = alpha_rows.narrow(p, q, below_q, 2, False)
+            beta = beta_rows.narrow(q, p, below_q, 0, False)
+            alpha = alpha_rows.narrow(q, p, below_q, 2, False)
             fail = beta | alpha
             if fail:
                 k = (fail & -fail).bit_length() - 1
@@ -363,27 +339,26 @@ def scan_openness(spec, nums, den, depth):
     (L_w - L_q) against p, on q's side, as |L_q - L_p| >= 1 and
     |L_w - L_q| <= den·S.
 
-    lex, hybrid and majority read probe rows: coordinate c of
-    mix(w, q, 1/P) - p has the sign of w_c + (P - 1)·q_c - P·p_c, so w_c
-    is compared with P·p_c - (P - 1)·q_c, alpha's threshold with p and q
-    swapped, as is the plateau's.  For a pair (i, j) the hits are
-    the points on w's side that every probe keeps there: the
-    intersection of the probe rows, of which the lowest is the first.
+    lex, hybrid and majority read probe rows: p against
+    mix(w, q, 1/P) = mix(q, w, 1 - 1/P) over every w is the row
+    ``_thresholds(p, q, P, P - 1, den)``, archimedean alpha's with the
+    pair swapped.  For a pair (i, j) the hits are the points on w's side
+    that every probe keeps there: the intersection of the probe rows, of
+    which the lowest is the first.
     """
     _require_separation(spec, den, 1, depth)
     if spec[0] == "eu":
         return None
     signs = _SignTable(spec, nums, den)
-    rows = _ProbeRows(spec, nums, den, depth, _alpha_thresholds)
+    rows = _ProbeRows(spec, nums, den, depth, lambda P: (P, P - 1))
     for i, p in enumerate(nums):
         gt_i, _, lt_i = signs.col(i)
         for j in _bits(gt_i | lt_i):
-            # The k with w below p when q is above it, and the converse;
-            # the rows are alpha's with the pair swapped.
+            # The k with w below p when q is above it, and the converse.
             if gt_i >> j & 1:
-                kept = rows.narrow(nums[j], p, lt_i, 0, True)
+                kept = rows.narrow(p, nums[j], lt_i, 0, True)
             else:
-                kept = rows.narrow(nums[j], p, gt_i, 2, True)
+                kept = rows.narrow(p, nums[j], gt_i, 2, True)
             if kept:
                 return (i, j, (kept & -kept).bit_length() - 1)
     return None
@@ -392,37 +367,36 @@ def scan_openness(spec, nums, den, depth):
 class _ProbeRows:
     """Probe rows for one probe scan over a lex, hybrid or majority grid.
 
-    ``thresholds(p, q, P, den)`` gives, for the pair a scan fixes and
-    the probe P = 2^h, the (lows, highs, plateau) that
-    ``pure.signs_from_coordinates`` turns into the (gt, eq, lt) of the
-    probe comparison against every grid point.  Each probe is evaluated
-    exactly, deepest first, and the walk stops once nothing is left to
-    settle.  Every threshold either moves by less than one coordinate
-    step or leaves [0, den] once P - 1 > den, so every probe deeper than
-    den + 1 has the masks of 2^depth and is not evaluated; thresholds
-    clamped to [-1, den + 1] that equal the previous probe's give its
-    masks, so that probe is skipped too.
+    ``weights(P)`` gives the (a, b) of the probe P = 2^h, so the probe
+    row of the pair (x, y) a scan fixes is ``_thresholds(x, y, a, b,
+    den)``, the (gt, eq, lt) of x against mix(y, k, b/a) for every grid
+    point k.  Each probe is evaluated exactly, deepest first, and the
+    walk stops once nothing is left to settle.  Every threshold either
+    moves by less than one coordinate step or leaves [0, den] once
+    P - 1 > den, so every probe deeper than den + 1 has the masks of
+    2^depth and is not evaluated; thresholds clamped to [-1, den + 1]
+    that equal the previous probe's give its masks, so that probe is
+    skipped too.
     """
 
-    __slots__ = ("_signs", "_thresholds", "_den", "_powers")
+    __slots__ = ("_signs", "_den", "_weights")
 
-    def __init__(self, spec, nums, den, depth, thresholds):
+    def __init__(self, spec, nums, den, depth, weights):
         # Few distinct thresholds recur across pairs: the deepest probe's
-        # are out of range wherever p and q differ.
+        # are out of range wherever x and y differ.
         self._signs = lru_cache(maxsize=1 << 12)(signs_from_coordinates(spec, nums))
-        self._thresholds = thresholds
         self._den = den
         top = min(depth - 1, (den + 1).bit_length() - 1)
-        self._powers = [1 << depth, *(1 << h for h in range(top, 0, -1))]
+        self._weights = [weights(1 << h) for h in (depth, *range(top, 0, -1))]
 
-    def narrow(self, p, q, mask, part, keep):
+    def narrow(self, x, y, mask, part, keep):
         """The points of mask in part (0 gt, 2 lt) of every probe row
         when keep, else of none."""
-        signs, thresholds, den, last = self._signs, self._thresholds, self._den, None
-        for power in self._powers:
+        signs, den, last = self._signs, self._den, None
+        for a, b in self._weights:
             if not mask:
                 break
-            key = thresholds(p, q, power, den)
+            key = _thresholds(x, y, a, b, den)
             if key != last:
                 last = key
                 row = signs(*key)[part]
@@ -434,31 +408,29 @@ def _clamp(t, den):
     return -1 if t < 0 else den + 1 if t > den else t
 
 
-def _beta_thresholds(p, q, power, den):
-    """r against q > mix(p, r, 1/P): r_c against (P·q_c - p_c)/(P - 1),
-    ceiling and floor; the plateau holds q, and holds the mixture where
-    2·(p_0 + (P - 1)·r_0) = P·den."""
-    step = power - 1
-    lows, highs = [], []
-    for pc, qc in zip(p, q):
-        high, rest = divmod(power * qc - pc, step)
-        lows.append(_clamp(high + (rest != 0), den))
-        highs.append(_clamp(high, den))
-    plateau = None
-    if 2 * q[0] == den:
-        high, rest = divmod(power * den - 2 * p[0], 2 * step)
-        plateau = None if rest else _clamp(high, den)
-    return tuple(lows), tuple(highs), plateau
+def _thresholds(x, y, a, b, den):
+    """(lows, highs, plateau) of x against mix(y, k, b/a) for every grid
+    point k, for ``signs_from_coordinates``.
 
-
-def _alpha_thresholds(p, q, power, den):
-    """r against mix(p, r, 1 - 1/P) > q: r_c against P·q_c - (P - 1)·p_c;
-    the plateau holds q, and holds the mixture at one r_0."""
-    t = tuple([_clamp(pc + power * (qc - pc), den) for pc, qc in zip(p, q)])
-    plateau = None
-    if 2 * q[0] == den:
-        plateau = _clamp(p[0] + power * (den // 2 - p[0]), den)
-    return t, t, plateau
+    Coordinate c of mix(y, k, b/a) - x is ((a - b)/a)·(k_c - t_c), with
+    t_c = (a·x_c - b·y_c)/(a - b), so for a > b >= 0 x's side has the
+    sign of t_c - k_c: lows is the ceiling of t and highs its floor,
+    clamped to [-1, den + 1], one tuple when a - b = 1 makes t_c the
+    integer x_c + b·(x_c - y_c).  Hybrid's plateau holds the mixture
+    where x sits on it (2·x_0 = den) and k_0 = t_0, an integer; else
+    plateau is None, or a clamped bound that no grid point reaches.
+    """
+    step = a - b
+    if step == 1:
+        lows = highs = tuple([_clamp(xc + b * (xc - yc), den) for xc, yc in zip(x, y)])
+    else:
+        lows, highs = [], []
+        for xc, yc in zip(x, y):
+            high, rest = divmod(a * xc - b * yc, step)
+            lows.append(_clamp(high + (rest != 0), den))
+            highs.append(_clamp(high, den))
+        lows, highs = tuple(lows), tuple(highs)
+    return lows, highs, lows[0] if 2 * x[0] == den and lows[0] == highs[0] else None
 
 
 def _require_separation(spec, den, max_b, depth):

@@ -36,22 +36,6 @@ from math import gcd
 
 from ..oracles import integer_rule
 
-__all__ = [
-    "make_compare",
-    "scan_transitivity",
-    "scan_independence",
-    "scan_betweenness",
-    "scan_convexity",
-    "scan_translation",
-    "scan_line_order",
-    "scan_mixture",
-    "scan_archimedean",
-    "scan_solvability_scan",
-    "scan_solvability_solve",
-    "scan_openness",
-]
-
-
 def make_compare(spec):
     """Closure comparing (pnums, pden, qnums, qden) -> sign: a callback
     spec's own closure, else the encoded kind's rule from
@@ -511,7 +495,8 @@ def scan_solvability_scan(spec, nums, den, alphas):
 
 def scan_solvability_solve(spec, nums, den, weight):
     """First (i, j, k, a, b) with p >= q >= r where a/b = weight(i, j, k),
-    the oracle's own solution, does not mix p and r onto q."""
+    the oracle's own solution, does not mix p and r onto q; a and b are
+    None where weight gives None, the oracle having no solution."""
     cmp = make_compare(spec)
     signs = _SignTable(spec, nums, den)
     for i in range(len(nums)):
@@ -519,9 +504,11 @@ def scan_solvability_solve(spec, nums, den, weight):
         for j in _bits(gt_i | eq_i):
             gt_j, eq_j, _ = signs.row(j)
             for k in _bits(gt_j | eq_j):
-                a, b = weight(i, j, k)
-                m = _mix(nums[i], nums[k], a, b)
-                if cmp(m, b * den, nums[j], den) != 0:
+                solved = weight(i, j, k)
+                if solved is None:
+                    return (i, j, k, None, None)
+                a, b = solved
+                if cmp(_mix(nums[i], nums[k], a, b), b * den, nums[j], den) != 0:
                     return (i, j, k, a, b)
     return None
 

@@ -26,7 +26,7 @@ from functools import lru_cache
 from . import _kernels as kernels
 from ._kernels import pure
 from ._record import Record
-from .errors import SpaceMismatch, UnconfirmedHit
+from .errors import AlphaOutOfRange, PreconditionViolated, SpaceMismatch, UnconfirmedHit
 from .geometry import AffineBasis, affine_rank
 from .grids import GridSpec, dyadic_alphas, enumerate_grid, rationals_between
 from .lotteries import Lottery, mix, unit_weight
@@ -72,6 +72,10 @@ _PROBE_KINDS = ("grid-openness", "mixture", "archimedean")
 INDIFF = ComparisonResult.INDIFFERENT
 BETTER = ComparisonResult.STRICTLY_BETTER
 
+# What solve() raises on a triple it has no answer for: a broken solve
+# contract when compare ranks the triple p >= q >= r.
+_SOLVE_REFUSALS = (PreconditionViolated, AlphaOutOfRange)
+
 
 class Budget(Record):
     """What the scan exhausted: the grid, and where applicable the
@@ -115,17 +119,20 @@ class _ScanWitness:
         cls._inputs = tuple(inspect.signature(cls.observe).parameters)[1:]
 
     def __post_init__(self):
-        # A weight outside [0, 1] mixes to no lottery and a candidate
-        # bound below 1 names no candidate: refuse them when the witness
-        # is built, so a decoded document fails there and not in replay.
+        # A weight outside [0, 1] mixes to no lottery, a candidate bound
+        # below 1 names no candidate and a depth below 1 no probe: refuse
+        # them when the witness is built, so a decoded document fails
+        # there and not in replay.  A solve contract's alpha may be None.
         fields = self.__dataclass_fields__
         for name in ("alpha", "alpha_star"):
-            if name in fields and not 0 <= getattr(self, name) <= 1:
-                raise ValueError(f"{self.kind} {name} must lie in [0, 1], "
-                                 f"got {getattr(self, name)}")
-        if "candidate_bound" in fields and self.candidate_bound < 1:
-            raise ValueError(f"{self.kind} candidate_bound must be at least 1, "
-                             f"got {self.candidate_bound}")
+            value = getattr(self, name) if name in fields else None
+            if value is not None and not 0 <= value <= 1:
+                raise ValueError(f"{self.kind} {name} must lie in [0, 1], got {value}")
+        for name in ("candidate_bound", "depth"):
+            value = getattr(self, name) if name in fields else 1
+            if type(value) is not int or value < 1:
+                raise ValueError(f"{self.kind} {name} must be an int of at least 1, "
+                                 f"got {value!r}")
 
     def replay(self, oracle: PreferenceOracle) -> bool:
         inputs = (getattr(self, name) for name in self._inputs)
@@ -333,6 +340,7 @@ class ArchimedeanWitness(_ScanWitness, Record):
     depth: int
 
     def __post_init__(self):
+        super().__post_init__()
         if self.side not in ("alpha", "beta"):
             raise ValueError(f"unknown archimedean side {self.side!r}")
 
@@ -373,15 +381,18 @@ class SolvabilityScanWitness(_ScanWitness, Record):
 
 
 class SolveContractWitness(_ScanWitness, Record):
-    """The oracle's own solve() returned a weight that does not solve."""
+    """The oracle's own solve() returned a weight that does not solve;
+    alpha and observed are None where, on a triple its compare ranks
+    p >= q >= r, solve() refused the premise or gave no weight in
+    [0, 1]."""
 
     kind = "solvability"
     route = "solve-contract"
     p: Lottery
     q: Lottery
     r: Lottery
-    alpha: Fraction
-    observed: ComparisonResult
+    alpha: Fraction | None = None
+    observed: ComparisonResult | None = None
 
     @classmethod
     def observe(cls, oracle, p, q, r):
@@ -389,7 +400,10 @@ class SolveContractWitness(_ScanWitness, Record):
         if not (oracle.compare(p, q).weakly_better
                 and oracle.compare(q, r).weakly_better):
             return None
-        alpha = unit_weight(oracle.solve(p, q, r))
+        try:
+            alpha = unit_weight(oracle.solve(p, q, r))
+        except _SOLVE_REFUSALS:
+            return cls(p=p, q=q, r=r)
         observed = oracle.compare(mix(p, r, alpha), q)
         if observed is not INDIFF:
             return cls(p=p, q=q, r=r, alpha=alpha, observed=observed)
@@ -409,6 +423,7 @@ class OpennessWitness(_ScanWitness, Record):
     depth: int
 
     def __post_init__(self):
+        super().__post_init__()
         _check_side("grid-openness", self.side)
 
     @classmethod
@@ -716,7 +731,10 @@ def check_continuity(oracle: PreferenceOracle, kind: str, grid: GridSpec,
     # The one kind left: solvability.
     if oracle.has_solve:
         def weight(i, j, k):
-            alpha = unit_weight(oracle.solve(lots[i], lots[j], lots[k]))
+            try:
+                alpha = unit_weight(oracle.solve(lots[i], lots[j], lots[k]))
+            except _SOLVE_REFUSALS:
+                return None
             return alpha.numerator, alpha.denominator
 
         # observe asks solve() itself; the hit's weight a/b only led

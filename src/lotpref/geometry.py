@@ -175,6 +175,8 @@ def kernel_basis(matrix, width: int | None = None) -> tuple[Vector, ...]:
     so the result is unique given the deterministic pivoting of the
     elimination: the first unused row with a nonzero entry.
     """
+    if width is not None and (type(width) is not int or width < 0):
+        raise ValueError(f"kernel width must be a nonnegative int, got {width!r}")
     rows = _int_matrix(matrix)
     if not rows:
         if width is None:

@@ -148,6 +148,8 @@ class Lottery(Record):
     weights: tuple[Fraction, ...]
 
     def __post_init__(self):
+        if type(self.weights) is not tuple:
+            raise ValueError(f"lottery weights must be a tuple, got {self.weights!r}")
         if len(self.weights) != self.space.size:
             raise LengthMismatch(
                 f"{len(self.weights)} weights for {self.space.size} outcomes")
@@ -227,6 +229,8 @@ def make_lottery(space: OutcomeSpace, weights) -> Lottery:
 
 def degenerate(space: OutcomeSpace, index: int) -> Lottery:
     """The lottery that yields outcome ``index`` with certainty."""
+    if type(index) is not int:
+        raise ValueError(f"outcome index must be an int, got {index!r}")
     if not 0 <= index < space.size:
         raise LengthMismatch(f"no outcome {index} in a space of {space.size}")
     return Lottery._of_form(

@@ -91,6 +91,8 @@ class UtilityFunction(Record):
     values: tuple[Fraction, ...]
 
     def __post_init__(self):
+        if type(self.values) is not tuple:
+            raise ValueError(f"utility values must be a tuple, got {self.values!r}")
         if len(self.values) != self.space.size:
             raise LengthMismatch(
                 f"{len(self.values)} payoffs for {self.space.size} outcomes")

@@ -83,6 +83,9 @@ class ElicitationInput(Record):
     strict: tuple[Lottery, Lottery] | None = None
 
     def __post_init__(self):
+        if type(self.indifferent) is not tuple:
+            raise ValueError(f"indifferent lotteries must be a tuple, "
+                             f"got {self.indifferent!r}")
         if not self.indifferent:
             raise EmptyInput("no indifference data")
         space = self.indifferent[0].space

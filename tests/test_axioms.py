@@ -371,23 +371,35 @@ def test_probe_depth_must_be_an_int(depth):
                                           (0.5, ValueError)])
 def test_solve_contract_rejects_weights_outside_the_contract(answer, error):
     # The oracle's own solve() is checked like any mixing weight: exact
-    # and inside [0, 1], before any comparison trusts it.
+    # and inside [0, 1], before any comparison trusts it.  An exact
+    # weight outside [0, 1] breaks the contract: a violation whose
+    # witness has no alpha.  An inexact one is refused as input.
     class BadSolver(ExpectedUtilityOracle):
         def solve(self, p, q, r):
             return answer
 
-    with pytest.raises(error):
-        check_continuity(BadSolver(EU.utility), "solvability", GRID4)
+    oracle = BadSolver(EU.utility)
+    if error is AlphaOutOfRange:
+        witness = check_continuity(oracle, "solvability", GRID4).witness
+        assert (witness.alpha, witness.observed) == (None, None)
+        assert witness.replay(oracle)
+    else:
+        with pytest.raises(error):
+            check_continuity(oracle, "solvability", GRID4)
 
 
 def test_probe_witnesses_do_not_replay_without_probes():
-    # An empty probe loop must not vouch for a witness.
+    # An empty probe loop must not vouch for a witness: observe finds
+    # none, and no witness is built with such a depth.
     p, q, r = lot(0, 0, 1), lot(0, 1, 0), lot(1, 0, 0)
     for depth in (0, -1):
-        assert not OpennessWitness(p=q, q=p, w=r, side=1, depth=depth).replay(EU)
+        assert OpennessWitness.observe(EU, q, p, r, depth) is None
+        with pytest.raises(ValueError, match="depth"):
+            OpennessWitness(p=q, q=p, w=r, side=1, depth=depth)
         for side in ("beta", "alpha"):
-            assert not ArchimedeanWitness(p=p, q=q, r=r, side=side,
-                                          depth=depth).replay(EU)
+            assert ArchimedeanWitness.observe(EU, p, q, r, side, depth) is None
+            with pytest.raises(ValueError, match="depth"):
+                ArchimedeanWitness(p=p, q=q, r=r, side=side, depth=depth)
 
 
 def test_two_outcome_space():

@@ -244,3 +244,10 @@ def test_hyperplane_normal_is_primitive(data):
     assert lead > 0
     for p in pts:
         assert plane.side(p) == 0
+
+
+@pytest.mark.parametrize("width", [True, -1])
+def test_kernel_basis_refuses_a_width_that_is_not_a_count(width):
+    # True once read as width 1, and -1 returned ().
+    with pytest.raises(ValueError, match="width"):
+        kernel_basis([], width=width)

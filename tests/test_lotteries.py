@@ -413,3 +413,10 @@ def test_mixing_and_comparing_builds_no_weights(monkeypatch):
             oracle.solve(top, mid, bottom)
     assert built == []
     assert not any("weights" in vars(lot) for lot in (*lots, *mixes))
+
+
+@pytest.mark.parametrize("index", [True, 1.0])
+def test_degenerate_refuses_an_index_that_is_not_an_int(index):
+    # Both once returned the lottery on outcome 1.
+    with pytest.raises(ValueError, match="index"):
+        degenerate(SPACE, index)

@@ -122,7 +122,7 @@ SIGNATURES = {
     MixtureWitness: "p, q, r, alpha_star, side, boundary, depth",
     ArchimedeanWitness: "p, q, r, side, depth",
     SolvabilityScanWitness: "p, q, r, candidate_bound",
-    SolveContractWitness: "p, q, r, alpha, observed",
+    SolveContractWitness: "p, q, r, alpha=None, observed=None",
     OpennessWitness: "p, q, w, side, depth",
     IPFound: "points, rank",
     IPExhausted: "grid_size, classes, best_size",
@@ -318,3 +318,24 @@ def test_a_method_the_class_body_defines_is_kept():
     lot = lotpref.Lottery.from_integers(space, (1, 1), 2)
     assert "__eq__" in vars(lotpref.Lottery)
     assert hash(lot) == hash((space, (F(1, 2), F(1, 2))))
+
+
+@pytest.mark.parametrize("build,field", [
+    (lambda: Lottery(SPACE, [F(1, 3)] * 3), "weights"),
+    (lambda: UtilityFunction(SPACE, [0, 1, 2]), "values"),
+    (lambda: ElicitationInput([Q, R]), "indifferent"),
+], ids=["Lottery", "UtilityFunction", "ElicitationInput"])
+def test_a_list_field_is_refused(build, field):
+    # A record kept a list it was given: unequal to its tuple twin, and
+    # unhashable.
+    with pytest.raises(ValueError, match=field):
+        build()
+
+
+@pytest.mark.parametrize("depth", [0, -1, True, 2.0])
+@pytest.mark.parametrize("cls", [MixtureWitness, ArchimedeanWitness, OpennessWitness],
+                         ids=lambda cls: cls.__name__)
+def test_a_probe_witness_depth_below_one_is_refused(cls, depth):
+    # A decoded document with such a depth once failed only at replay.
+    with pytest.raises(ValueError, match="depth"):
+        dataclasses.replace(EXAMPLES[cls], depth=depth)

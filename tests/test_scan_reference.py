@@ -941,11 +941,13 @@ def test_level_archimedean_reports_beta_when_both_sides_fail():
 # run x_c - t_c where beta's run t_c - x_c.  Openness reads alpha's
 # thresholds with the pair swapped, as scan_openness does.
 PROBE_ROWS = {
-    "beta": (levels._beta_thresholds, 1, lambda p, q, x, P, den, cmp:
+    "beta": (lambda p, q, P, den: levels._thresholds(q, p, P, 1, den), 1,
+             lambda p, q, x, P, den, cmp:
              cmp(q, den, pure._mix(p, x, 1, P), P * den)),
-    "alpha": (levels._alpha_thresholds, -1, lambda p, q, x, P, den, cmp:
+    "alpha": (lambda p, q, P, den: levels._thresholds(q, p, P, P - 1, den), -1,
+              lambda p, q, x, P, den, cmp:
               cmp(pure._mix(p, x, P - 1, P), P * den, q, den)),
-    "openness": (lambda p, q, P, den: levels._alpha_thresholds(q, p, P, den), -1,
+    "openness": (lambda p, q, P, den: levels._thresholds(p, q, P, P - 1, den), -1,
                  lambda p, q, x, P, den, cmp:
                  cmp(pure._mix(x, q, 1, P), P * den, p, den)),
 }
@@ -992,6 +994,30 @@ def test_probe_rows_match_closure_rows(drawn, data, h, row):
         enumerate_grid(GridSpec(OutcomeSpace.of_size(size), bound)))
     i, j = (data.draw(st.integers(0, len(nums) - 1)) for _ in range(2))
     assert_probe_row(spec, nums, den, row, i, j, h)
+
+
+@settings(max_examples=100, deadline=None)
+@given(size=st.integers(3, 5), bound=st.integers(2, 4), data=st.data(),
+       b=st.one_of(st.just(0), st.integers(0, 30)),
+       step=st.one_of(st.just(1), st.integers(1, 30)))
+def test_mixture_rows_match_closure_rows(size, bound, data, b, step):
+    # levels._thresholds(x, y, a, b, den) is every level row of x
+    # against mix(y, k, b/a): on drawn lex priorities, hybrid and
+    # majority, at a > b >= 0 with a - b = 1 and b = 0 among them, and x
+    # drawn from hybrid's plateau x_0 = 1/2 as often as from the grid.
+    spec = data.draw(st.one_of(
+        st.permutations(range(size)).map(lambda order: ("lex", tuple(order))),
+        st.just(("hybrid", ())), st.just(("majority", ()))))
+    nums, den = kernels.encode_lotteries(
+        enumerate_grid(GridSpec(OutcomeSpace.of_size(size), bound)))
+    plateau = [x for x in nums if 2 * x[0] == den]
+    x = data.draw(st.one_of(st.sampled_from(plateau), st.sampled_from(nums)))
+    y = data.draw(st.sampled_from(nums))
+    a = b + step
+    cmp = pure.make_compare(spec)
+    signs = [cmp(x, den, pure._mix(y, k, b, a), a * den) for k in nums]
+    assert (pure.signs_from_coordinates(spec, nums)(*levels._thresholds(x, y, a, b, den))
+            == pure._masks(signs))
 
 
 PROBE_ROW_GRIDS = [(3, 4), (3, 5), (3, 6), (4, 3), (5, 2)]

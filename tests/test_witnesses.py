@@ -298,3 +298,52 @@ def test_derived_lottery_that_disagrees_with_its_inputs_replays_false():
             assert not dataclasses.replace(witness, point=point).replay(sk)
     # The inputs are what replay re-derives from: moving t moves the point.
     assert not dataclasses.replace(witness, t=F(-1, 2)).replay(sk)
+
+
+# ---- a solve() that disagrees with compare breaks the contract -------------
+
+
+class ReversedEU(ExpectedUtilityOracle):
+    """Compares by reversed expected utility but solves by the true one,
+    so solve() refuses the premise of every strict triple its compare
+    ranks p >= q >= r."""
+
+    def compare(self, p, q):
+        return super().compare(q, p)
+
+
+class SolvesTwo(ExpectedUtilityOracle):
+    """Compares by expected utility but solves every triple with 2."""
+
+    def solve(self, p, q, r):
+        return 2
+
+
+class CountingSolve:
+    """Counts an oracle's compare and solve calls."""
+
+    def __init__(self, oracle):
+        self.oracle, self.calls = oracle, {"compare": 0, "solve": 0}
+
+    def __getattr__(self, name):
+        if name in self.calls:
+            self.calls[name] += 1
+        return getattr(self.oracle, name)
+
+
+@pytest.mark.parametrize("cls", [ReversedEU, SolvesTwo], ids=lambda cls: cls.__name__)
+def test_a_refused_solve_is_a_solve_contract_violation(cls):
+    # PreconditionViolated and AlphaOutOfRange from solve() once escaped
+    # the check; the triple is now the hit, its witness has no alpha or
+    # observed answer, and its document omits both.
+    oracle = cls(UtilityFunction.of(SPACE, [0, 1, 3]))
+    verdict = check_continuity(oracle, "solvability", GRID2)
+    witness = verdict.witness
+    assert verdict.violated and verdict.route == "solve-contract"
+    assert (witness.alpha, witness.observed) == (None, None)
+    counting = CountingSolve(oracle)
+    assert witness.replay(counting)
+    assert counting.calls == {"compare": 2, "solve": 1}
+    document = witness_to_json(witness)
+    assert "alpha" not in document and "observed" not in document
+    assert witness_from_json(SPACE, json.loads(json.dumps(document))) == witness
