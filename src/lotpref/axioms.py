@@ -72,10 +72,6 @@ _PROBE_KINDS = ("grid-openness", "mixture", "archimedean")
 INDIFF = ComparisonResult.INDIFFERENT
 BETTER = ComparisonResult.STRICTLY_BETTER
 
-# What solve() raises on a triple it has no answer for: a broken solve
-# contract when compare ranks the triple p >= q >= r.
-_SOLVE_REFUSALS = (PreconditionViolated, AlphaOutOfRange)
-
 
 class Budget(Record):
     """What the scan exhausted: the grid, and where applicable the
@@ -112,7 +108,11 @@ class _ScanWitness:
     oracle every question the witness records and returns the witness
     only when the answers make a violation, else None.  Replay is the
     same observation on the witness's own inputs, the parameters of
-    ``observe`` after the oracle, and must give the witness back."""
+    ``observe`` after the oracle, and must give the witness back.
+    ``_choices`` maps each field that names a case to the values it may
+    take."""
+
+    _choices = {}
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -133,6 +133,10 @@ class _ScanWitness:
             if type(value) is not int or value < 1:
                 raise ValueError(f"{self.kind} {name} must be an int of at least 1, "
                                  f"got {value!r}")
+        for name, allowed in self._choices.items():
+            if getattr(self, name) not in allowed:
+                raise ValueError(f"{self.kind} {name} must be one of {allowed}, "
+                                 f"got {getattr(self, name)!r}")
 
     def replay(self, oracle: PreferenceOracle) -> bool:
         inputs = (getattr(self, name) for name in self._inputs)
@@ -270,11 +274,8 @@ class LineOrderWitness(_ScanWitness, Record):
     point: Lottery
     relation: str
     observed: ComparisonResult
-
-    def __post_init__(self):
-        if self.relation not in ("q-vs-point", "p-vs-point", "point-vs-q",
-                                 "point-vs-p"):
-            raise ValueError(f"unknown line-order relation {self.relation!r}")
+    _choices = {"relation": ("q-vs-point", "p-vs-point", "point-vs-q",
+                             "point-vs-p")}
 
     @classmethod
     def observe(cls, oracle, p, q, t, relation):
@@ -293,11 +294,6 @@ class LineOrderWitness(_ScanWitness, Record):
         return None
 
 
-def _check_side(kind: str, side: int):
-    if side not in (-1, 1):
-        raise ValueError(f"{kind} side must be -1 or 1, got {side!r}")
-
-
 class MixtureWitness(_ScanWitness, Record):
     """The weak upper set {alpha : mix(p, r, alpha) >= q} excludes
     alpha_star although every dyadic probe on one side belongs to it."""
@@ -310,10 +306,7 @@ class MixtureWitness(_ScanWitness, Record):
     side: int  # +1: probes above alpha_star; -1: below
     boundary: ComparisonResult
     depth: int
-
-    def __post_init__(self):
-        super().__post_init__()
-        _check_side("mixture", self.side)
+    _choices = {"side": (-1, 1)}
 
     @classmethod
     def observe(cls, oracle, p, q, r, alpha_star, side, depth):
@@ -338,11 +331,7 @@ class ArchimedeanWitness(_ScanWitness, Record):
     r: Lottery
     side: str  # "beta": no small weight keeps q above the mixture
     depth: int
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.side not in ("alpha", "beta"):
-            raise ValueError(f"unknown archimedean side {self.side!r}")
+    _choices = {"side": ("beta", "alpha")}
 
     @classmethod
     def observe(cls, oracle, p, q, r, side, depth):
@@ -380,6 +369,16 @@ class SolvabilityScanWitness(_ScanWitness, Record):
         return cls(p=p, q=q, r=r, candidate_bound=candidate_bound)
 
 
+def _solved(oracle, p, q, r) -> Fraction | None:
+    """The weight oracle.solve gives the triple, or None where solve
+    refuses the premise or gives no weight in [0, 1]: a broken solve
+    contract when compare ranks the triple p >= q >= r."""
+    try:
+        return unit_weight(oracle.solve(p, q, r))
+    except (PreconditionViolated, AlphaOutOfRange):
+        return None
+
+
 class SolveContractWitness(_ScanWitness, Record):
     """The oracle's own solve() returned a weight that does not solve;
     alpha and observed are None where, on a triple its compare ranks
@@ -400,9 +399,8 @@ class SolveContractWitness(_ScanWitness, Record):
         if not (oracle.compare(p, q).weakly_better
                 and oracle.compare(q, r).weakly_better):
             return None
-        try:
-            alpha = unit_weight(oracle.solve(p, q, r))
-        except _SOLVE_REFUSALS:
+        alpha = _solved(oracle, p, q, r)
+        if alpha is None:
             return cls(p=p, q=q, r=r)
         observed = oracle.compare(mix(p, r, alpha), q)
         if observed is not INDIFF:
@@ -421,10 +419,7 @@ class OpennessWitness(_ScanWitness, Record):
     w: Lottery
     side: int  # sign of q against p
     depth: int
-
-    def __post_init__(self):
-        super().__post_init__()
-        _check_side("grid-openness", self.side)
+    _choices = {"side": (-1, 1)}
 
     @classmethod
     def observe(cls, oracle, p, q, w, depth):
@@ -452,19 +447,31 @@ class IPExhausted(Record):
     classes: int
     best_size: int
 
+    def __post_init__(self):
+        # The classes partition the grid: each holds a point, and none
+        # more than the other classes leave.
+        for name in ("grid_size", "classes", "best_size"):
+            if type(getattr(self, name)) is not int:
+                raise ValueError(f"{self.kind} {name} must be an int, "
+                                 f"got {getattr(self, name)!r}")
+        if self.grid_size < 1:
+            raise ValueError(f"{self.kind} grid_size must be at least 1, "
+                             f"got {self.grid_size}")
+        for name, high in (("classes", self.grid_size),
+                           ("best_size", self.grid_size - self.classes + 1)):
+            if not 1 <= getattr(self, name) <= high:
+                raise ValueError(f"{self.kind} {name} must lie in 1..{high}, "
+                                 f"got {getattr(self, name)}")
+
     def replay(self, oracle: PreferenceOracle) -> bool:
         return True  # nothing recorded beyond the exhausted search
 
 
-# Every witness class, in declaration order.  Each carries its JSON
-# "kind" (and "route" where one kind has two) as class attributes; its
-# fields and their declared types are its whole JSON form.
-WITNESS_TYPES = (
-    CycleWitness, IndependenceWitness, BetweennessWitness, ConvexityWitness,
-    TranslationWitness, LineOrderWitness, MixtureWitness, ArchimedeanWitness,
-    SolvabilityScanWitness, SolveContractWitness, OpennessWitness,
-    IPExhausted,
-)
+# Every witness class, in declaration order: __subclasses__ lists the
+# scan witnesses as they were defined.  Each carries its JSON "kind"
+# (and "route" where one kind has two) as class attributes; its fields
+# and their declared types are its whole JSON form.
+WITNESS_TYPES = (*_ScanWitness.__subclasses__(), IPExhausted)
 
 
 # ---- shared plumbing --------------------------------------------------------
@@ -731,11 +738,8 @@ def check_continuity(oracle: PreferenceOracle, kind: str, grid: GridSpec,
     # The one kind left: solvability.
     if oracle.has_solve:
         def weight(i, j, k):
-            try:
-                alpha = unit_weight(oracle.solve(lots[i], lots[j], lots[k]))
-            except _SOLVE_REFUSALS:
-                return None
-            return alpha.numerator, alpha.denominator
+            alpha = _solved(oracle, lots[i], lots[j], lots[k])
+            return None if alpha is None else (alpha.numerator, alpha.denominator)
 
         # observe asks solve() itself; the hit's weight a/b only led
         # the scan to the triple.

@@ -29,6 +29,7 @@ import sys
 from functools import cache
 
 from .axioms import (
+    _PROBE_KINDS,
     CONTINUITY_KINDS,
     DEFAULT_DEPTH,
     check_continuity,
@@ -102,8 +103,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", metavar="FILE",
                        help="also write the output to FILE (mirrors stdout)")
         p.add_argument("--outcomes", type=int, metavar="N",
-                       help="outcome count when no scenario declares one "
-                            "(default %d)" % DEFAULT_OUTCOMES)
+                       help="outcome count when neither --scenario nor "
+                            "--utility fixes one (default %d); a count that "
+                            "disagrees with theirs is refused"
+                            % DEFAULT_OUTCOMES)
         return p
 
     command("elicit", _cmd_elicit,
@@ -142,8 +145,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="grid denominator bound (default 4)")
     p.add_argument("--depth", dest="check.depth", type=int, metavar="H",
                    help="least dyadic probe depth (default %d): built-in "
-                        "oracles raise it to where probes are exact"
-                        % DEFAULT_DEPTH)
+                        "oracles raise it to where probes are exact; only "
+                        "%s read it, and any other axiom refuses it"
+                        % (DEFAULT_DEPTH, ", ".join(_PROBE_KINDS)))
 
     return parser
 
@@ -192,7 +196,8 @@ KEY_FLAGS = ("reference", "queries", "target", "construct.p", "construct.q",
 
 def _scenario(args) -> Scenario:
     """The scenario file, or an empty scenario sized by --utility, then
-    --outcomes, with every given flag written over its scenario key."""
+    --outcomes, with every given flag written over its scenario key.
+    An --outcomes the scenario or --utility contradicts is refused."""
     keys = {key: getattr(args, key) for key in KEY_FLAGS
             if getattr(args, key, None) is not None}
     utility = getattr(args, "utility", None)
@@ -226,7 +231,12 @@ def _scenario(args) -> Scenario:
             block["priority"] = [_priority_entry(i) for i in priority.split(",")]
     elif utility is not None:
         keys["utility"] = utility
-    return load_scenario(args.scenario, keys, outcomes)
+    scenario = load_scenario(args.scenario, keys, outcomes)
+    if args.outcomes not in (None, scenario.space.size):
+        source = "--scenario" if args.scenario else "--utility"
+        raise ValueError(f"--outcomes is {args.outcomes} but {source} gives "
+                         f"{scenario.space.size} outcomes")
+    return scenario
 
 
 def _priority_entry(entry: str) -> int:
@@ -348,6 +358,9 @@ def _cmd_check(scenario: Scenario) -> tuple[str, dict, int]:
         raise ValueError("check needs --axiom or a scenario check block")
     if check.axiom not in AXIOM_CHECKS:
         raise ValueError(f"unknown axiom {check.axiom!r}")
+    if check.depth is not None and check.axiom not in _PROBE_KINDS:
+        raise ValueError(f"check depth is read only by {', '.join(_PROBE_KINDS)}; "
+                         f"axiom {check.axiom} reads none")
     grid = GridSpec(scenario.space, 4 if check.grid is None else check.grid)
     depth = DEFAULT_DEPTH if check.depth is None else check.depth
     verdict = AXIOM_CHECKS[check.axiom](oracle, grid, depth)

@@ -239,6 +239,10 @@ REFUSED = [
     (EXAMPLES[SolvabilityScanWitness], {"candidate_bound": 0}, ValueError),
     (EXAMPLES[ArchimedeanWitness], {"side": "gamma"}, ValueError),
     (EXAMPLES[LineOrderWitness], {"relation": "q-vs-q"}, ValueError),
+    # Four grid points in two classes leave at most three to one class.
+    (EXAMPLES[IPExhausted], {"best_size": 4}, ValueError),
+    (EXAMPLES[IPExhausted], {"classes": 5}, ValueError),
+    (EXAMPLES[IPExhausted], {"grid_size": True}, ValueError),
     (GRID, {"denominator_bound": 0}, ValueError),
     (SPACE, {"labels": ()}, EmptyInput),
     (PLANE, {"normal": (F(0), F(0))}, RankDeficient),

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from lotpref.axioms import (
+    _PROBE_KINDS,
     ArchimedeanWitness,
     BetweennessWitness,
     IPExhausted,
@@ -183,6 +184,17 @@ def test_ip_exhausted_round_trip():
     verdict = check_ip(LexicographicOracle(SPACE), GridSpec(SPACE, 4))
     assert isinstance(verdict.witness, IPExhausted)
     assert roundtrip(verdict.witness) == verdict.witness
+
+
+@pytest.mark.parametrize("counts,name", [
+    ({"grid_size": -5, "classes": 0, "best_size": 99}, "grid_size"),
+    ({"grid_size": 4, "classes": 0, "best_size": 1}, "classes"),
+    ({"grid_size": 4, "classes": 2, "best_size": 4}, "best_size"),
+], ids=["grid_size", "classes", "best_size"])
+def test_ip_exhausted_with_impossible_counts_rejected(counts, name):
+    # The first once decoded, and its replay returned True.
+    with pytest.raises(ValueError, match=f"ip-exhausted {name} "):
+        witness_from_json(SPACE, {"kind": "ip-exhausted", **counts})
 
 
 def test_handmade_witnesses_round_trip():
@@ -747,8 +759,9 @@ MALFORMED = [
     ("depth", {"check": {"axiom": "ip", "depth": -5}}),
     # Keys nothing reads, each once run as if absent: a misspelt key, a
     # key the oracle's kind does not read, a check variant (betweenness
-    # is its own axiom), an outcome count the labels contradict, and a
-    # strict pair with no indifferent data to orient.
+    # is its own axiom), a depth for an axiom without probes, an outcome
+    # count the labels contradict, and a strict pair with no indifferent
+    # data to orient.
     ("'gird'", {"check": {"axiom": "ip", "gird": 9}}),
     ("'utilty'", {"utilty": ["0", "1", "3"]}),
     ("'priority'", {"oracle": {"kind": "hybrid", "priority": [2, 1, 0]}}),
@@ -757,6 +770,7 @@ MALFORMED = [
                                "priority": [2, 1, 0]}}),
     ("'route'", {"oracle": {"kind": "majority", "route": "alpha-scan"}}),
     ("'variant'", {"check": {"axiom": "ip", "variant": "betweenness"}}),
+    ("depth", {"check": {"axiom": "ip", "depth": 6}}),
     ("labels", {"outcomes": 4, "labels": ["a", "b", "c"]}),
     ("'strict' needs 'indifferent'", {"strict": SCENARIO["strict"]}),
     # Repeated labels once made a space of repeated outcomes.
@@ -851,8 +865,9 @@ def test_cli_check_covers_every_axiom():
 @pytest.mark.parametrize("axiom", list(CLI_CHECKS))
 def test_cli_check_matches_api(axiom, capsys):
     oracle, direct = CLI_CHECKS[axiom]
+    depth = ["--depth", "8"] if axiom in _PROBE_KINDS else []
     code = cli.main(["check", "--oracle", oracle, "--axiom", axiom,
-                     "--grid", "3", "--depth", "8"])
+                     "--grid", "3", *depth])
     verdict = direct(GridSpec(SPACE, 3))
     header, doc = split_output(capsys.readouterr().out)
     assert code == (1 if verdict.violated else 0)
@@ -972,3 +987,116 @@ def test_cli_rejects_unknown_axiom():
     proc = run_cli("check", "--oracle", "hybrid", "--axiom", "continuity")
     assert proc.returncode == 2
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("axiom", [a for a in cli.AXIOM_CHECKS
+                                   if a not in _PROBE_KINDS])
+def test_cli_depth_is_refused_where_no_probe_reads_it(axiom, capsys):
+    # A depth once ran silently, ignored, for every axiom without probes.
+    code = cli.main(["check", "--oracle", "eu", "--utility", "0,1,2",
+                     "--axiom", axiom, "--grid", "2", "--depth", "5"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ValueError: check depth ")
+    assert f"axiom {axiom} " in err
+
+
+def test_cli_contradicted_outcomes_are_refused(tmp_path, capsys):
+    # Both once exited 0 on 3 outcomes, the flag ignored.
+    path = write_scenario(tmp_path, EU_SCENARIO)
+    for argv, source in (
+            (["check", "--scenario", path, "--axiom", "ip", "--outcomes", "4"],
+             "--scenario"),
+            (["generate", "--utility", "0,1,2", "--outcomes", "4"], "--utility")):
+        code = cli.main(argv)
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err == (f"error: ValueError: --outcomes is 4 but {source} gives "
+                       "3 outcomes\n")
+
+
+def test_cli_agreeing_outcomes_run(tmp_path, capsys):
+    path = write_scenario(tmp_path, EU_SCENARIO)
+    doc = cli_document(capsys, ["check", "--scenario", path, "--axiom", "ip",
+                                "--grid", "2", "--outcomes", "3"])
+    assert doc["verdict"] == verdict_to_json(check_ip(EU, GridSpec(SPACE, 2)))
+    doc = cli_document(capsys, ["generate", "--utility", "0,1,2",
+                                "--outcomes", "3"])
+    assert doc["points"] == [lottery_to_json(p)
+                             for p in generate_indifferent_points(EU.utility)[0]]
+
+
+# (argv, scenario keys written over SCENARIO or None for no --scenario,
+# the text stderr must hold)
+MISSING_INPUT = [
+    (["generate"], None, "generate needs --utility"),
+    (["classify", "--query", "0,0,1"], {}, "classify needs --reference"),
+    (["classify", "--reference", "uniform"], {}, "classify needs --query"),
+    (["certify"], {}, "certify needs --target"),
+    (["construct-ip", "--utility", "0,1,2"], None, "construct-ip needs --p/--q/--r"),
+    (["check", "--utility", "0,1,2"], None, "check needs --axiom"),
+    (["check"], {"utility": ["0", "1", "2"], "check": {"axiom": "continuity"}},
+     "unknown axiom 'continuity'"),
+    (["check", "--axiom", "ip"], None, "no oracle given"),
+    (["construct-ip", "--p", "0,0,1", "--q", "uniform", "--r", "1,0,0"], {},
+     "no oracle given"),
+]
+
+
+@pytest.mark.parametrize("argv,keys,needs", MISSING_INPUT,
+                         ids=[" ".join(a) for a, _, _ in MISSING_INPUT])
+def test_cli_missing_input_is_named(argv, keys, needs, tmp_path, capsys):
+    if keys is not None:
+        argv = [*argv, "--scenario", write_scenario(tmp_path, {**SCENARIO, **keys})]
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ValueError: ") and needs in err
+
+
+def test_cli_certify_replay_failure_prints_the_document(tmp_path, capsys):
+    # The data are indifferent under 0,1,2, not under the scenario's
+    # 0,1,3: the replay fails, and the document still reaches stdout
+    # and --out.
+    path = write_scenario(tmp_path, {**SCENARIO, "utility": ["0", "1", "3"],
+                                     "target": "uniform"})
+    out_path = tmp_path / "cert.out"
+    code = cli.main(["certify", "--scenario", path, "--out", str(out_path)])
+    out, err = capsys.readouterr()
+    assert code == 2
+    header, doc = split_output(out)
+    assert header == "branch = convex\nreplay = failed\n"
+    assert doc["replay"]["ok"] is False
+    assert out_path.read_text(encoding="utf-8") == out
+    assert err == ("error: CertificateReplayFailed: points pairwise "
+                   "indifferent\n")
+
+
+@pytest.mark.parametrize("text,message", [
+    ('{"version": 1, "outcomes": 3,', "scenario is not valid JSON"),
+    ('[{"version": 1, "outcomes": 3}]', "scenario must be a JSON object"),
+    (json.dumps({**EU_SCENARIO, "oracle": {"kind": "represented",
+                                           "normal": ["1", "2"],
+                                           "base": ["0", "0"]}}),
+     "represented oracle needs 'orientation'"),
+], ids=["invalid-json", "top-level-list", "represented-without-orientation"])
+def test_cli_unreadable_scenario_exits_two(text, message, tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    path.write_text(text)
+    code = cli.main(["check", "--scenario", str(path), "--axiom", "ip"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: ValueError: {message}")
+
+
+def test_cli_labels_with_agreeing_outcomes_run(tmp_path, capsys):
+    path = write_scenario(tmp_path, {**EU_SCENARIO, "labels": ["a", "b", "c"]})
+    doc = cli_document(capsys, ["check", "--scenario", path, "--axiom", "ip",
+                                "--grid", "2"])
+    space = OutcomeSpace(("a", "b", "c"))
+    eu = ExpectedUtilityOracle(UtilityFunction.of(space, [0, 1, 2]))
+    assert doc["verdict"] == verdict_to_json(check_ip(eu, GridSpec(space, 2)))

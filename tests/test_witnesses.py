@@ -17,6 +17,7 @@ import pytest
 from lotpref import _kernels as kernels
 from lotpref.axioms import (
     WITNESS_TYPES,
+    ArchimedeanWitness,
     Budget,
     ConvexityWitness,
     IPExhausted,
@@ -264,6 +265,37 @@ def test_replay_checks_every_recorded_answer(oracle, witness):
         for value in other_values(getattr(witness, name)):
             changed = dataclasses.replace(witness, **{name: value})
             assert not changed.replay(oracle), (name, value)
+
+
+def test_witness_types_are_the_classes_in_declaration_order():
+    # A routeless "solvability" document decodes as the first class of
+    # its kind, so the order is part of the wire format.
+    assert [cls.__name__ for cls in WITNESS_TYPES] == [
+        "CycleWitness", "IndependenceWitness", "BetweennessWitness",
+        "ConvexityWitness", "TranslationWitness", "LineOrderWitness",
+        "MixtureWitness", "ArchimedeanWitness", "SolvabilityScanWitness",
+        "SolveContractWitness", "OpennessWitness", "IPExhausted"]
+
+
+# (witness class, choice field, its values, a value outside them)
+OUTSIDE_CHOICES = [
+    (LineOrderWitness, "relation",
+     ("q-vs-point", "p-vs-point", "point-vs-q", "point-vs-p"), "q-vs-q"),
+    (MixtureWitness, "side", (-1, 1), 0),
+    (ArchimedeanWitness, "side", ("beta", "alpha"), "gamma"),
+    (OpennessWitness, "side", (-1, 1), 2),
+]
+
+
+@pytest.mark.parametrize("cls,name,allowed,value", OUTSIDE_CHOICES,
+                         ids=[row[0].__name__ for row in OUTSIDE_CHOICES])
+def test_a_choice_outside_its_values_is_refused(cls, name, allowed, value):
+    witness = next(w for _, w in REPORTED if type(w) is cls)
+    doc = {**witness_to_json(witness), name: value}
+    with pytest.raises(ValueError) as info:
+        witness_from_json(SPACE, doc)
+    assert str(info.value) == (f"{cls.kind} {name} must be one of {allowed}, "
+                               f"got {value!r}")
 
 
 def test_replay_is_written_once():
