@@ -3,10 +3,11 @@
 Inputs are ints and Fractions (a float, string or bool is refused with
 ``ValueError``) and results are Fractions, but the elimination runs on
 Python ints: each row is scaled to integers by its denominators' lcm,
-reduced fraction-free (cross-multiply, then divide the row by its gcd),
-and Fractions are built only for the entries returned.  The reduced row
-echelon form of a matrix is unique, so this gives exactly what
-elimination over Fractions gives.
+held sparse as a {column: nonzero int} map, so that no zero is stored
+or multiplied, and reduced fraction-free (cross-multiply, then divide
+the row by its gcd); Fractions are built only for the entries returned.
+The reduced row echelon form of a matrix is unique, so this gives
+exactly what elimination over Fractions gives.
 
 Everything here is deterministic: row reduction always picks the first
 row with a nonzero entry as pivot, free variables are numbered in
@@ -91,6 +92,26 @@ def common_denominator(values) -> tuple[list[int], int]:
     return [x.numerator * (den // d) for x, d in zip(values, dens)], den
 
 
+def _sparse(ints: list[int]) -> dict[int, int]:
+    """The primitive row as a sparse row: its nonzero entries by column."""
+    return {c: x for c, x in enumerate(_primitive(ints)) if x}
+
+
+def _combine(a: int, row: dict[int, int], b: int, other: dict[int, int]) -> dict[int, int]:
+    """a·row − b·other of sparse rows, zeros dropped, divided by its gcd;
+    the loop runs over the shorter row."""
+    if len(row) < len(other):
+        a, row, b, other = -b, other, -a, row
+    out = {c: a * x for c, x in row.items()}
+    for c, y in other.items():
+        if x := out.get(c, 0) - b * y:
+            out[c] = x
+        else:  # out held c, since b·y is nonzero
+            del out[c]
+    g = gcd(*out.values())
+    return {c: x // g for c, x in out.items()} if g > 1 else out
+
+
 def _int_points(points) -> list[list[int]]:
     """Points scaled by one common denominator, so that differences of
     rows are differences of points; ragged input is rejected."""
@@ -101,31 +122,29 @@ def _int_points(points) -> list[list[int]]:
     return [[x * (den // d) for x in nums] for nums, d in rows]
 
 
-def _differences(rows: list[list[int]]) -> list[list[int]]:
-    base = rows[0]
-    return [_primitive([x - y for x, y in zip(row, base)]) for row in rows[1:]]
+def _differences(rows: list[list[int]]) -> list[dict[int, int]]:
+    return [_sparse([x - y for x, y in zip(row, rows[0])]) for row in rows[1:]]
 
 
-def _eliminate(rows: list[list[int]], full: bool = True) -> list[int]:
-    """Fraction-free row reduction of integer rows, in place.
+def _eliminate(rows: list[dict[int, int]], full: bool = True) -> list[int]:
+    """Fraction-free row reduction of sparse integer rows, in place.
 
-    Scans columns left to right; the pivot for a column is the first
-    not-yet-used row with a nonzero entry there, swapped up to its
-    place.  Each row that needs it is replaced by pivot·row − entry·pivot
-    row and divided by its gcd, so every row stays a primitive integer
-    multiple of the row elimination over Fractions would hold.  With
-    ``full`` the pivot column is cleared in every other row (Gauss-
-    Jordan), otherwise only below the pivot.  Returns the pivot columns;
-    row r holds pivot r and the rows after the last pivot are zero.
+    Scans left to right the columns some row holds, the only ones an
+    update can fill; the pivot for a column is the first not-yet-used
+    row with a nonzero entry there, swapped up to its place.  Each row
+    that needs it is replaced by pivot·row − entry·pivot row and divided
+    by its gcd, so every row stays a primitive integer multiple of the
+    row elimination over Fractions would hold.  With ``full`` the pivot
+    column is cleared in every other row (Gauss-Jordan), otherwise only
+    below the pivot.  Returns the pivot columns; row r holds pivot r and
+    the rows after the last pivot are empty.
     """
     pivots: list[int] = []
-    if not rows:
-        return pivots
     nrows = len(rows)
     r = 0
-    for c in range(len(rows[0])):
+    for c in sorted(set().union(*rows)):
         for i in range(r, nrows):
-            if rows[i][c]:
+            if c in rows[i]:
                 break
         else:
             continue
@@ -133,23 +152,13 @@ def _eliminate(rows: list[list[int]], full: bool = True) -> list[int]:
         prow = rows[r]
         pv = prow[c]
         for i in range(0 if full else r + 1, nrows):
-            f = rows[i][c]
-            if f and i != r:
-                rows[i] = _primitive([pv * x - f * y for x, y in zip(rows[i], prow)])
+            if i != r and (f := rows[i].get(c)):
+                rows[i] = _combine(pv, rows[i], f, prow)
         pivots.append(c)
         r += 1
         if r == nrows:
             break
     return pivots
-
-
-def _int_matrix(matrix) -> list[list[int]]:
-    """Each row as the primitive integer row spanning the same line."""
-    rows = [_primitive(common_denominator(_rationals(row))[0]) for row in matrix]
-    widths = {len(r) for r in rows}
-    if len(widths) > 1:
-        raise DimensionMismatch(f"ragged matrix with row lengths {sorted(widths)}")
-    return rows
 
 
 def _kernel_ints(rows, pivots, ncols) -> tuple[list[list[int]], int]:
@@ -162,7 +171,7 @@ def _kernel_ints(rows, pivots, ncols) -> tuple[list[list[int]], int]:
         v = [0] * ncols
         v[f] = scale
         for r, c in enumerate(pivots):
-            v[c] = -rows[r][f] * (scale // rows[r][c])
+            v[c] = -rows[r].get(f, 0) * (scale // rows[r][c])
         out.append(v)
     return out, scale
 
@@ -177,15 +186,16 @@ def kernel_basis(matrix, width: int | None = None) -> tuple[Vector, ...]:
     """
     if width is not None and (type(width) is not int or width < 0):
         raise ValueError(f"kernel width must be a nonnegative int, got {width!r}")
-    rows = _int_matrix(matrix)
-    if not rows:
-        if width is None:
-            raise EmptyInput("kernel of an empty matrix needs an explicit width")
-        ncols = width
-    else:
-        ncols = len(rows[0])
-        if width is not None and width != ncols:
-            raise DimensionMismatch(f"width {width} but rows have {ncols} columns")
+    ints = [common_denominator(_rationals(row))[0] for row in matrix]
+    widths = {len(r) for r in ints} or {width}
+    if len(widths) > 1:
+        raise DimensionMismatch(f"ragged matrix with row lengths {sorted(widths)}")
+    (ncols,) = widths
+    if ncols is None:
+        raise EmptyInput("kernel of an empty matrix needs an explicit width")
+    if width not in (None, ncols):
+        raise DimensionMismatch(f"width {width} but rows have {ncols} columns")
+    rows = [_sparse(r) for r in ints]
     vectors, scale = _kernel_ints(rows, _eliminate(rows), ncols)
     return tuple(tuple(ZERO if not x else Fraction(x, scale) for x in v)
                  for v in vectors)
@@ -229,7 +239,7 @@ def affine_coefficients(target, points) -> tuple[Fraction, ...]:
     # leaves the span of the earlier pivot differences, so its pivot set
     # is {0} ∪ (1 + the pivots here), and with the free weights at 0 the
     # solution on those columns is unique.
-    aug = [_primitive([p[i] - b for p in pts[1:]] + [tgt_ints[i] - b])
+    aug = [_sparse([p[i] - b for p in pts[1:]] + [tgt_ints[i] - b])
            for i, b in enumerate(base)]
     pivots = _eliminate(aug)
     if m - 1 in pivots:
@@ -238,8 +248,8 @@ def affine_coefficients(target, points) -> tuple[Fraction, ...]:
             "of the points")
     coeffs = [ZERO] * m
     for r, c in enumerate(pivots):
-        if aug[r][m - 1]:
-            coeffs[c + 1] = Fraction(aug[r][m - 1], aug[r][c])
+        if x := aug[r].get(m - 1):
+            coeffs[c + 1] = Fraction(x, aug[r][c])
     coeffs[0] = 1 - sum(coeffs, ZERO)
     return tuple(coeffs)
 

@@ -3,16 +3,18 @@
 The wire format used in JSON files and command line arguments is the
 string ``"a/b"`` for non-integers and plain ``"a"`` for integers.
 ``_parse_pair`` reads such a token as an integer pair (num, den) with
-den > 0, not reduced; callers that hold several weights put the pairs
-over their lcm and stay in ints, and ``parse_rational`` is the pair as
-a ``fractions.Fraction``, which is in lowest terms with a positive
-denominator.  ``_format_pair`` writes num/den in lowest terms, so
-``"a/b"`` is the canonical form on output.  Floats are rejected
-everywhere: a decimal string would silently smuggle binary rounding
-into paths that must stay exact.
+den > 0, not reduced, and keeps the pairs of the last 1,024 distinct
+strings it read, so a repeated token is parsed once; callers that hold
+several weights put the pairs over their lcm and stay in ints, and
+``parse_rational`` is the pair as a ``fractions.Fraction``, which is in
+lowest terms with a positive denominator.  ``_format_pair`` writes
+num/den in lowest terms, so ``"a/b"`` is the canonical form on output.
+Floats are rejected everywhere: a decimal string would silently smuggle
+binary rounding into paths that must stay exact.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 __all__ = ["parse_rational", "format_rational"]
@@ -37,6 +39,12 @@ def _parse_pair(text: str) -> tuple[int, int]:
     """
     if not isinstance(text, str):
         raise ValueError(f"expected a rational string, got {type(text).__name__}")
+    return _parse_str(text)
+
+
+@lru_cache(maxsize=1024, typed=True)
+def _parse_str(text: str) -> tuple[int, int]:
+    """``_parse_pair`` of a str; a token that raises is not cached."""
     s = text.strip()
     if not s:
         raise ValueError("empty rational string")

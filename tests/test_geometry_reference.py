@@ -5,7 +5,11 @@ the first nonzero entry of each column; the other references are the
 kernel, rank, affine-coefficient and hyperplane constructions built on
 it.  ``lotpref.geometry`` must return exactly what they return, on
 drawn matrices with zero rows and columns, rank deficiency, negative
-entries and large denominators.
+entries and large denominators, and on the sparse rows its integer core
+holds: matrices with at most three nonzeros per row, and generated
+indifferent points over 24-48 outcomes.  ``dense_eliminate`` is the
+fraction-free reduction on dense integer lists; the sparse core must
+leave the same integers in every row.
 """
 
 import random
@@ -13,12 +17,13 @@ from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lotpref.errors import NotInAffineHull, RankDeficient
 from lotpref.geometry import (
     AffineBasis,
+    _eliminate,
     affine_coefficients,
     affine_rank,
     hyperplane_from_points,
@@ -60,6 +65,25 @@ def ref_rref(matrix):
         if r == len(rows):
             break
     return tuple(tuple(row) for row in rows), tuple(pivots)
+
+
+def dense_eliminate(rows):
+    """The fraction-free Gauss-Jordan reduction on dense integer lists
+    that the sparse core replaces: same pivots, same updates."""
+    pivots, r = [], 0
+    for c in range(len(rows[0]) if rows else 0):
+        i = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if i is None:
+            continue
+        rows[r], rows[i] = rows[i], rows[r]
+        pv = rows[r][c]
+        for i, row in enumerate(rows):
+            if i != r and row[c]:
+                new = [pv * x - row[c] * y for x, y in zip(row, rows[r])]
+                rows[i] = [x // (gcd(*new) or 1) for x in new]
+        pivots.append(c)
+        r += 1
+    return pivots
 
 
 def ref_kernel(matrix, ncols):
@@ -145,16 +169,45 @@ def matrices(draw, nrows=None, ncols=None):
             for i in order]
 
 
+@st.composite
+def sparse_matrices(draw, nrows=None, ncols=None):
+    """Integer rows with at most three nonzeros each: zero rows, scaled
+    copies of earlier rows (rank deficiency) and columns outside a drawn
+    subset left zero."""
+    nrows = draw(st.integers(1, 10)) if nrows is None else nrows
+    ncols = draw(st.integers(1, 12)) if ncols is None else ncols
+    used = sorted(draw(st.sets(st.integers(0, ncols - 1), min_size=1)))
+    rows = []
+    for _ in range(nrows):
+        kind = draw(st.sampled_from(["drawn", "drawn", "zero", "copy"]))
+        if kind == "copy" and rows:
+            k = draw(st.sampled_from([-3, -1, 2, 5]))
+            rows.append([k * x for x in draw(st.sampled_from(rows))])
+            continue
+        row = [0] * ncols
+        if kind != "zero":
+            for c in draw(st.lists(st.sampled_from(used), max_size=3, unique=True)):
+                row[c] = draw(st.integers(-9, 9).filter(bool)
+                              | st.integers(-2**40, 2**40).filter(bool))
+        rows.append(row)
+    return [tuple(F(x) for x in row) for row in rows]
+
+
+# The integer core holds each row as a {column: nonzero int} map and
+# touches only the nonzeros; every property also runs on sparse rows.
+ANY_MATRICES = matrices() | sparse_matrices()
+
+
 # ---- properties ----------------------------------------------------------------
 
 
-@given(matrices())
+@given(ANY_MATRICES)
 def test_kernel_and_rank_match_reference(matrix):
     assert kernel_basis(matrix) == ref_kernel(matrix, len(matrix[0]))
     assert affine_rank(matrix) == ref_affine_rank(matrix)
 
 
-@given(matrices(), st.data())
+@given(ANY_MATRICES, st.data())
 def test_affine_coefficients_match_reference(points, data):
     dim = len(points[0])
     if data.draw(st.booleans()):
@@ -169,7 +222,8 @@ def test_affine_coefficients_match_reference(points, data):
     assert got == outcome(ref_affine_coefficients, target, points)
 
 
-@given(st.integers(1, 8).flatmap(lambda d: matrices(nrows=d, ncols=d)))
+@given(st.integers(1, 8).flatmap(
+    lambda d: matrices(nrows=d, ncols=d) | sparse_matrices(nrows=d, ncols=d)))
 def test_hyperplane_from_points_matches_reference(points):
     got = outcome(hyperplane_from_points, points)
     want = outcome(ref_hyperplane_normal, points)
@@ -178,6 +232,17 @@ def test_hyperplane_from_points_matches_reference(points):
     else:
         assert got.normal == want
         assert got.base == points[0]
+
+
+@given(sparse_matrices())
+def test_sparse_rows_hold_the_dense_integers(matrix):
+    # Not only the same kernel: every reduced row holds the integers,
+    # signs included, that the dense reduction holds.
+    dense = [[int(x) for x in row] for row in matrix]
+    dense = [[x // (gcd(*row) or 1) for x in row] for row in dense]
+    sparse = [{c: x for c, x in enumerate(row) if x} for row in dense]
+    assert _eliminate(sparse) == dense_eliminate(dense)
+    assert sparse == [{c: x for c, x in enumerate(row) if x} for row in dense]
 
 
 @given(matrices(), st.data())
@@ -248,3 +313,26 @@ def test_affine_coefficients_on_generated_points(size):
 def test_affine_coefficients_on_dependent_points(target, points, want):
     assert outcome(affine_coefficients, target, points) == want
     assert outcome(ref_affine_coefficients, target, points) == want
+
+
+# Generated points at 24-48 outcomes: dense points whose differences
+# from the first hold about two nonzeros each.
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(24, 48).flatmap(
+    lambda n: st.lists(st.integers(-9, 9), min_size=n, max_size=n)), st.data())
+def test_generated_points_match_reference(values, data):
+    space = OutcomeSpace.of_size(len(values))
+    points, construction = generate_indifferent_points(UtilityFunction.of(space, values))
+    emb = [embed(p).coords for p in points]
+    assert (kernel_basis(construction.matrix)
+            == ref_kernel(construction.matrix, space.size))
+    assert affine_rank(emb) == ref_affine_rank(emb)
+    got = outcome(hyperplane_from_points, emb)
+    want = outcome(ref_hyperplane_normal, emb)
+    assert (got if want is RankDeficient else got.normal) == want
+    weights = [data.draw(st.integers(-2, 3)) for _ in emb]
+    weights[0] += 1 - sum(weights)
+    target = combination(emb, weights)
+    assert affine_coefficients(target, emb) == ref_affine_coefficients(target, emb)

@@ -10,15 +10,17 @@ weight tuples.  Weights are drawn over 1-8 outcomes and spelled
 unreduced and signed ("2/8", "+1/4", "-1/-4").
 """
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from lotpref import rationals
 from lotpref.errors import LengthMismatch, NegativeWeight, SumNotOne
 from lotpref.lotteries import Lottery, OutcomeSpace
-from lotpref.rationals import parse_rational
+from lotpref.rationals import _parse_pair, parse_rational
 from lotpref.scenario import (
     fractions_to_json,
     lottery_to_json,
@@ -166,3 +168,57 @@ def test_equality_builds_no_weights():
     assert "weights" not in vars(a) and "weights" not in vars(b)
     assert hash(a) == hash(b) == hash((space, (Fraction(1, 4), Fraction(1, 2),
                                                Fraction(1, 4))))
+
+
+# ---- the token cache --------------------------------------------------------
+
+
+def raised(fn, *args):
+    """(class, message) of what fn raises, or None when it returns."""
+    try:
+        fn(*args)
+    except Exception as exc:  # noqa: BLE001 - the class is the result
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("bad", ["1 /3", "0.25", "1/0", "", "x", "3/+"])
+def test_a_bad_token_raises_alike_every_time(bad):
+    space = OutcomeSpace.of_size(2)
+    size = rationals._parse_str.cache_info().currsize
+    first = raised(parse_rational, bad)
+    assert first is not None and first[0] is ValueError
+    for _ in range(3):
+        assert raised(parse_rational, bad) == first
+        assert raised(parse_point, space, [bad, "1/2"]) == first
+    # A failure leaves nothing in the cache.
+    assert rationals._parse_str.cache_info().currsize == size
+
+
+@pytest.mark.parametrize("token", [["1/2"], {"1": 2}, 1, True, None])
+def test_a_non_string_token_is_refused_before_the_cache(token):
+    want = (ValueError, f"expected a rational string, got {type(token).__name__}")
+    space = OutcomeSpace.of_size(2)
+    for _ in range(2):
+        assert raised(_parse_pair, token) == want
+        assert raised(parse_point, space, ["1/2", token]) == want
+
+
+def test_a_string_and_an_int_share_no_entry():
+    assert _parse_pair("1") == (1, 1)
+    assert raised(_parse_pair, 1)[0] is ValueError
+    assert raised(_parse_pair, 7)[0] is ValueError
+    assert _parse_pair("7") == (7, 1)
+
+
+def test_lotteries_spelled_from_shared_tokens_decode_as_fractions():
+    tokens = ["1/4", "2/8", "+1/4", "-1/-4", "0", "1/2", "2/4", "+0/3", "1", "3/12"]
+    space = OutcomeSpace.of_size(4)
+    rng = random.Random(0)
+    spellings = [[rng.choice(tokens) for _ in range(4)] for _ in range(200)]
+    for spelling in spellings:
+        assert (outcome(parse_point, space, spelling)
+                == outcome(fraction_lottery, space, spelling))
+    # Enough of them are lotteries for the comparison to read weights.
+    valid = [s for s in spellings if sum(map(parse_rational, s)) == 1]
+    assert len(valid) >= 20
